@@ -1,15 +1,18 @@
 """Trace and determinant of finite potent operators, by several independent
 routes that must agree exactly:
 
-  ast               det(1 + core) on the invariant core
+  ast               det(1 + core) on the Fitting core
   exterior          1 + sum of exterior-power traces (principal minors)
-  charpoly          (-1)^n * charpoly(core)(-1)
+  charpoly          (-1)^N * charpoly(M)(-1) for the N x N certificate block M
   plemelj_smithies  sum mu^m alpha_m/m! with alpha_m a determinant in the
                     power traces
   logdet            exp of the power-sum log series
 
 Everything is exact; eigenvalues are never extracted (each eigenvalue
 statement is recast as a characteristic-polynomial coefficient identity).
+Like Tate's trace, det(1 + phi) can be taken on any finite invariant subspace
+containing phi^n(V), so all but tate_trace and the ast route read the
+certificate block and leave the Fitting split (lift_ast) to those two.
 """
 
 from __future__ import annotations
@@ -54,29 +57,40 @@ def tate_trace(phi: FinitePotentOperator):
     return mat_trace(ast.core_matrix)
 
 
+def _block(phi: FinitePotentOperator):
+    """phi restricted to the certificate's invariant subspace W >= phi^n(V)."""
+    return [list(row) for row in certify_finite_potent(phi).matrix]
+
+
 def det_one_plus(phi: FinitePotentOperator):
-    """det(1 + phi) = det(1 + core)."""
-    ast = lift_ast(phi)
-    n = ast.core_dim
-    return det(mat_add(identity(n), ast.core_matrix)) if n else Fraction(1)
+    """det(1 + phi) = det(1 + phi|W) on the certificate block."""
+    m = _block(phi)
+    return det(mat_add(identity(len(m)), m))
+
+
+def _core_symmetric(block):
+    """[e_0, ..., e_n] of a certificate block cut at its core dimension n:
+    the nilpotent part only appends zeros."""
+    es = elementary_symmetric(block)
+    while scalar_is_zero(es[-1]):
+        es.pop()
+    return es
 
 
 def exterior_trace(phi: FinitePotentOperator, r: int):
     """Trace of the induced map on the r-th exterior power: the r-th
-    elementary symmetric value of the core (sum of r x r principal minors).
-    Zero for r beyond the core dimension."""
+    elementary symmetric value (sum of r x r principal minors).  Zero for r
+    beyond the core dimension; for r = 1 an independent check of
+    tate_trace, which runs on the Fitting core."""
     if r < 1:
         raise ValueError("exterior power index must be >= 1")
-    ast = lift_ast(phi)
-    if r > ast.core_dim:
-        return Fraction(0)
-    return elementary_symmetric(ast.core_matrix)[r]
+    es = _core_symmetric(_block(phi))
+    return es[r] if r < len(es) else Fraction(0)
 
 
 def det_poly(phi: FinitePotentOperator) -> Polynomial:
-    """det(1 + mu*core) as an exact polynomial in mu."""
-    ast = lift_ast(phi)
-    return Polynomial(elementary_symmetric(ast.core_matrix))
+    """det(1 + mu*phi) as an exact polynomial in mu."""
+    return Polynomial(_core_symmetric(_block(phi)))
 
 
 def char_poly(matrix) -> Polynomial:
@@ -86,11 +100,8 @@ def char_poly(matrix) -> Polynomial:
 
 def _power_traces(phi: FinitePotentOperator, upto: int):
     """[p_1, ..., p_upto] with p_j the trace of phi^j, computed on the
-    certificate core (the tail is nilpotent, its powers are traceless)."""
-    cert = certify_finite_potent(phi)
-    m = [list(r) for r in cert.matrix]
-    if not m:
-        return [Fraction(0)] * upto
+    certificate block (the tail is nilpotent, its powers are traceless)."""
+    m = _block(phi)
     out = []
     power = identity(len(m))
     for _ in range(upto):
@@ -99,7 +110,7 @@ def _power_traces(phi: FinitePotentOperator, upto: int):
     return out
 
 
-def plemelj_smithies_series(phi: FinitePotentOperator, order: int) -> Polynomial:
+def _plemelj_smithies_coeffs(phi: FinitePotentOperator, order: int):
     """sum_{m<=order} mu^m alpha_m/m!, with alpha_m the m x m determinant
 
         | p_1   m-1    0   ...   0  |
@@ -107,8 +118,7 @@ def plemelj_smithies_series(phi: FinitePotentOperator, order: int) -> Polynomial
         | ...                  ...  |
         | p_m  p_{m-1} ...      p_1 |
 
-    built from the power traces p_j.  Coincides with det_poly, with
-    alpha_m = 0 beyond the core dimension."""
+    built from the power traces p_j, as a list (number fields included)."""
     if order < 0:
         raise ValueError("order must be >= 0")
     traces = _power_traces(phi, order)
@@ -128,7 +138,13 @@ def plemelj_smithies_series(phi: FinitePotentOperator, order: int) -> Polynomial
             rows.append(row)
         fact *= m
         coeffs.append(det(rows) * Fraction(1, fact))
-    return Polynomial(coeffs)
+    return coeffs
+
+
+def plemelj_smithies_series(phi: FinitePotentOperator, order: int) -> Polynomial:
+    """_plemelj_smithies_coeffs as a Polynomial.  Coincides with det_poly,
+    with alpha_m = 0 beyond the core dimension."""
+    return Polynomial(_plemelj_smithies_coeffs(phi, order))
 
 
 def log_det_series(phi: FinitePotentOperator, prec: int) -> TruncatedLaurentSeries:
@@ -237,11 +253,11 @@ def restrict_scalars(phi: FinitePotentOperator) -> FinitePotentOperator:
 
 
 def wedge_scaling_check(phi: FinitePotentOperator, m: int):
-    """det of (1 + phi) on the span of the first m Jordan-basis vectors:
-    the certificate block (core then nil chains) followed by whole tail
-    blocks.  Stable in m: every admissible m returns det_one_plus(phi)."""
-    ast = lift_ast(phi)
-    w_dim = ast.core_dim + ast.nil_dim
+    """det of (1 + phi) on the span of the first m basis vectors: the
+    certificate block followed by whole tail blocks.  Stable in m: every
+    admissible m returns det_one_plus(phi)."""
+    block = _block(phi)
+    w_dim = len(block)
     if m < w_dim:
         raise ValueError("m must cover the invariant block (>= %d)" % w_dim)
     extra = m - w_dim
@@ -254,16 +270,10 @@ def wedge_scaling_check(phi: FinitePotentOperator, m: int):
         if extra != 0:
             raise ValueError("no tail: m must equal the invariant block size %d" % w_dim)
         k_blocks = 0
-    size = m
-    mat = identity(size)
-    # invariant block in the fitted basis: core_matrix (+) nil_matrix
-    for r in range(ast.core_dim):
-        for c in range(ast.core_dim):
-            mat[r][c] = mat[r][c] + ast.core_matrix[r][c]
-    off = ast.core_dim
-    for r in range(ast.nil_dim):
-        for c in range(ast.nil_dim):
-            mat[off + r][off + c] = mat[off + r][off + c] + ast.nil_matrix[r][c]
+    mat = identity(m)
+    for r, row in enumerate(block):
+        for c, x in enumerate(row):
+            mat[r][c] = mat[r][c] + x
     # tail blocks: within-block shift polynomial
     off = w_dim
     for _ in range(k_blocks):
@@ -280,16 +290,20 @@ _ROUTES = ("ast", "exterior", "charpoly", "plemelj_smithies", "logdet")
 
 
 def det_routes(phi: FinitePotentOperator):
-    """All determinant routes as DetResult records (they must agree)."""
+    """All determinant routes as DetResult records (they must agree).  Each
+    is summed from coefficient lists, so number-field entries work too."""
     ast = lift_ast(phi)
     n = ast.core_dim
-    value_ast = det(mat_add(identity(n), ast.core_matrix)) if n else Fraction(1)
-    es = elementary_symmetric(ast.core_matrix) if n else [Fraction(1)]
-    value_ext = sum(es[1:], Fraction(1))
-    cp = char_poly(ast.core_matrix)
-    value_cp = Fraction((-1) ** n) * cp.evaluate(Fraction(-1)) if n else Fraction(1)
-    ps = plemelj_smithies_series(phi, n + 1)
-    value_ps = ps.evaluate(Fraction(1))
+    value_ast = det(mat_add(identity(n), ast.core_matrix))
+    block = _block(phi)
+    value_ext = sum(_core_symmetric(block)[1:], Fraction(1))
+    # det(1 + M) = (-1)^N charpoly(-1) for the N x N block M
+    cp = _charpoly_coeffs(block)
+    value_cp = sum(
+        (c if (len(block) - k) % 2 == 0 else -c for k, c in enumerate(cp)),
+        Fraction(0),
+    )
+    value_ps = sum(_plemelj_smithies_coeffs(phi, n + 1), Fraction(0))
     ld = log_det_series(phi, n + 2)
     value_ld = sum(ld.coeffs.values(), Fraction(0))
     return (

@@ -4,20 +4,21 @@ invariant core of a certified operator.
 For a square M over Q or a number field, the ambient space splits as
 W = im(M^d) and U = ker(M^d) (d = dimension), both M-invariant, with M
 invertible on W and nilpotent on U.  The decomposition is unique; traces and
-determinants of 1 + M reduce to the W block.
+determinants of 1 + M reduce to the W block.  Only tate_trace, the ast
+route of det_routes and the `ast` CLI verb use the split; the other
+determinant functions read the certificate block directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotFinitePotentError
 from .matrices import (
     column_space_basis,
     det,
+    identity,
     kernel_basis,
-    mat_eq,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -57,40 +58,25 @@ def fitting(matrix) -> ASTDecomposition:
     """Split the ambient space into the invertible core and nilpotent part.
 
     Always uses the exponent d = dimension, so no minimal-polynomial search
-    is needed; bases come out of fraction-free elimination.
+    is needed; bases come out of the elimination kernel in matrices.
     """
     d = len(matrix)
-    if d == 0:
-        return ASTDecomposition([], [], [], [], 0)
     md = mat_pow(matrix, d)
     core_cols = column_space_basis(md)
     nil_cols = kernel_basis(md)
     if len(core_cols) + len(nil_cols) != d:
         raise NotFinitePotentError("rank-nullity failure in fitting")
-    core_matrix = (
-        solve_columns(core_cols, [mat_vec(matrix, w) for w in core_cols])
-        if core_cols
-        else []
-    )
-    nil_matrix = (
-        solve_columns(nil_cols, [mat_vec(matrix, u) for u in nil_cols])
-        if nil_cols
-        else []
-    )
-    if core_cols and scalar_is_zero(det(core_matrix)):
+    core_matrix = solve_columns(core_cols, [mat_vec(matrix, w) for w in core_cols])
+    nil_matrix = solve_columns(nil_cols, [mat_vec(matrix, u) for u in nil_cols])
+    if scalar_is_zero(det(core_matrix)):
         raise NotFinitePotentError("core block came out singular")
     # exact nilpotency order of the U block: smallest e with nil^e = 0
-    if not nil_matrix:
-        nil_degree = 0
-    else:
-        nil_degree = 1
-        power = [row[:] for row in nil_matrix]
-        zero = [[Fraction(0)] * len(nil_matrix) for _ in nil_matrix]
-        while not mat_eq(power, zero):
-            nil_degree += 1
-            power = mat_mul(power, nil_matrix)
-            if nil_degree > len(nil_matrix) + 1:
-                raise NotFinitePotentError("U block is not nilpotent")
+    nil_degree, power = 0, identity(len(nil_matrix))
+    while any(not scalar_is_zero(x) for row in power for x in row):
+        if nil_degree > len(nil_matrix):
+            raise NotFinitePotentError("U block is not nilpotent")
+        nil_degree += 1
+        power = mat_mul(power, nil_matrix)
     return ASTDecomposition(core_cols, nil_cols, core_matrix, nil_matrix, nil_degree)
 
 

@@ -3,8 +3,9 @@
 Matrices are plain lists of row lists.  Scalars only need +, -, *, equality
 against 0/1 and exact inversion, so the same routines serve Fraction,
 NumberFieldElement, and (for determinants of unipotent perturbations)
-TruncatedLaurentSeries entries.  Echelon work for kernels and images uses
-fraction-free Bareiss elimination.
+TruncatedLaurentSeries entries.  All of them run on one pivoting Gaussian
+elimination kernel, _eliminate; the scalar type decides the pivot test
+(nonzero, or a unit constant term for series) and the inverse.
 """
 
 from __future__ import annotations
@@ -12,13 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotInvertibleError
-from .scalars import NumberFieldElement, scalar_is_zero
-
-
-def _inv(x):
-    if isinstance(x, NumberFieldElement):
-        return x.inverse()
-    return 1 / Fraction(x)
+from .scalars import scalar_is_zero
+from .series import TruncatedLaurentSeries, _inv_scalar, series_inv
 
 
 def identity(n, one=Fraction(1), zero=Fraction(0)):
@@ -83,111 +79,118 @@ def mat_eq(a, b) -> bool:
     )
 
 
+def _is_zero(x) -> bool:
+    return x.is_zero() if isinstance(x, TruncatedLaurentSeries) else scalar_is_zero(x)
+
+
+def _is_unit(x) -> bool:
+    """Pivot test: a nonzero field scalar, or a series whose constant term
+    is nonzero."""
+    if isinstance(x, TruncatedLaurentSeries):
+        x = x.coefficient(0)
+    return not scalar_is_zero(x)
+
+
+def _inv(x):
+    return series_inv(x) if isinstance(x, TruncatedLaurentSeries) else _inv_scalar(x)
+
+
+def _eliminate(m, ncols: int, reduce: bool = False):
+    """Gaussian elimination on the rows of m, in place, over its first ncols
+    columns; returns (pivot columns, sign of the row permutation).
+
+    A column with no unit (_is_unit) at or below the current row is passed
+    over.  Otherwise the first such entry is swapped up and its row clears
+    the column below it; with reduce=True the pivot row is first scaled to a
+    unit pivot and clears the column above it too (reduced echelon form).
+    """
+    rows = len(m)
+    pivots = []
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if _is_unit(m[i][c])), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        inv = _inv(m[r][c])
+        if reduce:
+            m[r] = [inv * x for x in m[r]]
+        for i in range(0 if reduce else r + 1, rows):
+            if i != r and not _is_zero(m[i][c]):
+                f = m[i][c] if reduce else m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, sign
+
+
+def _det(a, one):
+    """one times the determinant of a; None when a column has no pivot."""
+    m = [row[:] for row in a]
+    pivots, sign = _eliminate(m, len(m))
+    if len(pivots) < len(m):
+        return None
+    out = one if sign > 0 else -one
+    for i, row in enumerate(m):
+        out = out * row[i]
+    return out
+
+
 def det(a):
     """Determinant by exact Gaussian elimination (field scalars)."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in a]
-    out = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not scalar_is_zero(m[r][c])), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out = out * m[c][c]
-        inv = _inv(m[c][c])
-        for r in range(c + 1, n):
-            if not scalar_is_zero(m[r][c]):
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return out
+    out = _det(a, Fraction(1))
+    return Fraction(0) if out is None else out
 
 
 def mat_inverse(a):
     """Exact inverse; raises NotInvertibleError on singular input."""
     n = len(a)
-    m = [row[:] + irow[:] for row, irow in zip(a, identity(n))]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not scalar_is_zero(m[r][c])), None)
-        if piv is None:
-            raise NotInvertibleError("matrix is singular")
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-        inv = _inv(m[c][c])
-        m[c] = [inv * x for x in m[c]]
-        for r in range(n):
-            if r != c and not scalar_is_zero(m[r][c]):
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    m = [row[:] + irow for row, irow in zip(a, identity(n))]
+    if len(_eliminate(m, n, reduce=True)[0]) < n:
+        raise NotInvertibleError("matrix is singular")
     return [row[n:] for row in m]
 
 
 def bareiss_echelon(a):
-    """Fraction-free row echelon form; returns (echelon rows, pivot columns).
+    """Row echelon form in Bareiss's fraction-free normalisation; returns
+    (echelon rows, pivot columns).
 
-    Divisions are by the previous pivot and stay exact in any integral
-    domain, which also tames coefficient growth over Q.
+    Row r is the Gaussian row times the previous Bareiss pivot, so over an
+    integral domain every entry is a minor of a.
     """
     m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    prev = 1
-    r = 0
-    pivots = []
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if not scalar_is_zero(m[i][c])), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(cols - 1, c - 1, -1):
-                num = m[i][j] * m[r][c] - m[i][c] * m[r][j]
-                if isinstance(num, NumberFieldElement) or isinstance(prev, NumberFieldElement):
-                    m[i][j] = num * _inv(prev) if prev != 1 else num
-                else:
-                    m[i][j] = Fraction(num, prev) if prev != 1 else Fraction(num)
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+    pivots, _ = _eliminate(m, len(m[0]) if m else 0)
+    scale = 1
+    for r, c in enumerate(pivots):
+        m[r] = [scale * x for x in m[r]]
+        scale = m[r][c]
+    return m[: len(pivots)], pivots
 
 
 def rank(a) -> int:
-    if not a:
-        return 0
-    return len(bareiss_echelon(a)[0])
+    return len(bareiss_echelon(a)[1])
 
 
 def column_space_basis(a):
     """Basis of the column span, as column vectors (lists)."""
-    if not a:
-        return []
-    _, pivots = bareiss_echelon(a)
-    return [[row[c] for row in a] for c in pivots]
+    return [[row[c] for row in a] for c in bareiss_echelon(a)[1]]
 
 
 def kernel_basis(a):
     """Basis of the right kernel, as vectors (lists)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    ech, pivots = bareiss_echelon(a)
-    free = [c for c in range(cols) if c not in pivots]
+    m = [row[:] for row in a]
+    cols = len(m[0]) if m else 0
+    pivots, _ = _eliminate(m, cols, reduce=True)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        # back-substitute through the echelon rows
-        for i in range(len(ech) - 1, -1, -1):
-            c = pivots[i]
-            s = sum((ech[i][j] * v[j] for j in range(c + 1, cols)
-                     if not scalar_is_zero(v[j])), Fraction(0))
-            v[c] = -(s * _inv(ech[i][c]))
+        for row, c in zip(m, pivots):
+            v[c] = -row[fc]
         basis.append(v)
     return basis
 
@@ -203,31 +206,13 @@ def solve_columns(basis_cols, targets):
         if any(any(not scalar_is_zero(x) for x in t) for t in targets):
             raise NotInvertibleError("target outside the span of an empty basis")
         return []
-    n = len(basis_cols[0])
     k = len(basis_cols)
-    aug = [[basis_cols[j][i] for j in range(k)] + [t[i] for t in targets]
-           for i in range(n)]
-    # exact Gauss-Jordan on the basis block
-    r = 0
-    pivots = []
-    for c in range(k):
-        piv = next((i for i in range(r, n) if not scalar_is_zero(aug[i][c])), None)
-        if piv is None:
-            raise NotInvertibleError("basis columns are dependent")
-        if piv != r:
-            aug[r], aug[piv] = aug[piv], aug[r]
-        inv = _inv(aug[r][c])
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(n):
-            if i != r and not scalar_is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if any(not scalar_is_zero(x) for x in aug[i][k:]):
-            raise NotInvertibleError("target vector outside the span")
-    return [[aug[i][k + j] for j in range(len(targets))] for i in range(k)]
+    aug = [list(row) for row in zip(*basis_cols, *targets)]
+    if len(_eliminate(aug, k, reduce=True)[0]) < k:
+        raise NotInvertibleError("basis columns are dependent")
+    if any(not scalar_is_zero(x) for row in aug[k:] for x in row[k:]):
+        raise NotInvertibleError("target vector outside the span")
+    return [row[k:] for row in aug[:k]]
 
 
 def charpoly(a):
@@ -269,30 +254,10 @@ def elementary_symmetric(a):
 def det_series_matrix(m, one_series):
     """Determinant of a matrix of truncated series of the form 1 + O(z).
 
-    Pivots stay invertible (constant term a unit) throughout, so plain
-    elimination with series inversion is exact to the working precision.
+    Pivots must be units (constant term nonzero), so elimination with series
+    inversion is exact to the working precision.
     """
-    from .series import series_inv, series_mul
-
-    n = len(m)
-    if n == 0:
-        return one_series
-    m = [row[:] for row in m]
-    out = one_series
-    for c in range(n):
-        piv = next(
-            (r for r in range(c, n) if not scalar_is_zero(m[r][c].coefficient(0))),
-            None,
-        )
-        if piv is None:
-            raise NotInvertibleError("series matrix pivot has no unit entry")
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out = series_mul(out, m[c][c])
-        inv = series_inv(m[c][c])
-        for r in range(c + 1, n):
-            if not m[r][c].is_zero():
-                f = series_mul(m[r][c], inv)
-                m[r] = [x - series_mul(f, y) for x, y in zip(m[r], m[c])]
+    out = _det(m, one_series)
+    if out is None:
+        raise NotInvertibleError("series matrix pivot has no unit entry")
     return out

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
-from .scalars import NumberField, NumberFieldElement, format_rational
+from .scalars import (
+    NumberField,
+    NumberFieldElement,
+    _poly_divmod,
+    _poly_mul,
+    format_rational,
+)
 
 
 class Polynomial:
@@ -97,15 +101,7 @@ class Polynomial:
             return Polynomial([c * other for c in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(_poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -124,16 +120,7 @@ class Polynomial:
     def divmod(self, other: "Polynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs) + 1
-        quo = [Fraction(0)] * max(0, dq)
-        inv = 1 / other.leading()
-        for i in range(dq - 1, -1, -1):
-            c = rem[i + other.degree] * inv
-            if c != 0:
-                quo[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
+        quo, rem = _poly_divmod(self.coeffs, other.coeffs)
         return Polynomial(quo), Polynomial(rem)
 
     def __floordiv__(self, other):
@@ -192,15 +179,17 @@ def format_polynomial(p: Polynomial, var: str) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
-def _to_sympy(p: Polynomial, x):
+def _to_sympy(p: Polynomial):
+    import sympy  # imported on first use: it dominates the package import time
+
     return sympy.Poly.from_list(
         [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
         or [0],
-        x,
+        sympy.Symbol("x"),
     )
 
 
-def _from_sympy(sp, x) -> Polynomial:
+def _from_sympy(sp) -> Polynomial:
     return Polynomial([Fraction(str(c)) for c in reversed(sp.all_coeffs())])
 
 
@@ -208,17 +197,15 @@ def is_irreducible(p: Polynomial) -> bool:
     """True for irreducible nonconstant polynomials over Q."""
     if p.degree < 1:
         return False
-    x = sympy.Symbol("x")
-    return _to_sympy(p, x).is_irreducible
+    return _to_sympy(p).is_irreducible
 
 
 def factor_monic_irreducibles(p: Polynomial):
     """Factor p over Q: list of (monic irreducible Polynomial, multiplicity)."""
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    x = sympy.Symbol("x")
-    _, factors = _to_sympy(p, x).factor_list()
-    return [(_from_sympy(f, x).monic(), int(m)) for f, m in factors]
+    _, factors = _to_sympy(p).factor_list()
+    return [(_from_sympy(f).monic(), int(m)) for f, m in factors]
 
 
 class RationalFunction:

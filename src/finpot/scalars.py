@@ -252,23 +252,9 @@ class NumberFieldElement:
 
 def field_norm(e: NumberFieldElement) -> Fraction:
     """Norm down to Q: determinant of the multiplication-by-e map."""
-    rows = [list(r) for r in e.regular_matrix()]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                m = rows[r][c] * inv
-                rows[r] = [x - m * y for x, y in zip(rows[r], rows[c])]
-    return det
+    from .matrices import det  # matrices imports this module
+
+    return det(e.regular_matrix())
 
 
 def field_trace(e: NumberFieldElement) -> Fraction:

@@ -6,7 +6,7 @@ by exp(f) and compressing to the nonnegative-degree half gives a unipotent
 triangular Toeplitz block; the pairing is the determinant of the commutator
 of the plus and minus blocks.  The truncated pairing takes the T x T
 principal corner of that commutator built exactly on an enlarged stage
-(size 2T + 8, inverses realized by negated exponents, which coincide with
+(size T + 28, inverses realized by negated exponents, which coincide with
 the exact matrix inverses of the triangular sections).  It converges
 factorially fast to exp(sum_n n a_n b_n), the closed trace form, which in
 turn equals the residue res_{t=0}(f~ df) computed by the residue machinery.

@@ -4,9 +4,9 @@ printing a pass/fail line (run with -s to see the lines live).
 Criterion 10's monotone-stabilization subclaim is tested faithfully and is
 expected to fail: finite-section determinants oscillate around their limit
 when the exponent terms have mixed signs, so the error dips toward zero at
-each sign crossing and rises after (see the decisions ledger).  The test is
-marked strict-xfail so the defect stays visible without masking the rest of
-the suite.
+each sign crossing and rises after (see the decision recorded in
+CHANGES.md).  The test is marked strict-xfail so the defect stays visible
+without masking the rest of the suite.
 """
 
 import math
@@ -382,7 +382,7 @@ def test_criterion_10_segal_wilson_tolerance():
     strict=True,
     reason="finite-section error is not monotone for mixed-sign exponents: "
     "the section value oscillates around the limit, so the error dips to ~0 "
-    "at each sign crossing and rises after (see decisions ledger)",
+    "at each sign crossing and rises after (see the decision in CHANGES.md)",
 )
 def test_criterion_10_segal_wilson_monotone():
     mono_ok = True

@@ -247,6 +247,26 @@ def test_restrict_scalars_random(rng):
             )
 
 
+def test_det_routes_over_number_fields(rng):
+    for field in (GAUSS, ROOT2):
+        for k in range(20):
+            entries = {}
+            for _ in range(rng.randint(1, 6)):
+                entries[(rng.randint(0, 3), rng.randint(0, 3))] = field.element(
+                    [rng.randint(-2, 2), rng.randint(-2, 2)]
+                )
+            tail = TailDescriptor.none()
+            if k % 3 == 0:
+                tail = TailDescriptor.jordan(3, 6, [1, -2])
+            phi = FPO(SparseOperator(entries), tail)
+            d = det_one_plus(phi)
+            results = det_routes(phi)
+            assert [r.route for r in results] == [
+                "ast", "exterior", "charpoly", "plemelj_smithies", "logdet"]
+            assert all(r.value == d for r in results)
+            assert routes_agree(phi)
+
+
 def test_wedge_scaling_examples():
     tail = TailDescriptor.jordan(3, 10)
     pure = FPO(SparseOperator(), tail)

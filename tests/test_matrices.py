@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from finpot.matrices import (
     rank,
     solve_columns,
 )
+from finpot.scalars import NumberField
 from finpot.series import TruncatedLaurentSeries as TLS
 
 from oracles import det_cofactor, principal_minor_sum
@@ -104,3 +106,112 @@ def test_series_determinant():
     d = det_series_matrix(m, one)
     # (1+z)*1 - z^2
     assert d == TLS.from_terms("z", {0: 1, 1: 1, 2: -1}, 6)
+
+
+# -- behaviour pinned across every scalar type the elimination serves --------
+
+GAUSS = NumberField([1, 0, 1])  # x^2 + 1
+
+
+def rand_gauss_matrix(rng, rows, cols):
+    return [[GAUSS.element([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def make_singular(rng, m):
+    """Overwrite the last row of m by a combination of the other rows."""
+    a, b = (GAUSS.element([rng.randint(-2, 2), rng.randint(-1, 1)]) for _ in range(2))
+    m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def minor(m, i, j):
+    return [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+
+
+def cofactor_rank(m):
+    """Largest r with a nonzero r x r minor, by explicit enumeration."""
+    rows, cols = len(m), len(m[0])
+    for r in range(min(rows, cols), 0, -1):
+        for ri in combinations(range(rows), r):
+            for ci in combinations(range(cols), r):
+                if det_cofactor([[m[i][j] for j in ci] for i in ri]) != 0:
+                    return r
+    return 0
+
+
+def test_number_field_det_and_inverse_vs_cofactors(rng):
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        m = rand_gauss_matrix(rng, n, n)
+        if n > 2 and rng.random() < 0.3:
+            make_singular(rng, m)
+        d = det(m)
+        assert d == det_cofactor(m)
+        if d == 0:
+            with pytest.raises(NotInvertibleError):
+                mat_inverse(m)
+            continue
+        inv = mat_inverse(m)
+        # adjugate formula: inv[i][j] = (-1)^(i+j) det(minor(j, i)) / det
+        for i in range(n):
+            for j in range(n):
+                cof = det_cofactor(minor(m, j, i))
+                assert inv[i][j] * d == (cof if (i + j) % 2 == 0 else -cof)
+
+
+def test_number_field_kernel_basis(rng):
+    for _ in range(20):
+        n = rng.randint(3, 4)
+        m = make_singular(rng, rand_gauss_matrix(rng, n, n))
+        assert det_cofactor(m) == 0
+        kers = kernel_basis(m)
+        assert len(kers) == n - cofactor_rank(m) >= 1
+        for v in kers:
+            assert all(sum((x * y for x, y in zip(row, v)), Fraction(0)) == 0 for row in m)
+
+
+def test_solve_columns_rejects_dependent_basis_and_outside_target():
+    e0 = [Fraction(1), Fraction(0), Fraction(0)]
+    e1 = [Fraction(0), Fraction(1), Fraction(0)]
+    both = [Fraction(2), Fraction(3), Fraction(0)]
+    with pytest.raises(NotInvertibleError):
+        solve_columns([e0, e1, both], [e0])
+    with pytest.raises(NotInvertibleError):
+        solve_columns([e0, e1], [[Fraction(1), Fraction(1), Fraction(1)]])
+    with pytest.raises(NotInvertibleError):
+        solve_columns([], [e0])
+    assert solve_columns([e0, e1], [both]) == [[Fraction(2)], [Fraction(3)]]
+
+
+def test_rectangular_rank_and_kernel(rng):
+    for _ in range(30):
+        rows, cols = rng.choice([(1, 3), (2, 4), (3, 5), (4, 2), (5, 3), (3, 1)])
+        m = [[Fraction(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+        r = rank(m)
+        assert r == cofactor_rank(m)
+        assert len(column_space_basis(m)) == r
+        kers = kernel_basis(m)
+        assert len(kers) == cols - r
+        for v in kers:
+            assert len(v) == cols
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m)
+        if kers:
+            # the kernel vectors are independent
+            assert rank([list(col) for col in zip(*kers)]) == len(kers)
+
+
+def test_series_determinant_row_swap_and_no_unit_pivot():
+    one = TLS.one("z", 6)
+    zero = TLS.zero("z", 6)
+    z = TLS.from_terms("z", {1: 1}, 6)
+    # the (0, 0) entry has no unit constant term, so rows 0 and 1 swap:
+    # det [[z, 1 + z], [1, z]] = z^2 - 1 - z
+    m = [[z, one + z], [one, z]]
+    assert det_series_matrix(m, one) == TLS.from_terms("z", {0: -1, 1: -1, 2: 1}, 6)
+    # a swap that brings row 2 up: det of the cyclic permutation matrix is +1
+    cyc = [[zero, one, zero], [zero, zero, one], [one, zero, zero]]
+    assert det_series_matrix(cyc, one) == one
+    # no entry of the first column is a unit
+    with pytest.raises(NotInvertibleError):
+        det_series_matrix([[z, one], [z * z, one]], one)

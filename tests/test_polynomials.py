@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,3 +94,11 @@ def test_valuation_at():
     assert (t * t).valuation_at(pi) == 2
     assert (1 / t).valuation_at(pi) == -1
     assert (t + 1).valuation_at(pi) == 0
+
+
+def test_package_import_leaves_sympy_unloaded():
+    # sympy is imported on the first irreducibility or factoring call only
+    code = "import sys, finpot; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "False"
