@@ -2,7 +2,8 @@
 
 Every computation is exposed as a subcommand with JSON output (sorted keys,
 byte-stable for identical inputs).  Exit codes: 0 success, 1 domain error
-(structured {"error": code, "detail": ...} object on stdout), 2 parse error.
+(structured {"error": code, "detail": ...} object on stdout), 2 parse error
+(malformed expression, operator JSON or FINPOT_PREC; message on stderr).
 FINPOT_PREC overrides the default series precision.
 """
 
@@ -47,7 +48,10 @@ def _default_prec(fallback: int) -> int:
     value = os.environ.get("FINPOT_PREC")
     if value is None:
         return fallback
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError("FINPOT_PREC must be an integer, got %r" % value)
 
 
 def _load_operator(arg: str) -> FinitePotentOperator:
@@ -61,7 +65,7 @@ def _load_operator(arg: str) -> FinitePotentOperator:
         raise ParseError("cannot read operator: %s" % exc)
     try:
         return FinitePotentOperator.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad operator payload: %s" % exc)
 
 
@@ -162,7 +166,7 @@ def _run_infprod(args):
         family = [
             (int(w), FinitePotentOperator.from_json_dict(op)) for w, op in raw
         ]
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad family payload: %s" % exc)
     prec = _default_prec(args.prec)
     return _series_payload(infinite_product_det(family, args.m, prec=prec))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInvertibleError
-from .fitting import lift_ast
+from .fitting import fitting, lift_ast
 from .matrices import (
     charpoly as _charpoly_coeffs,
     det,
@@ -98,10 +98,9 @@ def char_poly(matrix) -> Polynomial:
     return Polynomial(_charpoly_coeffs(matrix))
 
 
-def _power_traces(phi: FinitePotentOperator, upto: int):
+def _power_traces(m, upto: int):
     """[p_1, ..., p_upto] with p_j the trace of phi^j, computed on the
-    certificate block (the tail is nilpotent, its powers are traceless)."""
-    m = _block(phi)
+    certificate block m (the tail is nilpotent, its powers are traceless)."""
     out = []
     power = identity(len(m))
     for _ in range(upto):
@@ -110,7 +109,7 @@ def _power_traces(phi: FinitePotentOperator, upto: int):
     return out
 
 
-def _plemelj_smithies_coeffs(phi: FinitePotentOperator, order: int):
+def _plemelj_smithies_coeffs(block, order: int):
     """sum_{m<=order} mu^m alpha_m/m!, with alpha_m the m x m determinant
 
         | p_1   m-1    0   ...   0  |
@@ -121,7 +120,7 @@ def _plemelj_smithies_coeffs(phi: FinitePotentOperator, order: int):
     built from the power traces p_j, as a list (number fields included)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    traces = _power_traces(phi, order)
+    traces = _power_traces(block, order)
     coeffs = [Fraction(1)]
     fact = 1
     for m in range(1, order + 1):
@@ -144,13 +143,18 @@ def _plemelj_smithies_coeffs(phi: FinitePotentOperator, order: int):
 def plemelj_smithies_series(phi: FinitePotentOperator, order: int) -> Polynomial:
     """_plemelj_smithies_coeffs as a Polynomial.  Coincides with det_poly,
     with alpha_m = 0 beyond the core dimension."""
-    return Polynomial(_plemelj_smithies_coeffs(phi, order))
+    return Polynomial(_plemelj_smithies_coeffs(_block(phi), order))
 
 
 def log_det_series(phi: FinitePotentOperator, prec: int) -> TruncatedLaurentSeries:
     """exp of the power-sum series sum_r (-1)^(r+1) p_r mu^r / r; agrees
     with det_poly to the requested precision."""
-    traces = _power_traces(phi, max(0, prec - 1))
+    return _log_det(_block(phi), prec)
+
+
+def _log_det(block, prec: int) -> TruncatedLaurentSeries:
+    """log_det_series on the certificate block."""
+    traces = _power_traces(block, max(0, prec - 1))
     terms = {
         r: Fraction((-1) ** (r + 1), r) * traces[r - 1] for r in range(1, prec)
     }
@@ -165,14 +169,14 @@ def regularized_det_series(
     the Carleman-Fredholm normalization."""
     if m < 2:
         raise ValueError("regularization order must be >= 2")
-    dp = det_poly(phi)
+    block = _block(phi)
     base = TruncatedLaurentSeries.from_terms(
         "mu",
-        {i: c * Fraction((-1) ** i) for i, c in enumerate(dp.coeffs)},
+        {i: c * Fraction((-1) ** i) for i, c in enumerate(_core_symmetric(block))},
         prec,
         0,
     )
-    traces = _power_traces(phi, m - 1)
+    traces = _power_traces(block, m - 1)
     expo = TruncatedLaurentSeries.from_terms(
         "mu",
         {j: traces[j - 1] * Fraction(1, j) for j in range(1, m)},
@@ -292,10 +296,10 @@ _ROUTES = ("ast", "exterior", "charpoly", "plemelj_smithies", "logdet")
 def det_routes(phi: FinitePotentOperator):
     """All determinant routes as DetResult records (they must agree).  Each
     is summed from coefficient lists, so number-field entries work too."""
-    ast = lift_ast(phi)
+    block = _block(phi)
+    ast = fitting(block)
     n = ast.core_dim
     value_ast = det(mat_add(identity(n), ast.core_matrix))
-    block = _block(phi)
     value_ext = sum(_core_symmetric(block)[1:], Fraction(1))
     # det(1 + M) = (-1)^N charpoly(-1) for the N x N block M
     cp = _charpoly_coeffs(block)
@@ -303,9 +307,8 @@ def det_routes(phi: FinitePotentOperator):
         (c if (len(block) - k) % 2 == 0 else -c for k, c in enumerate(cp)),
         Fraction(0),
     )
-    value_ps = sum(_plemelj_smithies_coeffs(phi, n + 1), Fraction(0))
-    ld = log_det_series(phi, n + 2)
-    value_ld = sum(ld.coeffs.values(), Fraction(0))
+    value_ps = sum(_plemelj_smithies_coeffs(block, n + 1), Fraction(0))
+    value_ld = sum(_log_det(block, n + 2).coeffs.values(), Fraction(0))
     return (
         DetResult(value_ast, "ast"),
         DetResult(value_ext, "exterior"),

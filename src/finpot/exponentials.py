@@ -7,6 +7,9 @@ and (b) some power of (series - 1) mapping everything into W.  Products of
 such series merge their cores by closure, so determinants of products,
 commutator identities and determinants of infinite exponential products all
 stay finite, exact computations.
+
+OperatorSeries is the one operator-series type and det_series the one block
+determinant; the windowed symbol route uses both, its content box as core.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .scalars import scalar_is_zero
 
 
 def _core_closure(seed, operators, cap: int = 10000):
-    """Smallest superset of `seed` closed under the actions of `operators`."""
+    """Smallest superset of `seed` closed under the actions of `operators`.
+    Heuristic limit: NoCommonCoreError once more than `cap` indices join."""
     core = set(seed)
     frontier = list(core)
     steps = 0
@@ -118,13 +122,8 @@ class OperatorSeries:
         )
 
 
-def exp_op(
-    phi: FinitePotentOperator, k: int = 1, prec: int = 10, variable: str = "z"
-) -> OperatorSeries:
-    """1 + sum_{j>=1, jk<prec} z^{jk} phi^j / j!."""
-    if k < 1:
-        raise ValueError("degree weight k must be >= 1")
-    cert = certify_finite_potent(phi)
+def _exp_terms(phi: FinitePotentOperator, k: int, prec: int) -> dict:
+    """The terms z^{jk} -> phi^j / j! of exp_{z^k}(phi) - 1, for jk < prec."""
     terms = {}
     power = None
     fact = 1
@@ -137,6 +136,17 @@ def exp_op(
             break
         terms[j * k] = scaled
         j += 1
+    return terms
+
+
+def exp_op(
+    phi: FinitePotentOperator, k: int = 1, prec: int = 10, variable: str = "z"
+) -> OperatorSeries:
+    """1 + sum_{j>=1, jk<prec} z^{jk} phi^j / j!."""
+    if k < 1:
+        raise ValueError("degree weight k must be >= 1")
+    cert = certify_finite_potent(phi)
+    terms = _exp_terms(phi, k, prec)
     core = _core_closure(set(cert.indices), list(terms.values()))
     return OperatorSeries(variable, prec, terms, core)
 
@@ -145,27 +155,16 @@ def det_series(s: OperatorSeries) -> TruncatedLaurentSeries:
     """Determinant over the series field, as the determinant of the finite
     core block of 1 + sum z^d term_d."""
     one = TruncatedLaurentSeries.one(s.variable, s.precision)
-    core = s.core
-    if not core:
-        return one
-    n = len(core)
-    zero = TruncatedLaurentSeries.zero(s.variable, s.precision)
     rows = []
-    for i in range(n):
+    for i in s.core:
         row = []
-        for j in range(n):
-            coeffs = {}
-            if i == j:
-                coeffs[0] = Fraction(1)
+        for j in s.core:
+            coeffs = {0: Fraction(1)} if i == j else {}
             for d, t in s.terms.items():
-                c = op_entry(t, core[i], core[j])
+                c = op_entry(t, i, j)
                 if not scalar_is_zero(c):
                     coeffs[d] = c
-            row.append(
-                TruncatedLaurentSeries(s.variable, coeffs, 0, s.precision)
-                if coeffs
-                else zero
-            )
+            row.append(TruncatedLaurentSeries(s.variable, coeffs, 0, s.precision))
         rows.append(row)
     return det_series_matrix(rows, one)
 

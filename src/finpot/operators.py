@@ -73,6 +73,8 @@ class SparseOperator:
         return self.entries.get((i, j), Fraction(0))
 
     def add(self, other: "SparseOperator") -> "SparseOperator":
+        if not other.entries:
+            return self
         out = dict(self.entries)
         for k, c in other.entries.items():
             out[k] = out.get(k, Fraction(0)) + c
@@ -478,7 +480,8 @@ def verify_certificate(
 ) -> bool:
     """Brute-force check: apply phi cert.n times to each of `span` basis
     vectors straddling the interesting region and confirm every image lies
-    in span(W)."""
+    in span(W).  Heuristic limit: only `span` (default 50) indices are
+    tried, so True is evidence, not proof, for wider operators."""
     anchors = set(phi.finite_part.support())
     if phi.has_tail():
         anchors.add(phi.tail.start_index)

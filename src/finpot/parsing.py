@@ -109,7 +109,10 @@ class _Parser:
 
 
 def parse_rational_function(text: str, var: str = "t") -> RationalFunction:
-    return _Parser(text, var).parse()
+    try:
+        return _Parser(text, var).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply")
 
 
 def parse_place(text: str):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import SeriesDomainError
 from .polynomials import Polynomial, RationalFunction, is_irreducible
 from .scalars import NumberField, NumberFieldElement
-from .series import TruncatedLaurentSeries
+from .series import TruncatedLaurentSeries, series_inv, series_mul
 
 
 class Place:
@@ -176,28 +176,23 @@ def local_expand(f: RationalFunction, p: Place, prec: int) -> LocalExpansion:
 
 
 def _expand_at_infinity(f: RationalFunction, prec: int) -> TruncatedLaurentSeries:
-    """Expansion in w = 1/t by coefficient reversal and series division."""
+    """Expansion in w = 1/t: w^v N(w) / D(w), with N and D the reversed
+    numerator and denominator and v the order of vanishing at infinity."""
     num, den = f.num, f.den
-    v = den.degree - num.degree  # order of vanishing at infinity
+    v = den.degree - num.degree
     if prec <= v:
         return TruncatedLaurentSeries.zero("u", prec, min_degree=min(v, prec - 1))
     count = prec - v
-    ncs = num.reversed_coeffs(num.degree + 1)
-    dcs = den.reversed_coeffs(den.degree + 1)
-    lead = dcs[0]
-    out = {}
-    series = []
-    for k in range(count):
-        s = ncs[k] if k < len(ncs) else Fraction(0)
-        for i in range(k):
-            d = dcs[k - i] if k - i < len(dcs) else Fraction(0)
-            if d != 0:
-                s -= series[i] * d
-        c = s / lead
-        series.append(c)
-        if c != 0:
-            out[v + k] = c
-    return TruncatedLaurentSeries("u", out, min(v, 0), prec)
+    n, d = (
+        TruncatedLaurentSeries(
+            "u", dict(enumerate(p.reversed_coeffs(p.degree + 1)[:count])), 0, count
+        )
+        for p in (num, den)
+    )
+    quotient = series_mul(n, series_inv(d))
+    return TruncatedLaurentSeries(
+        "u", {k + v: c for k, c in quotient.coeffs.items()}, min(v, 0), prec
+    )
 
 
 def substitute_inverse(f: RationalFunction) -> RationalFunction:

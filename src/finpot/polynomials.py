@@ -1,9 +1,10 @@
 """Univariate polynomials and rational functions over Q, exact throughout.
 
 Coefficient lists are stored lowest degree first with a nonzero leading
-coefficient (the zero polynomial is the empty list).  Rational functions are
-kept normalized: monic denominator, gcd(num, den) = 1.  Irreducible
-factorization over Q is delegated to sympy; everything else is local.
+coefficient (the zero polynomial is the empty list): Fractions, or
+NumberFieldElements kept as they are (det_poly over a number field).
+Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
+Irreducible factorization over Q is delegated to sympy; the rest is local.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, NumberFieldElement) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

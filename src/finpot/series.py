@@ -6,6 +6,10 @@ at or above it are unknown, not zero).  Products propagate the sharp big-O
 law prec = min(prec_a + val_b, prec_b + val_a); for the usual valuation-0
 operands this is the minimum of the two precisions.  Coefficients are
 Fractions or NumberFieldElements.
+
+This is the package's one series layer: series_exp, series_log and series_inv
+run exact coefficient recurrences (Brent & Kung 1978) in one pass over
+coefficient lists; every exp, log or quotient of series elsewhere calls them.
 """
 
 from __future__ import annotations
@@ -271,57 +275,59 @@ def series_mul(
     return TruncatedLaurentSeries(a.variable, out, a.min_degree + b.min_degree, prec)
 
 
+def _dot(pairs, h, k):
+    """sum of c * h[k - j] over the (j, c) in pairs (sorted by j), j <= k."""
+    s = 0
+    for j, c in pairs:
+        if j > k:
+            break
+        if not scalar_is_zero(h[k - j]):
+            s = s + c * h[k - j]
+    return s
+
+
 def series_inv(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
-    """Inverse of a series whose lowest known coefficient is nonzero."""
+    """Inverse of a series whose lowest known coefficient a_v is nonzero:
+    u^-v sum_k b_k u^k with b_0 = 1/a_v, b_k = -b_0 sum_{j>=1} a_{v+j} b_{k-j}."""
     v = a.valuation()
     if v is None:
         raise SeriesDomainError("cannot invert a series with no known nonzero term")
-    lead_inv = _inv_scalar(a.coeffs[v])
-    u = a.shift(-v).scale(lead_inv)  # u = 1 + x with val(x) >= 1
-    n = u.precision
-    one = TruncatedLaurentSeries.one(a.variable, n)
-    x = one - u
-    inv = one
-    term = one
-    for _ in range(1, n):
-        term = series_mul(term, x)
-        if term.is_zero():
-            break
-        inv = inv + term
-    return inv.scale(lead_inv).shift(-v)
+    n = a.precision - v
+    b = [_inv_scalar(a.coeffs[v])]
+    rest = sorted((d - v, c) for d, c in a.coeffs.items() if d != v)
+    for k in range(1, n):
+        b.append(-b[0] * _dot(rest, b, k))
+    # min_degree as the former geometric sum reported it: its r-th power of
+    # 1 - u^-v a / a_v (r < n) was stored from r (min_degree - v)
+    low = (n - 1) * (a.min_degree - v) if rest else 0
+    return TruncatedLaurentSeries(
+        a.variable, {k - v: c for k, c in enumerate(b)}, low - v, n - v
+    )
 
 
 def series_exp(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
-    """exp of a series with no constant and no polar part."""
+    """exp of a series with no constant and no polar part, by the recurrence
+    k h_k = sum_{j<=k} j a_j h_{k-j} (h_0 = 1)."""
     if any(d <= 0 for d in a.coeffs):
         raise SeriesDomainError(
             "series_exp needs valuation >= 1, got terms at degrees %s"
             % sorted(d for d in a.coeffs if d <= 0)
         )
-    prec = a.precision
-    out = TruncatedLaurentSeries.one(a.variable, prec)
-    term = TruncatedLaurentSeries.one(a.variable, prec)
-    for k in range(1, prec):
-        term = series_mul(term, a).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    weighted = sorted((j, j * c) for j, c in a.coeffs.items())
+    h = [Fraction(1)]
+    for k in range(1, a.precision):
+        h.append(_dot(weighted, h, k) * Fraction(1, k))
+    return TruncatedLaurentSeries(a.variable, dict(enumerate(h)), 0, a.precision)
 
 
 def series_log(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
-    """log of a series with constant term exactly 1."""
+    """log of a series with constant term exactly 1, by the recurrence
+    k b_k = k a_k - sum_{0<j<k} a_j (k-j) b_{k-j} (b_0 = 0), run on k b_k."""
     if a.coefficient(0) != 1 or any(d < 0 for d in a.coeffs):
         raise SeriesDomainError("series_log needs constant term 1 and no polar part")
-    prec = a.precision
-    x = a - 1  # valuation >= 1
-    out = TruncatedLaurentSeries.zero(a.variable, prec)
-    term = TruncatedLaurentSeries.one(a.variable, prec)
-    sign = 1
-    for r in range(1, prec):
-        term = series_mul(term, x)
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction(sign, r))
-        sign = -sign
-    return out
+    rest = sorted((j, c) for j, c in a.coeffs.items() if j > 0)
+    kb = [Fraction(0)]
+    for k in range(1, a.precision):
+        kb.append(k * a.coeffs.get(k, 0) - _dot(rest, kb, k))
+    b = {k: c * Fraction(1, k) for k, c in enumerate(kb) if k}
+    return TruncatedLaurentSeries(a.variable, b, 0, a.precision)

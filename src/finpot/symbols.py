@@ -7,6 +7,8 @@ of a z^2 monomial, exp(z^2 * r) with r rational; SymbolValue asserts that
 shape at construction.  The cocycle is computed from the residue; for
 degree-1 places it is also computable as a determinant of a product of
 operator exponentials on the windowed model, and the two routes must agree.
+That route multiplies the factors as OperatorSeries and calls det_series with
+the content box as the core: it has no series arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import WindowExhaustedError
-from .matrices import det_series_matrix
+from .exponentials import OperatorSeries, _exp_terms, det_series
+from .operators import FinitePotentOperator
 from .places import Place, relevant_places
 from .polynomials import RationalFunction
 from .residues import (
@@ -25,7 +28,6 @@ from .residues import (
     residue_classical,
     split_window_content,
 )
-from .scalars import scalar_is_zero
 from .series import TruncatedLaurentSeries, series_exp, series_log
 
 DEFAULT_Z_PREC = 8
@@ -117,41 +119,6 @@ def cocycle_identity_check(
 # -- operator route ----------------------------------------------------------
 
 
-def _sparse_terms_product(a: dict, b: dict, prec: int) -> dict:
-    """(1 + sum z^d a_d)(1 + sum z^d b_d) as term dict of SparseOperators."""
-    out = {}
-
-    def bump(d, op):
-        if d >= prec or op.is_zero():
-            return
-        out[d] = out[d].add(op) if d in out else op
-
-    for d, t in a.items():
-        bump(d, t)
-    for d, t in b.items():
-        bump(d, t)
-    for da, ta in a.items():
-        for db, tb in b.items():
-            if da + db < prec:
-                bump(da + db, ta.compose(tb))
-    return {d: t for d, t in out.items() if not t.is_zero()}
-
-
-def _exp_terms(m, prec: int) -> dict:
-    """Terms of exp(z m) - 1 on the window: z^j -> m^j / j!."""
-    terms = {}
-    power = None
-    fact = 1
-    for j in range(1, prec):
-        power = m if power is None else power.compose(m)
-        if power.is_zero():
-            break
-        fact *= j
-        scaled = power.scale(Fraction(1, fact))
-        terms[j] = scaled
-    return terms
-
-
 def _det_of_exponential_product(
     coeff_dicts, signs, cut: int, prec_z: int
 ) -> TruncatedLaurentSeries:
@@ -161,8 +128,9 @@ def _det_of_exponential_product(
 
     Individual factors have no determinant; the product's series terms are
     finite rank, supported in a box near the cut, and the determinant is the
-    determinant of that box block.  A guard strip between the box and the
-    window edge must stay exactly zero, else the window grows (3 retries).
+    determinant of that box block: the box is the core of the content series,
+    the factors carry none.  A guard strip between the box and the window
+    edge must stay exactly zero, else the window grows (3 retries).
     """
     band = 1
     for fc in coeff_dicts:
@@ -171,48 +139,24 @@ def _det_of_exponential_product(
     content_end = cut + (prec_z - 1) * band
     for _ in range(4):
         hi = content_end + (prec_z + 1) * band + 4
-        prod = {}
-        first = True
+        prod = OperatorSeries.one("z", prec_z)
         for fc, sign in zip(coeff_dicts, signs):
             m = compress_upper(multiplication_window(fc, cut, hi), cut)
-            if sign < 0:
-                m = m.scale(Fraction(-1))
-            terms = _exp_terms(m, prec_z)
-            prod = terms if first else _sparse_terms_product(prod, terms, prec_z)
-            first = False
-        contents = {}
-        dirty = False
+            terms = _exp_terms(FinitePotentOperator(m.scale(Fraction(sign))), 1, prec_z)
+            prod = prod * OperatorSeries("z", prec_z, terms, ())
         exact_end = hi - prec_z * band
-        for d, t in prod.items():
-            c = split_window_content(t, content_end, exact_end)
+        contents = {}
+        for d, t in prod.terms.items():
+            c = split_window_content(t.finite_part, content_end, exact_end)
             if c is None:
-                dirty = True
                 break
-            if not c.is_zero():
-                contents[d] = c
-        if dirty:
-            content_end += prec_z * band
-            continue
-        support = set()
-        for t in contents.values():
-            support |= t.support()
-        box = tuple(sorted(support))
-        n = len(box)
-        one = TruncatedLaurentSeries.one("z", prec_z)
-        if n == 0:
-            return one
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                coeffs = {0: Fraction(1)} if i == j else {}
-                for d, t in contents.items():
-                    c = t.get(box[i], box[j])
-                    if not scalar_is_zero(c):
-                        coeffs[d] = c
-                row.append(TruncatedLaurentSeries("z", coeffs, 0, prec_z))
-            rows.append(row)
-        return det_series_matrix(rows, one)
+            contents[d] = FinitePotentOperator(c)
+        else:
+            box = set()
+            for t in contents.values():
+                box |= t.finite_part.support()
+            return det_series(OperatorSeries("z", prec_z, contents, sorted(box)))
+        content_end += prec_z * band
     raise WindowExhaustedError(
         "operator-route content kept reaching the window edge"
     )

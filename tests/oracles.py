@@ -145,3 +145,63 @@ def residue_generic_root(f, g, place):
         value = Fraction(n_val) / Fraction(h_val)
     value = value * Fraction(1, fact)
     return trace(value)
+
+
+# -- series kernels as truncated sums -----------------------------------------
+#
+# The truncated-Taylor exp/log and the geometric-sum inverse that
+# finpot.series replaced with coefficient recurrences.  Each loops over full
+# series products, so the two share no arithmetic.
+
+
+def series_exp_taylor(a):
+    """sum_k a^k / k!, one series product per term."""
+    from finpot.series import TruncatedLaurentSeries, series_mul
+
+    prec = a.precision
+    out = TruncatedLaurentSeries.one(a.variable, prec)
+    term = TruncatedLaurentSeries.one(a.variable, prec)
+    for k in range(1, prec):
+        term = series_mul(term, a).scale(Fraction(1, k))
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
+def series_log_taylor(a):
+    """sum_r (-1)^(r+1) (a - 1)^r / r, one series product per term."""
+    from finpot.series import TruncatedLaurentSeries, series_mul
+
+    prec = a.precision
+    x = a - 1
+    out = TruncatedLaurentSeries.zero(a.variable, prec)
+    term = TruncatedLaurentSeries.one(a.variable, prec)
+    sign = 1
+    for r in range(1, prec):
+        term = series_mul(term, x)
+        if term.is_zero():
+            break
+        out = out + term.scale(Fraction(sign, r))
+        sign = -sign
+    return out
+
+
+def series_inv_geometric(a):
+    """a_v^-1 u^-v sum_r x^r with x = 1 - a / (a_v u^v)."""
+    from finpot.series import TruncatedLaurentSeries, _inv_scalar, series_mul
+
+    v = a.valuation()
+    lead_inv = _inv_scalar(a.coeffs[v])
+    u = a.shift(-v).scale(lead_inv)
+    n = u.precision
+    one = TruncatedLaurentSeries.one(a.variable, n)
+    x = one - u
+    inv = one
+    term = one
+    for _ in range(1, n):
+        term = series_mul(term, x)
+        if term.is_zero():
+            break
+        inv = inv + term
+    return inv.scale(lead_inv).shift(-v)

@@ -186,3 +186,33 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and json.loads(proc.stdout) == {"value": "3"}
+
+
+def _assert_parse_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_bad_precision_variable_is_a_parse_error():
+    _assert_parse_error(
+        *run_cli("cocycle", "--f", "1/t", "--g", "t", env={"FINPOT_PREC": "abc"})
+    )
+
+
+def test_zero_denominator_in_operator_is_a_parse_error():
+    _assert_parse_error(*run_cli("det", "--op", '{"entries":[[0,0,"1/0"]]}'))
+
+
+def test_zero_denominator_in_family_is_a_parse_error():
+    fam = json.dumps([[1, {"entries": [[0, 0, "1/0"]]}]])
+    _assert_parse_error(*run_cli("infprod", "--family", fam, "--m", "2"))
+
+
+def test_deeply_nested_expression_is_a_parse_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "finpot", "residue", "--g", "t",
+         "--f", "(" * 3000 + "t" + ")" * 3000],
+        capture_output=True,
+        text=True,
+    )
+    _assert_parse_error(proc.returncode, proc.stdout, proc.stderr)

@@ -247,7 +247,8 @@ def test_restrict_scalars_random(rng):
             )
 
 
-def test_det_routes_over_number_fields(rng):
+def _number_field_operators(rng):
+    """Twenty operators over each of Q(i) and Q(sqrt 2), a third with a tail."""
     for field in (GAUSS, ROOT2):
         for k in range(20):
             entries = {}
@@ -258,13 +259,31 @@ def test_det_routes_over_number_fields(rng):
             tail = TailDescriptor.none()
             if k % 3 == 0:
                 tail = TailDescriptor.jordan(3, 6, [1, -2])
-            phi = FPO(SparseOperator(entries), tail)
-            d = det_one_plus(phi)
-            results = det_routes(phi)
-            assert [r.route for r in results] == [
-                "ast", "exterior", "charpoly", "plemelj_smithies", "logdet"]
-            assert all(r.value == d for r in results)
-            assert routes_agree(phi)
+            yield FPO(SparseOperator(entries), tail)
+
+
+def test_det_routes_over_number_fields(rng):
+    for phi in _number_field_operators(rng):
+        d = det_one_plus(phi)
+        results = det_routes(phi)
+        assert [r.route for r in results] == [
+            "ast", "exterior", "charpoly", "plemelj_smithies", "logdet"]
+        assert all(r.value == d for r in results)
+        assert routes_agree(phi)
+
+
+def test_det_poly_over_number_fields(rng):
+    from finpot.fitting import lift_ast
+    from finpot.operators import certify_finite_potent
+
+    for phi in _number_field_operators(rng):
+        n = lift_ast(phi).core_dim
+        poly = det_poly(phi)
+        assert poly == plemelj_smithies_series(phi, n + 1)
+        assert poly.evaluate(1) == det_one_plus(phi)
+        block = [list(row) for row in certify_finite_potent(phi).matrix]
+        sign = -1 if len(block) % 2 else 1
+        assert sign * char_poly(block).evaluate(-1) == det_one_plus(phi)
 
 
 def test_wedge_scaling_examples():

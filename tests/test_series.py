@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpot.errors import SeriesDomainError, VariableMismatchError
+from finpot.scalars import NumberField
 from finpot.series import (
     TruncatedLaurentSeries as TLS,
     series_exp,
@@ -10,6 +12,7 @@ from finpot.series import (
     series_log,
     series_mul,
 )
+from oracles import series_exp_taylor, series_inv_geometric, series_log_taylor
 
 
 def S(terms, prec, var="z"):
@@ -157,3 +160,51 @@ def test_precision_contract_add_and_exp(rng):
         assert (a.truncate(p) + b.truncate(p)).same_to_precision((a + b).truncate(p))
         e = S({d: Fraction(rng.randint(-2, 2)) for d in range(1, 5)}, 9)
         assert series_exp(e.truncate(p)).same_to_precision(series_exp(e).truncate(p))
+
+
+_FIELDS = (None, NumberField([1, 0, 1]), NumberField([-2, 0, 1]))
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _series(draw, first_degree):
+    """A series in z with min_degree 0 and precision up to 40, coefficients in
+    Q or in Q(i) or Q(sqrt 2), stored from first_degree on."""
+    field = draw(st.sampled_from(_FIELDS))
+    prec = draw(st.integers(first_degree + 1, 40))
+    degrees = draw(st.sets(st.integers(first_degree, prec - 1), max_size=prec))
+    coeffs = {}
+    for d in degrees:
+        c = draw(_RATIONALS)
+        if field is not None and draw(st.booleans()):
+            c = field.element([c, draw(_RATIONALS)])
+        coeffs[d] = c
+    return TLS("z", coeffs, 0, prec)
+
+
+def _same(new, old):
+    assert new == old
+    assert (new.precision, new.min_degree) == (old.precision, old.min_degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series(1))
+def test_exp_recurrence_matches_taylor_sum(a):
+    _same(series_exp(a), series_exp_taylor(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series(1))
+def test_log_recurrence_matches_taylor_sum(x):
+    a = x + 1
+    _same(series_log(a), series_log_taylor(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series(0))
+def test_inv_recurrence_matches_geometric_sum(a):
+    if a.is_zero():
+        with pytest.raises(SeriesDomainError):
+            series_inv(a)
+        return
+    _same(series_inv(a), series_inv_geometric(a))

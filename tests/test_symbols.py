@@ -107,6 +107,39 @@ def test_commensurable_cuts_agree():
     assert base == cocycle(f, g, PLACE_T)
 
 
+def _dirty_splits(monkeypatch, count):
+    """Make the first `count` window splits report a dirty guard strip."""
+    from finpot import symbols
+
+    real = symbols.split_window_content
+    calls = {"dirty": 0}
+
+    def split(op, content_end, exact_end):
+        if calls["dirty"] < count:
+            calls["dirty"] += 1
+            return None
+        return real(op, content_end, exact_end)
+
+    monkeypatch.setattr(symbols, "split_window_content", split)
+    return calls
+
+
+def test_operator_route_window_retry(monkeypatch):
+    f, g = P("1/t^2 + t"), P("1/t + t^2")
+    want = cocycle_via_operators(f, g)
+    calls = _dirty_splits(monkeypatch, 1)
+    assert cocycle_via_operators(f, g) == want == cocycle(f, g, PLACE_T)
+    assert calls["dirty"] == 1
+
+
+def test_operator_route_window_exhausted(monkeypatch):
+    from finpot.errors import WindowExhaustedError
+
+    _dirty_splits(monkeypatch, 4)
+    with pytest.raises(WindowExhaustedError):
+        cocycle_via_operators(P("1/t"), P("t"))
+
+
 def test_c4_examples():
     assert c4_check(P("t"), P("1"), PLACE_T)
     assert c4_check(P("t+1"), P("t"), PLACE_T)  # unit g: both quotients vanish
