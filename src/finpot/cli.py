@@ -63,9 +63,14 @@ def _load_operator(arg: str) -> FinitePotentOperator:
                 data = json.load(fh)
     except (json.JSONDecodeError, OSError) as exc:
         raise ParseError("cannot read operator: %s" % exc)
+    return _operator_from_json(data)
+
+
+def _operator_from_json(data) -> FinitePotentOperator:
+    """Decoded operator JSON; a payload of the wrong shape is a parse error."""
     try:
         return FinitePotentOperator.from_json_dict(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad operator payload: %s" % exc)
 
 
@@ -163,11 +168,10 @@ def _run_zassenhaus(args):
 def _run_infprod(args):
     try:
         raw = json.loads(args.family)
-        family = [
-            (int(w), FinitePotentOperator.from_json_dict(op)) for w, op in raw
-        ]
-    except (json.JSONDecodeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        family = [(int(w), op) for w, op in raw]
+    except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ParseError("bad family payload: %s" % exc)
+    family = [(w, _operator_from_json(op)) for w, op in family]
     prec = _default_prec(args.prec)
     return _series_payload(infinite_product_det(family, args.m, prec=prec))
 

@@ -13,6 +13,9 @@ statement is recast as a characteristic-polynomial coefficient identity).
 Like Tate's trace, det(1 + phi) can be taken on any finite invariant subspace
 containing phi^n(V), so all but tate_trace and the ast route read the
 certificate block and leave the Fitting split (lift_ast) to those two.
+In det_routes, exterior and charpoly are two sums over one Faddeev-LeVerrier
+charpoly, Plemelj-Smithies and logdet read one chain of power traces, and the
+ast route (Fitting core) and det_one_plus (Gaussian det(1 + M)) stand alone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from .errors import NotInvertibleError
 from .fitting import fitting, lift_ast
 from .matrices import (
-    charpoly as _charpoly_coeffs,
+    charpoly,
     det,
     elementary_symmetric,
     identity,
@@ -68,10 +71,10 @@ def det_one_plus(phi: FinitePotentOperator):
     return det(mat_add(identity(len(m)), m))
 
 
-def _core_symmetric(block):
-    """[e_0, ..., e_n] of a certificate block cut at its core dimension n:
+def _core_symmetric(es):
+    """[e_0, ..., e_N] of a certificate block cut at its core dimension n:
     the nilpotent part only appends zeros."""
-    es = elementary_symmetric(block)
+    es = list(es)
     while scalar_is_zero(es[-1]):
         es.pop()
     return es
@@ -84,18 +87,18 @@ def exterior_trace(phi: FinitePotentOperator, r: int):
     tate_trace, which runs on the Fitting core."""
     if r < 1:
         raise ValueError("exterior power index must be >= 1")
-    es = _core_symmetric(_block(phi))
+    es = _core_symmetric(elementary_symmetric(_block(phi)))
     return es[r] if r < len(es) else Fraction(0)
 
 
 def det_poly(phi: FinitePotentOperator) -> Polynomial:
     """det(1 + mu*phi) as an exact polynomial in mu."""
-    return Polynomial(_core_symmetric(_block(phi)))
+    return Polynomial(_core_symmetric(elementary_symmetric(_block(phi))))
 
 
 def char_poly(matrix) -> Polynomial:
     """Exact characteristic polynomial det(xI - M), lowest degree first."""
-    return Polynomial(_charpoly_coeffs(matrix))
+    return Polynomial(charpoly(matrix))
 
 
 def _power_traces(m, upto: int):
@@ -109,7 +112,7 @@ def _power_traces(m, upto: int):
     return out
 
 
-def _plemelj_smithies_coeffs(block, order: int):
+def _plemelj_smithies_coeffs(traces):
     """sum_{m<=order} mu^m alpha_m/m!, with alpha_m the m x m determinant
 
         | p_1   m-1    0   ...   0  |
@@ -117,13 +120,11 @@ def _plemelj_smithies_coeffs(block, order: int):
         | ...                  ...  |
         | p_m  p_{m-1} ...      p_1 |
 
-    built from the power traces p_j, as a list (number fields included)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    traces = _power_traces(block, order)
+    built from the power traces [p_1, ..., p_order], as a list (number
+    fields included)."""
     coeffs = [Fraction(1)]
     fact = 1
-    for m in range(1, order + 1):
+    for m in range(1, len(traces) + 1):
         rows = []
         for i in range(m):
             row = []
@@ -143,18 +144,20 @@ def _plemelj_smithies_coeffs(block, order: int):
 def plemelj_smithies_series(phi: FinitePotentOperator, order: int) -> Polynomial:
     """_plemelj_smithies_coeffs as a Polynomial.  Coincides with det_poly,
     with alpha_m = 0 beyond the core dimension."""
-    return Polynomial(_plemelj_smithies_coeffs(_block(phi), order))
+    block = _block(phi)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return Polynomial(_plemelj_smithies_coeffs(_power_traces(block, order)))
 
 
 def log_det_series(phi: FinitePotentOperator, prec: int) -> TruncatedLaurentSeries:
     """exp of the power-sum series sum_r (-1)^(r+1) p_r mu^r / r; agrees
     with det_poly to the requested precision."""
-    return _log_det(_block(phi), prec)
+    return _log_det(_power_traces(_block(phi), max(0, prec - 1)), prec)
 
 
-def _log_det(block, prec: int) -> TruncatedLaurentSeries:
-    """log_det_series on the certificate block."""
-    traces = _power_traces(block, max(0, prec - 1))
+def _log_det(traces, prec: int) -> TruncatedLaurentSeries:
+    """log_det_series from the power traces [p_1, ..., p_(prec-1)]."""
     terms = {
         r: Fraction((-1) ** (r + 1), r) * traces[r - 1] for r in range(1, prec)
     }
@@ -170,9 +173,10 @@ def regularized_det_series(
     if m < 2:
         raise ValueError("regularization order must be >= 2")
     block = _block(phi)
+    es = _core_symmetric(elementary_symmetric(block))
     base = TruncatedLaurentSeries.from_terms(
         "mu",
-        {i: c * Fraction((-1) ** i) for i, c in enumerate(_core_symmetric(block))},
+        {i: c * Fraction((-1) ** i) for i, c in enumerate(es)},
         prec,
         0,
     )
@@ -290,9 +294,6 @@ def wedge_scaling_check(phi: FinitePotentOperator, m: int):
     return det(mat)
 
 
-_ROUTES = ("ast", "exterior", "charpoly", "plemelj_smithies", "logdet")
-
-
 def det_routes(phi: FinitePotentOperator):
     """All determinant routes as DetResult records (they must agree).  Each
     is summed from coefficient lists, so number-field entries work too."""
@@ -300,15 +301,13 @@ def det_routes(phi: FinitePotentOperator):
     ast = fitting(block)
     n = ast.core_dim
     value_ast = det(mat_add(identity(n), ast.core_matrix))
-    value_ext = sum(_core_symmetric(block)[1:], Fraction(1))
-    # det(1 + M) = (-1)^N charpoly(-1) for the N x N block M
-    cp = _charpoly_coeffs(block)
-    value_cp = sum(
-        (c if (len(block) - k) % 2 == 0 else -c for k, c in enumerate(cp)),
-        Fraction(0),
-    )
-    value_ps = sum(_plemelj_smithies_coeffs(block, n + 1), Fraction(0))
-    value_ld = sum(_log_det(block, n + 2).coeffs.values(), Fraction(0))
+    es = elementary_symmetric(block)
+    value_ext = sum(_core_symmetric(es)[1:], Fraction(1))
+    # det(1 + M) = (-1)^N charpoly(-1) = e_N + ... + e_0 for the N x N block M
+    value_cp = sum(reversed(es), Fraction(0))
+    traces = _power_traces(block, n + 1)
+    value_ps = sum(_plemelj_smithies_coeffs(traces), Fraction(0))
+    value_ld = sum(_log_det(traces, n + 2).coeffs.values(), Fraction(0))
     return (
         DetResult(value_ast, "ast"),
         DetResult(value_ext, "exterior"),

@@ -2,8 +2,10 @@
 invariant core of a certified operator.
 
 For a square M over Q or a number field, the ambient space splits as
-W = im(M^d) and U = ker(M^d) (d = dimension), both M-invariant, with M
-invertible on W and nilpotent on U.  The decomposition is unique; traces and
+W = im(M^e) and U = ker(M^e), both M-invariant, with M invertible on W and
+nilpotent on U, for any e at or beyond the first exponent where the ranks of
+the powers M^0 = I, M, M^2, ... stop falling; that first exponent is the
+nilpotency order of M on U.  The decomposition is unique; traces and
 determinants of 1 + M reduce to the W block.  Only tate_trace, the ast
 route of det_routes and the `ast` CLI verb use the split; the other
 determinant functions read the certificate block directly.
@@ -20,8 +22,8 @@ from .matrices import (
     identity,
     kernel_basis,
     mat_mul,
-    mat_pow,
     mat_vec,
+    rank,
     solve_columns,
 )
 from .operators import Certificate, FinitePotentOperator, certify_finite_potent
@@ -57,27 +59,31 @@ class ASTDecomposition:
 def fitting(matrix) -> ASTDecomposition:
     """Split the ambient space into the invertible core and nilpotent part.
 
-    Always uses the exponent d = dimension, so no minimal-polynomial search
-    is needed; bases come out of the elimination kernel in matrices.
+    Takes powers of M until the rank stops falling: at the first e with
+    rank M^(e+1) = rank M^e, W = im(M^e), U = ker(M^e) and e is the
+    nilpotency order of M on U.  Bases come out of the elimination kernel in
+    matrices.
     """
     d = len(matrix)
-    md = mat_pow(matrix, d)
-    core_cols = column_space_basis(md)
-    nil_cols = kernel_basis(md)
+    power, r, e = identity(d), d, 0
+    nxt = matrix
+    while (r_next := rank(nxt)) < r:
+        power, r, e = nxt, r_next, e + 1
+        nxt = mat_mul(nxt, matrix)
+    core_cols = column_space_basis(power)
+    nil_cols = kernel_basis(power)
     if len(core_cols) + len(nil_cols) != d:
         raise NotFinitePotentError("rank-nullity failure in fitting")
     core_matrix = solve_columns(core_cols, [mat_vec(matrix, w) for w in core_cols])
     nil_matrix = solve_columns(nil_cols, [mat_vec(matrix, u) for u in nil_cols])
     if scalar_is_zero(det(core_matrix)):
         raise NotFinitePotentError("core block came out singular")
-    # exact nilpotency order of the U block: smallest e with nil^e = 0
-    nil_degree, power = 0, identity(len(nil_matrix))
-    while any(not scalar_is_zero(x) for row in power for x in row):
-        if nil_degree > len(nil_matrix):
-            raise NotFinitePotentError("U block is not nilpotent")
-        nil_degree += 1
-        power = mat_mul(power, nil_matrix)
-    return ASTDecomposition(core_cols, nil_cols, core_matrix, nil_matrix, nil_degree)
+    nil_power = nil_matrix
+    for _ in range(e - 1):
+        nil_power = mat_mul(nil_power, nil_matrix)
+    if any(not scalar_is_zero(x) for row in nil_power for x in row):
+        raise NotFinitePotentError("U block is not nilpotent")
+    return ASTDecomposition(core_cols, nil_cols, core_matrix, nil_matrix, e)
 
 
 def lift_ast(phi: FinitePotentOperator) -> ASTDecomposition:
@@ -92,16 +98,3 @@ def lift_ast(phi: FinitePotentOperator) -> ASTDecomposition:
     ast.ambient_indices = cert.indices
     return ast
 
-
-def core_vectors(ast: ASTDecomposition):
-    """Core basis as sparse vectors over the Z-indexed ambient basis."""
-    out = []
-    for col in ast.core_basis:
-        out.append(
-            {
-                ast.ambient_indices[i]: c
-                for i, c in enumerate(col)
-                if not scalar_is_zero(c)
-            }
-        )
-    return out

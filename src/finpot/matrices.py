@@ -60,18 +60,6 @@ def mat_trace(a):
     return s
 
 
-def mat_pow(a, k: int):
-    n = len(a)
-    out = identity(n)
-    base = [row[:] for row in a]
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(
         len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))

@@ -3,9 +3,10 @@
 The coefficient route reads the residue off the exact digit expansion of
 f g' / pi' at the place (trace of the parameter^{-1} coefficient down to Q).
 The operator route realizes multiplication by f and g on the basis
-e_i <-> t^i truncated to a window, compresses both to the upper half-space
-V+ = span{e_i : i >= cut}, and takes the trace of the finite-rank commutator
-of the compressions.  The two routes must agree wherever both apply.
+e_i <-> t^i in a window that starts at the cut, which makes them the
+compressions to the upper half-space V+ = span{e_i : i >= cut} truncated at
+the window's top, and takes the trace of the finite-rank commutator of the
+compressions.  The two routes must agree wherever both apply.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def reduce_to_origin(f: RationalFunction, place: Place) -> dict:
 
 def multiplication_window(coeffs: dict, lo: int, hi: int) -> SparseOperator:
     """Multiplication by sum c_k t^k on span{e_lo..e_hi}: entries
-    (j + k, j) = c_k inside the window."""
+    (j + k, j) = c_k inside the window.  With lo the cut this is the
+    half-space compression pi+ f pi+, truncated at hi."""
     entries = {}
     for k, c in coeffs.items():
         for j in range(max(lo, lo - k), hi + 1):
@@ -79,13 +81,6 @@ def multiplication_window(coeffs: dict, lo: int, hi: int) -> SparseOperator:
             if lo <= i <= hi:
                 entries[(i, j)] = c
     return SparseOperator(entries)
-
-
-def compress_upper(op: SparseOperator, cut: int) -> SparseOperator:
-    """pi+ . op . pi+ : drop every entry with a row or column below cut."""
-    return SparseOperator(
-        {(i, j): c for (i, j), c in op.entries.items() if i >= cut and j >= cut}
-    )
 
 
 def _band(coeffs: dict) -> tuple:
@@ -141,8 +136,8 @@ def residue_tate(
         2 * (max(pf, pg) + max(df, dg_)), content_end + 3 * band + 4
     )
     for _ in range(4):
-        mf = compress_upper(multiplication_window(fc, -w, w), 0)
-        mg = compress_upper(multiplication_window(gc, -w, w), 0)
+        mf = multiplication_window(fc, 0, w)
+        mg = multiplication_window(gc, 0, w)
         comm = mf.compose(mg).add(mg.compose(mf).scale(Fraction(-1)))
         content = split_window_content(comm, content_end, w - 2 * band)
         if content is not None:

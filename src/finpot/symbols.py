@@ -22,7 +22,6 @@ from .places import Place, relevant_places
 from .polynomials import RationalFunction
 from .residues import (
     _band,
-    compress_upper,
     multiplication_window,
     reduce_to_origin,
     residue_classical,
@@ -141,7 +140,7 @@ def _det_of_exponential_product(
         hi = content_end + (prec_z + 1) * band + 4
         prod = OperatorSeries.one("z", prec_z)
         for fc, sign in zip(coeff_dicts, signs):
-            m = compress_upper(multiplication_window(fc, cut, hi), cut)
+            m = multiplication_window(fc, cut, hi)
             terms = _exp_terms(FinitePotentOperator(m.scale(Fraction(sign))), 1, prec_z)
             prod = prod * OperatorSeries("z", prec_z, terms, ())
         exact_end = hi - prec_z * band

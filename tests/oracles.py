@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 Each oracle recomputes a quantity by a route the library does not use:
-cofactor determinants, explicit principal-minor sums, and the
-derivative-formula residue at a generic root of the place polynomial.
+cofactor determinants, explicit principal-minor sums, the
+derivative-formula residue at a generic root of the place polynomial, and
+the Fitting split at the exponent d = dimension.
 """
 
 from fractions import Fraction
@@ -205,3 +206,43 @@ def series_inv_geometric(a):
             break
         inv = inv + term
     return inv.scale(lead_inv).shift(-v)
+
+
+# -- Fitting split at the exponent d = dimension --------------------------------
+#
+# The decomposition finpot.fitting replaced with rank stabilisation: W and U
+# from M^d by repeated squaring, and the nilpotency order of the U block by
+# a separate search over its powers.
+
+
+def fitting_at_dimension(matrix):
+    from finpot.fitting import ASTDecomposition
+    from finpot.matrices import (
+        column_space_basis,
+        identity,
+        kernel_basis,
+        mat_mul,
+        mat_vec,
+        solve_columns,
+    )
+    from finpot.scalars import scalar_is_zero
+
+    def is_zero_matrix(a):
+        return all(scalar_is_zero(x) for row in a for x in row)
+
+    d = len(matrix)
+    md, base, k = identity(d), [row[:] for row in matrix], d
+    while k:
+        if k & 1:
+            md = mat_mul(md, base)
+        base = mat_mul(base, base)
+        k >>= 1
+    core_cols = column_space_basis(md)
+    nil_cols = kernel_basis(md)
+    core_matrix = solve_columns(core_cols, [mat_vec(matrix, w) for w in core_cols])
+    nil_matrix = solve_columns(nil_cols, [mat_vec(matrix, u) for u in nil_cols])
+    nil_degree, power = 0, identity(len(nil_matrix))
+    while not is_zero_matrix(power):
+        nil_degree += 1
+        power = mat_mul(power, nil_matrix)
+    return ASTDecomposition(core_cols, nil_cols, core_matrix, nil_matrix, nil_degree)

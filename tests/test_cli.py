@@ -216,3 +216,23 @@ def test_deeply_nested_expression_is_a_parse_error():
         text=True,
     )
     _assert_parse_error(proc.returncode, proc.stdout, proc.stderr)
+
+
+def _assert_bad_operator_payload(code, out, err):
+    _assert_parse_error(code, out, err)
+    assert err.startswith("parse error: bad operator payload")
+
+
+def test_operator_file_holding_a_list_is_a_parse_error(tmp_path):
+    path = tmp_path / "op.json"
+    path.write_text("[1,2]")
+    _assert_bad_operator_payload(*run_cli("det", "--op", str(path)))
+
+
+def test_operator_tail_that_is_not_an_object_is_a_parse_error():
+    _assert_bad_operator_payload(
+        *run_cli("det", "--op", '{"entries": [[0,0,"1"]], "tail": 5}'))
+
+
+def test_family_member_that_is_not_an_object_is_a_parse_error():
+    _assert_bad_operator_payload(*run_cli("infprod", "--family", "[[1, 5]]", "--m", "1"))

@@ -27,7 +27,7 @@ from finpot.operators import (
     op_scale,
 )
 from finpot.polynomials import Polynomial
-from finpot.scalars import NumberField, field_norm
+from finpot.scalars import NumberField, NumberFieldElement, field_norm
 from finpot.series import TruncatedLaurentSeries as TLS
 from conftest import composite_is_identity, random_operator, random_nilpotent
 
@@ -351,3 +351,28 @@ def test_logdet_tail_coefficients_vanish(rng):
         series = log_det_series(phi, n + 5)
         for d in range(n + 1, n + 5):
             assert series.coefficient(d) == 0
+
+
+def test_det_routes_scalar_types_over_number_fields():
+    # Rational-valued results keep the scalar type their route has always
+    # given (canonical text and hashes print the type).  Over a nilpotent
+    # block the exterior route cuts the symmetric values at the core, so it
+    # adds no field zeros and stays Fraction 1, even where the charpoly
+    # route, which sums every coefficient, is a field element.
+    i, r2 = GAUSS.element([0, 1]), ROOT2.element([0, 1])
+    F, N = Fraction, NumberFieldElement
+    cases = [
+        (FPO(SparseOperator({(0, 1): i})), (F, F, F, F, F)),
+        (FPO(SparseOperator({(0, 1): i, (1, 2): GAUSS.element([1, 1]),
+                             (0, 2): GAUSS.element([2])})), (F, F, N, F, F)),
+        (FPO(SparseOperator({(0, 1): r2}), TailDescriptor.jordan(3, 6, [1, -2])),
+         (F, F, F, F, F)),
+        (FPO(SparseOperator({(0, 0): GAUSS.element([-1]),
+                             (2, 1): GAUSS.element([-1, 1])})), (F, N, N, N, N)),
+        (FPO(SparseOperator({(0, 1): i, (1, 0): i})), (N, N, N, N, N)),
+        (FPO(SparseOperator({(0, 1): r2, (1, 0): r2})), (N, N, N, N, N)),
+    ]
+    for phi, types in cases:
+        results = det_routes(phi)
+        assert tuple(type(r.value) for r in results) == types
+        assert all(r.value == results[0].value for r in results)

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from finpot.fitting import fitting, lift_ast
 from finpot.matrices import (
     det,
@@ -11,7 +13,9 @@ from finpot.matrices import (
     rank,
 )
 from finpot.operators import FinitePotentOperator as FPO, SparseOperator, TailDescriptor
+from finpot.scalars import NumberField
 from conftest import random_operator
+from oracles import fitting_at_dimension
 
 
 def F2(a, b, c, d):
@@ -107,3 +111,56 @@ def test_lift_random(rng):
         assert ast.core_dim + ast.nil_dim == len(ast.ambient_indices)
         if ast.core_dim:
             assert det(ast.core_matrix) != 0
+
+
+_GAUSS = NumberField([1, 0, 1])
+
+
+@st.composite
+def _fitting_matrices(draw):
+    """An n x n matrix (n <= 8) over Q or Q(i): dense, nilpotent, low rank,
+    or an invertible block beside a nilpotent one, conjugated by a unit
+    lower-triangular integer matrix."""
+    gauss = draw(st.booleans())
+
+    def scalar():
+        c = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+        return _GAUSS.element([c, draw(st.integers(-1, 1))]) if gauss else c
+
+    def zero():
+        return _GAUSS.element([0]) if gauss else Fraction(0)
+
+    def dense(rows, cols):
+        return [[scalar() for _ in range(cols)] for _ in range(rows)]
+
+    def strictly_upper(k):
+        return [[scalar() if j > i else zero() for j in range(k)] for i in range(k)]
+
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(("dense", "nilpotent", "low_rank", "block")))
+    if shape == "dense":
+        return dense(n, n)
+    if shape == "nilpotent":
+        m = strictly_upper(n)
+    elif shape == "low_rank":
+        k = draw(st.integers(0, n - 1))
+        return mat_mul(dense(n, k), dense(k, n)) if k else [[zero()] * n for _ in range(n)]
+    else:
+        k = draw(st.integers(0, n))
+        core, nil = dense(k, k), strictly_upper(n - k)
+        m = [row + [zero()] * (n - k) for row in core]
+        m += [[zero()] * k + row for row in nil]
+    s = [[Fraction(1) if i == j else Fraction(draw(st.integers(-1, 1))) if j < i
+          else Fraction(0) for j in range(n)] for i in range(n)]
+    return mat_mul(mat_mul(s, m), mat_inverse(s))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_fitting_matrices())
+def test_rank_stabilisation_matches_dimension_exponent(m):
+    ast, ref = fitting(m), fitting_at_dimension(m)
+    assert ast.core_matrix == ref.core_matrix
+    assert ast.nil_basis == ref.nil_basis
+    assert ast.nil_matrix == ref.nil_matrix
+    assert ast.nil_degree == ref.nil_degree
+    assert _span_equal(ast.core_basis, ref.core_basis)
