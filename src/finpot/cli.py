@@ -56,7 +56,7 @@ def _default_prec(fallback: int) -> int:
 
 def _load_operator(arg: str) -> FinitePotentOperator:
     try:
-        if arg.lstrip().startswith("{"):
+        if arg.lstrip()[:1] in ("{", "["):
             data = json.loads(arg)
         else:
             with open(arg) as fh:

@@ -60,13 +60,6 @@ def mat_trace(a):
     return s
 
 
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
 def _is_zero(x) -> bool:
     return x.is_zero() if isinstance(x, TruncatedLaurentSeries) else scalar_is_zero(x)
 

@@ -12,6 +12,15 @@ All results proved by this package are claims about operators representable
 in this class; it is closed under the constructions used here (sums,
 compositions and commutators subject to the structural tail checks,
 inversion of 1 + phi) and admits a decidable finite-potency certificate.
+
+SparseOperator.add, compose and scale run on an integer kernel when every
+entry of every operand is a Fraction (and a scale factor is an int or a
+Fraction): add and compose take each operand as integer numerators over the
+lcm of its denominators and sum and multiply in int, scale multiplies
+numerators and denominators, and one reduced Fraction is built per nonzero
+result entry.  Operands with NumberFieldElement entries, alone or mixed with
+Fractions, take the generic loop over the stored scalars.  Both give the
+same values and types.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import IncompatibleTailsError, StraddlingTailError
 from .scalars import (
@@ -72,28 +82,58 @@ class SparseOperator:
     def get(self, i, j):
         return self.entries.get((i, j), Fraction(0))
 
+    @classmethod
+    def _trusted(cls, entries: dict) -> "SparseOperator":
+        """Wrap entries that are already nonzero Fractions keyed by int pairs,
+        skipping __init__'s per-entry checks."""
+        op = object.__new__(cls)
+        op.entries = entries
+        return op
+
     def add(self, other: "SparseOperator") -> "SparseOperator":
         if not other.entries:
             return self
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return SparseOperator(out)
+        ints = _all_fractions(self, other)
+        if ints:
+            den = _lcm_denominator(self, other)
+            left, right, zero = _numerators(self, den), _numerators(other, den), 0
+        else:
+            left, right, zero = self.entries, other.entries, Fraction(0)
+        out = dict(left)
+        for k, c in right.items():
+            out[k] = out.get(k, zero) + c
+        return _over(out, den) if ints else SparseOperator(out)
 
     def scale(self, c) -> "SparseOperator":
+        if isinstance(c, (int, Fraction)) and _all_fractions(self):
+            p, q = Fraction(c).as_integer_ratio()
+            if not p:
+                return SparseOperator()
+            return SparseOperator._trusted(
+                {
+                    k: Fraction(p * v.numerator, q * v.denominator)
+                    for k, v in self.entries.items()
+                }
+            )
         return SparseOperator({k: c * v for k, v in self.entries.items()})
 
     def compose(self, other: "SparseOperator") -> "SparseOperator":
         """Matrix product self . other."""
+        ints = _all_fractions(self, other)
+        if ints:
+            ld, rd = _lcm_denominator(self), _lcm_denominator(other)
+            left, right, zero = _numerators(self, ld), _numerators(other, rd), 0
+        else:
+            left, right, zero = self.entries, other.entries, Fraction(0)
         by_row = {}
-        for (k, j), c in other.entries.items():
+        for (k, j), c in right.items():
             by_row.setdefault(k, []).append((j, c))
         out = {}
-        for (i, k), a in self.entries.items():
+        for (i, k), a in left.items():
             for j, b in by_row.get(k, ()):
                 key = (i, j)
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return SparseOperator(out)
+                out[key] = out.get(key, zero) + a * b
+        return _over(out, ld * rd) if ints else SparseOperator(out)
 
     def apply(self, vec: dict) -> dict:
         out = {}
@@ -106,6 +146,35 @@ class SparseOperator:
             for i, c in by_col.get(j, ()):
                 out[i] = out.get(i, Fraction(0)) + c * x
         return {i: v for i, v in out.items() if not scalar_is_zero(v)}
+
+
+# Integer kernel of SparseOperator arithmetic: all-Fraction operands become
+# integer numerators over a common denominator (an lcm, so they stay small).
+
+
+def _all_fractions(*ops) -> bool:
+    return all(type(v) is Fraction for op in ops for v in op.entries.values())
+
+
+def _lcm_denominator(*ops) -> int:
+    return lcm(*(v.denominator for op in ops for v in op.entries.values()))
+
+
+def _numerators(op: SparseOperator, den: int) -> dict:
+    """{key: n} with entry = n / den; den must be a multiple of every
+    denominator of op."""
+    out = {}
+    for k, v in op.entries.items():
+        n, d = v.as_integer_ratio()
+        out[k] = n * (den // d)
+    return out
+
+
+def _over(numerators: dict, den: int) -> SparseOperator:
+    """The operator with entries n/den for the nonzero integers n."""
+    return SparseOperator._trusted(
+        {k: Fraction(n, den) for k, n in numerators.items() if n}
+    )
 
 
 @dataclass(frozen=True)

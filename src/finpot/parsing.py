@@ -3,6 +3,10 @@
 Grammar: + - * / ^ with integer exponents, parentheses, integer and p/q
 literals, and a single variable (t for function-field inputs, z for loop
 exponents).  "(t^2+1)/(t-3)" and "z^-1 + z^-2" are typical inputs.
+
+Limit: an exponent may not exceed MAX_EXPONENT = 1000 in absolute value
+("t^1001" is a ParseError, raised before any power is computed), so one
+power cannot make unbounded work.
 """
 
 from __future__ import annotations
@@ -15,9 +19,18 @@ from .segal_wilson import LoopExponent
 
 _TOKEN = re.compile(r"\s*(\d+|[a-zA-Z]+|\^|\+|-|\*|/|\(|\))")
 
+MAX_EXPONENT = 1000
+
 
 class ParseError(ValueError):
     pass
+
+
+def _integer(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # past int()'s limit on digits
+        raise ParseError("integer literal of %d digits is too long" % len(tok))
 
 
 class _Parser:
@@ -87,7 +100,11 @@ class _Parser:
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise ParseError("expected integer exponent, got %r" % tok)
-            n = sign * int(tok)
+            n = sign * _integer(tok)
+            if abs(n) > MAX_EXPONENT:
+                raise ParseError(
+                    "exponent %d exceeds the limit %d" % (n, MAX_EXPONENT)
+                )
             if n < 0 and base.is_zero():
                 raise ParseError("zero to a negative power")
             base = base**n
@@ -102,7 +119,7 @@ class _Parser:
             self.expect(")")
             return out
         if tok.isdigit():
-            return RationalFunction.from_const(Fraction(int(tok)))
+            return RationalFunction.from_const(Fraction(_integer(tok)))
         if tok == self.var:
             return RationalFunction.variable()
         raise ParseError("unexpected token %r (variable is %r)" % (tok, self.var))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import (
-    NumberField,
     NumberFieldElement,
     _poly_divmod,
     _poly_mul,
@@ -348,8 +347,3 @@ class RationalFunction:
         if self.is_polynomial():
             return str(self.num)
         return "(%s)/(%s)" % (str(self.num), str(self.den))
-
-
-def poly_mod_eval(p: Polynomial, field: NumberField) -> NumberFieldElement:
-    """Reduce p(t) modulo the field's modulus: the class of p(theta)."""
-    return field.element(list(p.coeffs))

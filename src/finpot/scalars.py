@@ -210,6 +210,9 @@ class NumberFieldElement:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a rational-valued element equals its Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
@@ -267,10 +270,3 @@ def scalar_is_zero(x) -> bool:
     if isinstance(x, NumberFieldElement):
         return x.is_zero()
     return x == 0
-
-
-def scalar_to_fraction(x) -> Fraction:
-    """Collapse a scalar known to be rational down to a Fraction."""
-    if isinstance(x, NumberFieldElement):
-        return x.rational_value()
-    return Fraction(x)

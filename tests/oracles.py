@@ -2,8 +2,9 @@
 
 Each oracle recomputes a quantity by a route the library does not use:
 cofactor determinants, explicit principal-minor sums, the
-derivative-formula residue at a generic root of the place polynomial, and
-the Fitting split at the exponent d = dimension.
+derivative-formula residue at a generic root of the place polynomial, the
+Fitting split at the exponent d = dimension, and sparse operator arithmetic
+as a generic loop over the stored scalars.
 """
 
 from fractions import Fraction
@@ -246,3 +247,39 @@ def fitting_at_dimension(matrix):
         nil_degree += 1
         power = mat_mul(power, nil_matrix)
     return ASTDecomposition(core_cols, nil_cols, core_matrix, nil_matrix, nil_degree)
+
+
+# -- sparse operator arithmetic over the stored scalars ------------------------
+#
+# The generic SparseOperator add/scale/compose loops that finpot.operators
+# runs on integer numerators when every entry is a Fraction: each step is
+# one scalar operation, and SparseOperator() re-coerces and drops zeros.
+
+
+def sparse_add(a, b):
+    from finpot.operators import SparseOperator
+
+    out = dict(a.entries)
+    for k, c in b.entries.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return SparseOperator(out)
+
+
+def sparse_scale(a, c):
+    from finpot.operators import SparseOperator
+
+    return SparseOperator({k: c * v for k, v in a.entries.items()})
+
+
+def sparse_compose(a, b):
+    from finpot.operators import SparseOperator
+
+    by_row = {}
+    for (k, j), c in b.entries.items():
+        by_row.setdefault(k, []).append((j, c))
+    out = {}
+    for (i, k), x in a.entries.items():
+        for j, y in by_row.get(k, ()):
+            key = (i, j)
+            out[key] = out.get(key, Fraction(0)) + x * y
+    return SparseOperator(out)

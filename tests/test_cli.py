@@ -236,3 +236,22 @@ def test_operator_tail_that_is_not_an_object_is_a_parse_error():
 
 def test_family_member_that_is_not_an_object_is_a_parse_error():
     _assert_bad_operator_payload(*run_cli("infprod", "--family", "[[1, 5]]", "--m", "1"))
+
+
+def test_inline_operator_list_is_read_as_json():
+    _assert_bad_operator_payload(*run_cli("det", "--op", "[1,2]"))
+    _assert_bad_operator_payload(*run_cli("det", "--op", "  [1,2]"))
+
+
+def test_exponent_above_the_limit_is_a_parse_error():
+    code, out, err = run_cli("residue", "--f", "t^99999999", "--g", "t")
+    _assert_parse_error(code, out, err)
+    assert "exceeds the limit 1000" in err
+    _assert_parse_error(*run_cli("residue", "--f", "t^-1001", "--g", "t"))
+    _assert_parse_error(*run_cli("residue", "--f", "t^" + "9" * 5000, "--g", "t"))
+    code, out, _ = run_cli("residue", "--f", "t^-1000", "--g", "t")
+    assert code == 0 and json.loads(out) == {"value": "0"}
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    _assert_parse_error(*run_cli("residue", "--f", "9" * 5000, "--g", "t"))

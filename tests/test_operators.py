@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpot.determinants import tate_trace
 from finpot.errors import IncompatibleTailsError, StraddlingTailError
@@ -20,7 +21,9 @@ from finpot.operators import (
     op_scale,
     verify_certificate,
 )
+from finpot.scalars import NumberField, scalar_is_zero
 from conftest import random_operator
+from oracles import sparse_add, sparse_compose, sparse_scale
 
 
 def test_apply_single_entry():
@@ -236,3 +239,93 @@ def test_classification_flag_consistency(rng):
         cls = classify(phi, h)
         assert cls.in_E0 == (cls.in_E1 and cls.in_E2)
         assert not (cls.in_E1 or cls.in_E2) or cls.in_E
+
+
+# -- integer kernel against the generic scalar loops ---------------------------
+
+GAUSS = NumberField([1, 0, 1])  # x^2 + 1
+ROOT2 = NumberField([-2, 0, 1])  # x^2 - 2
+_Q = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 5, 7, 9, 11, 12))
+)
+_INDEX = st.integers(-5, 4)
+
+
+@st.composite
+def _sparse(draw, field=None):
+    """Up to 20 entries on indices -5..4 over Q with mixed, partly coprime
+    denominators (zeros dropped); with a field, each entry is a Fraction or
+    a field element."""
+    keys = draw(st.lists(st.tuples(_INDEX, _INDEX), max_size=20, unique=True))
+    entries = {}
+    for k in keys:
+        c = draw(_Q)
+        if field is not None and draw(st.booleans()):
+            c = field.element([c, draw(_Q)])
+        entries[k] = c
+    return SparseOperator(entries)
+
+
+def _same_as_oracle(new, old):
+    assert new.entries == old.entries
+    assert {k: type(v) for k, v in new.entries.items()} == {
+        k: type(v) for k, v in old.entries.items()
+    }
+    assert not any(scalar_is_zero(v) for v in new.entries.values())
+    assert all(type(i) is int and type(j) is int for i, j in new.entries)
+
+
+def _all_fractions(op):
+    return all(type(v) is Fraction for v in op.entries.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse(), _sparse(), _Q)
+def test_rational_arithmetic_matches_generic_loops(a, b, c):
+    results = [
+        (a.add(b), sparse_add(a, b)),
+        (b.add(a), sparse_add(b, a)),
+        (a.compose(b), sparse_compose(a, b)),
+        (b.compose(a), sparse_compose(b, a)),
+        (a.scale(c), sparse_scale(a, c)),
+        (a.scale(int(c.numerator)), sparse_scale(a, int(c.numerator))),
+    ]
+    for new, old in results:
+        _same_as_oracle(new, old)
+        assert _all_fractions(new)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse(), _sparse(), st.data())
+def test_cancelling_sums_match_generic_loops(a, b, data):
+    assert a.add(a.scale(-1)).entries == {}
+    assert a.scale(0).entries == {}
+    # b minus part of a: the shared keys cancel, the rest survive
+    keys = data.draw(st.sets(st.sampled_from(sorted(a.entries)))) if a.entries else set()
+    minus = SparseOperator({k: -a.entries[k] for k in keys})
+    for new, old in [
+        (a.add(minus), sparse_add(a, minus)),
+        (minus.add(a), sparse_add(minus, a)),
+        (a.add(minus).add(b), sparse_add(sparse_add(a, minus), b)),
+        (a.compose(b).add(a.compose(b).scale(Fraction(-1))), SparseOperator()),
+    ]:
+        _same_as_oracle(new, old)
+        assert _all_fractions(new)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((GAUSS, ROOT2)).flatmap(
+    lambda K: st.tuples(_sparse(K), _sparse(K), _sparse(), _Q,
+                        st.tuples(_Q, _Q).map(lambda cs: K.element(list(cs))))
+))
+def test_number_field_arithmetic_matches_generic_loops(ops):
+    """Q(i) and Q(sqrt 2) operands mixing Fraction and field entries, alone
+    and against an all-Fraction operand, keep the generic loops' values and
+    types."""
+    a, b, q, c, k = ops
+    for x, y in [(a, b), (a, q), (q, a)]:
+        _same_as_oracle(x.add(y), sparse_add(x, y))
+        _same_as_oracle(x.compose(y), sparse_compose(x, y))
+    for x, s in [(a, c), (a, k), (q, k)]:
+        _same_as_oracle(x.scale(s), sparse_scale(x, s))
+

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpot.scalars import (
     NumberField,
@@ -60,3 +61,43 @@ def test_field_trace():
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         GAUSS.zero().inverse()
+
+
+def test_rational_valued_element_hashes_as_its_fraction():
+    assert len({GAUSS.element([1]), Fraction(1)}) == 1
+    assert len({ROOT2.element([Fraction(-3, 2)]), Fraction(-3, 2)}) == 1
+    assert {GAUSS.element([2]): "two"}[Fraction(2)] == "two"
+
+
+_COEFF = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _scalar(draw):
+    """A Fraction, or an element of Q(i) or Q(sqrt 2) that is rational about
+    half the time."""
+    field = draw(st.sampled_from((None, GAUSS, ROOT2)))
+    c = draw(_COEFF)
+    if field is None:
+        return c
+    return field.element([c, draw(st.sampled_from((Fraction(0), draw(_COEFF))))])
+
+
+def _same_value(a):
+    """a, and when a is rational its value as a Fraction and in both fields."""
+    if isinstance(a, Fraction):
+        v = a
+    elif a.is_rational():
+        v = a.rational_value()
+    else:
+        return [a]
+    return [a, v, GAUSS.element([v]), ROOT2.element([v])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_equal_scalars_hash_equal(data):
+    a = data.draw(_scalar())
+    b = data.draw(st.one_of(_scalar(), st.sampled_from(_same_value(a))))
+    if a == b:
+        assert hash(a) == hash(b)
