@@ -1,0 +1,135 @@
+"""Layer timings of the dense matrix kernels at fixed sizes.
+
+Prints the best of 3 runs of det, charpoly, mat_mul and fitting on random
+Q matrices of sizes 8, 16 and 24 (entries p/q with |p| <= 9, q <= 6, fixed
+seed; the fitting input has an invertible and a nilpotent part, so the rank
+chain runs past the first power), and of det_series on exp_op of a dense
+10 x 10 operator at precision 10.  With --out it also writes the numbers,
+the git commit of the finpot tree it imported and the machine to a JSON file.
+
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_6.json
+
+Run it on two checkouts on the same host to compare them; it uses only
+functions that every version of the package has.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import subprocess
+import time
+from fractions import Fraction
+
+import finpot
+from finpot import FinitePotentOperator, SparseOperator
+from finpot.exponentials import det_series, exp_op
+from finpot.fitting import fitting
+from finpot.matrices import charpoly, det, mat_inverse, mat_mul
+
+SIZES = (8, 16, 24)
+REPEATS = 3
+
+
+def rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def dense(rng, n):
+    return [[rational(rng) for _ in range(n)] for _ in range(n)]
+
+
+def fitting_input(rng, n):
+    """S (A + N) S^-1: A an invertible dense block of size n/2, N a
+    strictly upper triangular block, S unit lower triangular."""
+    h = n // 2
+    m = [[Fraction(0)] * n for _ in range(n)]
+    while True:
+        a = dense(rng, h)
+        if det(a) != 0:
+            break
+    for i in range(h):
+        m[i][:h] = a[i]
+    for i in range(h, n):
+        for j in range(i + 1, n):
+            m[i][j] = rational(rng)
+    s = [[Fraction(1) if i == j else (Fraction(rng.randint(-2, 2)) if j < i else Fraction(0))
+          for j in range(n)] for i in range(n)]
+    return mat_mul(mat_mul(s, m), mat_inverse(s))
+
+
+def best_of(fn, *args):
+    best = None
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn(*args)
+        t = time.perf_counter() - t0
+        best = t if best is None else min(best, t)
+    return best
+
+
+def measure():
+    rng = random.Random(20261018)
+    out = {"det": {}, "charpoly": {}, "mat_mul": {}, "fitting": {}}
+    for n in SIZES:
+        a, b = dense(rng, n), dense(rng, n)
+        out["det"][str(n)] = best_of(det, a)
+        out["charpoly"][str(n)] = best_of(charpoly, a)
+        out["mat_mul"][str(n)] = best_of(mat_mul, a, b)
+        out["fitting"][str(n)] = best_of(fitting, fitting_input(rng, n))
+    entries = {(i, j): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+               for i in range(10) for j in range(10)}
+    series = exp_op(FinitePotentOperator(SparseOperator(entries)), 1, 10)
+    out["det_series"] = {"10": best_of(det_series, series)}
+    return out
+
+
+def git_commit(path):
+    try:
+        sha = subprocess.run(["git", "-C", path, "rev-parse", "HEAD"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+        dirty = subprocess.run(["git", "-C", path, "status", "--porcelain", "--", "."],
+                               capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return sha + ("+dirty" if dirty else "")
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="write the results to this JSON file")
+    args = parser.parse_args(argv)
+    results = measure()
+    for layer, by_size in results.items():
+        row = "  ".join("n=%s %9.4f ms" % (n, t * 1e3) for n, t in by_size.items())
+        print("%-10s %s" % (layer, row))
+    if args.out:
+        record = {
+            "git_commit": git_commit(os.path.dirname(os.path.abspath(finpot.__file__))),
+            "machine": {"cpu": cpu_model(), "nproc": os.cpu_count(),
+                        "python": platform.python_version(), "system": platform.system()},
+            "repeats": REPEATS,
+            "unit": "s, best of repeats",
+            "results": results,
+        }
+        with open(args.out, "w") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,8 +3,14 @@
 Every computation is exposed as a subcommand with JSON output (sorted keys,
 byte-stable for identical inputs).  Exit codes: 0 success, 1 domain error
 (structured {"error": code, "detail": ...} object on stdout), 2 parse error
-(malformed expression, operator JSON or FINPOT_PREC; message on stderr).
-FINPOT_PREC overrides the default series precision.
+(malformed expression, operator JSON or FINPOT_PREC, or an input over a
+work cap; message on stderr).  FINPOT_PREC overrides the default series
+precision.
+
+Work caps, checked before any computation: a series precision (--prec or
+FINPOT_PREC) above MAX_PREC = 1024, an sw-pairing --T above MAX_T = 40 (the
+default, which already takes about 20 s), and the parser's limits
+(parsing.MAX_EXPONENT, parsing.MAX_DEGREE).
 """
 
 from __future__ import annotations
@@ -44,14 +50,22 @@ from .series import format_series
 from .symbols import cocycle, pairing, reciprocity_check
 
 
+MAX_PREC = 1024
+MAX_T = 40
+
+
 def _default_prec(fallback: int) -> int:
     value = os.environ.get("FINPOT_PREC")
     if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError("FINPOT_PREC must be an integer, got %r" % value)
+        prec = fallback
+    else:
+        try:
+            prec = int(value)
+        except ValueError:
+            raise ParseError("FINPOT_PREC must be an integer, got %r" % value)
+    if prec > MAX_PREC:
+        raise ParseError("precision %d exceeds the limit %d" % (prec, MAX_PREC))
+    return prec
 
 
 def _load_operator(arg: str) -> FinitePotentOperator:
@@ -209,6 +223,8 @@ def _run_reciprocity(args):
 
 
 def _run_sw_pairing(args):
+    if args.T > MAX_T:
+        raise ParseError("T = %d exceeds the limit %d" % (args.T, MAX_T))
     f = parse_loop_exponent(args.f, "plus")
     ftilde = parse_loop_exponent(args.ftilde, "minus")
     value = sw_pairing_truncated(f, ftilde, args.T)

@@ -14,8 +14,16 @@ Like Tate's trace, det(1 + phi) can be taken on any finite invariant subspace
 containing phi^n(V), so all but tate_trace and the ast route read the
 certificate block and leave the Fitting split (lift_ast) to those two.
 In det_routes, exterior and charpoly are two sums over one Faddeev-LeVerrier
-charpoly, Plemelj-Smithies and logdet read one chain of power traces, and the
-ast route (Fitting core) and det_one_plus (Gaussian det(1 + M)) stand alone.
+charpoly, Plemelj-Smithies and logdet read one list of power traces (the
+tail is nilpotent, so its powers are traceless), and the ast route (Fitting
+core) and det_one_plus (Gaussian det(1 + M)) stand alone.
+
+On a block over Q every route runs on the integer kernels of matrices: the
+Bareiss det (det_one_plus, the ast route, the Plemelj-Smithies minors), the
+integer Faddeev-LeVerrier charpoly and the integer power traces.  The routes
+stay independent: the power traces come from matrix powers, not from the
+charpoly by Newton's identities.  Number-field blocks take the generic
+elimination and product loops.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ from .matrices import (
     identity,
     mat_add,
     mat_inverse,
-    mat_mul,
     mat_trace,
+    power_traces,
 )
 from .operators import (
     FinitePotentOperator,
@@ -101,17 +109,6 @@ def char_poly(matrix) -> Polynomial:
     return Polynomial(charpoly(matrix))
 
 
-def _power_traces(m, upto: int):
-    """[p_1, ..., p_upto] with p_j the trace of phi^j, computed on the
-    certificate block m (the tail is nilpotent, its powers are traceless)."""
-    out = []
-    power = identity(len(m))
-    for _ in range(upto):
-        power = mat_mul(power, m)
-        out.append(mat_trace(power))
-    return out
-
-
 def _plemelj_smithies_coeffs(traces):
     """sum_{m<=order} mu^m alpha_m/m!, with alpha_m the m x m determinant
 
@@ -147,13 +144,13 @@ def plemelj_smithies_series(phi: FinitePotentOperator, order: int) -> Polynomial
     block = _block(phi)
     if order < 0:
         raise ValueError("order must be >= 0")
-    return Polynomial(_plemelj_smithies_coeffs(_power_traces(block, order)))
+    return Polynomial(_plemelj_smithies_coeffs(power_traces(block, order)))
 
 
 def log_det_series(phi: FinitePotentOperator, prec: int) -> TruncatedLaurentSeries:
     """exp of the power-sum series sum_r (-1)^(r+1) p_r mu^r / r; agrees
     with det_poly to the requested precision."""
-    return _log_det(_power_traces(_block(phi), max(0, prec - 1)), prec)
+    return _log_det(power_traces(_block(phi), max(0, prec - 1)), prec)
 
 
 def _log_det(traces, prec: int) -> TruncatedLaurentSeries:
@@ -180,7 +177,7 @@ def regularized_det_series(
         prec,
         0,
     )
-    traces = _power_traces(block, m - 1)
+    traces = power_traces(block, m - 1)
     expo = TruncatedLaurentSeries.from_terms(
         "mu",
         {j: traces[j - 1] * Fraction(1, j) for j in range(1, m)},
@@ -305,7 +302,7 @@ def det_routes(phi: FinitePotentOperator):
     value_ext = sum(_core_symmetric(es)[1:], Fraction(1))
     # det(1 + M) = (-1)^N charpoly(-1) = e_N + ... + e_0 for the N x N block M
     value_cp = sum(reversed(es), Fraction(0))
-    traces = _power_traces(block, n + 1)
+    traces = power_traces(block, n + 1)
     value_ps = sum(_plemelj_smithies_coeffs(traces), Fraction(0))
     value_ld = sum(_log_det(traces, n + 2).coeffs.values(), Fraction(0))
     return (

@@ -90,20 +90,14 @@ class OperatorSeries:
         if self.variable != other.variable:
             raise ValueError("operator series variables differ")
         prec = min(self.precision, other.precision)
-        terms: dict = {}
-
-        def bump(d, op):
-            if d < prec and not op.is_zero():
-                terms[d] = op_add(terms[d], op) if d in terms else op
-
-        for d, t in self.terms.items():
-            bump(d, t)
-        for d, t in other.terms.items():
-            bump(d, t)
+        parts: dict = {}  # degree -> the operators summing to its term
+        for d, t in [*self.terms.items(), *other.terms.items()]:
+            parts.setdefault(d, []).append(t)
         for da, ta in self.terms.items():
             for db, tb in other.terms.items():
                 if da + db < prec:
-                    bump(da + db, op_compose(ta, tb))
+                    parts.setdefault(da + db, []).append(op_compose(ta, tb))
+        terms = {d: op_add(*ops) for d, ops in parts.items() if d < prec}
         all_ops = list(self.terms.values()) + list(other.terms.values())
         core = _core_closure(set(self.core) | set(other.core), all_ops)
         return OperatorSeries(self.variable, prec, terms, core)

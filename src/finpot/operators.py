@@ -90,18 +90,22 @@ class SparseOperator:
         op.entries = entries
         return op
 
-    def add(self, other: "SparseOperator") -> "SparseOperator":
-        if not other.entries:
+    def add(self, *others: "SparseOperator") -> "SparseOperator":
+        """self + other + ...; on the integer kernel, one common denominator
+        and one reduction for the whole sum."""
+        others = [op for op in others if op.entries]
+        if not others:
             return self
-        ints = _all_fractions(self, other)
+        ints = _all_fractions(self, *others)
         if ints:
-            den = _lcm_denominator(self, other)
-            left, right, zero = _numerators(self, den), _numerators(other, den), 0
+            den = _lcm_denominator(self, *others)
+            out, zero = _numerators(self, den), 0
+            parts = (_numerators(op, den) for op in others)
         else:
-            left, right, zero = self.entries, other.entries, Fraction(0)
-        out = dict(left)
-        for k, c in right.items():
-            out[k] = out.get(k, zero) + c
+            out, zero, parts = dict(self.entries), Fraction(0), (op.entries for op in others)
+        for part in parts:
+            for k, c in part.items():
+                out[k] = out.get(k, zero) + c
         return _over(out, den) if ints else SparseOperator(out)
 
     def scale(self, c) -> "SparseOperator":
@@ -418,14 +422,15 @@ def op_entry(phi: FinitePotentOperator, i: int, j: int):
     return val
 
 
-def op_add(
-    phi: FinitePotentOperator, psi: FinitePotentOperator
-) -> FinitePotentOperator:
-    """Sum, defined when the structural finite-rank-commutator check holds
-    (at most one tail, or tails of equal geometry) and the result stays in
-    the representable class."""
-    tail = phi.tail.add(psi.tail)  # raises on incompatible geometry
-    finite = phi.finite_part.add(psi.finite_part)
+def op_add(phi: FinitePotentOperator, *psis: FinitePotentOperator) -> FinitePotentOperator:
+    """Sum phi + psi + ..., defined when the structural finite-rank-commutator
+    check holds (at most one tail geometry; the tails fold left to right)
+    and the sum stays in the representable class.  The finite parts are
+    added in one SparseOperator.add."""
+    tail = phi.tail
+    for psi in psis:
+        tail = tail.add(psi.tail)  # raises on incompatible geometry
+    finite = phi.finite_part.add(*(psi.finite_part for psi in psis))
     if not tail.is_none():
         sup = finite.support()
         if sup and max(sup) >= tail.start_index:

@@ -4,9 +4,15 @@ Grammar: + - * / ^ with integer exponents, parentheses, integer and p/q
 literals, and a single variable (t for function-field inputs, z for loop
 exponents).  "(t^2+1)/(t-3)" and "z^-1 + z^-2" are typical inputs.
 
-Limit: an exponent may not exceed MAX_EXPONENT = 1000 in absolute value
-("t^1001" is a ParseError, raised before any power is computed), so one
-power cannot make unbounded work.
+Limits, each a ParseError raised before the work it bounds:
+  - an exponent may not exceed MAX_EXPONENT = 1000 in absolute value
+    ("t^1001");
+  - no intermediate result may have a numerator or denominator of degree
+    above MAX_DEGREE = 1000.  The bound is checked from the operands'
+    degrees before each sum, product, quotient and power, so
+    "(t+1)^1000*(t+2)^1000" fails before the product is formed, while
+    "t^-1000" and "(t+1)^1000" are accepted.
+Together they bound the work of any one expression.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .segal_wilson import LoopExponent
 _TOKEN = re.compile(r"\s*(\d+|[a-zA-Z]+|\^|\+|-|\*|/|\(|\))")
 
 MAX_EXPONENT = 1000
+MAX_DEGREE = 1000
 
 
 class ParseError(ValueError):
@@ -31,6 +38,20 @@ def _integer(tok: str) -> int:
         return int(tok)
     except ValueError:  # past int()'s limit on digits
         raise ParseError("integer literal of %d digits is too long" % len(tok))
+
+
+def _check_degree(*degrees: int) -> None:
+    """ParseError if the largest of the given degree bounds is over
+    MAX_DEGREE."""
+    bound = max(degrees)
+    if bound > MAX_DEGREE:
+        raise ParseError(
+            "intermediate degree %d exceeds the limit %d" % (bound, MAX_DEGREE)
+        )
+
+
+def _degrees(f: RationalFunction):
+    return f.num.degree, f.den.degree
 
 
 class _Parser:
@@ -70,6 +91,8 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
+            (an, ad), (bn, bd) = _degrees(out), _degrees(rhs)
+            _check_degree(an + bd, bn + ad, ad + bd)
             out = out + rhs if op == "+" else out - rhs
         return out
 
@@ -78,11 +101,14 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
+            (an, ad), (bn, bd) = _degrees(out), _degrees(rhs)
             if op == "/":
                 if rhs.is_zero():
                     raise ParseError("division by zero")
+                _check_degree(an + bd, ad + bn)
                 out = out / rhs
             else:
+                _check_degree(an + bn, ad + bd)
                 out = out * rhs
         return out
 
@@ -107,6 +133,7 @@ class _Parser:
                 )
             if n < 0 and base.is_zero():
                 raise ParseError("zero to a negative power")
+            _check_degree(*(abs(n) * d for d in _degrees(base)))
             base = base**n
         return base
 

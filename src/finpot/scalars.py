@@ -10,6 +10,9 @@ scalar.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from math import lcm
+from operator import add, mul
 
 
 def parse_rational(text: str) -> Fraction:
@@ -25,6 +28,11 @@ def format_rational(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def _int_coeffs(cs):
+    d = lcm(*(x.denominator for x in cs))
+    return [x.numerator * (d // x.denominator) for x in cs], d
+
+
 def _poly_trim(cs):
     cs = list(cs)
     while cs and cs[-1] == 0:
@@ -33,8 +41,20 @@ def _poly_trim(cs):
 
 
 def _poly_mul(a, b):
+    """Product of coefficient lists.  When every coefficient is a Fraction,
+    each list becomes integers over the lcm of its denominators and the
+    convolution runs on ints, with one Fraction per result coefficient."""
     if not a or not b:
         return []
+    if all(type(x) is Fraction for x in chain(a, b)):
+        (ia, da), (ib, db) = _int_coeffs(a), _int_coeffs(b)
+        acc = [0] * (len(a) + len(b) - 1)
+        n = len(ib)
+        for i, x in enumerate(ia):
+            if x:
+                acc[i : i + n] = map(add, acc[i : i + n], map(mul, repeat(x), ib))
+        den = da * db
+        return _poly_trim([Fraction(c, den) for c in acc])
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:

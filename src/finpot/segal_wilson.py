@@ -14,14 +14,14 @@ turn equals the residue res_{t=0}(f~ df) computed by the residue machinery.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import det, mat_inverse, mat_mul
+from .matrices import det, int_det, mat_inverse, mat_mul
 from .places import Place
 from .polynomials import Polynomial, RationalFunction
 from .residues import residue_classical
+from .scalars import _int_coeffs
 from .series import TruncatedLaurentSeries, series_exp
 
 
@@ -132,37 +132,6 @@ def _lower_upper_corner(g, h, n: int):
     return M
 
 
-def _to_common_integers(fracs):
-    """Scale a list of Fractions to integers over one common denominator."""
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    return [int(x * denom) for x in fracs], denom
-
-
-def _int_det_bareiss(m):
-    """Fraction-free integer determinant (exact divisions by prior pivots)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[r][j] = (m[r][j] * m[c][c] - m[r][c] * m[c][j]) // prev
-            m[r][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
-
-
 def sw_pairing_truncated(f: LoopExponent, ftilde: LoopExponent, T: int) -> Fraction:
     """T x T principal-corner determinant of atilde a atilde^{-1} a^{-1},
     built exactly on a stage of size T + 28.  Exact rational.
@@ -175,10 +144,10 @@ def sw_pairing_truncated(f: LoopExponent, ftilde: LoopExponent, T: int) -> Fract
     if T <= f.support() + ftilde.support():
         raise ValueError("T must exceed the combined support")
     n = T + 28
-    g, dg = _to_common_integers(exp_symbol(f, n))
-    gi, dgi = _to_common_integers(exp_symbol(f.negated(), n))
-    gt, dgt = _to_common_integers(exp_symbol(ftilde, n))
-    gti, dgti = _to_common_integers(exp_symbol(ftilde.negated(), n))
+    g, dg = _int_coeffs(exp_symbol(f, n))
+    gi, dgi = _int_coeffs(exp_symbol(f.negated(), n))
+    gt, dgt = _int_coeffs(exp_symbol(ftilde, n))
+    gti, dgti = _int_coeffs(exp_symbol(ftilde.negated(), n))
     # a . atilde^{-1} has exact stage-independent entries (lower times upper)
     middle = _lower_upper_corner(g, gti, n)
     # P = atilde . middle . a^{-1}, rows/cols < T, internal sums on the stage
@@ -191,7 +160,7 @@ def sw_pairing_truncated(f: LoopExponent, ftilde: LoopExponent, T: int) -> Fract
         for i in range(T)
     ]
     scale = dg * dgi * dgt * dgti
-    return Fraction(_int_det_bareiss(corner), scale**T)
+    return Fraction(int_det(corner), scale**T)
 
 
 def sw_pairing_closed(f: LoopExponent, ftilde: LoopExponent) -> Fraction:

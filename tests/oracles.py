@@ -283,3 +283,93 @@ def sparse_compose(a, b):
             key = (i, j)
             out[key] = out.get(key, Fraction(0)) + x * y
     return SparseOperator(out)
+
+
+# -- dense kernels over the stored scalars --------------------------------------
+#
+# det, charpoly, mat_mul and det_series_matrix as finpot.matrices ran them on
+# every input before it took integer kernels for all-Fraction input: one
+# scalar operation per step, elimination on the generic _eliminate.
+
+
+def _det_generic(a, one):
+    from finpot.matrices import _eliminate
+
+    m = [row[:] for row in a]
+    pivots, sign = _eliminate(m, len(m))
+    if len(pivots) < len(m):
+        return None
+    out = one if sign > 0 else -one
+    for i, row in enumerate(m):
+        out = out * row[i]
+    return out
+
+
+def det_generic(a):
+    out = _det_generic(a, Fraction(1))
+    return Fraction(0) if out is None else out
+
+
+def mat_mul_generic(a, b):
+    from finpot.scalars import scalar_is_zero
+
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(n):
+        row = []
+        ai = a[i]
+        for j in range(m):
+            s = 0
+            for p in range(k):
+                x = ai[p]
+                if not scalar_is_zero(x):
+                    s = s + x * b[p][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def charpoly_generic(a):
+    from finpot.matrices import mat_trace
+
+    n = len(a)
+    if n == 0:
+        return [Fraction(1)]
+    cs = [Fraction(1)]
+    mk = [row[:] for row in a]
+    for k in range(1, n + 1):
+        ck = mat_trace(mk) * Fraction(1, k)
+        cs.append(ck)
+        if k < n:
+            for i in range(n):
+                mk[i][i] = mk[i][i] - ck
+            mk = mat_mul_generic(a, mk)
+    out = [Fraction(0)] * (n + 1)
+    out[n] = Fraction(1)
+    for k in range(1, n + 1):
+        out[n - k] = -cs[k]
+    return out
+
+
+def det_series_matrix_generic(m, one_series):
+    from finpot.errors import NotInvertibleError
+
+    out = _det_generic(m, one_series)
+    if out is None:
+        raise NotInvertibleError("series matrix pivot has no unit entry")
+    return out
+
+
+def poly_mul_generic(a, b):
+    """scalars._poly_mul as one scalar product per coefficient pair."""
+    from finpot.scalars import _poly_trim
+
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_trim(out)

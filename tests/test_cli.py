@@ -255,3 +255,28 @@ def test_exponent_above_the_limit_is_a_parse_error():
 
 def test_overlong_integer_literal_is_a_parse_error():
     _assert_parse_error(*run_cli("residue", "--f", "9" * 5000, "--g", "t"))
+
+
+def test_intermediate_degree_above_the_limit_is_a_parse_error():
+    for f in ("(t+1)^1000*(t+2)^1000", "(t^2+1)^501", "1/(t+1)^600 + 1/(t+2)^600",
+              "(t+1)^600/(t+2)^-600"):
+        code, out, err = run_cli("residue", "--f", f, "--g", "t")
+        _assert_parse_error(code, out, err)
+        assert "degree" in err and "exceeds the limit 1000" in err
+    code, out, _ = run_cli("residue", "--f", "(t+1)^1000", "--g", "t")
+    assert code == 0 and json.loads(out) == {"value": "0"}
+
+
+def test_pairing_size_above_the_limit_is_a_parse_error():
+    code, out, err = run_cli("sw-pairing", "--f", "z", "--ftilde", "z^-1", "--T", "3000")
+    _assert_parse_error(code, out, err)
+    assert "T = 3000 exceeds the limit 40" in err
+
+
+def test_precision_above_the_limit_is_a_parse_error():
+    code, out, err = run_cli("cocycle", "--f", "1/t", "--g", "t", env={"FINPOT_PREC": "100000"})
+    _assert_parse_error(code, out, err)
+    assert "precision 100000 exceeds the limit 1024" in err
+    _assert_parse_error(*run_cli("logdet", "--op", '{"entries": [[0, 0, "1"]]}', "--prec", "1025"))
+    code, out, _ = run_cli("cocycle", "--f", "1/t", "--g", "t", env={"FINPOT_PREC": "1024"})
+    assert code == 0 and json.loads(out)["prec"] == 1024

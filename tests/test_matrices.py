@@ -2,7 +2,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import finpot.matrices as matrices
 from finpot.errors import NotInvertibleError
 from finpot.matrices import (
     bareiss_echelon,
@@ -12,16 +14,26 @@ from finpot.matrices import (
     det_series_matrix,
     elementary_symmetric,
     identity,
+    int_det,
     kernel_basis,
     mat_inverse,
     mat_mul,
+    mat_trace,
+    power_traces,
     rank,
     solve_columns,
 )
 from finpot.scalars import NumberField
 from finpot.series import TruncatedLaurentSeries as TLS
 
-from oracles import det_cofactor, principal_minor_sum
+from oracles import (
+    charpoly_generic,
+    det_cofactor,
+    det_generic,
+    det_series_matrix_generic,
+    mat_mul_generic,
+    principal_minor_sum,
+)
 
 
 def rand_matrix(rng, n):
@@ -215,3 +227,140 @@ def test_series_determinant_row_swap_and_no_unit_pivot():
     # no entry of the first column is a unit
     with pytest.raises(NotInvertibleError):
         det_series_matrix([[z, one], [z * z, one]], one)
+
+
+# -- integer kernels against the generic scalar loops ---------------------------
+
+_Q = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 5, 6, 7)))
+
+
+@st.composite
+def _q_matrix(draw, rows=None, cols=None):
+    """A Q matrix (square unless rows/cols are given) of one of five shapes:
+    dense, sparse, with zeros at the top of the first column (forcing row
+    swaps), singular (last row a combination of the first two) and nilpotent
+    (strictly upper triangular under a row and column permutation)."""
+    n = draw(st.integers(0, 6)) if rows is None else rows
+    k = n if cols is None else cols
+    shape = draw(st.sampled_from(("dense", "sparse", "swap", "singular", "nilpotent")))
+    m = [[draw(_Q) for _ in range(k)] for _ in range(n)]
+    if shape == "sparse":
+        m = [[x if draw(st.booleans()) else Fraction(0) for x in row] for row in m]
+    elif shape == "swap" and n and k:
+        for i in range(draw(st.integers(0, n - 1)) + 1):
+            m[i][0] = Fraction(0)
+    elif shape == "singular" and n >= 2:
+        a, b = draw(_Q), draw(_Q)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    elif shape == "nilpotent" and n == k:
+        perm = draw(st.permutations(range(n)))
+        m = [[m[perm[i]][perm[j]] if perm[i] < perm[j] else Fraction(0)
+              for j in range(n)] for i in range(n)]
+    return m
+
+
+def _all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_q_matrix(), st.integers(0, 4), st.data())
+def test_rational_kernels_match_generic_loops(m, cols, data):
+    n = len(m)
+    d = det(m)
+    assert d == det_generic(m) and type(d) is Fraction
+    cp = charpoly(m)
+    assert cp == charpoly_generic(m) and _all_fractions(cp)
+    b = data.draw(_q_matrix(rows=n, cols=cols))
+    for x, y in ((m, b), (m, m)):
+        prod = mat_mul(x, y)
+        assert prod == mat_mul_generic(x, y)
+        assert _all_fractions(v for row in prod for v in row)
+    for a in (m, b):
+        pivots = bareiss_echelon(a)[1]
+        assert rank(a) == len(pivots)
+        assert column_space_basis(a) == [[row[c] for row in a] for c in pivots]
+    power, chain = identity(n), []
+    for _ in range(n + 2):
+        power = mat_mul_generic(power, m)
+        chain.append(mat_trace(power))
+    traces = power_traces(m, n + 2)
+    assert traces == chain and _all_fractions(traces)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_integer_bareiss_matches_cofactors(m):
+    if len(m) > 2:
+        m[-1] = [x - y for x, y in zip(m[0], m[1])] if m[0][0] % 2 else m[-1]
+    assert int_det(m) == det_cofactor([[Fraction(x) for x in row] for row in m])
+
+
+def test_empty_and_one_by_one_rational_matrices():
+    assert det([]) == 1 and type(det([])) is Fraction
+    assert charpoly([]) == [Fraction(1)]
+    assert mat_mul([], []) == [] and rank([]) == 0 and power_traces([], 2) == [0, 0]
+    for x in (Fraction(0), Fraction(-3, 4)):
+        assert det([[x]]) == x and type(det([[x]])) is Fraction
+        assert charpoly([[x]]) == [-x, Fraction(1)]
+        assert mat_mul([[x]], [[x]]) == [[x * x]]
+    one = TLS.one("z", 4)
+    assert det_series_matrix([], one) is one
+
+
+@st.composite
+def _series_matrix(draw):
+    """A square matrix of series of one precision p over Q, min_degree 0:
+    unit diagonal plus O(z), a first column whose top constant terms vanish
+    (forcing swaps), or a column with no unit at all."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(("unipotent", "swap", "no_unit")))
+    dead = draw(st.integers(0, n - 1))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            cs = {k: draw(_Q) for k in range(p) if draw(st.booleans())}
+            if shape == "unipotent":
+                cs[0] = Fraction(1) if i == j else cs.get(0, Fraction(0))
+            elif shape == "swap" and j == 0 and i < n - 1:
+                cs.pop(0, None)
+            elif shape == "no_unit" and j == dead:
+                cs.pop(0, None)
+            row.append(TLS("z", cs, 0, p))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_series_matrix())
+def test_series_det_matches_generic_loops(m):
+    one = TLS.one("z", m[0][0].precision)
+    try:
+        want = det_series_matrix_generic(m, one)
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError):
+            det_series_matrix(m, one)
+        return
+    got = det_series_matrix(m, one)
+    assert got == want
+    assert (got.precision, got.min_degree) == (want.precision, want.min_degree)
+    assert _all_fractions(got.coeffs.values())
+
+
+def test_number_field_input_takes_the_generic_path(monkeypatch, rng):
+    q, g = rand_matrix(rng, 4), rand_gauss_matrix(rng, 4, 4)
+    want = [det_generic(q), det_generic(g), charpoly_generic(g), mat_mul_generic(g, g)]
+    calls = {"_eliminate": 0, "_bareiss": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(matrices, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(matrices, name, counting)
+    assert det(q) == want[0] and rank(q) == cofactor_rank(q)
+    assert calls == {"_eliminate": 0, "_bareiss": 2}
+    assert [det(g), charpoly(g), mat_mul(g, g)] == want[1:]
+    assert rank(g) == cofactor_rank(g)
+    assert calls == {"_eliminate": 2, "_bareiss": 2}

@@ -329,3 +329,37 @@ def test_number_field_arithmetic_matches_generic_loops(ops):
     for x, s in [(a, c), (a, k), (q, k)]:
         _same_as_oracle(x.scale(s), sparse_scale(x, s))
 
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_sparse(), max_size=5), st.lists(_sparse(GAUSS), max_size=2), _sparse())
+def test_many_operand_sums_match_pairwise_sums(qs, ks, first):
+    """SparseOperator.add and op_add with several operands (one common
+    denominator, one reduction) equal the pairwise sums, over Q and with
+    number-field operands mixed in; a sum that cancels is empty."""
+    for ops in (qs, qs + ks):
+        want = first
+        for op in ops:
+            want = sparse_add(want, op)
+        _same_as_oracle(first.add(*ops), want)
+        total = op_add(FPO(first), *(FPO(op) for op in ops))
+        pairwise = FPO(first)
+        for op in ops:
+            pairwise = op_add(pairwise, FPO(op))
+        assert total.finite_part.entries == pairwise.finite_part.entries
+    assert first.add(*qs, *(op.scale(-1) for op in qs), first.scale(-1)).entries == {}
+    assert first.add() is first
+
+
+def test_many_operand_op_add_folds_tails():
+    tail = TailDescriptor.jordan(3, 5, [1])
+    a = FPO(SparseOperator({(0, 1): Fraction(1, 2)}), tail)
+    b = FPO(SparseOperator({(1, 0): Fraction(1, 3)}))
+    c = FPO(SparseOperator({(0, 1): Fraction(-1, 2)}), TailDescriptor.jordan(3, 5, [2]))
+    total = op_add(a, b, c)
+    assert total.tail == TailDescriptor.jordan(3, 5, [3])
+    assert total.finite_part.entries == {(1, 0): Fraction(1, 3)}
+    with pytest.raises(IncompatibleTailsError):
+        op_add(a, b, FPO(SparseOperator(), TailDescriptor.jordan(2, 5, [1])))
+    with pytest.raises(IncompatibleTailsError):
+        op_add(b, a, FPO(SparseOperator({(7, 7): Fraction(1)})))

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpot.polynomials import (
     Polynomial,
@@ -11,6 +12,9 @@ from finpot.polynomials import (
     factor_monic_irreducibles,
     is_irreducible,
 )
+from finpot.scalars import NumberField, _poly_mul
+
+from oracles import poly_mul_generic
 
 
 def rand_poly(rng, deg=3):
@@ -102,3 +106,23 @@ def test_package_import_leaves_sympy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert out.stdout.strip() == "False"
+
+
+# -- integer product kernel against the generic scalar loop ---------------------
+
+_Q = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 6, 12)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_Q, max_size=12), st.lists(_Q, max_size=12), st.booleans())
+def test_coefficient_product_matches_generic_loop(a, b, field):
+    """_poly_mul on Fraction lists (zeros and trailing zeros included) runs on
+    integers and returns the generic loop's Fractions; lists holding
+    number-field elements keep the generic loop."""
+    if field and a:
+        a[0] = NumberField([1, 0, 1]).element([a[0], Fraction(1)])
+    got, want = _poly_mul(a, b), poly_mul_generic(a, b)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    if not field:
+        assert all(type(x) is Fraction for x in got)
