@@ -1,13 +1,15 @@
 """Layer timings of the dense matrix kernels at fixed sizes.
 
-Prints the best of 3 runs of det, charpoly, mat_mul and fitting on random
-Q matrices of sizes 8, 16 and 24 (entries p/q with |p| <= 9, q <= 6, fixed
-seed; the fitting input has an invertible and a nilpotent part, so the rank
-chain runs past the first power), and of det_series on exp_op of a dense
-10 x 10 operator at precision 10.  With --out it also writes the numbers,
-the git commit of the finpot tree it imported and the machine to a JSON file.
+Prints the best of 3 runs of det, charpoly, mat_mul, fitting, mat_inverse
+and kernel_basis on random Q matrices of sizes 8, 16 and 24 (entries p/q
+with |p| <= 9, q <= 6, fixed seed; the fitting input has an invertible and a
+nilpotent part, so the rank chain runs past the first power; the
+kernel_basis input has rank n/2), of det on a dense 8 x 8 matrix over Q(i),
+and of det_series on exp_op of a dense 10 x 10 operator at precision 10.
+With --out it also writes the numbers, the git commit of the finpot tree it
+imported and the machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_6.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_7.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -28,7 +30,8 @@ import finpot
 from finpot import FinitePotentOperator, SparseOperator
 from finpot.exponentials import det_series, exp_op
 from finpot.fitting import fitting
-from finpot.matrices import charpoly, det, mat_inverse, mat_mul
+from finpot.matrices import charpoly, det, kernel_basis, mat_inverse, mat_mul
+from finpot.scalars import NumberField
 
 SIZES = (8, 16, 24)
 REPEATS = 3
@@ -38,8 +41,8 @@ def rational(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
 
-def dense(rng, n):
-    return [[rational(rng) for _ in range(n)] for _ in range(n)]
+def dense(rng, n, cols=None):
+    return [[rational(rng) for _ in range(n if cols is None else cols)] for _ in range(n)]
 
 
 def fitting_input(rng, n):
@@ -84,6 +87,15 @@ def measure():
                for i in range(10) for j in range(10)}
     series = exp_op(FinitePotentOperator(SparseOperator(entries)), 1, 10)
     out["det_series"] = {"10": best_of(det_series, series)}
+    # drawn after the inputs above, which stay as in earlier versions
+    out["mat_inverse"], out["kernel_basis"] = {}, {}
+    for n in SIZES:
+        out["mat_inverse"][str(n)] = best_of(mat_inverse, dense(rng, n))
+        low_rank = mat_mul(dense(rng, n, n // 2), dense(rng, n // 2, n))
+        out["kernel_basis"][str(n)] = best_of(kernel_basis, low_rank)
+    gauss = NumberField([1, 0, 1])
+    a = [[gauss.element([rational(rng), rational(rng)]) for _ in range(8)] for _ in range(8)]
+    out["det_gauss"] = {"8": best_of(det, a)}
     return out
 
 
@@ -116,7 +128,7 @@ def main(argv=None):
     results = measure()
     for layer, by_size in results.items():
         row = "  ".join("n=%s %9.4f ms" % (n, t * 1e3) for n, t in by_size.items())
-        print("%-10s %s" % (layer, row))
+        print("%-12s %s" % (layer, row))
     if args.out:
         record = {
             "git_commit": git_commit(os.path.dirname(os.path.abspath(finpot.__file__))),

@@ -8,9 +8,12 @@ work cap; message on stderr).  FINPOT_PREC overrides the default series
 precision.
 
 Work caps, checked before any computation: a series precision (--prec or
-FINPOT_PREC) above MAX_PREC = 1024, an sw-pairing --T above MAX_T = 40 (the
-default, which already takes about 20 s), and the parser's limits
-(parsing.MAX_EXPONENT, parsing.MAX_DEGREE).
+FINPOT_PREC) above MAX_PREC = 1024, a ps-series --order above MAX_ORDER = 64
+(one m x m determinant for every m up to the order), an sw-pairing --T above
+MAX_T = 40 (the default is 20: for --f z --ftilde z^-1 the exact truncated
+value at T = 29 already has more decimal digits than Python prints, and the
+command exits 1), and the parser's limits (parsing.MAX_EXPONENT,
+parsing.MAX_DEGREE).
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .symbols import cocycle, pairing, reciprocity_check
 
 
 MAX_PREC = 1024
+MAX_ORDER = 64
 MAX_T = 40
 
 
@@ -138,6 +142,8 @@ def _run_invert(args):
 
 
 def _run_ps_series(args):
+    if args.order > MAX_ORDER:
+        raise ParseError("order %d exceeds the limit %d" % (args.order, MAX_ORDER))
     return {
         "coeffs": _poly_coeff_map(
             plemelj_smithies_series(_load_operator(args.op), args.order)
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("reciprocity", _run_reciprocity, f={"required": True}, g={"required": True},
         prec={"type": int, "default": 8})
     add("sw-pairing", _run_sw_pairing, f={"required": True},
-        ftilde={"required": True}, T={"type": int, "default": 40})
+        ftilde={"required": True}, T={"type": int, "default": 20})
     add("selftest", _run_selftest)
     return parser
 

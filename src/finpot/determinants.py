@@ -16,14 +16,14 @@ certificate block and leave the Fitting split (lift_ast) to those two.
 In det_routes, exterior and charpoly are two sums over one Faddeev-LeVerrier
 charpoly, Plemelj-Smithies and logdet read one list of power traces (the
 tail is nilpotent, so its powers are traceless), and the ast route (Fitting
-core) and det_one_plus (Gaussian det(1 + M)) stand alone.
+core) and det_one_plus (the Bareiss det(1 + M)) stand alone.
 
 On a block over Q every route runs on the integer kernels of matrices: the
 Bareiss det (det_one_plus, the ast route, the Plemelj-Smithies minors), the
 integer Faddeev-LeVerrier charpoly and the integer power traces.  The routes
 stay independent: the power traces come from matrix powers, not from the
-charpoly by Newton's identities.  Number-field blocks take the generic
-elimination and product loops.
+charpoly by Newton's identities.  Number-field blocks run the same
+elimination loop and the generic product loop on their own scalars.
 """
 
 from __future__ import annotations
@@ -166,21 +166,24 @@ def regularized_det_series(
     phi: FinitePotentOperator, m: int, prec: int
 ) -> TruncatedLaurentSeries:
     """det_poly with mu -> -mu, times exp(sum_{j<m} p_j mu^j / j); m = 2 is
-    the Carleman-Fredholm normalization."""
+    the Carleman-Fredholm normalization.  Terms of degree prec or more vanish
+    mod mu^prec, so only the power traces below min(m, prec) and the
+    coefficients of det_poly below prec are taken."""
     if m < 2:
         raise ValueError("regularization order must be >= 2")
     block = _block(phi)
     es = _core_symmetric(elementary_symmetric(block))
     base = TruncatedLaurentSeries.from_terms(
         "mu",
-        {i: c * Fraction((-1) ** i) for i, c in enumerate(es)},
+        {i: c * Fraction((-1) ** i) for i, c in enumerate(es[:prec])},
         prec,
         0,
     )
-    traces = power_traces(block, m - 1)
+    top = min(m, prec)
+    traces = power_traces(block, top - 1)
     expo = TruncatedLaurentSeries.from_terms(
         "mu",
-        {j: traces[j - 1] * Fraction(1, j) for j in range(1, m)},
+        {j: traces[j - 1] * Fraction(1, j) for j in range(1, top)},
         prec,
         0,
     )

@@ -22,7 +22,6 @@ from .matrices import (
     identity,
     kernel_basis,
     mat_mul,
-    mat_vec,
     rank,
     solve_columns,
 )
@@ -56,6 +55,11 @@ class ASTDecomposition:
         return len(self.nil_basis)
 
 
+def _images(matrix, cols):
+    """The columns M v for v in cols, from one mat_mul."""
+    return list(zip(*mat_mul(matrix, [list(row) for row in zip(*cols)])))
+
+
 def fitting(matrix) -> ASTDecomposition:
     """Split the ambient space into the invertible core and nilpotent part.
 
@@ -74,8 +78,8 @@ def fitting(matrix) -> ASTDecomposition:
     nil_cols = kernel_basis(power)
     if len(core_cols) + len(nil_cols) != d:
         raise NotFinitePotentError("rank-nullity failure in fitting")
-    core_matrix = solve_columns(core_cols, [mat_vec(matrix, w) for w in core_cols])
-    nil_matrix = solve_columns(nil_cols, [mat_vec(matrix, u) for u in nil_cols])
+    core_matrix = solve_columns(core_cols, _images(matrix, core_cols))
+    nil_matrix = solve_columns(nil_cols, _images(matrix, nil_cols))
     if scalar_is_zero(det(core_matrix)):
         raise NotFinitePotentError("core block came out singular")
     nil_power = nil_matrix

@@ -1,28 +1,34 @@
 """Exact dense linear algebra over Q, number fields, or truncated series.
 
 Matrices are plain lists of row lists.  Scalars only need +, -, *, equality
-against 0/1 and exact inversion, so the same routines serve Fraction,
+against 0 and exact inversion, so the same routines serve Fraction,
 NumberFieldElement, and (for determinants of unipotent perturbations)
-TruncatedLaurentSeries entries.  All of them run on one pivoting Gaussian
-elimination kernel, _eliminate; the scalar type decides the pivot test
-(nonzero, or a unit constant term for series) and the inverse.
+TruncatedLaurentSeries entries.
 
-When every entry is a Fraction, the hot paths run on Python ints instead and
-build the rational answer once at the end (Fraction normalisation is
-canonical, so the values are the same Fractions):
+Every elimination runs on one fraction-free loop, _bareiss (Bareiss 1968):
+det, rank, column_space_basis, kernel_basis, solve_columns, mat_inverse and
+the generic branch of det_series_matrix.  The pivot is the first unit at or
+below the current row (a nonzero scalar, or a series with a nonzero
+constant term), and every other row becomes (pivot * row - entry * pivot
+row) / previous pivot, an exact division: '//' on ints, a product with the
+inverse of the previous pivot otherwise.  The Gauss-Jordan form leaves d
+times the reduced echelon form, d the last pivot (Nakos, Turner & Williams
+1997), which kernel_basis, solve_columns and mat_inverse divide out once.
 
-  det, rank,            rows scaled to integers over their lcm, then one
-  column_space_basis    fraction-free Bareiss loop (_bareiss), which picks
-                        the same pivots as _eliminate
+On all-Fraction input the loop runs on Python ints: each row is scaled to
+integers over the lcm of its denominators, which changes neither the
+pivots, nor the kernel, nor the reduced echelon form, and the rational
+answer is built once at the end (Fraction normalisation is canonical, so
+the values are the same Fractions).  The other Q kernels also run on ints:
+
   mat_mul, charpoly,    the matrix scaled once to B = D*M; products on ints,
   power_traces          Faddeev-LeVerrier on B (every tr(N_k)/k is an exact
                         integer division), results over D^k
   det_series_matrix     series entries of one precision p, min_degree >= 0:
                         Bareiss over Z[z]/(z^p) on integer coefficient lists
 
-Number-field entries, and series with other coefficients or shapes, take the
-generic _eliminate path.  kernel_basis, mat_inverse and solve_columns always
-do.
+Number-field entries, and series with other coefficients or shapes, run the
+same loops on their own scalars.
 """
 
 from __future__ import annotations
@@ -51,16 +57,6 @@ def _scaled(a):
         return None
     d = lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
-
-
-def _int_rows(a):
-    """(integer rows, their denominators) with a[i] = rows[i] / dens[i], each
-    row over the lcm of its own denominators; None unless every entry of a
-    is a Fraction."""
-    if not _is_rational(a):
-        return None
-    pairs = [_int_coeffs(row) for row in a]
-    return [row for row, _ in pairs], [d for _, d in pairs]
 
 
 def _int_mul(a, b):
@@ -99,10 +95,6 @@ def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
 
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v) if not scalar_is_zero(x)), 0) for row in a]
-
-
 def mat_trace(a):
     n = len(a)
     if n == 0:
@@ -111,10 +103,6 @@ def mat_trace(a):
     for i in range(1, n):
         s = s + a[i][i]
     return s
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, TruncatedLaurentSeries) else scalar_is_zero(x)
 
 
 def _is_unit(x) -> bool:
@@ -129,18 +117,27 @@ def _inv(x):
     return series_inv(x) if isinstance(x, TruncatedLaurentSeries) else _inv_scalar(x)
 
 
-def _eliminate(m, ncols: int, reduce: bool = False):
-    """Gaussian elimination on the rows of m, in place, over its first ncols
-    columns; returns (pivot columns, sign of the row permutation).
+def _bareiss(m, ncols: int, reduce: bool = False):
+    """Fraction-free elimination (Bareiss 1968) of the rows of m, in place,
+    over its first ncols columns; returns (pivot columns, sign of the row
+    permutation).
 
     A column with no unit (_is_unit) at or below the current row is passed
-    over.  Otherwise the first such entry is swapped up and its row clears
-    the column below it; with reduce=True the pivot row is first scaled to a
-    unit pivot and clears the column above it too (reduced echelon form).
+    over.  Otherwise the first such entry p is swapped up, and every row
+    below it (with reduce=True, every other row) becomes
+    (p * row - entry * pivot row) / previous pivot.  The division is exact,
+    since each entry is then a minor of m (Sylvester's identity): '//' on a
+    matrix of ints, otherwise p and entry are first multiplied by the
+    inverse of the previous pivot, a unit.  So the last pivot of a square
+    matrix of full rank is its determinant up to the sign.  With
+    reduce=True every pivot ends equal to the last one, d, and the pivot
+    rows over d are the reduced echelon form (Nakos, Turner & Williams
+    1997).
     """
     rows = len(m)
+    ints = all(type(x) is int for row in m for x in row)
     pivots = []
-    sign = 1
+    sign, prev, inv = 1, 1, Fraction(1)
     for c in range(ncols):
         r = len(pivots)
         if r == rows:
@@ -151,115 +148,85 @@ def _eliminate(m, ncols: int, reduce: bool = False):
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        inv = _inv(m[r][c])
-        if reduce:
-            m[r] = [inv * x for x in m[r]]
+        lo = 0 if reduce else c + 1
+        top, p = m[r][lo:], m[r][c]
+        scaled_p = None if ints else p * inv
         for i in range(0 if reduce else r + 1, rows):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c] if reduce else m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return pivots, sign
-
-
-def _bareiss(m, ncols: int):
-    """Fraction-free elimination (Bareiss 1968) of the integer rows m, in
-    place, over its first ncols columns; returns (pivot columns, sign of the
-    row permutation).
-
-    Pivots are found as in _eliminate: the first nonzero entry at or below
-    the current row, swapped up.  Every row below is replaced by
-    (pivot * row - entry * pivot row) / previous pivot, an exact division
-    (each entry is then a minor of m), so the last pivot of a square matrix
-    of full rank is its determinant up to the sign.
-    """
-    rows = len(m)
-    pivots = []
-    sign, prev = 1, 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        top = m[r][c + 1 :]
-        p = m[r][c]
-        for i in range(r + 1, rows):
+            if i == r:
+                continue
             row = m[i]
             f = row[c]
-            row[c + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], top)]
-            row[c] = 0
+            if ints:
+                row[lo:] = [(p * x - f * y) // prev for x, y in zip(row[lo:], top)]
+            else:
+                g = f * inv
+                row[lo:] = [scaled_p * x - g * y for x, y in zip(row[lo:], top)]
         prev = p
+        if not ints:
+            inv = _inv(p)
         pivots.append(c)
     return pivots, sign
+
+
+def _rows(a):
+    """(rows, den) to run _bareiss on: on all-Fraction input, integer rows,
+    each row of a over the lcm of its own denominators, and den the product
+    of those lcms; otherwise a copy of a and den None.  Row scaling changes
+    neither the pivots, nor the kernel, nor the reduced echelon form."""
+    if not _is_rational(a):
+        return [list(row) for row in a], None
+    pairs = [_int_coeffs(row) for row in a]
+    return [row for row, _ in pairs], prod(d for _, d in pairs)
+
+
+def _divide_by(d):
+    """x -> x / d: a Fraction for an int d, else a product with 1/d."""
+    if type(d) is int:
+        return lambda x: Fraction(x, d)
+    inv = _inv(d)
+    return lambda x: x * inv
+
+
+def _bareiss_det(m):
+    """Determinant of the square matrix m (consumed) by _bareiss: the sign
+    times the last pivot; None when a column has no pivot."""
+    pivots, sign = _bareiss(m, len(m))
+    if len(pivots) < len(m):
+        return None
+    if not m:
+        return 1
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
+
+
+def det(a):
+    """Determinant by _bareiss; over Q on integer rows, divided at the end
+    by the product of the row denominators."""
+    m, den = _rows(a)
+    out = _bareiss_det(m)
+    if out is None:
+        return Fraction(0)
+    return out if den is None else Fraction(out, den)
 
 
 def int_det(m) -> int:
     """Determinant of a square matrix of Python ints, by _bareiss."""
-    m = [row[:] for row in m]
-    pivots, sign = _bareiss(m, len(m))
-    if len(pivots) < len(m):
-        return 0
-    return sign * m[-1][-1] if m else 1
-
-
-def _det(a, one):
-    """one times the determinant of a; None when a column has no pivot."""
-    m = [row[:] for row in a]
-    pivots, sign = _eliminate(m, len(m))
-    if len(pivots) < len(m):
-        return None
-    out = one if sign > 0 else -one
-    for i, row in enumerate(m):
-        out = out * row[i]
-    return out
-
-
-def det(a):
-    """Determinant by exact Gaussian elimination (field scalars); integer
-    Bareiss over the row denominators on all-Fraction input."""
-    ints = _int_rows(a)
-    if ints is not None:
-        rows, dens = ints
-        return Fraction(int_det(rows), prod(dens))
-    out = _det(a, Fraction(1))
-    return Fraction(0) if out is None else out
+    out = _bareiss_det([row[:] for row in m])
+    return 0 if out is None else out
 
 
 def mat_inverse(a):
-    """Exact inverse; raises NotInvertibleError on singular input."""
+    """Exact inverse, from the reduced echelon form of [a | I]; raises
+    NotInvertibleError on singular input."""
     n = len(a)
-    m = [row[:] + irow for row, irow in zip(a, identity(n))]
-    if len(_eliminate(m, n, reduce=True)[0]) < n:
+    m, _ = _rows([row[:] + irow for row, irow in zip(a, identity(n))])
+    if len(_bareiss(m, n, reduce=True)[0]) < n:
         raise NotInvertibleError("matrix is singular")
-    return [row[n:] for row in m]
-
-
-def bareiss_echelon(a):
-    """Row echelon form in Bareiss's fraction-free normalisation; returns
-    (echelon rows, pivot columns).
-
-    Row r is the Gaussian row times the previous Bareiss pivot, so over an
-    integral domain every entry is a minor of a.
-    """
-    m = [row[:] for row in a]
-    pivots, _ = _eliminate(m, len(m[0]) if m else 0)
-    scale = 1
-    for r, c in enumerate(pivots):
-        m[r] = [scale * x for x in m[r]]
-        scale = m[r][c]
-    return m[: len(pivots)], pivots
+    over = _divide_by(m[-1][n - 1] if n else 1)
+    return [[over(x) for x in row[n:]] for row in m]
 
 
 def _pivot_columns(a):
-    ints = _int_rows(a)
-    if ints is None:
-        return bareiss_echelon(a)[1]
-    return _bareiss(ints[0], len(a[0]) if a else 0)[0]
+    return _bareiss(_rows(a)[0], len(a[0]) if a else 0)[0]
 
 
 def rank(a) -> int:
@@ -272,16 +239,18 @@ def column_space_basis(a):
 
 
 def kernel_basis(a):
-    """Basis of the right kernel, as vectors (lists)."""
-    m = [row[:] for row in a]
+    """Basis of the right kernel, as vectors (lists), one per non-pivot
+    column of the reduced echelon form."""
+    m, _ = _rows(a)
     cols = len(m[0]) if m else 0
-    pivots, _ = _eliminate(m, cols, reduce=True)
+    pivots, _ = _bareiss(m, cols, reduce=True)
+    over = _divide_by(m[len(pivots) - 1][pivots[-1]] if pivots else 1)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for row, c in zip(m, pivots):
-            v[c] = -row[fc]
+            v[c] = over(-row[fc])
         basis.append(v)
     return basis
 
@@ -298,12 +267,13 @@ def solve_columns(basis_cols, targets):
             raise NotInvertibleError("target outside the span of an empty basis")
         return []
     k = len(basis_cols)
-    aug = [list(row) for row in zip(*basis_cols, *targets)]
-    if len(_eliminate(aug, k, reduce=True)[0]) < k:
+    aug, _ = _rows(list(zip(*basis_cols, *targets)))
+    if len(_bareiss(aug, k, reduce=True)[0]) < k:
         raise NotInvertibleError("basis columns are dependent")
     if any(not scalar_is_zero(x) for row in aug[k:] for x in row[k:]):
         raise NotInvertibleError("target vector outside the span")
-    return [row[k:] for row in aug[:k]]
+    over = _divide_by(aug[k - 1][k - 1])
+    return [[over(x) for x in row[k:]] for row in aug[:k]]
 
 
 def charpoly(a):
@@ -397,7 +367,7 @@ def _series_rows(m):
 
 def _series_bareiss_det(m, p: int):
     """Determinant of the square matrix m of integer coefficient lists, over
-    Z[z]/(z^p), by Bareiss elimination with the pivot test of _eliminate (a
+    Z[z]/(z^p), by Bareiss elimination with the pivot test of _bareiss (a
     nonzero constant term).  Each division by the previous pivot is exact
     (Sylvester's identity) and is done as a series division, since that
     pivot's constant term is nonzero.  m is consumed."""
@@ -444,8 +414,8 @@ def det_series_matrix(m, one_series):
     Pivots must be units (constant term nonzero), so elimination with series
     inversion is exact to the working precision.  Series of one precision p
     with min_degree >= 0 and Fraction coefficients take fraction-free
-    Bareiss on integer coefficient lists; the result is one_series times
-    that determinant, as on the generic path.
+    Bareiss on integer coefficient lists, other series _bareiss; the result
+    is one_series times that determinant.
     """
     ints = _series_rows(m)
     if ints is not None:
@@ -454,7 +424,9 @@ def det_series_matrix(m, one_series):
         var = m[0][0].variable
         value = {k: Fraction(x, den) for k, x in enumerate(cs) if x}
         return one_series * TruncatedLaurentSeries(var, value, 0, p)
-    out = _det(m, one_series)
+    if not m:
+        return one_series
+    out = _bareiss_det([row[:] for row in m])
     if out is None:
         raise NotInvertibleError("series matrix pivot has no unit entry")
-    return out
+    return one_series * out

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity by a route the library does not use:
 cofactor determinants, explicit principal-minor sums, the
 derivative-formula residue at a generic root of the place polynomial, the
-Fitting split at the exponent d = dimension, and sparse operator arithmetic
-as a generic loop over the stored scalars.
+Fitting split at the exponent d = dimension, sparse operator arithmetic
+as a generic loop over the stored scalars, and dense elimination by
+pivoting Gaussian elimination with unit pivots (_eliminate).
 """
 
 from fractions import Fraction
@@ -223,13 +224,15 @@ def fitting_at_dimension(matrix):
         identity,
         kernel_basis,
         mat_mul,
-        mat_vec,
         solve_columns,
     )
     from finpot.scalars import scalar_is_zero
 
     def is_zero_matrix(a):
         return all(scalar_is_zero(x) for row in a for x in row)
+
+    def mat_vec(a, v):
+        return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
     d = len(matrix)
     md, base, k = identity(d), [row[:] for row in matrix], d
@@ -287,14 +290,71 @@ def sparse_compose(a, b):
 
 # -- dense kernels over the stored scalars --------------------------------------
 #
-# det, charpoly, mat_mul and det_series_matrix as finpot.matrices ran them on
-# every input before it took integer kernels for all-Fraction input: one
-# scalar operation per step, elimination on the generic _eliminate.
+# det, charpoly, mat_mul, det_series_matrix, rank, kernel_basis, solve_columns
+# and mat_inverse as finpot.matrices ran them on every input before it took
+# integer kernels and fraction-free elimination: one scalar operation per
+# step, elimination by pivoting Gaussian elimination (_eliminate) with a unit
+# pivot on the reduced rows.
+
+
+def _is_zero(x) -> bool:
+    from finpot.scalars import scalar_is_zero
+    from finpot.series import TruncatedLaurentSeries
+
+    return x.is_zero() if isinstance(x, TruncatedLaurentSeries) else scalar_is_zero(x)
+
+
+def _is_unit(x) -> bool:
+    """Pivot test: a nonzero field scalar, or a series whose constant term
+    is nonzero."""
+    from finpot.scalars import scalar_is_zero
+    from finpot.series import TruncatedLaurentSeries
+
+    if isinstance(x, TruncatedLaurentSeries):
+        x = x.coefficient(0)
+    return not scalar_is_zero(x)
+
+
+def _inv(x):
+    from finpot.series import TruncatedLaurentSeries, _inv_scalar, series_inv
+
+    return series_inv(x) if isinstance(x, TruncatedLaurentSeries) else _inv_scalar(x)
+
+
+def _eliminate(m, ncols: int, reduce: bool = False):
+    """Gaussian elimination on the rows of m, in place, over its first ncols
+    columns; returns (pivot columns, sign of the row permutation).
+
+    A column with no unit (_is_unit) at or below the current row is passed
+    over.  Otherwise the first such entry is swapped up and its row clears
+    the column below it; with reduce=True the pivot row is first scaled to a
+    unit pivot and clears the column above it too (reduced echelon form).
+    """
+    rows = len(m)
+    pivots = []
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if _is_unit(m[i][c])), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        inv = _inv(m[r][c])
+        if reduce:
+            m[r] = [inv * x for x in m[r]]
+        for i in range(0 if reduce else r + 1, rows):
+            if i != r and not _is_zero(m[i][c]):
+                f = m[i][c] if reduce else m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, sign
 
 
 def _det_generic(a, one):
-    from finpot.matrices import _eliminate
-
     m = [row[:] for row in a]
     pivots, sign = _eliminate(m, len(m))
     if len(pivots) < len(m):
@@ -308,6 +368,59 @@ def _det_generic(a, one):
 def det_generic(a):
     out = _det_generic(a, Fraction(1))
     return Fraction(0) if out is None else out
+
+
+def echelon_generic(a):
+    """(echelon rows, pivot columns) of a by _eliminate."""
+    m = [row[:] for row in a]
+    pivots, _ = _eliminate(m, len(m[0]) if m else 0)
+    return m[: len(pivots)], pivots
+
+
+def rank_generic(a):
+    return len(echelon_generic(a)[1])
+
+
+def mat_inverse_generic(a):
+    from finpot.errors import NotInvertibleError
+
+    n = len(a)
+    ident = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    m = [row[:] + irow for row, irow in zip(a, ident)]
+    if len(_eliminate(m, n, reduce=True)[0]) < n:
+        raise NotInvertibleError("matrix is singular")
+    return [row[n:] for row in m]
+
+
+def kernel_basis_generic(a):
+    m = [row[:] for row in a]
+    cols = len(m[0]) if m else 0
+    pivots, _ = _eliminate(m, cols, reduce=True)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for row, c in zip(m, pivots):
+            v[c] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def solve_columns_generic(basis_cols, targets):
+    from finpot.errors import NotInvertibleError
+    from finpot.scalars import scalar_is_zero
+
+    if not basis_cols:
+        if any(any(not scalar_is_zero(x) for x in t) for t in targets):
+            raise NotInvertibleError("target outside the span of an empty basis")
+        return []
+    k = len(basis_cols)
+    aug = [list(row) for row in zip(*basis_cols, *targets)]
+    if len(_eliminate(aug, k, reduce=True)[0]) < k:
+        raise NotInvertibleError("basis columns are dependent")
+    if any(not scalar_is_zero(x) for row in aug[k:] for x in row[k:]):
+        raise NotInvertibleError("target vector outside the span")
+    return [row[k:] for row in aug[:k]]
 
 
 def mat_mul_generic(a, b):

@@ -280,3 +280,27 @@ def test_precision_above_the_limit_is_a_parse_error():
     _assert_parse_error(*run_cli("logdet", "--op", '{"entries": [[0, 0, "1"]]}', "--prec", "1025"))
     code, out, _ = run_cli("cocycle", "--f", "1/t", "--g", "t", env={"FINPOT_PREC": "1024"})
     assert code == 0 and json.loads(out)["prec"] == 1024
+
+
+def test_ps_series_order_above_the_limit_is_a_parse_error():
+    op = '{"entries": [[0, 0, "1/2"]]}'
+    code, out, err = run_cli("ps-series", "--op", op, "--order", "65")
+    _assert_parse_error(code, out, err)
+    assert "order 65 exceeds the limit 64" in err
+    code, out, _ = run_cli("ps-series", "--op", op, "--order", "64")
+    assert code == 0 and json.loads(out) == {"coeffs": {"0": "1", "1": "1/2"}}
+
+
+def test_sw_pairing_default_T_prints():
+    code, out, _ = run_cli("sw-pairing", "--f", "z", "--ftilde", "z^-1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["exponent"] == "1" and data["matches_residue"] is True
+    assert abs(data["truncated_float"] - 2.718281828459045) < 1e-8
+
+
+def test_regdet_order_above_the_precision():
+    op = '{"entries": [[0, 0, "1/2"], [0, 1, "1"], [1, 1, "2"]]}'
+    code, out, _ = run_cli("regdet", "--op", op, "--m", "1000000", "--prec", "4")
+    assert code == 0
+    assert out == run_cli("regdet", "--op", op, "--m", "4", "--prec", "4")[1]

@@ -121,6 +121,17 @@ def test_regularized_examples():
     assert r3 == base * expo
 
 
+def test_regularization_order_above_the_precision(rng):
+    """Terms of degree prec or more vanish mod mu^prec, so every m >= prec
+    gives the m = prec series."""
+    ops = [PROJ, NILP, DIAG12, UPPER] + [random_operator(rng) for _ in range(6)]
+    for phi in ops:
+        for prec in (2, 3, 5):
+            want = regularized_det_series(phi, prec, prec)
+            for m in (prec + 1, prec + 7):
+                assert regularized_det_series(phi, m, prec) == want
+
+
 def test_route_agreement_random(rng):
     for _ in range(60):
         assert routes_agree(random_operator(rng))

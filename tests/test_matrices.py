@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import finpot.matrices as matrices
 from finpot.errors import NotInvertibleError
 from finpot.matrices import (
-    bareiss_echelon,
     charpoly,
     column_space_basis,
     det,
@@ -31,8 +30,13 @@ from oracles import (
     det_cofactor,
     det_generic,
     det_series_matrix_generic,
+    echelon_generic,
+    kernel_basis_generic,
+    mat_inverse_generic,
     mat_mul_generic,
     principal_minor_sum,
+    rank_generic,
+    solve_columns_generic,
 )
 
 
@@ -105,10 +109,12 @@ def test_bareiss_is_echelon(rng):
     for _ in range(20):
         n = rng.randint(2, 5)
         m = rand_matrix(rng, n)
-        ech, pivots = bareiss_echelon(m)
+        ech, pivots = echelon_generic(m)
         for r, row in enumerate(ech):
             lead = next((j for j, x in enumerate(row) if x != 0), None)
             assert lead == pivots[r]
+        assert rank(m) == len(pivots)
+        assert column_space_basis(m) == [[row[c] for row in m] for c in pivots]
 
 
 def test_series_determinant():
@@ -277,7 +283,7 @@ def test_rational_kernels_match_generic_loops(m, cols, data):
         assert prod == mat_mul_generic(x, y)
         assert _all_fractions(v for row in prod for v in row)
     for a in (m, b):
-        pivots = bareiss_echelon(a)[1]
+        pivots = echelon_generic(a)[1]
         assert rank(a) == len(pivots)
         assert column_space_basis(a) == [[row[c] for row in a] for c in pivots]
     power, chain = identity(n), []
@@ -350,17 +356,150 @@ def test_series_det_matches_generic_loops(m):
     assert _all_fractions(got.coeffs.values())
 
 
-def test_number_field_input_takes_the_generic_path(monkeypatch, rng):
+def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
+    """Q input reaches _bareiss as integer rows; Q(i) and number-field series
+    reach the same loop with their own scalars."""
     q, g = rand_matrix(rng, 4), rand_gauss_matrix(rng, 4, 4)
-    want = [det_generic(q), det_generic(g), charpoly_generic(g), mat_mul_generic(g, g)]
-    calls = {"_eliminate": 0, "_bareiss": 0}
-    for name in calls:
-        def counting(*args, _fn=getattr(matrices, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(matrices, name, counting)
-    assert det(q) == want[0] and rank(q) == cofactor_rank(q)
-    assert calls == {"_eliminate": 0, "_bareiss": 2}
-    assert [det(g), charpoly(g), mat_mul(g, g)] == want[1:]
-    assert rank(g) == cofactor_rank(g)
-    assert calls == {"_eliminate": 2, "_bareiss": 2}
+    q[0][1], q[2][3] = Fraction(1, 3), Fraction(-5, 2)
+    for i in range(4):  # diagonally dominant, so both are invertible
+        q[i][i] += 20
+        g[i][i] = g[i][i] + 20
+    one, z = TLS.one("z", 4), TLS.from_terms("z", {1: GAUSS.generator()}, 4)
+    series = [[one + z, z], [z * z, one]]
+    seen = []
+
+    def counting(m, *args, _fn=matrices._bareiss, **kwargs):
+        seen.append({type(x) for row in m for x in row})
+        return _fn(m, *args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_bareiss", counting)
+    nfe = type(GAUSS.generator())
+    for a, reaches in ((q, lambda types: types == {int}),
+                       (g, lambda types: nfe in types and int not in types)):
+        seen.clear()
+        assert det(a) == det_generic(a)
+        assert rank(a) == rank_generic(a)
+        assert column_space_basis(a) == [list(col) for col in zip(*a)]
+        assert kernel_basis(a) == kernel_basis_generic(a) == []
+        assert mat_inverse(a) == mat_inverse_generic(a)
+        cols = [list(col) for col in zip(*a)]
+        assert solve_columns(cols[:2], cols[:2]) == solve_columns_generic(cols[:2], cols[:2])
+        assert len(seen) == 6 and all(map(reaches, seen))
+    seen.clear()
+    assert det_series_matrix(series, one) == det_series_matrix_generic(series, one)
+    assert seen == [{TLS}]
+    for name in ("_eliminate", "_det", "_is_zero", "bareiss_echelon", "mat_vec"):
+        assert not hasattr(matrices, name)
+
+
+# -- the reduced-echelon routines against generic Gaussian elimination ---------
+
+SQRT2 = NumberField([-2, 0, 1])  # x^2 - 2
+_SCALARS = {
+    "Q": _Q,
+    "Q(i)": st.builds(lambda a, b: GAUSS.element([a, b]), _Q, _Q),
+    "Q(sqrt2)": st.builds(lambda a, b: SQRT2.element([a, b]), _Q, _Q),
+}
+
+
+@st.composite
+def _field_matrix(draw, field, rows, cols):
+    """A rows x cols matrix over field: dense, sparse (Fraction zeros mixed
+    in), with zeros at the top of the first column (forcing swaps), singular
+    (last row a combination of the first two) or of rank at most 1."""
+    scalar = _SCALARS[field]
+    shape = draw(st.sampled_from(("dense", "sparse", "swap", "singular", "rank1")))
+    m = [[draw(scalar) for _ in range(cols)] for _ in range(rows)]
+    if shape == "sparse":
+        m = [[x if draw(st.booleans()) else Fraction(0) for x in row] for row in m]
+    elif shape == "swap" and rows and cols:
+        for i in range(draw(st.integers(0, rows - 1)) + 1):
+            m[i][0] = Fraction(0)
+    elif shape == "singular" and rows >= 2:
+        a, b = draw(scalar), draw(scalar)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    elif shape == "rank1" and rows and cols:
+        col = [draw(scalar) for _ in range(rows)]
+        m = [[x * y for y in m[0]] for x in col]
+    return m
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except NotInvertibleError as exc:
+        return "error", str(exc)
+
+
+def _flat(value):
+    if isinstance(value, list):
+        return [x for item in value for x in _flat(item)]
+    return [value]
+
+
+def _assert_same(field, got, want):
+    """Equal outcomes; over Q also the same Fractions, of type Fraction."""
+    assert got == want
+    if field == "Q" and got[0] == "value":
+        assert _all_fractions(_flat(got[1]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_SCALARS)), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_reduced_echelon_routines_match_generic_elimination(field, n, cols, data):
+    square = data.draw(_field_matrix(field, n, n))
+    rect = data.draw(_field_matrix(field, n, cols))
+    for m in (square, rect):
+        assert rank(m) == rank_generic(m)
+        _assert_same(field, _outcome(kernel_basis, m), _outcome(kernel_basis_generic, m))
+    _assert_same(field, _outcome(mat_inverse, square), _outcome(mat_inverse_generic, square))
+    # independent pivot columns and the other columns as targets; all
+    # columns as a basis (dependent once the rank falls short); a random
+    # target (outside the span unless the columns span everything); and
+    # the empty basis with a nonzero target
+    columns = [list(col) for col in zip(*rect)]
+    pivots = echelon_generic(rect)[1]
+    basis = [columns[c] for c in pivots]
+    extra = [data.draw(_SCALARS[field]) for _ in range(n)]
+    for b, targets in ((basis, columns), (columns, columns), (basis, [extra]),
+                       ([], [extra]), ([], [])):
+        _assert_same(field, _outcome(solve_columns, b, targets),
+                     _outcome(solve_columns_generic, b, targets))
+
+
+@st.composite
+def _field_series_matrix(draw):
+    """A square matrix of series of one precision p with Q(i) or Q(sqrt2)
+    coefficients (Fractions mixed in), min_degree 0: unit diagonal plus
+    O(z), a first column whose top constant terms vanish (forcing swaps),
+    or a column with no unit at all."""
+    field = draw(st.sampled_from(("Q(i)", "Q(sqrt2)")))
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(("unipotent", "swap", "no_unit")))
+    dead = draw(st.integers(0, n - 1))
+    coeff = st.one_of(_SCALARS[field], _Q)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            cs = {k: draw(coeff) for k in range(p) if draw(st.booleans())}
+            if shape == "unipotent":
+                cs[0] = Fraction(1) if i == j else cs.get(0, Fraction(0))
+            elif shape == "swap" and j == 0 and i < n - 1:
+                cs.pop(0, None)
+            elif shape == "no_unit" and j == dead:
+                cs.pop(0, None)
+            row.append(TLS("z", cs, 0, p))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_field_series_matrix())
+def test_number_field_series_det_matches_generic_elimination(m):
+    one = TLS.one("z", m[0][0].precision)
+    got = _outcome(det_series_matrix, m, one)
+    want = _outcome(det_series_matrix_generic, m, one)
+    assert got == want
+    if got[0] == "value":
+        assert (got[1].precision, got[1].min_degree) == (want[1].precision, want[1].min_degree)
