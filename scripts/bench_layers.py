@@ -1,15 +1,17 @@
-"""Layer timings of the dense matrix kernels at fixed sizes.
+"""Layer timings of the dense matrix kernels and local expansions at fixed sizes.
 
-Prints the best of 3 runs of det, charpoly, mat_mul, fitting, mat_inverse
+Prints the best of 15 runs of det, charpoly, mat_mul, fitting, mat_inverse
 and kernel_basis on random Q matrices of sizes 8, 16 and 24 (entries p/q
 with |p| <= 9, q <= 6, fixed seed; the fitting input has an invertible and a
 nilpotent part, so the rank chain runs past the first power; the
 kernel_basis input has rank n/2), of det on a dense 8 x 8 matrix over Q(i),
-and of det_series on exp_op of a dense 10 x 10 operator at precision 10.
-With --out it also writes the numbers, the git commit of the finpot tree it
-imported and the machine to a JSON file.
+of det_series on exp_op of a dense 10 x 10 operator at precision 10, and of
+local_expand at precision 8 of a random rational function with a triple
+pole at t - 2, at t^2 + 1 and at infinity.  With --out it also writes the
+numbers, the git commit of the finpot tree it imported and the machine to a
+JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_7.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_8.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -31,10 +33,13 @@ from finpot import FinitePotentOperator, SparseOperator
 from finpot.exponentials import det_series, exp_op
 from finpot.fitting import fitting
 from finpot.matrices import charpoly, det, kernel_basis, mat_inverse, mat_mul
+from finpot.parsing import parse_place
+from finpot.places import local_expand
+from finpot.polynomials import Polynomial, RationalFunction
 from finpot.scalars import NumberField
 
 SIZES = (8, 16, 24)
-REPEATS = 3
+REPEATS = 15
 
 
 def rational(rng):
@@ -96,6 +101,15 @@ def measure():
     gauss = NumberField([1, 0, 1])
     a = [[gauss.element([rational(rng), rational(rng)]) for _ in range(8)] for _ in range(8)]
     out["det_gauss"] = {"8": best_of(det, a)}
+    out["local_expand"] = {}
+    for name in ("t-2", "t^2+1", "inf"):
+        place = parse_place(name)
+        num, den = (Polynomial([rational(rng) for _ in range(3)] + [1]) for _ in range(2))
+        if place.is_infinity():
+            f = RationalFunction(num * Polynomial([0, 0, 0, 1]), den)
+        else:
+            f = RationalFunction(num, den * place.minimal_poly**3)
+        out["local_expand"][name] = best_of(local_expand, f, place, 8)
     return out
 
 

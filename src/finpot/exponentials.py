@@ -136,13 +136,17 @@ def _exp_terms(phi: FinitePotentOperator, k: int, prec: int) -> dict:
 def exp_op(
     phi: FinitePotentOperator, k: int = 1, prec: int = 10, variable: str = "z"
 ) -> OperatorSeries:
-    """1 + sum_{j>=1, jk<prec} z^{jk} phi^j / j!."""
+    """1 + sum_{j>=1, jk<prec} z^{jk} phi^j / j!.
+
+    The certificate's W is already a common core, with no closure to run:
+    W is the row support of the finite part, so the finite part maps
+    everything into span(W); W lies strictly below any tail start, so the
+    tail neither acts on W nor maps into it.  Hence phi(W) <= span(W), and
+    every term phi^j / j! maps W into W."""
     if k < 1:
         raise ValueError("degree weight k must be >= 1")
     cert = certify_finite_potent(phi)
-    terms = _exp_terms(phi, k, prec)
-    core = _core_closure(set(cert.indices), list(terms.values()))
-    return OperatorSeries(variable, prec, terms, core)
+    return OperatorSeries(variable, prec, _exp_terms(phi, k, prec), cert.indices)
 
 
 def det_series(s: OperatorSeries) -> TruncatedLaurentSeries:

@@ -166,8 +166,8 @@ def parse_place(text: str):
     if text.lower() in ("inf", "oo", "infinity"):
         return Place.infinity()
     f = parse_rational_function(text, "t")
-    if not f.is_polynomial():
-        raise ParseError("a finite place is a polynomial, got %r" % text)
+    if not f.is_polynomial() or f.num.degree < 1:
+        raise ParseError("a finite place is a nonconstant polynomial, got %r" % text)
     return Place.finite(f.num.monic())
 
 

@@ -6,8 +6,13 @@ function is the pi-adic digit expansion: f = sum_i r_i(t) pi^i with digit
 polynomials of degree < deg(pi), reported through the residue-field elements
 r_i(theta).  This is the coefficientwise-linear section of the completion
 (exact re-summation, digit by digit); it is not a ring map, but the residue
-functional Tr(r_{-1}(theta)) it induces is the classical residue.  The place
-at infinity expands in w = 1/t, where plain substitution applies.
+functional Tr(r_{-1}(theta)) it induces is the classical residue.
+
+One digit recurrence computes every expansion.  Write f = pi^v n/d with n
+and d coprime to pi, and let inv = d^-1 mod pi: 1/d(a) for pi = t - a, the
+residue-field inverse when deg pi > 1.  Each digit is r = n inv mod pi, and
+n then becomes (n - r d)/pi, an exact division that keeps deg n bounded.
+The place at infinity runs the same recurrence on f(1/t) with pi = t.
 """
 
 from __future__ import annotations
@@ -16,9 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SeriesDomainError
-from .polynomials import Polynomial, RationalFunction, is_irreducible
-from .scalars import NumberField, NumberFieldElement
-from .series import TruncatedLaurentSeries, series_inv, series_mul
+from .polynomials import Polynomial, RationalFunction, is_irreducible, split_power
+from .scalars import (
+    NumberField,
+    NumberFieldElement,
+    _poly_divmod,
+    _poly_mul,
+    _poly_trim,
+    scalar_is_zero,
+)
+from .series import TruncatedLaurentSeries
 
 
 class Place:
@@ -105,43 +117,14 @@ class LocalExpansion:
         return out
 
 
-def _inverse_mod_power(d1: Polynomial, pi: Polynomial, n: int) -> Polynomial:
-    """Inverse of d1 modulo pi^n (d1 coprime to pi), by Newton lifting."""
-    field = NumberField(list(pi.coeffs)) if pi.degree > 1 else None
-    if field is None:
-        # pi = t - a: invert the value d1(a), then lift
-        a = -pi.coeffs[0]
-        v = d1.evaluate(a)
-        if v == 0:
-            raise ZeroDivisionError("d1 not coprime to pi")
-        x = Polynomial([1 / v])
-    else:
-        elem = field.element(list((d1 % pi).coeffs))
-        x = Polynomial(list(elem.inverse().coeffs))
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        mod = pi**k
-        # x <- x (2 - d1 x) mod pi^k
-        x = (x * (Polynomial([2]) - d1 * x)) % mod
-    return x % (pi**n)
-
-
-def _digits(p: Polynomial, pi: Polynomial, count: int):
-    """First `count` pi-adic digits of p (polynomials of degree < deg pi)."""
-    out = []
-    cur = p
-    for _ in range(count):
-        r = cur % pi
-        out.append(r)
-        cur = (cur - r) // pi
+def _residue(cs, pi, field):
+    """cs mod pi in the residue field: the value at a when pi = t - a."""
+    if field is not None:
+        return field.element(cs)
+    out = Fraction(0)
+    for c in reversed(cs):
+        out = out * -pi[0] + c
     return out
-
-
-def _digit_value(place: Place, r: Polynomial):
-    if place.degree == 1:
-        return r[0]
-    return place.field.element(list(r.coeffs))
 
 
 def local_expand(f: RationalFunction, p: Place, prec: int) -> LocalExpansion:
@@ -149,49 +132,29 @@ def local_expand(f: RationalFunction, p: Place, prec: int) -> LocalExpansion:
     if f.is_zero():
         raise SeriesDomainError("cannot expand the zero function at a place")
     if p.is_infinity():
-        return LocalExpansion(p, _expand_at_infinity(f, prec))
-    pi = p.minimal_poly
-    v = f.valuation_at(pi)
+        f, pi = substitute_inverse(f), (Fraction(0), Fraction(1))
+    else:
+        pi = p.minimal_poly.coeffs
+    v, num = split_power(f.num.coeffs, pi)
+    w, den = split_power(f.den.coeffs, pi)
+    v -= w
     if prec <= v:
         return LocalExpansion(
             p, TruncatedLaurentSeries.zero("u", prec, min_degree=min(v, prec - 1))
         )
-    # peel the parameter power: f = pi^v * n1/d1 with n1, d1 coprime to pi
-    num, den = f.num, f.den
-    for _ in range(max(0, v)):
-        num = num // pi
-    for _ in range(max(0, -v)):
-        den = den // pi
-    count = prec - v
-    inv = _inverse_mod_power(den, pi, count)
-    rep = (num * inv) % (pi**count)
-    digits = _digits(rep, pi, count)
+    inv = 1 / _residue(den, pi, p.field)
     coeffs = {}
-    for i, r in enumerate(digits):
-        if not r.is_zero():
-            coeffs[v + i] = _digit_value(p, r)
+    for i in range(v, prec):
+        r = _residue(num, pi, p.field) * inv
+        if not scalar_is_zero(r):
+            coeffs[i] = r
+            prod = _poly_mul(r.coeffs if p.field else [r], den)
+            num = num + [Fraction(0)] * (len(prod) - len(num))
+            for k, c in enumerate(prod):
+                num[k] -= c
+        num = _poly_divmod(_poly_trim(num), pi)[0]
     return LocalExpansion(
         p, TruncatedLaurentSeries("u", coeffs, min(v, 0), prec)
-    )
-
-
-def _expand_at_infinity(f: RationalFunction, prec: int) -> TruncatedLaurentSeries:
-    """Expansion in w = 1/t: w^v N(w) / D(w), with N and D the reversed
-    numerator and denominator and v the order of vanishing at infinity."""
-    num, den = f.num, f.den
-    v = den.degree - num.degree
-    if prec <= v:
-        return TruncatedLaurentSeries.zero("u", prec, min_degree=min(v, prec - 1))
-    count = prec - v
-    n, d = (
-        TruncatedLaurentSeries(
-            "u", dict(enumerate(p.reversed_coeffs(p.degree + 1)[:count])), 0, count
-        )
-        for p in (num, den)
-    )
-    quotient = series_mul(n, series_inv(d))
-    return TruncatedLaurentSeries(
-        "u", {k + v: c for k, c in quotient.coeffs.items()}, min(v, 0), prec
     )
 
 

@@ -200,6 +200,18 @@ def is_irreducible(p: Polynomial) -> bool:
     return _to_sympy(p).is_irreducible
 
 
+def split_power(cs, pi):
+    """(m, cs / pi^m) for nonzero coefficient lists cs and pi, with m the
+    multiplicity of pi in cs, by exact division on the lists."""
+    m = 0
+    while len(cs) >= len(pi):
+        q, r = _poly_divmod(cs, pi)
+        if r:
+            break
+        m, cs = m + 1, q
+    return m, list(cs)
+
+
 def factor_monic_irreducibles(p: Polynomial):
     """Factor p over Q: list of (monic irreducible Polynomial, multiplicity)."""
     if p.is_zero():
@@ -325,18 +337,9 @@ class RationalFunction:
         """Order of vanishing along the irreducible pi (negative at poles)."""
         if self.is_zero():
             raise ValueError("valuation of the zero function")
-
-        def mult(p):
-            m = 0
-            while p.degree >= pi.degree:
-                q, r = p.divmod(pi)
-                if not r.is_zero():
-                    break
-                m += 1
-                p = q
-            return m
-
-        return mult(self.num) - mult(self.den)
+        return split_power(self.num.coeffs, pi.coeffs)[0] - split_power(
+            self.den.coeffs, pi.coeffs
+        )[0]
 
     def __repr__(self):
         if self.is_polynomial():

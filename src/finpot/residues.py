@@ -1,7 +1,8 @@
 """Residues of rational differentials f dg over Q(t), by two routes.
 
 The coefficient route reads the residue off the exact digit expansion of
-f g' / pi' at the place (trace of the parameter^{-1} coefficient down to Q).
+f g' / pi' at the place (trace of the parameter^{-1} coefficient down to Q),
+which it expands once.
 The operator route realizes multiplication by f and g on the basis
 e_i <-> t^i in a window that starts at the cut, which makes them the
 compressions to the upper half-space V+ = span{e_i : i >= cut} truncated at
@@ -38,9 +39,7 @@ def residue_classical(
     pi = p.minimal_poly
     # f dg = (f g' / pi') dpi
     h = omega / RationalFunction(pi.derivative())
-    v = h.valuation_at(pi)
-    if v >= 0:
-        return Fraction(0)
+    # without a pole the expansion at precision 0 is zero at degree -1
     exp = local_expand(h, p, max(prec, 0))
     return p.residue_trace(exp.series.coefficient(-1))
 

@@ -69,9 +69,9 @@ def _poly_divmod(a, b):
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     inv = 1 / b[-1]
     for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
+        c = a[i + len(b) - 1]
         if c != 0:
-            q[i] = c
+            q[i] = c = c * inv
             for j, y in enumerate(b):
                 a[i + j] -= c * y
     return q, _poly_trim(a)

@@ -5,13 +5,18 @@ cofactor determinants, explicit principal-minor sums, the
 derivative-formula residue at a generic root of the place polynomial, the
 Fitting split at the exponent d = dimension, sparse operator arithmetic
 as a generic loop over the stored scalars, and dense elimination by
-pivoting Gaussian elimination with unit pivots (_eliminate).
+pivoting Gaussian elimination with unit pivots (_eliminate), and local
+expansions by Newton lifting and series division.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from finpot.scalars import NumberFieldElement
+from finpot.errors import SeriesDomainError
+from finpot.places import LocalExpansion
+from finpot.polynomials import Polynomial
+from finpot.scalars import NumberField, NumberFieldElement
+from finpot.series import TruncatedLaurentSeries, series_inv, series_mul
 
 
 def det_cofactor(m):
@@ -486,3 +491,119 @@ def poly_mul_generic(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return _poly_trim(out)
+
+
+# -- local expansions by Newton lifting ----------------------------------------
+#
+# The expansion finpot.places replaced with one digit recurrence: den^-1
+# mod pi^n by Newton lifting, num * den^-1 mod pi^n peeled into digits by
+# n rounds of % and //, and a series inverse at infinity.  The valuation is
+# the loop of Polynomial divisions that split_power replaced.
+
+
+def valuation_by_division(f, pi):
+    """Order of vanishing along the irreducible pi (negative at poles)."""
+    if f.is_zero():
+        raise ValueError("valuation of the zero function")
+
+    def mult(p):
+        m = 0
+        while p.degree >= pi.degree:
+            q, r = p.divmod(pi)
+            if not r.is_zero():
+                break
+            m += 1
+            p = q
+        return m
+
+    return mult(f.num) - mult(f.den)
+
+
+def _inverse_mod_power(d1, pi, n):
+    """Inverse of d1 modulo pi^n (d1 coprime to pi), by Newton lifting."""
+    field = NumberField(list(pi.coeffs)) if pi.degree > 1 else None
+    if field is None:
+        # pi = t - a: invert the value d1(a), then lift
+        a = -pi.coeffs[0]
+        v = d1.evaluate(a)
+        if v == 0:
+            raise ZeroDivisionError("d1 not coprime to pi")
+        x = Polynomial([1 / v])
+    else:
+        elem = field.element(list((d1 % pi).coeffs))
+        x = Polynomial(list(elem.inverse().coeffs))
+    k = 1
+    while k < n:
+        k = min(2 * k, n)
+        mod = pi**k
+        # x <- x (2 - d1 x) mod pi^k
+        x = (x * (Polynomial([2]) - d1 * x)) % mod
+    return x % (pi**n)
+
+
+def _digits(p, pi, count):
+    """First `count` pi-adic digits of p (polynomials of degree < deg pi)."""
+    out = []
+    cur = p
+    for _ in range(count):
+        r = cur % pi
+        out.append(r)
+        cur = (cur - r) // pi
+    return out
+
+
+def _digit_value(place, r):
+    if place.degree == 1:
+        return r[0]
+    return place.field.element(list(r.coeffs))
+
+
+def local_expand_newton(f, p, prec):
+    """Laurent expansion of f in the local parameter, exact below `prec`."""
+    if f.is_zero():
+        raise SeriesDomainError("cannot expand the zero function at a place")
+    if p.is_infinity():
+        return LocalExpansion(p, _expand_at_infinity(f, prec))
+    pi = p.minimal_poly
+    v = valuation_by_division(f, pi)
+    if prec <= v:
+        return LocalExpansion(
+            p, TruncatedLaurentSeries.zero("u", prec, min_degree=min(v, prec - 1))
+        )
+    # peel the parameter power: f = pi^v * n1/d1 with n1, d1 coprime to pi
+    num, den = f.num, f.den
+    for _ in range(max(0, v)):
+        num = num // pi
+    for _ in range(max(0, -v)):
+        den = den // pi
+    count = prec - v
+    inv = _inverse_mod_power(den, pi, count)
+    rep = (num * inv) % (pi**count)
+    digits = _digits(rep, pi, count)
+    coeffs = {}
+    for i, r in enumerate(digits):
+        if not r.is_zero():
+            coeffs[v + i] = _digit_value(p, r)
+    return LocalExpansion(
+        p, TruncatedLaurentSeries("u", coeffs, min(v, 0), prec)
+    )
+
+
+def _expand_at_infinity(f, prec):
+    """Expansion in w = 1/t: w^v N(w) / D(w), with N and D the reversed
+    numerator and denominator and v the order of vanishing at infinity."""
+    num, den = f.num, f.den
+    v = den.degree - num.degree
+    if prec <= v:
+        return TruncatedLaurentSeries.zero("u", prec, min_degree=min(v, prec - 1))
+    count = prec - v
+    n, d = (
+        TruncatedLaurentSeries(
+            "u", dict(enumerate(p.reversed_coeffs(p.degree + 1)[:count])), 0, count
+        )
+        for p in (num, den)
+    )
+    quotient = series_mul(n, series_inv(d))
+    return TruncatedLaurentSeries(
+        "u", {k + v: c for k, c in quotient.coeffs.items()}, min(v, 0), prec
+    )

@@ -218,6 +218,14 @@ def test_deeply_nested_expression_is_a_parse_error():
     _assert_parse_error(proc.returncode, proc.stdout, proc.stderr)
 
 
+def test_constant_place_is_a_parse_error():
+    _assert_parse_error(*run_cli("residue", "--f", "t", "--g", "t", "--place", "1"))
+
+
+def test_zero_place_is_a_parse_error():
+    _assert_parse_error(*run_cli("residue", "--f", "t", "--g", "t", "--place", "0"))
+
+
 def _assert_bad_operator_payload(code, out, err):
     _assert_parse_error(code, out, err)
     assert err.startswith("parse error: bad operator payload")

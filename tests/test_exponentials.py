@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpot.determinants import tate_trace
 from finpot.errors import CompatibilityError
 from finpot.exponentials import (
+    _core_closure,
+    _exp_terms,
     det_series,
     exp_op,
     infinite_product_det,
@@ -15,9 +18,11 @@ from finpot.operators import (
     FinitePotentOperator as FPO,
     SparseOperator,
     TailDescriptor,
+    certify_finite_potent,
     op_add,
     op_scale,
 )
+from finpot.scalars import NumberField, scalar_is_zero
 from finpot.series import TruncatedLaurentSeries as TLS, series_exp
 from conftest import random_operator, random_traceless
 
@@ -160,3 +165,37 @@ def test_det_series_product_with_tail():
     lhs = det_series(exp_op(tailed, 1, 9) * exp_op(sparse, 1, 9))
     rhs = det_series(exp_op(tailed, 1, 9)) * det_series(exp_op(sparse, 1, 9))
     assert lhs.same_to_precision(rhs)
+
+
+_GAUSS = NumberField([1, 0, 1])
+_Q = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def _operators(draw):
+    """Sparse operators over Q or Q(i) on indices -3..5, half with a Jordan
+    tail starting above that support."""
+    gauss = draw(st.booleans())
+    cells = st.tuples(st.integers(-3, 5), st.integers(-3, 5))
+    entries = {}
+    for cell in draw(st.lists(cells, max_size=10, unique=True)):
+        x = _GAUSS.element([draw(_Q), draw(_Q)]) if gauss else draw(_Q)
+        if not scalar_is_zero(x):
+            entries[cell] = x
+    tail = TailDescriptor.none()
+    if draw(st.booleans()):
+        b = draw(st.integers(2, 4))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=b - 1, max_size=b - 1))
+        tail = TailDescriptor.jordan(b, draw(st.integers(6, 9)), coeffs)
+    return FPO(SparseOperator(entries), tail)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_operators(), st.integers(1, 3))
+def test_exp_op_core_is_the_certificate(phi, k):
+    """Every term phi^j / j! maps the certificate's W into W: the core
+    closure over the terms is W itself, which exp_op takes as its core."""
+    cert = certify_finite_potent(phi)
+    terms = _exp_terms(phi, k, 10)
+    assert _core_closure(cert.indices, list(terms.values())) == cert.indices
+    assert exp_op(phi, k, 10).core == cert.indices

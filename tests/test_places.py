@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpot.places import Place, local_expand, relevant_places
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.parsing import parse_place, parse_rational_function as P
+from oracles import local_expand_newton, valuation_by_division
 
 
 def test_place_validation():
@@ -97,3 +99,39 @@ def test_expand_window_shorter_than_valuation():
     exp = local_expand(P("t^3"), Place.at_zero(), 2)
     assert exp.series.is_zero()
     assert exp.series.precision == 2
+
+
+_ORACLE_PLACES = [Place.infinity()] + [
+    parse_place(text) for text in ("t", "t-2", "t^2+1", "t^2-2", "t^2+t+1", "t^3-2")
+]
+_SMALL_POLY = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=1, max_size=4
+).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_ORACLE_PLACES),
+    st.integers(-3, 3),
+    _SMALL_POLY,
+    _SMALL_POLY,
+    st.integers(-3, 8),
+)
+def test_local_expand_matches_newton_oracle(place, order, num, den, prec):
+    """The digit recurrence agrees with Newton lifting and series division:
+    same coefficients and value types, same window; same valuations."""
+    if place.is_infinity():
+        param = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
+    else:
+        param = RationalFunction(place.minimal_poly)
+    f = RationalFunction(Polynomial(num), Polynomial(den)) * param**order
+    got = local_expand(f, place, prec).series
+    want = local_expand_newton(f, place, prec).series
+    assert got.coeffs == want.coeffs
+    assert {d: type(c) for d, c in got.coeffs.items()} == {
+        d: type(c) for d, c in want.coeffs.items()
+    }
+    assert (got.precision, got.min_degree) == (want.precision, want.min_degree)
+    if not place.is_infinity():
+        pi = place.minimal_poly
+        assert f.valuation_at(pi) == valuation_by_division(f, pi)
