@@ -5,13 +5,14 @@ and kernel_basis on random Q matrices of sizes 8, 16 and 24 (entries p/q
 with |p| <= 9, q <= 6, fixed seed; the fitting input has an invertible and a
 nilpotent part, so the rank chain runs past the first power; the
 kernel_basis input has rank n/2), of det on a dense 8 x 8 matrix over Q(i),
-of det_series on exp_op of a dense 10 x 10 operator at precision 10, and of
+of det_series on exp_op of a dense 10 x 10 operator at precision 10 (and
+of a dense 4 x 4 operator over Q(i), det_series_gauss), and of
 local_expand at precision 8 of a random rational function with a triple
 pole at t - 2, at t^2 + 1 and at infinity.  With --out it also writes the
-numbers, the git commit of the finpot tree it imported and the machine to a
-JSON file.
+numbers, the git commit of the finpot tree it imported, the line count of
+its modules (src_lines) and the machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_8.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_9.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -110,7 +111,21 @@ def measure():
         else:
             f = RationalFunction(num, den * place.minimal_poly**3)
         out["local_expand"][name] = best_of(local_expand, f, place, 8)
+    entries = {(i, j): gauss.element([rational(rng), rational(rng)])
+               for i in range(4) for j in range(4)}
+    series = exp_op(FinitePotentOperator(SparseOperator(entries)), 1, 10)
+    out["det_series_gauss"] = {"4": best_of(det_series, series)}
     return out
+
+
+def src_lines(package_dir):
+    """Lines in the package's modules, as `wc -l` counts them."""
+    total = 0
+    for name in sorted(os.listdir(package_dir)):
+        if name.endswith(".py"):
+            with open(os.path.join(package_dir, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def git_commit(path):
@@ -144,13 +159,15 @@ def main(argv=None):
         row = "  ".join("n=%s %9.4f ms" % (n, t * 1e3) for n, t in by_size.items())
         print("%-12s %s" % (layer, row))
     if args.out:
+        package_dir = os.path.dirname(os.path.abspath(finpot.__file__))
         record = {
-            "git_commit": git_commit(os.path.dirname(os.path.abspath(finpot.__file__))),
+            "git_commit": git_commit(package_dir),
             "machine": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                         "python": platform.python_version(), "system": platform.system()},
             "repeats": REPEATS,
             "unit": "s, best of repeats",
             "results": results,
+            "src_lines": src_lines(package_dir),
         }
         with open(args.out, "w") as fh:
             json.dump(record, fh, indent=1, sort_keys=True)

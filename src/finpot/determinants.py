@@ -273,24 +273,18 @@ def wedge_scaling_check(phi: FinitePotentOperator, m: int):
         b = phi.tail.block_size
         if extra % b != 0:
             raise ValueError("m must align with whole tail blocks of size %d" % b)
-        k_blocks = extra // b
-    else:
-        if extra != 0:
-            raise ValueError("no tail: m must equal the invariant block size %d" % w_dim)
-        k_blocks = 0
+    elif extra != 0:
+        raise ValueError("no tail: m must equal the invariant block size %d" % w_dim)
     mat = identity(m)
     for r, row in enumerate(block):
         for c, x in enumerate(row):
             mat[r][c] = mat[r][c] + x
-    # tail blocks: within-block shift polynomial
-    off = w_dim
-    for _ in range(k_blocks):
-        b = phi.tail.block_size
-        for q in range(b):
-            for k, c in enumerate(phi.tail.coeffs, start=1):
-                if q + k < b and c != 0:
-                    mat[off + q + k][off + q] = mat[off + q + k][off + q] + c
-        off += b
+    # tail blocks: e_(start + q) sits at w_dim + q
+    start = phi.tail.start_index
+    for q in range(extra):
+        for i, c in phi.tail.image_of(start + q):
+            r = w_dim + i - start
+            mat[r][w_dim + q] = mat[r][w_dim + q] + c
     return det(mat)
 
 

@@ -1,45 +1,45 @@
-"""Exact dense linear algebra over Q, number fields, or truncated series.
+"""Exact dense linear algebra over Q and number fields, and determinants of
+matrices of truncated series.
 
 Matrices are plain lists of row lists.  Scalars only need +, -, *, equality
-against 0 and exact inversion, so the same routines serve Fraction,
-NumberFieldElement, and (for determinants of unipotent perturbations)
-TruncatedLaurentSeries entries.
+against 0 and exact inversion, so the same routines serve Fraction and
+NumberFieldElement entries.  Each kernel is one loop: it runs on Python
+ints for all-Fraction input and on the field's own scalars otherwise.
 
-Every elimination runs on one fraction-free loop, _bareiss (Bareiss 1968):
-det, rank, column_space_basis, kernel_basis, solve_columns, mat_inverse and
-the generic branch of det_series_matrix.  The pivot is the first unit at or
-below the current row (a nonzero scalar, or a series with a nonzero
-constant term), and every other row becomes (pivot * row - entry * pivot
-row) / previous pivot, an exact division: '//' on ints, a product with the
+Every elimination runs on the fraction-free loop _bareiss (Bareiss 1968):
+det, rank, column_space_basis, kernel_basis, solve_columns and
+mat_inverse.  The pivot is the first nonzero entry at or below the current
+row, and every other row becomes (pivot * row - entry * pivot row) /
+previous pivot, an exact division: '//' on ints, a product with the
 inverse of the previous pivot otherwise.  The Gauss-Jordan form leaves d
 times the reduced echelon form, d the last pivot (Nakos, Turner & Williams
 1997), which kernel_basis, solve_columns and mat_inverse divide out once.
 
-On all-Fraction input the loop runs on Python ints: each row is scaled to
+On all-Fraction input the loops run on Python ints: each row is scaled to
 integers over the lcm of its denominators, which changes neither the
 pivots, nor the kernel, nor the reduced echelon form, and the rational
 answer is built once at the end (Fraction normalisation is canonical, so
-the values are the same Fractions).  The other Q kernels also run on ints:
+the values are the same Fractions).  The other kernels follow the same
+rule:
 
-  mat_mul, charpoly,    the matrix scaled once to B = D*M; products on ints,
-  power_traces          Faddeev-LeVerrier on B (every tr(N_k)/k is an exact
-                        integer division), results over D^k
-  det_series_matrix     series entries of one precision p, min_degree >= 0:
-                        Bareiss over Z[z]/(z^p) on integer coefficient lists
-
-Number-field entries, and series with other coefficients or shapes, run the
-same loops on their own scalars.
+  mat_mul, charpoly,    one product loop (_mul); over Q on B = D*M, with
+  power_traces          results over D^k; Faddeev-LeVerrier on B (every
+                        tr(N_k)/k is an exact integer division)
+  det_series_matrix     Bareiss over K[z]/(z^p) on coefficient lists
+                        (_series_bareiss_det), p the least precision of the
+                        entries; over Q on integer lists
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm, prod
 from operator import mul
 
-from .errors import NotInvertibleError
+from .errors import NotInvertibleError, VariableMismatchError
 from .scalars import _int_coeffs, scalar_is_zero
-from .series import TruncatedLaurentSeries, _inv_scalar, series_inv
+from .series import TruncatedLaurentSeries, _inv_scalar
 
 
 def identity(n, one=Fraction(1), zero=Fraction(0)):
@@ -51,40 +51,35 @@ def _is_rational(a) -> bool:
 
 
 def _scaled(a):
-    """(B, D) with a = B / D for the least integer D; None unless every
-    entry of a is a Fraction."""
+    """(B, D) with a = B / D for the least integer D when every entry of a
+    is a Fraction; otherwise (a, None)."""
     if not _is_rational(a):
-        return None
+        return a, None
     d = lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 
-def _int_mul(a, b):
+def _mul(a, b):
+    """a * b, entry (i, j) the sum from 0 of a[i][p] * b[p][j] over the
+    nonzero a[i][p]: one loop for ints and for the field's own scalars."""
     cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    out = []
+    for row in a:
+        keep = [x != 0 for x in row]
+        xs = list(compress(row, keep))
+        out.append([sum(map(mul, xs, compress(col, keep))) for col in cols])
+    return out
 
 
 def mat_mul(a, b):
-    scaled_a = _scaled(a)
-    scaled_b = scaled_a and _scaled(b)
-    if scaled_b:
-        (ia, da), (ib, db) = scaled_a, scaled_b
-        den = da * db
-        return [[Fraction(x, den) for x in row] for row in _int_mul(ia, ib)]
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            s = 0
-            for p in range(k):
-                x = ai[p]
-                if not scalar_is_zero(x):
-                    s = s + x * b[p][j]
-            row.append(s)
-        out.append(row)
-    return out
+    """a * b; over Q on the integer matrices B = D*a and B' = D'*b, with
+    the product over D*D'."""
+    ia, da = _scaled(a)
+    ib, db = _scaled(b) if da else (b, None)
+    if not db:
+        return _mul(a, b)
+    den = da * db
+    return [[Fraction(x, den) for x in row] for row in _mul(ia, ib)]
 
 
 def mat_add(a, b):
@@ -105,30 +100,18 @@ def mat_trace(a):
     return s
 
 
-def _is_unit(x) -> bool:
-    """Pivot test: a nonzero field scalar, or a series whose constant term
-    is nonzero."""
-    if isinstance(x, TruncatedLaurentSeries):
-        x = x.coefficient(0)
-    return not scalar_is_zero(x)
-
-
-def _inv(x):
-    return series_inv(x) if isinstance(x, TruncatedLaurentSeries) else _inv_scalar(x)
-
-
 def _bareiss(m, ncols: int, reduce: bool = False):
     """Fraction-free elimination (Bareiss 1968) of the rows of m, in place,
     over its first ncols columns; returns (pivot columns, sign of the row
     permutation).
 
-    A column with no unit (_is_unit) at or below the current row is passed
+    A column with no nonzero entry at or below the current row is passed
     over.  Otherwise the first such entry p is swapped up, and every row
     below it (with reduce=True, every other row) becomes
     (p * row - entry * pivot row) / previous pivot.  The division is exact,
     since each entry is then a minor of m (Sylvester's identity): '//' on a
     matrix of ints, otherwise p and entry are first multiplied by the
-    inverse of the previous pivot, a unit.  So the last pivot of a square
+    inverse of the previous pivot.  So the last pivot of a square
     matrix of full rank is its determinant up to the sign.  With
     reduce=True every pivot ends equal to the last one, d, and the pivot
     rows over d are the reduced echelon form (Nakos, Turner & Williams
@@ -142,7 +125,7 @@ def _bareiss(m, ncols: int, reduce: bool = False):
         r = len(pivots)
         if r == rows:
             break
-        piv = next((i for i in range(r, rows) if _is_unit(m[i][c])), None)
+        piv = next((i for i in range(r, rows) if not scalar_is_zero(m[i][c])), None)
         if piv is None:
             continue
         if piv != r:
@@ -163,7 +146,7 @@ def _bareiss(m, ncols: int, reduce: bool = False):
                 row[lo:] = [scaled_p * x - g * y for x, y in zip(row[lo:], top)]
         prev = p
         if not ints:
-            inv = _inv(p)
+            inv = _inv_scalar(p)
         pivots.append(c)
     return pivots, sign
 
@@ -183,7 +166,7 @@ def _divide_by(d):
     """x -> x / d: a Fraction for an int d, else a product with 1/d."""
     if type(d) is int:
         return lambda x: Fraction(x, d)
-    inv = _inv(d)
+    inv = _inv_scalar(d)
     return lambda x: x * inv
 
 
@@ -288,8 +271,7 @@ def charpoly(a):
     n = len(a)
     if n == 0:
         return [Fraction(1)]
-    scaled = _scaled(a)
-    m, den = scaled if scaled else (a, None)
+    m, den = _scaled(a)
     # Souriau/Frame recurrence: M_k = A (M_{k-1} - c_{k-1} I), c_k = tr(M_k)/k,
     # giving det(xI - A) = x^n - c_1 x^(n-1) - c_2 x^(n-2) - ... - c_n.
     cs = [Fraction(1)]
@@ -300,7 +282,7 @@ def charpoly(a):
         if k < n:
             for i in range(n):
                 mk[i][i] = mk[i][i] - ck
-            mk = _int_mul(m, mk) if den else mat_mul(m, mk)
+            mk = _mul(m, mk)
     out = [Fraction(0)] * (n + 1)
     out[n] = Fraction(1)
     for k in range(1, n + 1):
@@ -309,21 +291,14 @@ def charpoly(a):
 
 
 def power_traces(a, upto: int):
-    """[tr a, tr a^2, ..., tr a^upto], from a chain of matrix products; over
+    """[tr a, tr a^2, ..., tr a^upto], from one chain of matrix products; over
     Q on the integer matrix B = D*a, with tr a^k = tr B^k / D^k."""
-    scaled = _scaled(a)
-    if scaled is None:
-        out, power = [], identity(len(a))
-        for _ in range(upto):
-            power = mat_mul(power, a)
-            out.append(mat_trace(power))
-        return out
-    b, den = scaled
-    out, power = [], b
+    m, den = _scaled(a)
+    out, power = [], m
     for k in range(1, upto + 1):
         if k > 1:
-            power = _int_mul(power, b)
-        out.append(Fraction(mat_trace(power), den**k))
+            power = _mul(power, m)
+        out.append(Fraction(mat_trace(power), den**k) if den else mat_trace(power))
     return out
 
 
@@ -336,55 +311,45 @@ def elementary_symmetric(a):
 
 
 def _series_rows(m):
-    """(rows of integer coefficient lists, denominator, precision p) with
-    entry (i, j) = sum_k rows[i][j][k] z^k / den, each row over the lcm of
-    its own coefficient denominators; None unless m is a nonempty square
-    matrix of series in one variable, all of precision p, min_degree >= 0
-    and Fraction coefficients."""
-    if not m or not all(type(x) is TruncatedLaurentSeries for row in m for x in row):
-        return None
-    first = m[0][0]
-    p, var = first.precision, first.variable
-    if not all(
-        x.precision == p and x.variable == var and x.min_degree >= 0
-        and all(type(c) is Fraction for c in x.coeffs.values())
-        for row in m for x in row
-    ):
-        return None
-    rows, den = [], 1
-    for row in m:
-        d = lcm(*(c.denominator for x in row for c in x.coeffs.values()))
-        out = []
-        for x in row:
-            cs = [0] * p
-            for k, c in x.coeffs.items():
-                cs[k] = c.numerator * (d // c.denominator)
-            out.append(cs)
-        rows.append(out)
-        den *= d
-    return rows, den, p
+    """(rows of coefficient lists, den, p) with entry (i, j) = sum_k
+    rows[i][j][k] z^k / den below p, the least precision of the entries of
+    the nonempty square matrix m.  With all-Fraction coefficients the lists
+    hold integers, each row over the lcm of its own coefficient
+    denominators; otherwise they hold the stored scalars and den is None."""
+    var = m[0][0].variable
+    p = min(x.precision for row in m for x in row)
+    if any(x.variable != var for row in m for x in row):
+        raise VariableMismatchError("series entries in more than one variable")
+    if p < 1 or any(k < 0 for row in m for x in row for k in x.coeffs):
+        raise ValueError("det_series_matrix needs power series known at degree 0")
+    # each row of m as one row of coefficients, scaled by _rows, then cut
+    # back into one list of p coefficients per entry
+    zero = Fraction(0)
+    flat, den = _rows([[x.coeffs.get(k, zero) for x in row for k in range(p)] for row in m])
+    return [[r[k : k + p] for k in range(0, len(r), p)] for r in flat], den, p
 
 
-def _series_bareiss_det(m, p: int):
-    """Determinant of the square matrix m of integer coefficient lists, over
-    Z[z]/(z^p), by Bareiss elimination with the pivot test of _bareiss (a
-    nonzero constant term).  Each division by the previous pivot is exact
-    (Sylvester's identity) and is done as a series division, since that
-    pivot's constant term is nonzero.  m is consumed."""
+def _series_bareiss_det(m, p: int, ints: bool):
+    """Determinant of the square matrix m of coefficient lists over
+    K[z]/(z^p), by Bareiss elimination: the pivot is the first entry at or
+    below the diagonal with a nonzero constant term.  Each division by the
+    previous pivot is exact (Sylvester's identity) and is done as a series
+    division, since that pivot's constant term d0 is nonzero: '//' d0 on
+    ints, otherwise a product with 1/d0.  m is consumed."""
     n = len(m)
     sign, prev = 1, None
     for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c][0]), None)
+        piv = next((i for i in range(c, n) if m[i][c][0] != 0), None)
         if piv is None:
             raise NotInvertibleError("series matrix pivot has no unit entry")
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
         top = m[c]
-        pc = [(k, x) for k, x in enumerate(top[c]) if x]
+        pc = [(k, x) for k, x in enumerate(top[c]) if x != 0]
         for i in range(c + 1, n):
             row = m[i]
-            f = [(k, x) for k, x in enumerate(row[c]) if x]
+            f = [(k, x) for k, x in enumerate(row[c]) if x != 0]
             for j in range(c + 1, n):
                 num, x, y = [0] * p, row[j], top[j]
                 for k, a in pc:
@@ -394,16 +359,18 @@ def _series_bareiss_det(m, p: int):
                     for q in range(p - k):
                         num[k + q] -= a * y[q]
                 if prev:
-                    d0, rest = prev
+                    d, rest = prev
                     for k in range(p):
                         acc = num[k]
                         for q, a in rest:
                             if q > k:
                                 break
                             acc -= a * num[k - q]
-                        num[k] = acc // d0
+                        num[k] = acc // d if ints else acc * d
                 row[j] = num
-        prev = (pc[0][1], pc[1:])
+        # the next rows divide by this pivot: by d0 on ints, else times 1/d0
+        d0 = pc[0][1]
+        prev = (d0 if ints else _inv_scalar(d0), pc[1:])
     out = m[n - 1][n - 1]
     return [sign * x for x in out]
 
@@ -411,22 +378,16 @@ def _series_bareiss_det(m, p: int):
 def det_series_matrix(m, one_series):
     """Determinant of a matrix of truncated series of the form 1 + O(z).
 
-    Pivots must be units (constant term nonzero), so elimination with series
-    inversion is exact to the working precision.  Series of one precision p
-    with min_degree >= 0 and Fraction coefficients take fraction-free
-    Bareiss on integer coefficient lists, other series _bareiss; the result
-    is one_series times that determinant.
+    The entries are cut to the least precision p among them, and a term of
+    negative degree raises ValueError.  The determinant is taken by Bareiss
+    elimination over K[z]/(z^p) on coefficient lists (_series_bareiss_det):
+    over Q on integer lists, otherwise on the field's own scalars.  Pivots
+    must be units (constant term nonzero).  The result is one_series times
+    that determinant.
     """
-    ints = _series_rows(m)
-    if ints is not None:
-        rows, den, p = ints
-        cs = _series_bareiss_det(rows, p)
-        var = m[0][0].variable
-        value = {k: Fraction(x, den) for k, x in enumerate(cs) if x}
-        return one_series * TruncatedLaurentSeries(var, value, 0, p)
     if not m:
         return one_series
-    out = _bareiss_det([row[:] for row in m])
-    if out is None:
-        raise NotInvertibleError("series matrix pivot has no unit entry")
-    return one_series * out
+    rows, den, p = _series_rows(m)
+    cs = _series_bareiss_det(rows, p, den is not None)
+    value = {k: x if den is None else Fraction(x, den) for k, x in enumerate(cs)}
+    return one_series * TruncatedLaurentSeries(m[0][0].variable, value, 0, p)

@@ -19,8 +19,13 @@ Fraction): add and compose take each operand as integer numerators over the
 lcm of its denominators and sum and multiply in int, scale multiplies
 numerators and denominators, and one reduced Fraction is built per nonzero
 result entry.  Operands with NumberFieldElement entries, alone or mixed with
-Fractions, take the generic loop over the stored scalars.  Both give the
+Fractions, take the same loops over the stored scalars.  Both give the
 same values and types.
+
+The tail rule (which e_{i+k} a tail reaches from e_i) lives in one place,
+TailDescriptor.image_of: op_apply, op_entry, the products of a tail with a
+finite part and determinants.wedge_scaling_check all read it, and
+TailDescriptor.compose multiplies shift polynomials with scalars._poly_mul.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from math import lcm
 from .errors import IncompatibleTailsError, StraddlingTailError
 from .scalars import (
     NumberFieldElement,
+    _poly_mul,
     format_rational,
     parse_rational,
     scalar_is_zero,
@@ -270,13 +276,10 @@ class TailDescriptor:
             raise IncompatibleTailsError(
                 "tails with different geometry cannot be composed"
             )
-        b = self.block_size
-        prod = [Fraction(0)] * (b - 1)
-        for i, a in enumerate(self.coeffs, start=1):
-            for j, c in enumerate(other.coeffs, start=1):
-                if i + j < b:
-                    prod[i + j - 1] += a * c
-        return TailDescriptor.jordan(b, self.start_index, prod)
+        # coeffs[k-1] multiplies s^k, so (s a)(s c) = s (s a c): the product's
+        # list is a * c shifted up by one; jordan drops the powers s^b and up
+        prod = [Fraction(0)] + _poly_mul(self.coeffs, other.coeffs)
+        return TailDescriptor.jordan(self.block_size, self.start_index, prod)
 
 
 class FinitePotentOperator:
@@ -413,12 +416,9 @@ def op_scale(phi: FinitePotentOperator, c) -> FinitePotentOperator:
 def op_entry(phi: FinitePotentOperator, i: int, j: int):
     """Matrix entry (i, j), tail contribution included."""
     val = phi.finite_part.get(i, j)
-    t = phi.tail
-    if not t.is_none() and j >= t.start_index:
-        k = i - j
-        if 1 <= k <= len(t.coeffs) and t.coeffs[k - 1] != 0:
-            if (j - t.start_index) % t.block_size + k < t.block_size:
-                val = val + t.coeffs[k - 1]
+    for target, c in phi.tail.image_of(j):
+        if target == i:
+            val = val + c
     return val
 
 
@@ -463,18 +463,13 @@ def _sparse_after_tail(sp: SparseOperator, tail: TailDescriptor) -> SparseOperat
         by_col.setdefault(k, []).append((i, c))
     out = {}
     for k, targets in by_col.items():
-        # tail(e_j) hits e_k when k = j + s for an active shift s at j
-        for s, tc in enumerate(tail.coeffs, start=1):
-            if tc == 0:
-                continue
-            j = k - s
-            if j < tail.start_index:
-                continue
-            q = (j - tail.start_index) % tail.block_size
-            if q + s >= tail.block_size:
-                continue
-            for i, c in targets:
-                out[(i, j)] = out.get((i, j), Fraction(0)) + c * tc
+        # tail(e_j) can hit e_k only for j = k - s, 1 <= s <= len(coeffs),
+        # and only from j at or above the tail start
+        for j in range(max(k - len(tail.coeffs), tail.start_index), k):
+            for hit, tc in tail.image_of(j):
+                if hit == k:
+                    for i, c in targets:
+                        out[(i, j)] = out.get((i, j), Fraction(0)) + c * tc
     return SparseOperator(out)
 
 

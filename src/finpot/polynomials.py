@@ -4,7 +4,8 @@ Coefficient lists are stored lowest degree first with a nonzero leading
 coefficient (the zero polynomial is the empty list): Fractions, or
 NumberFieldElements kept as they are (det_poly over a number field).
 Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
-Irreducible factorization over Q is delegated to sympy; the rest is local.
+Irreducible factorization over Q, and irreducibility from degree 2 up, are
+delegated to sympy; the rest is local.
 """
 
 from __future__ import annotations
@@ -194,15 +195,19 @@ def _from_sympy(sp) -> Polynomial:
 
 
 def is_irreducible(p: Polynomial) -> bool:
-    """True for irreducible nonconstant polynomials over Q."""
-    if p.degree < 1:
-        return False
+    """True for irreducible nonconstant polynomials over Q; sympy decides
+    degree 2 and up, since every polynomial of degree 1 is irreducible."""
+    if p.degree <= 1:
+        return p.degree == 1
     return _to_sympy(p).is_irreducible
 
 
 def split_power(cs, pi):
     """(m, cs / pi^m) for nonzero coefficient lists cs and pi, with m the
-    multiplicity of pi in cs, by exact division on the lists."""
+    multiplicity of pi in cs, by exact division on the lists.  Raises
+    ValueError when pi is constant: it divides every cs without end."""
+    if len(pi) < 2:
+        raise ValueError("split_power needs pi of degree >= 1")
     m = 0
     while len(cs) >= len(pi):
         q, r = _poly_divmod(cs, pi)

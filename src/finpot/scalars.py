@@ -2,9 +2,11 @@
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator).  Number fields are Q[x]/(p) for a monic irreducible p; their
-elements interoperate with ``int`` and ``Fraction`` through coercion, so the
-generic linear algebra in this package runs unchanged over either kind of
-scalar.
+elements interoperate with ``int`` and ``Fraction`` through coercion, so
+each linear-algebra kernel in this package runs one loop over either kind
+of scalar.  _poly_mul is the package's one convolution loop (field
+products, polynomials and the composition of operator tails): on ints for
+all-Fraction lists, on the stored scalars otherwise.
 """
 
 from __future__ import annotations
@@ -41,27 +43,25 @@ def _poly_trim(cs):
 
 
 def _poly_mul(a, b):
-    """Product of coefficient lists.  When every coefficient is a Fraction,
-    each list becomes integers over the lcm of its denominators and the
-    convolution runs on ints, with one Fraction per result coefficient."""
+    """Product of coefficient lists, by one convolution loop that skips the
+    zero coefficients of a.  When every coefficient is a Fraction, each
+    list becomes integers over the lcm of its denominators and the loop
+    runs on ints, with one Fraction per result coefficient; otherwise it
+    runs on the stored scalars."""
     if not a or not b:
         return []
-    if all(type(x) is Fraction for x in chain(a, b)):
-        (ia, da), (ib, db) = _int_coeffs(a), _int_coeffs(b)
-        acc = [0] * (len(a) + len(b) - 1)
-        n = len(ib)
-        for i, x in enumerate(ia):
-            if x:
-                acc[i : i + n] = map(add, acc[i : i + n], map(mul, repeat(x), ib))
-        den = da * db
-        return _poly_trim([Fraction(c, den) for c in acc])
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    ints = all(type(x) is Fraction for x in chain(a, b))
+    if ints:
+        (a, da), (b, db) = _int_coeffs(a), _int_coeffs(b)
+    acc = [0 if ints else Fraction(0)] * (len(a) + len(b) - 1)
+    n = len(b)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
+        if x != 0:
+            acc[i : i + n] = map(add, acc[i : i + n], map(mul, repeat(x), b))
+    if ints:
+        den = da * db
+        acc = [Fraction(c, den) for c in acc]
+    return _poly_trim(acc)
 
 
 def _poly_divmod(a, b):

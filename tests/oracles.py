@@ -4,9 +4,11 @@ Each oracle recomputes a quantity by a route the library does not use:
 cofactor determinants, explicit principal-minor sums, the
 derivative-formula residue at a generic root of the place polynomial, the
 Fitting split at the exponent d = dimension, sparse operator arithmetic
-as a generic loop over the stored scalars, and dense elimination by
-pivoting Gaussian elimination with unit pivots (_eliminate), and local
-expansions by Newton lifting and series division.
+as a generic loop over the stored scalars, dense elimination by pivoting
+Gaussian elimination with unit pivots (_eliminate), the generic product,
+power-trace, convolution and series-determinant loops finpot once ran
+beside its integer kernels, and local expansions by Newton lifting and
+series division.
 """
 
 from fractions import Fraction
@@ -476,6 +478,62 @@ def det_series_matrix_generic(m, one_series):
     if out is None:
         raise NotInvertibleError("series matrix pivot has no unit entry")
     return out
+
+
+def power_traces_generic(a, upto):
+    """[tr a, ..., tr a^upto] from the identity-seeded chain of generic
+    products, as finpot.matrices ran it on non-Fraction input."""
+    from finpot.matrices import identity, mat_trace
+
+    out, power = [], identity(len(a))
+    for _ in range(upto):
+        power = mat_mul_generic(power, a)
+        out.append(mat_trace(power))
+    return out
+
+
+def det_series_matrix_fraction_free(m, one_series):
+    """det_series_matrix's branch for series other than one-precision Q
+    series before it took coefficient lists: fraction-free elimination
+    (Bareiss 1968) on the series themselves, a pivot being a series with a
+    nonzero constant term, every update multiplied by the inverse of the
+    previous pivot."""
+    from finpot.errors import NotInvertibleError
+
+    if not m:
+        return one_series
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, inv = 1, Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if _is_unit(m[i][c])), None)
+        if piv is None:
+            raise NotInvertibleError("series matrix pivot has no unit entry")
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        top, p = m[c][c + 1:], m[c][c]
+        scaled_p = p * inv
+        for i in range(c + 1, n):
+            g = m[i][c] * inv
+            m[i][c + 1:] = [scaled_p * x - g * y for x, y in zip(m[i][c + 1:], top)]
+        inv = _inv(p)
+    return one_series * (m[-1][-1] if sign > 0 else -m[-1][-1])
+
+
+def tail_compose_generic(s, t):
+    """TailDescriptor.compose as the double loop over coefficient pairs."""
+    from finpot.operators import TailDescriptor
+
+    if s.is_none() or t.is_none():
+        return TailDescriptor.none()
+    b = s.block_size
+    prod = [Fraction(0)] * (b - 1)
+    for i, a in enumerate(s.coeffs, start=1):
+        for j, c in enumerate(t.coeffs, start=1):
+            if i + j < b:
+                prod[i + j - 1] += a * c
+    return TailDescriptor.jordan(b, s.start_index, prod)
 
 
 def poly_mul_generic(a, b):

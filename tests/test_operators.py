@@ -23,7 +23,7 @@ from finpot.operators import (
 )
 from finpot.scalars import NumberField, scalar_is_zero
 from conftest import random_operator
-from oracles import sparse_add, sparse_compose, sparse_scale
+from oracles import sparse_add, sparse_compose, sparse_scale, tail_compose_generic
 
 
 def test_apply_single_entry():
@@ -363,3 +363,70 @@ def test_many_operand_op_add_folds_tails():
         op_add(a, b, FPO(SparseOperator(), TailDescriptor.jordan(2, 5, [1])))
     with pytest.raises(IncompatibleTailsError):
         op_add(b, a, FPO(SparseOperator({(7, 7): Fraction(1)})))
+
+
+# -- the tail rule in one place -------------------------------------------------
+
+_TAIL_Q = st.one_of(st.just(Fraction(0)), _Q)
+
+
+@st.composite
+def _tail(draw, block_size, start):
+    """A block tail of the given geometry, zero and interior zero
+    coefficients included (jordan trims and may give no tail at all)."""
+    return TailDescriptor.jordan(block_size, start, draw(st.lists(_TAIL_Q, max_size=9)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(-4, 4), st.data())
+def test_tail_compose_matches_double_loop(block_size, start, data):
+    s = data.draw(_tail(block_size, start))
+    t = data.draw(_tail(block_size, start))
+    got = s.compose(t)
+    assert got == tail_compose_generic(s, t)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert got.is_none() or len(got.coeffs) < block_size
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(0, 3), st.data())
+def test_tail_entries_read_through_image_of(block_size, start, data):
+    """op_entry and wedge_scaling_check read the tail through image_of:
+    op_entry(phi, i, j) is the coefficient of e_i in phi(e_j), and the
+    wedge determinant does not depend on how many tail blocks it spans."""
+    from finpot.determinants import det_one_plus, wedge_scaling_check
+
+    tail = data.draw(_tail(block_size, start))
+    keys = data.draw(st.lists(st.tuples(st.integers(-3, start - 1),
+                                        st.integers(-3, start - 1)), max_size=6, unique=True))
+    phi = FPO(SparseOperator({k: data.draw(_Q) for k in keys}), tail)
+    span = range(-3, start + 3 * block_size)
+    for j in span:
+        image = op_apply(phi, {j: Fraction(1)})
+        for i in span:
+            assert op_entry(phi, i, j) == image.get(i, 0)
+    w_dim = len(certify_finite_potent(phi).indices)
+    blocks = range(3) if phi.has_tail() else range(1)
+    for k in blocks:
+        assert wedge_scaling_check(phi, w_dim + k * block_size) == det_one_plus(phi)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(0, 3), st.data())
+def test_compositions_with_a_tail_act_as_their_factors(block_size, start, data):
+    """phi . psi and psi . phi, psi with a tail and phi a finite matrix that
+    reaches into the tail region, act on every basis vector as the two
+    factors do one after the other."""
+    tail = data.draw(_tail(block_size, start))
+    hi = start + 2 * block_size
+    below = st.integers(-3, start - 1)
+    psi_keys = data.draw(st.lists(st.tuples(below, below), max_size=5, unique=True))
+    psi = FPO(SparseOperator({k: data.draw(_Q) for k in psi_keys}), tail)
+    anywhere = st.integers(-3, hi)
+    phi_keys = data.draw(st.lists(st.tuples(anywhere, anywhere), max_size=8, unique=True))
+    phi = FPO(SparseOperator({k: data.draw(_Q) for k in phi_keys}))
+    for first, second in ((psi, phi), (phi, psi)):
+        both = op_compose(second, first)
+        for j in range(-3, hi + block_size):
+            e_j = {j: Fraction(1)}
+            assert op_apply(both, e_j) == op_apply(second, op_apply(first, e_j))

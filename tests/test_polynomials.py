@@ -11,6 +11,7 @@ from finpot.polynomials import (
     RationalFunction,
     factor_monic_irreducibles,
     is_irreducible,
+    split_power,
 )
 from finpot.scalars import NumberField, _poly_mul
 
@@ -108,6 +109,46 @@ def test_package_import_leaves_sympy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_degree_one_places_leave_sympy_unloaded():
+    # every polynomial of degree 1 is irreducible, with no call into sympy
+    code = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "from finpot.parsing import parse_place",
+        "from finpot.places import Place",
+        "from finpot.polynomials import Polynomial, RationalFunction, is_irreducible",
+        "from finpot.residues import residue_classical",
+        "from finpot.segal_wilson import LoopExponent, sw_vs_tate_check",
+        "t = RationalFunction(Polynomial([0, 1]))",
+        "assert is_irreducible(Polynomial([Fraction(-2, 3), 5]))",
+        "assert Place.at_zero().degree == parse_place('t').degree == 1",
+        "assert residue_classical(1 / t, t, Place.infinity()) == -1",
+        "assert sw_vs_tate_check(LoopExponent('plus', {1: 1}), LoopExponent('minus', {1: 1}))",
+        "print('sympy' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "False"
+
+
+def test_irreducibility_by_degree():
+    assert not is_irreducible(Polynomial([]))
+    assert not is_irreducible(Polynomial([3]))
+    assert is_irreducible(Polynomial([7, -2]))
+    assert is_irreducible(Polynomial([1, 0, 1]))
+    assert not is_irreducible(Polynomial([-1, 0, 1]))
+
+
+def test_constant_pi_is_rejected():
+    # a constant divides everything, so the multiplicity loop would not end
+    f = RationalFunction(Polynomial([1, 1]))
+    for pi in (Polynomial([2]), Polynomial([Fraction(-1, 3)])):
+        with pytest.raises(ValueError):
+            f.valuation_at(pi)
+        with pytest.raises(ValueError):
+            split_power(list(f.num.coeffs), list(pi.coeffs))
+
+
 # -- integer product kernel against the generic scalar loop ---------------------
 
 _Q = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 6, 12)))
@@ -126,3 +167,24 @@ def test_coefficient_product_matches_generic_loop(a, b, field):
     assert [type(x) for x in got] == [type(x) for x in want]
     if not field:
         assert all(type(x) is Fraction for x in got)
+
+
+_FIELDS = {"Q(i)": NumberField([1, 0, 1]), "Q(sqrt2)": NumberField([-2, 0, 1])}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(("Q(i)", "Q(sqrt2)", "Q(i) with Q")), st.data())
+def test_number_field_coefficient_product_matches_generic_loop(kind, data):
+    """_poly_mul on lists of number-field elements, alone or mixed with
+    Fractions, zeros of either kind included, gives the generic loop's
+    values and scalar types."""
+    field = _FIELDS[kind.split()[0]]
+    element = st.builds(lambda a, b: field.element([a, b]), _Q, _Q)
+    coeff = st.one_of(element, st.just(field.zero()), st.just(Fraction(0)))
+    if kind.endswith("with Q"):
+        coeff = st.one_of(coeff, _Q)
+    a = data.draw(st.lists(coeff, max_size=8))
+    b = data.draw(st.lists(coeff, max_size=8))
+    got, want = _poly_mul(a, b), poly_mul_generic(a, b)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
