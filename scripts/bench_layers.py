@@ -6,13 +6,16 @@ with |p| <= 9, q <= 6, fixed seed; the fitting input has an invertible and a
 nilpotent part, so the rank chain runs past the first power; the
 kernel_basis input has rank n/2), of det on a dense 8 x 8 matrix over Q(i),
 of det_series on exp_op of a dense 10 x 10 operator at precision 10 (and
-of a dense 4 x 4 operator over Q(i), det_series_gauss), and of
+of a dense 4 x 4 operator over Q(i), det_series_gauss), of
 local_expand at precision 8 of a random rational function with a triple
-pole at t - 2, at t^2 + 1 and at infinity.  With --out it also writes the
-numbers, the git commit of the finpot tree it imported, the line count of
-its modules (src_lines) and the machine to a JSON file.
+pole at t - 2, at t^2 + 1 and at infinity, and of series_mul, series_exp
+and series_inv on dense Q series (every coefficient a random p/q as above,
+from degree 0, or degree 1 for exp) at precision 32, 64 and 128.  With
+--out it also writes the numbers, the git commit of the finpot tree it
+imported, the line count of its modules (src_lines) and the machine to a
+JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_9.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_10.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -38,8 +41,10 @@ from finpot.parsing import parse_place
 from finpot.places import local_expand
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.scalars import NumberField
+from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
 
 SIZES = (8, 16, 24)
+PRECISIONS = (32, 64, 128)
 REPEATS = 15
 
 
@@ -49,6 +54,15 @@ def rational(rng):
 
 def dense(rng, n, cols=None):
     return [[rational(rng) for _ in range(n if cols is None else cols)] for _ in range(n)]
+
+
+def dense_series(rng, prec, low):
+    """A series in z below prec with a random p/q at every degree from low,
+    nonzero at low."""
+    cs = {d: rational(rng) for d in range(low, prec)}
+    while cs[low] == 0:
+        cs[low] = rational(rng)
+    return TruncatedLaurentSeries("z", cs, 0, prec)
 
 
 def fitting_input(rng, n):
@@ -115,7 +129,14 @@ def measure():
                for i in range(4) for j in range(4)}
     series = exp_op(FinitePotentOperator(SparseOperator(entries)), 1, 10)
     out["det_series_gauss"] = {"4": best_of(det_series, series)}
+    out["series_mul"], out["series_exp"], out["series_inv"] = {}, {}, {}
+    for p in PRECISIONS:
+        a, b = (dense_series(rng, p, 0) for _ in range(2))
+        out["series_mul"][str(p)] = best_of(series_mul, a, b)
+        out["series_exp"][str(p)] = best_of(series_exp, dense_series(rng, p, 1))
+        out["series_inv"][str(p)] = best_of(series_inv, dense_series(rng, p, 0))
     return out
+
 
 
 def src_lines(package_dir):

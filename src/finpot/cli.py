@@ -11,9 +11,9 @@ Work caps, checked before any computation: a series precision (--prec or
 FINPOT_PREC) above MAX_PREC = 1024, a ps-series --order above MAX_ORDER = 64
 (one m x m determinant for every m up to the order), an sw-pairing --T above
 MAX_T = 40 (the default is 20: for --f z --ftilde z^-1 the exact truncated
-value at T = 29 already has more decimal digits than Python prints, and the
-command exits 1), and the parser's limits (parsing.MAX_EXPONENT,
-parsing.MAX_DEGREE).
+value at T = 28 already has more decimal digits than Python prints, and the
+command exits 1 with a domain error; T = 27 prints), and the parser's limits
+(parsing.MAX_EXPONENT, parsing.MAX_DEGREE).
 """
 
 from __future__ import annotations

@@ -27,7 +27,8 @@ rule:
                         tr(N_k)/k is an exact integer division)
   det_series_matrix     Bareiss over K[z]/(z^p) on coefficient lists
                         (_series_bareiss_det), p the least precision of the
-                        entries; over Q on integer lists
+                        entries; over Q on integer lists, by
+                        scalars._add_product and series._dot
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from math import lcm, prod
 from operator import mul
 
 from .errors import NotInvertibleError, VariableMismatchError
-from .scalars import _int_coeffs, scalar_is_zero
-from .series import TruncatedLaurentSeries, _inv_scalar
+from .scalars import _add_product, _int_coeffs, scalar_is_zero
+from .series import TruncatedLaurentSeries, _dot, _inv_scalar
 
 
 def identity(n, one=Fraction(1), zero=Fraction(0)):
@@ -332,9 +333,10 @@ def _series_rows(m):
 def _series_bareiss_det(m, p: int, ints: bool):
     """Determinant of the square matrix m of coefficient lists over
     K[z]/(z^p), by Bareiss elimination: the pivot is the first entry at or
-    below the diagonal with a nonzero constant term.  Each division by the
-    previous pivot is exact (Sylvester's identity) and is done as a series
-    division, since that pivot's constant term d0 is nonzero: '//' d0 on
+    below the diagonal with a nonzero constant term.  Each new entry is two
+    _add_product calls into one list, and its division by the previous pivot
+    is exact (Sylvester's identity): a series division by the recurrence step
+    _dot, since that pivot's constant term d0 is nonzero, then '//' d0 on
     ints, otherwise a product with 1/d0.  m is consumed."""
     n = len(m)
     sign, prev = 1, None
@@ -346,31 +348,21 @@ def _series_bareiss_det(m, p: int, ints: bool):
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
         top = m[c]
-        pc = [(k, x) for k, x in enumerate(top[c]) if x != 0]
         for i in range(c + 1, n):
             row = m[i]
-            f = [(k, x) for k, x in enumerate(row[c]) if x != 0]
+            f = [-x for x in row[c]]
             for j in range(c + 1, n):
-                num, x, y = [0] * p, row[j], top[j]
-                for k, a in pc:
-                    for q in range(p - k):
-                        num[k + q] += a * x[q]
-                for k, a in f:
-                    for q in range(p - k):
-                        num[k + q] -= a * y[q]
+                num = _add_product(_add_product([0] * p, top[c], row[j]), f, top[j])
                 if prev:
                     d, rest = prev
                     for k in range(p):
-                        acc = num[k]
-                        for q, a in rest:
-                            if q > k:
-                                break
-                            acc -= a * num[k - q]
-                        num[k] = acc // d if ints else acc * d
+                        x = num[k] - _dot(rest, num, k)
+                        num[k] = x // d if ints else x * d
                 row[j] = num
         # the next rows divide by this pivot: by d0 on ints, else times 1/d0
-        d0 = pc[0][1]
-        prev = (d0 if ints else _inv_scalar(d0), pc[1:])
+        d0 = top[c][0]
+        rest = [(k, x) for k, x in enumerate(top[c]) if k and x != 0]
+        prev = (d0 if ints else _inv_scalar(d0), rest)
     out = m[n - 1][n - 1]
     return [sign * x for x in out]
 

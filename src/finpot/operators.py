@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 
 from .errors import IncompatibleTailsError, StraddlingTailError
@@ -205,7 +206,8 @@ class TailDescriptor:
     def jordan(cls, block_size: int, start_index: int, coeffs=(1,)) -> "TailDescriptor":
         if block_size < 1:
             raise ValueError("block_size must be positive")
-        cs = [Fraction(c) for c in coeffs][: max(0, block_size - 1)]
+        cs = [c if isinstance(c, NumberFieldElement) else Fraction(c) for c in coeffs]
+        cs = cs[: max(0, block_size - 1)]
         while cs and cs[-1] == 0:
             cs.pop()
         if not cs or all(c == 0 for c in cs):
@@ -254,12 +256,7 @@ class TailDescriptor:
             raise IncompatibleTailsError(
                 "tails with different geometry cannot be combined"
             )
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [
-            (self.coeffs[k] if k < len(self.coeffs) else 0)
-            + (other.coeffs[k] if k < len(other.coeffs) else 0)
-            for k in range(n)
-        ]
+        cs = [x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
         return TailDescriptor.jordan(self.block_size, self.start_index, cs)
 
     def scale(self, c) -> "TailDescriptor":

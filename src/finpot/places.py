@@ -25,8 +25,8 @@ from .polynomials import Polynomial, RationalFunction, is_irreducible, split_pow
 from .scalars import (
     NumberField,
     NumberFieldElement,
+    _add_product,
     _poly_divmod,
-    _poly_mul,
     _poly_trim,
     scalar_is_zero,
 )
@@ -148,10 +148,9 @@ def local_expand(f: RationalFunction, p: Place, prec: int) -> LocalExpansion:
         r = _residue(num, pi, p.field) * inv
         if not scalar_is_zero(r):
             coeffs[i] = r
-            prod = _poly_mul(r.coeffs if p.field else [r], den)
-            num = num + [Fraction(0)] * (len(prod) - len(num))
-            for k, c in enumerate(prod):
-                num[k] -= c
+            neg = [-c for c in r.coeffs] if p.field else [-r]
+            num = num + [Fraction(0)] * (len(neg) + len(den) - 1 - len(num))
+            num = _add_product(num, neg, den)  # num - r * den
         num = _poly_divmod(_poly_trim(num), pi)[0]
     return LocalExpansion(
         p, TruncatedLaurentSeries("u", coeffs, min(v, 0), prec)

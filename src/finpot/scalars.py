@@ -4,17 +4,16 @@ Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator).  Number fields are Q[x]/(p) for a monic irreducible p; their
 elements interoperate with ``int`` and ``Fraction`` through coercion, so
 each linear-algebra kernel in this package runs one loop over either kind
-of scalar.  _poly_mul is the package's one convolution loop (field
-products, polynomials and the composition of operator tails): on ints for
-all-Fraction lists, on the stored scalars otherwise.
+of scalar.  _add_product is the package's one termwise product of
+coefficient lists, truncated to its accumulator: _poly_mul runs it on ints
+for all-Fraction lists, on the stored scalars otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import lcm
-from operator import add, mul
 
 
 def parse_rational(text: str) -> Fraction:
@@ -42,22 +41,29 @@ def _poly_trim(cs):
     return cs
 
 
+def _add_product(acc, a, b):
+    """Add a[i] * b[k - i] into acc[k] for every k < len(acc), over the
+    nonzero a[i]; returns acc.  Terms of degree len(acc) and up are never
+    formed, so a truncated product costs only the terms it keeps."""
+    n = len(acc)
+    for i, x in enumerate(a[:n]):
+        if x != 0:
+            for k, y in enumerate(b[: n - i], i):
+                acc[k] += x * y
+    return acc
+
+
 def _poly_mul(a, b):
-    """Product of coefficient lists, by one convolution loop that skips the
-    zero coefficients of a.  When every coefficient is a Fraction, each
-    list becomes integers over the lcm of its denominators and the loop
-    runs on ints, with one Fraction per result coefficient; otherwise it
-    runs on the stored scalars."""
+    """Product of coefficient lists by _add_product.  When every
+    coefficient is a Fraction, each list becomes integers over the lcm of
+    its denominators and the loop runs on ints, with one Fraction per
+    result coefficient; otherwise it runs on the stored scalars."""
     if not a or not b:
         return []
     ints = all(type(x) is Fraction for x in chain(a, b))
     if ints:
         (a, da), (b, db) = _int_coeffs(a), _int_coeffs(b)
-    acc = [0 if ints else Fraction(0)] * (len(a) + len(b) - 1)
-    n = len(b)
-    for i, x in enumerate(a):
-        if x != 0:
-            acc[i : i + n] = map(add, acc[i : i + n], map(mul, repeat(x), b))
+    acc = _add_product([0 if ints else Fraction(0)] * (len(a) + len(b) - 1), a, b)
     if ints:
         den = da * db
         acc = [Fraction(c, den) for c in acc]
@@ -178,22 +184,15 @@ class NumberFieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
 
-        def sub(a, b):
-            n = max(len(a), len(b))
-            return _poly_trim(
-                [
-                    (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                    for i in range(n)
-                ]
-            )
-
         # invariants: r0 = s0 * self (mod modulus), r1 = s1 * self (mod modulus)
         r0, r1 = list(self.field.modulus), _poly_trim(self.coeffs)
         s0, s1 = [], [Fraction(1)]
         while r1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, sub(s0, _poly_mul(q, s1))
+            # s0 - q * s1, accumulated into a copy of s0
+            acc = s0 + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
+            s0, s1 = s1, _poly_trim(_add_product(acc, [-x for x in q], s1))
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible; modulus not irreducible?")
         inv = 1 / r0[0]

@@ -7,9 +7,10 @@ law prec = min(prec_a + val_b, prec_b + val_a); for the usual valuation-0
 operands this is the minimum of the two precisions.  Coefficients are
 Fractions or NumberFieldElements.
 
-This is the package's one series layer: series_exp, series_log and series_inv
-run exact coefficient recurrences (Brent & Kung 1978) in one pass over
-coefficient lists; every exp, log or quotient of series elsewhere calls them.
+This is the package's one series layer: series_mul runs on coefficient
+lists, and series_exp, series_log and series_inv run exact coefficient
+recurrences (Brent & Kung 1978) in one pass of _dot steps, which the series
+determinant also divides by; every exp, log or quotient elsewhere calls them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import json
 from fractions import Fraction
 
 from .errors import PrecisionError, SeriesDomainError, VariableMismatchError
-from .scalars import NumberFieldElement, format_rational, parse_rational, scalar_is_zero
+from .scalars import (NumberFieldElement, _add_product, _poly_mul, format_rational,
+                      parse_rational, scalar_is_zero)
 
 
 def _inv_scalar(c):
@@ -258,31 +260,41 @@ def format_series(s: TruncatedLaurentSeries) -> str:
 def series_mul(
     a: TruncatedLaurentSeries, b: TruncatedLaurentSeries
 ) -> TruncatedLaurentSeries:
-    """Product, correct for every degree below the resulting precision."""
+    """Product, correct for every degree below the resulting precision, by
+    scalars._poly_mul on the coefficient lists from the valuations, cut below
+    that precision.  A coefficient is a NumberFieldElement exactly where a
+    stored field coefficient takes part, as in the sum over stored pairs."""
     a._check_var(b)
-    candidates = [a.precision + b.precision]
-    if b.coeffs:
-        candidates.append(a.precision + min(b.coeffs))
-    if a.coeffs:
-        candidates.append(b.precision + min(a.coeffs))
-    prec = min(candidates)
+    va, vb = min(a.coeffs, default=a.precision), min(b.coeffs, default=b.precision)
+    prec = min(a.precision + vb, b.precision + va)
     out = {}
-    for da, ca in a.coeffs.items():
-        for db, cb in b.coeffs.items():
-            d = da + db
-            if d < prec:
-                out[d] = out.get(d, 0) + ca * cb
+    if a.coeffs and b.coeffs:
+        n, zero = prec - va - vb, Fraction(0)
+        la, lb = ([s.coeffs.get(d, zero) for d in range(v, min(v + n, max(s.coeffs) + 1))]
+                  for s, v in ((a, va), (b, vb)))
+        prod = _poly_mul(la, lb)[:n]
+        if not all(type(x) is Fraction for x in prod):
+            # a product with a zero between stored terms made a field element
+            # of a degree no stored field coefficient reaches: a Fraction again
+            field = [[isinstance(x, NumberFieldElement) for x in cs] for cs in (la, lb)]
+            reach = _add_product([0] * len(prod), field[0], [x != 0 for x in lb])
+            _add_product(reach, [x != 0 for x in la], field[1])
+            prod = [x if r or type(x) is Fraction else x.rational_value()
+                    for x, r in zip(prod, reach)]
+        out = {va + vb + k: x for k, x in enumerate(prod)}
     return TruncatedLaurentSeries(a.variable, out, a.min_degree + b.min_degree, prec)
 
 
 def _dot(pairs, h, k):
-    """sum of c * h[k - j] over the (j, c) in pairs (sorted by j), j <= k."""
+    """sum of c * h[k - j] over the (j, c) in pairs (sorted by j), j <= k,
+    and the nonzero h[k - j] (scalar_is_zero inlined in this inner loop)."""
     s = 0
     for j, c in pairs:
         if j > k:
             break
-        if not scalar_is_zero(h[k - j]):
-            s = s + c * h[k - j]
+        x = h[k - j]
+        if not (x.is_zero() if type(x) is NumberFieldElement else x == 0):
+            s = s + c * x
     return s
 
 

@@ -7,8 +7,8 @@ Fitting split at the exponent d = dimension, sparse operator arithmetic
 as a generic loop over the stored scalars, dense elimination by pivoting
 Gaussian elimination with unit pivots (_eliminate), the generic product,
 power-trace, convolution and series-determinant loops finpot once ran
-beside its integer kernels, and local expansions by Newton lifting and
-series division.
+beside its integer kernels, the series product as a double loop over
+stored terms, and local expansions by Newton lifting and series division.
 """
 
 from fractions import Fraction
@@ -18,7 +18,7 @@ from finpot.errors import SeriesDomainError
 from finpot.places import LocalExpansion
 from finpot.polynomials import Polynomial
 from finpot.scalars import NumberField, NumberFieldElement
-from finpot.series import TruncatedLaurentSeries, series_inv, series_mul
+from finpot.series import TruncatedLaurentSeries, series_inv
 
 
 def det_cofactor(m):
@@ -159,20 +159,39 @@ def residue_generic_root(f, g, place):
 
 # -- series kernels as truncated sums -----------------------------------------
 #
-# The truncated-Taylor exp/log and the geometric-sum inverse that
-# finpot.series replaced with coefficient recurrences.  Each loops over full
-# series products, so the two share no arithmetic.
+# The series product as finpot.series ran it before it took coefficient
+# lists, and the truncated-Taylor exp/log and the geometric-sum inverse that
+# finpot.series replaced with coefficient recurrences.  Each of the three
+# loops over full series products by series_mul_dict, so they share no
+# arithmetic with the library.
+
+
+def series_mul_dict(a, b):
+    """series_mul as the double loop over pairs of stored terms, each degree
+    summed from int 0 below the big-O precision."""
+    a._check_var(b)
+    candidates = [a.precision + b.precision]
+    if b.coeffs:
+        candidates.append(a.precision + min(b.coeffs))
+    if a.coeffs:
+        candidates.append(b.precision + min(a.coeffs))
+    prec = min(candidates)
+    out = {}
+    for da, ca in a.coeffs.items():
+        for db, cb in b.coeffs.items():
+            d = da + db
+            if d < prec:
+                out[d] = out.get(d, 0) + ca * cb
+    return TruncatedLaurentSeries(a.variable, out, a.min_degree + b.min_degree, prec)
 
 
 def series_exp_taylor(a):
     """sum_k a^k / k!, one series product per term."""
-    from finpot.series import TruncatedLaurentSeries, series_mul
-
     prec = a.precision
     out = TruncatedLaurentSeries.one(a.variable, prec)
     term = TruncatedLaurentSeries.one(a.variable, prec)
     for k in range(1, prec):
-        term = series_mul(term, a).scale(Fraction(1, k))
+        term = series_mul_dict(term, a).scale(Fraction(1, k))
         if term.is_zero():
             break
         out = out + term
@@ -181,15 +200,13 @@ def series_exp_taylor(a):
 
 def series_log_taylor(a):
     """sum_r (-1)^(r+1) (a - 1)^r / r, one series product per term."""
-    from finpot.series import TruncatedLaurentSeries, series_mul
-
     prec = a.precision
     x = a - 1
     out = TruncatedLaurentSeries.zero(a.variable, prec)
     term = TruncatedLaurentSeries.one(a.variable, prec)
     sign = 1
     for r in range(1, prec):
-        term = series_mul(term, x)
+        term = series_mul_dict(term, x)
         if term.is_zero():
             break
         out = out + term.scale(Fraction(sign, r))
@@ -199,7 +216,7 @@ def series_log_taylor(a):
 
 def series_inv_geometric(a):
     """a_v^-1 u^-v sum_r x^r with x = 1 - a / (a_v u^v)."""
-    from finpot.series import TruncatedLaurentSeries, _inv_scalar, series_mul
+    from finpot.series import _inv_scalar
 
     v = a.valuation()
     lead_inv = _inv_scalar(a.coeffs[v])
@@ -210,7 +227,7 @@ def series_inv_geometric(a):
     inv = one
     term = one
     for _ in range(1, n):
-        term = series_mul(term, x)
+        term = series_mul_dict(term, x)
         if term.is_zero():
             break
         inv = inv + term
@@ -661,7 +678,7 @@ def _expand_at_infinity(f, prec):
         )
         for p in (num, den)
     )
-    quotient = series_mul(n, series_inv(d))
+    quotient = series_mul_dict(n, series_inv(d))
     return TruncatedLaurentSeries(
         "u", {k + v: c for k, c in quotient.coeffs.items()}, min(v, 0), prec
     )

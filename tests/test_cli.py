@@ -299,6 +299,16 @@ def test_ps_series_order_above_the_limit_is_a_parse_error():
     assert code == 0 and json.loads(out) == {"coeffs": {"0": "1", "1": "1/2"}}
 
 
+def test_sw_pairing_unprintable_value_is_a_domain_error():
+    """At T = 28 the exact truncated value has more decimal digits than
+    Python prints: exit 1 with a structured error and no traceback."""
+    code, out, err = run_cli("sw-pairing", "--f", "z", "--ftilde", "z^-1", "--T", "28")
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["error"] == "domain" and "integer string conversion" in data["detail"]
+    assert "Traceback" not in out
+
+
 def test_sw_pairing_default_T_prints():
     code, out, _ = run_cli("sw-pairing", "--f", "z", "--ftilde", "z^-1")
     assert code == 0

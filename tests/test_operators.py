@@ -430,3 +430,15 @@ def test_compositions_with_a_tail_act_as_their_factors(block_size, start, data):
         for j in range(-3, hi + block_size):
             e_j = {j: Fraction(1)}
             assert op_apply(both, e_j) == op_apply(second, op_apply(first, e_j))
+
+
+def test_scaling_a_tail_by_a_number_field_element():
+    """op_scale by a field element keeps the field coefficients of the tail
+    and acts on vectors as c * phi."""
+    c = NumberField([1, 0, 1]).generator()
+    phi = FPO(SparseOperator({(0, 0): 1}), TailDescriptor.jordan(3, 5, [1, Fraction(1, 2)]))
+    scaled = op_scale(phi, c)
+    assert scaled.tail.coeffs == (c, c * Fraction(1, 2))
+    for vec in ({0: Fraction(1)}, {5: Fraction(2), 6: Fraction(-1)}, {0: c, 7: Fraction(3), 8: 1}):
+        want = {i: c * x for i, x in op_apply(phi, vec).items()}
+        assert op_apply(scaled, vec) == want

@@ -13,7 +13,7 @@ from finpot.polynomials import (
     is_irreducible,
     split_power,
 )
-from finpot.scalars import NumberField, _poly_mul
+from finpot.scalars import NumberField, _add_product, _poly_mul
 
 from oracles import poly_mul_generic
 
@@ -186,5 +186,39 @@ def test_number_field_coefficient_product_matches_generic_loop(kind, data):
     a = data.draw(st.lists(coeff, max_size=8))
     b = data.draw(st.lists(coeff, max_size=8))
     got, want = _poly_mul(a, b), poly_mul_generic(a, b)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_add_product_truncates_and_accumulates():
+    """Only the degrees below len(acc) are formed, added to what acc holds;
+    acc itself is returned."""
+    acc = [Fraction(1), Fraction(2)]
+    assert _add_product(acc, [3, 0, 7], [1, -1, 4, 5]) is acc
+    assert acc == [4, -1]
+    assert _add_product([], [1], [1]) == []
+    assert _add_product([0] * 4, [0, 2], [1, 1]) == [0, 2, 2, 0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(("Q", "Q(i) with Q")), st.data())
+def test_add_product_matches_generic_loop_cut_to_length(kind, data):
+    """_add_product into an accumulator of any length (shorter than the
+    full product, so that a or b is longer than it, or longer), holding
+    nonzero values, adds the generic loop's product cut to that length:
+    values and scalar types.  The last coefficient of a and of b is nonzero,
+    so the generic product keeps every degree it forms."""
+    coeff = _Q
+    if kind != "Q":
+        field = _FIELDS["Q(i)"]
+        coeff = st.one_of(_Q, st.builds(lambda a, b: field.element([a, b]), _Q, _Q),
+                          st.just(field.zero()))
+    nonzero = coeff.filter(lambda x: x != 0)
+    a = data.draw(st.lists(coeff, max_size=6)) + [data.draw(nonzero)]
+    b = data.draw(st.lists(coeff, max_size=6)) + [data.draw(nonzero)]
+    acc = data.draw(st.lists(_Q, max_size=len(a) + len(b) + 2))
+    full = poly_mul_generic(a, b)
+    want = [x + y for x, y in zip(acc, full)] + acc[len(full):]
+    got = _add_product(list(acc), a, b)
     assert got == want
     assert [type(x) for x in got] == [type(x) for x in want]

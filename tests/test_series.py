@@ -12,7 +12,7 @@ from finpot.series import (
     series_log,
     series_mul,
 )
-from oracles import series_exp_taylor, series_inv_geometric, series_log_taylor
+from oracles import series_exp_taylor, series_inv_geometric, series_log_taylor, series_mul_dict
 
 
 def S(terms, prec, var="z"):
@@ -208,3 +208,53 @@ def test_inv_recurrence_matches_geometric_sum(a):
             series_inv(a)
         return
     _same(series_inv(a), series_inv_geometric(a))
+
+
+_Q = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 6, 12)))
+_GAUSS = NumberField([1, 0, 1])
+_GAUSS_Q = st.builds(lambda a, b: _GAUSS.element([a, b]), _Q, _Q)
+
+
+@st.composite
+def _series(draw, kind):
+    """A series in z with a valuation from -3 to 3, 1 to 9 known degrees
+    past it, a min_degree at or below it and gaps: over Q, over Q(i), mixed
+    (Fractions with one or two field terms, some of them rational), or
+    zero."""
+    low, n = draw(st.integers(-3, 3)), draw(st.integers(1, 9))
+    coeff = st.one_of(st.just(Fraction(0)), _GAUSS_Q if kind == "Q(i)" else _Q)
+    cs = [] if kind == "zero" else draw(st.lists(coeff, min_size=n, max_size=n))
+    if kind == "mixed":
+        field = st.one_of(_GAUSS_Q, st.builds(lambda a: _GAUSS.element([a]), _Q))
+        for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            cs[k] = draw(field)
+    return TLS("z", dict(enumerate(cs, start=low)), low - draw(st.integers(0, 2)), low + n)
+
+
+def test_mul_field_type_only_where_a_field_term_reaches():
+    """a's field term i meets b's gap at z^1, so degree 1 sums only stored
+    Fractions (1 * 1) and stays a Fraction, as in the sum over stored pairs;
+    degree 2 is i * 1, a field element."""
+    i = _GAUSS.generator()
+    prod = series_mul(S({0: i, 1: 1}, 5), S({0: 1, 2: 1}, 5))
+    assert prod == S({0: i, 1: 1, 2: i, 3: 1}, 5)
+    assert [type(prod.coeffs[d]).__name__ for d in range(4)] == [
+        "NumberFieldElement", "Fraction", "NumberFieldElement", "Fraction"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_series_mul_matches_dict_product(data):
+    """series_mul on coefficient lists gives the termwise product's values,
+    precision, min_degree and coefficient types, over Q, Q(i) and mixed
+    Fraction/Q(i) series, with negative valuations, unequal precisions and
+    zero operands."""
+    kinds = st.sampled_from(("Q", "Q(i)", "mixed", "zero"))
+    a = data.draw(_series(data.draw(kinds)))
+    b = data.draw(_series(data.draw(kinds)))
+    got, want = series_mul(a, b), series_mul_dict(a, b)
+    assert got == want
+    assert (got.precision, got.min_degree) == (want.precision, want.min_degree)
+    assert {d: type(c) for d, c in got.coeffs.items()} == {
+        d: type(c) for d, c in want.coeffs.items()
+    }
