@@ -10,12 +10,16 @@ of a dense 4 x 4 operator over Q(i), det_series_gauss), of
 local_expand at precision 8 of a random rational function with a triple
 pole at t - 2, at t^2 + 1 and at infinity, and of series_mul, series_exp
 and series_inv on dense Q series (every coefficient a random p/q as above,
-from degree 0, or degree 1 for exp) at precision 32, 64 and 128.  With
---out it also writes the numbers, the git commit of the finpot tree it
-imported, the line count of its modules (src_lines) and the machine to a
-JSON file.
+from degree 0, or degree 1 for exp) at precision 32, 64 and 128, of
+reciprocity_check at z-precision 8 and 32 on a random pair with poles at
+t - 2 (double), t^2 + 1 and t^3 + t + 1, and, end to end, of one fresh
+`python -m finpot` process per CLI verb (cli_cold, best of 5, counting
+interpreter start and import; "python" is a bare interpreter start for
+reference).  With --out it also writes the numbers, the git commit of the
+finpot tree it imported, the line count of its modules (src_lines) and the
+machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_10.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_11.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -29,6 +33,7 @@ import os
 import platform
 import random
 import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -42,10 +47,20 @@ from finpot.places import local_expand
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.scalars import NumberField
 from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
+from finpot.symbols import reciprocity_check
 
 SIZES = (8, 16, 24)
 PRECISIONS = (32, 64, 128)
 REPEATS = 15
+CLI_REPEATS = 5
+CLI_VERBS = {
+    "python": ["-c", "pass"],
+    "det": ["-m", "finpot", "det", "--op", '{"entries":[[0,0,"1"]]}'],
+    "residue": ["-m", "finpot", "residue", "--f", "1/t", "--g", "t", "--place", "t"],
+    "reciprocity t-1": ["-m", "finpot", "reciprocity", "--f", "t", "--g", "1/(t-1)"],
+    "reciprocity t^2+1": ["-m", "finpot", "reciprocity", "--f", "t", "--g", "1/(t^2+1)"],
+    "sw-pairing": ["-m", "finpot", "sw-pairing", "--f", "z", "--ftilde", "z^-1"],
+}
 
 
 def rational(rng):
@@ -135,8 +150,27 @@ def measure():
         out["series_mul"][str(p)] = best_of(series_mul, a, b)
         out["series_exp"][str(p)] = best_of(series_exp, dense_series(rng, p, 1))
         out["series_inv"][str(p)] = best_of(series_inv, dense_series(rng, p, 0))
+    t = Polynomial([0, 1])
+    poles = (t - 2) ** 2 * (t * t + 1) * (t**3 + t + 1)
+    f = RationalFunction(Polynomial([rational(rng) for _ in range(3)] + [1]), poles)
+    g = RationalFunction(Polynomial([rational(rng) for _ in range(2)] + [1]), (t * t + 1) * (t + 3))
+    out["reciprocity_check"] = {str(p): best_of(reciprocity_check, f, g, p) for p in (8, 32)}
+    out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 
+
+def cli_best_of(argv):
+    """Best wall time of CLI_REPEATS fresh interpreters running argv, with
+    the imported finpot tree on their path."""
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(finpot.__file__)))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    best = None
+    for _ in range(CLI_REPEATS):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable] + argv, env=env, check=True, stdout=subprocess.DEVNULL)
+        t = time.perf_counter() - t0
+        best = t if best is None else min(best, t)
+    return best
 
 
 def src_lines(package_dir):
@@ -178,7 +212,7 @@ def main(argv=None):
     results = measure()
     for layer, by_size in results.items():
         row = "  ".join("n=%s %9.4f ms" % (n, t * 1e3) for n, t in by_size.items())
-        print("%-12s %s" % (layer, row))
+        print("%-17s %s" % (layer, row))
     if args.out:
         package_dir = os.path.dirname(os.path.abspath(finpot.__file__))
         record = {
@@ -186,6 +220,7 @@ def main(argv=None):
             "machine": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                         "python": platform.python_version(), "system": platform.system()},
             "repeats": REPEATS,
+            "cli_repeats": CLI_REPEATS,
             "unit": "s, best of repeats",
             "results": results,
             "src_lines": src_lines(package_dir),

@@ -13,7 +13,9 @@ FINPOT_PREC) above MAX_PREC = 1024, a ps-series --order above MAX_ORDER = 64
 MAX_T = 40 (the default is 20: for --f z --ftilde z^-1 the exact truncated
 value at T = 28 already has more decimal digits than Python prints, and the
 command exits 1 with a domain error; T = 27 prints), and the parser's limits
-(parsing.MAX_EXPONENT, parsing.MAX_DEGREE).
+(parsing.MAX_EXPONENT, parsing.MAX_DEGREE, and parsing.MAX_PLACE_DEGREE = 60
+for --place, whose irreducibility sympy decides).  reciprocity takes no
+place and factors nothing, so it never imports sympy.
 """
 
 from __future__ import annotations

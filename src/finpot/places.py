@@ -8,11 +8,16 @@ r_i(theta).  This is the coefficientwise-linear section of the completion
 (exact re-summation, digit by digit); it is not a ring map, but the residue
 functional Tr(r_{-1}(theta)) it induces is the classical residue.
 
-One digit recurrence computes every expansion.  Write f = pi^v n/d with n
-and d coprime to pi, and let inv = d^-1 mod pi: 1/d(a) for pi = t - a, the
-residue-field inverse when deg pi > 1.  Each digit is r = n inv mod pi, and
-n then becomes (n - r d)/pi, an exact division that keeps deg n bounded.
-The place at infinity runs the same recurrence on f(1/t) with pi = t.
+One digit recurrence, expand_digits, computes every expansion.  Write
+f = pi^v n/d with d coprime to pi, and let inv = d^-1 mod pi: 1/d(a) for
+pi = t - a, the inverse in Q[theta]/(pi) when deg pi > 1.  Each digit is
+r = n inv mod pi, and n then becomes (n - r d)/pi, an exact division that
+keeps deg n bounded.  The place at infinity runs the same recurrence on
+f(1/t) with pi = t.  The recurrence needs no Place and no irreducibility:
+for a monic squarefree modulus q it runs in the etale algebra Q[t]/(q), the
+product of the residue fields of q's factors, as long as d is coprime to q;
+residues.squarefree_residues uses it that way.  Only Place checks
+irreducibility, through sympy.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from .series import TruncatedLaurentSeries
 
 
 class Place:
-    """A closed point of P^1 over Q."""
+    """A closed point of P^1 over Q: infinity, or a monic irreducible
+    polynomial, whose irreducibility sympy checks from degree 2 up."""
 
     __slots__ = ("kind", "minimal_poly", "degree", "field")
 
@@ -86,14 +92,6 @@ class Place:
             return "Place(infinity)"
         return "Place(%s)" % (str(self.minimal_poly),)
 
-    def residue_trace(self, c) -> Fraction:
-        """Trace of a residue-field element down to Q."""
-        from .scalars import field_trace
-
-        if isinstance(c, NumberFieldElement):
-            return field_trace(c)
-        return Fraction(c) * self.degree if self.degree > 1 else Fraction(c)
-
 
 @dataclass
 class LocalExpansion:
@@ -117,14 +115,40 @@ class LocalExpansion:
         return out
 
 
-def _residue(cs, pi, field):
-    """cs mod pi in the residue field: the value at a when pi = t - a."""
-    if field is not None:
-        return field.element(cs)
+def _residue(cs, pi, algebra):
+    """cs mod pi in the algebra: the value at a when pi = t - a."""
+    if algebra is not None:
+        return algebra.element(cs)
     out = Fraction(0)
     for c in reversed(cs):
         out = out * -pi[0] + c
     return out
+
+
+def expand_digits(num, den, pi, algebra, prec: int):
+    """(v, digits) for the function num/den, coefficient lists with num
+    nonzero, in powers of the monic squarefree pi: v is the order of pi in
+    num/den, and digits maps each i with v <= i < prec to its nonzero digit,
+    a value of `algebra` (NumberField(pi), or None for the value at a when
+    pi = t - a).  The part of den prime to pi must be a unit mod pi."""
+    v, num = split_power(num, pi)
+    w, den = split_power(den, pi)
+    v -= w
+    digits = {}
+    if prec <= v:
+        return v, digits
+    inv = 1 / _residue(den, pi, algebra)
+    for i in range(v, prec):
+        if i > v:  # the next numerator, (num - r den)/pi, from the last digit r
+            if not scalar_is_zero(r):
+                neg = [-c for c in r.coeffs] if algebra else [-r]
+                num = num + [Fraction(0)] * (len(neg) + len(den) - 1 - len(num))
+                num = _add_product(num, neg, den)
+            num = _poly_divmod(_poly_trim(num), pi)[0]
+        r = _residue(num, pi, algebra) * inv
+        if not scalar_is_zero(r):
+            digits[i] = r
+    return v, digits
 
 
 def local_expand(f: RationalFunction, p: Place, prec: int) -> LocalExpansion:
@@ -135,26 +159,12 @@ def local_expand(f: RationalFunction, p: Place, prec: int) -> LocalExpansion:
         f, pi = substitute_inverse(f), (Fraction(0), Fraction(1))
     else:
         pi = p.minimal_poly.coeffs
-    v, num = split_power(f.num.coeffs, pi)
-    w, den = split_power(f.den.coeffs, pi)
-    v -= w
+    v, digits = expand_digits(f.num.coeffs, f.den.coeffs, pi, p.field, prec)
     if prec <= v:
-        return LocalExpansion(
-            p, TruncatedLaurentSeries.zero("u", prec, min_degree=min(v, prec - 1))
-        )
-    inv = 1 / _residue(den, pi, p.field)
-    coeffs = {}
-    for i in range(v, prec):
-        r = _residue(num, pi, p.field) * inv
-        if not scalar_is_zero(r):
-            coeffs[i] = r
-            neg = [-c for c in r.coeffs] if p.field else [-r]
-            num = num + [Fraction(0)] * (len(neg) + len(den) - 1 - len(num))
-            num = _add_product(num, neg, den)  # num - r * den
-        num = _poly_divmod(_poly_trim(num), pi)[0]
-    return LocalExpansion(
-        p, TruncatedLaurentSeries("u", coeffs, min(v, 0), prec)
-    )
+        series = TruncatedLaurentSeries.zero("u", prec, min_degree=min(v, prec - 1))
+    else:
+        series = TruncatedLaurentSeries("u", digits, min(v, 0), prec)
+    return LocalExpansion(p, series)
 
 
 def substitute_inverse(f: RationalFunction) -> RationalFunction:
@@ -169,7 +179,8 @@ def substitute_inverse(f: RationalFunction) -> RationalFunction:
 
 def relevant_places(*functions: RationalFunction):
     """Finite places where any of the numerators/denominators vanish, plus
-    the place at infinity (the full pole/zero locus of the inputs)."""
+    the place at infinity (the full pole/zero locus of the inputs), by
+    factoring through sympy."""
     from .polynomials import factor_monic_irreducibles
 
     seen = {}

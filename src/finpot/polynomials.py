@@ -5,7 +5,8 @@ coefficient (the zero polynomial is the empty list): Fractions, or
 NumberFieldElements kept as they are (det_poly over a number field).
 Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
 Irreducible factorization over Q, and irreducibility from degree 2 up, are
-delegated to sympy; the rest is local.
+delegated to sympy; the rest is local, including the squarefree
+decomposition (squarefree_parts), which needs only gcds.
 """
 
 from __future__ import annotations
@@ -215,6 +216,28 @@ def split_power(cs, pi):
             break
         m, cs = m + 1, q
     return m, list(cs)
+
+
+def squarefree_parts(p: Polynomial):
+    """Yun's squarefree decomposition of a nonzero p: the list of (q, m)
+    with p = lc(p) * prod q^m, each q monic, squarefree and nonconstant,
+    the q pairwise coprime and the m distinct.  Only gcds and exact
+    divisions over Q, no factoring (Yun 1976)."""
+    if p.is_zero():
+        raise ValueError("cannot decompose the zero polynomial")
+    dp = p.derivative()
+    a = p.gcd(dp)
+    b, c = p // a, dp // a
+    out = []
+    m = 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        a = b.gcd(d)
+        if a.degree > 0:
+            out.append((a, m))
+        b, c = b // a, d // a
+        m += 1
+    return out
 
 
 def factor_monic_irreducibles(p: Polynomial):

@@ -2,7 +2,16 @@
 
 The coefficient route reads the residue off the exact digit expansion of
 f g' / pi' at the place (trace of the parameter^{-1} coefficient down to Q),
-which it expands once.
+which it expands once; at infinity, where t = 1/u and f g' dt =
+-f g'(1/u) u^-2 du, it is minus the u^1 coefficient of f g' at infinity.
+The same digit recurrence also sums residues without factoring: for a monic
+squarefree q whose square does not divide the poles of f dg, the trace of
+digit -1 of f g' / q' in the etale algebra Q[t]/(q) is the sum of the
+residues at the places dividing q (Tate 1968, where the residue is itself a
+trace).  squarefree_residues takes q over the squarefree parts (Yun) of the
+denominator of f g', which need no sympy, and residue_sum adds the place at
+infinity; residue_classical at one place stays the independent,
+place-by-place route.
 The operator route realizes multiplication by f and g on the basis
 e_i <-> t^i in a window that starts at the cut, which makes them the
 compressions to the upper half-space V+ = span{e_i : i >= cut} truncated at
@@ -17,31 +26,72 @@ from fractions import Fraction
 from .determinants import tate_trace
 from .errors import ReductionError, WindowExhaustedError
 from .operators import FinitePotentOperator, SparseOperator
-from .places import Place, local_expand, substitute_inverse
-from .polynomials import RationalFunction
+from .places import Place, expand_digits, local_expand, substitute_inverse
+from .polynomials import Polynomial, RationalFunction, squarefree_parts
+from .scalars import NumberField, NumberFieldElement, _poly_mul, field_trace
+
+
+def _differential(f: RationalFunction, g: RationalFunction) -> RationalFunction:
+    """f g', the coefficient of f dg against dt."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("residue needs nonzero functions")
+    return f * g.derivative()
+
+
+def _residue_at(omega: RationalFunction, q: Polynomial, algebra, prec: int = 0) -> Fraction:
+    """Trace down to Q of digit -1 of omega / q' in powers of the monic
+    squarefree q: the sum of res(omega dt) over the places dividing q.
+    omega is normalized, and each irreducible factor of q divides its
+    denominator to the same power, so the rest of the denominator is a
+    unit mod q (always so for an irreducible q)."""
+    den = _poly_mul(omega.den.coeffs, q.derivative().coeffs)
+    _, digits = expand_digits(omega.num.coeffs, den, q.coeffs, algebra, max(prec, 0))
+    c = digits.get(-1, Fraction(0))
+    return field_trace(c) if isinstance(c, NumberFieldElement) else c
+
+
+def _residue_at_infinity(omega: RationalFunction, prec: int = 0) -> Fraction:
+    """res at infinity of omega dt: with t = 1/u, omega dt =
+    -omega(1/u) u^-2 du, so minus the u^1 coefficient at infinity."""
+    return -local_expand(omega, Place.infinity(), max(prec, 2)).series.coefficient(1)
+
+
+def _part_residues(omega: RationalFunction):
+    """(q, residue sum over the places dividing q) for each squarefree
+    part q of omega's denominator, in Q[t]/(q)."""
+    for q, _ in squarefree_parts(omega.den):
+        algebra = NumberField(q.coeffs) if q.degree > 1 else None
+        yield q, _residue_at(omega, q, algebra)
 
 
 def residue_classical(
     f: RationalFunction, g: RationalFunction, p: Place, prec: int = 0
 ) -> Fraction:
     """res_p(f dg) via the digit expansion of f g' d(parameter)."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("residue needs nonzero functions")
-    omega = f * g.derivative()
+    omega = _differential(f, g)
     if omega.is_zero():
         return Fraction(0)
     if p.is_infinity():
-        # pull back through t -> 1/t; the residue at infinity becomes the
-        # residue at zero of the transported differential
-        fw = substitute_inverse(f)
-        gw = substitute_inverse(g)
-        return residue_classical(fw, gw, Place.at_zero())
-    pi = p.minimal_poly
-    # f dg = (f g' / pi') dpi
-    h = omega / RationalFunction(pi.derivative())
-    # without a pole the expansion at precision 0 is zero at degree -1
-    exp = local_expand(h, p, max(prec, 0))
-    return p.residue_trace(exp.series.coefficient(-1))
+        return _residue_at_infinity(omega, prec)
+    return _residue_at(omega, p.minimal_poly, p.field, prec)
+
+
+def squarefree_residues(f: RationalFunction, g: RationalFunction):
+    """[(q, r)] over the squarefree parts q of the denominator of f g'
+    (the poles of f dg), with r the sum of res_p(f dg) over the places p
+    dividing q, each r one trace in Q[t]/(q).  Together they hold every
+    finite place where f dg has a residue.  No factoring, no sympy."""
+    return list(_part_residues(_differential(f, g)))
+
+
+def residue_sum(f: RationalFunction, g: RationalFunction) -> Fraction:
+    """Sum of res_p(f dg) over every place of P^1, 0 by the residue
+    theorem: the squarefree_residues and the place at infinity, from one
+    f g'.  No factoring, no sympy."""
+    omega = _differential(f, g)
+    if omega.is_zero():
+        return Fraction(0)
+    return sum((r for _, r in _part_residues(omega)), _residue_at_infinity(omega))
 
 
 def laurent_coefficients(f: RationalFunction) -> dict:

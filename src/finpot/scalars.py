@@ -1,10 +1,11 @@
 """Exact scalars: rationals and single-generator number fields.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator).  Number fields are Q[x]/(p) for a monic irreducible p; their
-elements interoperate with ``int`` and ``Fraction`` through coercion, so
-each linear-algebra kernel in this package runs one loop over either kind
-of scalar.  _add_product is the package's one termwise product of
+denominator).  Number fields are Q[x]/(p) for a monic p: a field when p is
+irreducible, an etale algebra (a product of fields) when p is squarefree.
+Their elements interoperate with ``int`` and ``Fraction`` through coercion,
+so each linear-algebra kernel in this package runs one loop over either
+kind of scalar.  _add_product is the package's one termwise product of
 coefficient lists, truncated to its accumulator: _poly_mul runs it on ints
 for all-Fraction lists, on the stored scalars otherwise.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import mul
 
 
 def parse_rational(text: str) -> Fraction:
@@ -71,24 +73,30 @@ def _poly_mul(a, b):
 
 
 def _poly_divmod(a, b):
+    """(quotient, remainder) of coefficient lists; each step subtracts
+    only the nonzero terms of b, so a sparse divisor costs its support."""
     a = list(a)
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     inv = 1 / b[-1]
+    terms = [(j, y) for j, y in enumerate(b) if y != 0]
     for i in range(len(a) - len(b), -1, -1):
         c = a[i + len(b) - 1]
         if c != 0:
             q[i] = c = c * inv
-            for j, y in enumerate(b):
+            for j, y in terms:
                 a[i + j] -= c * y
     return q, _poly_trim(a)
 
 
 class NumberField:
-    """Q[x]/(modulus) for a monic irreducible modulus over Q.
+    """Q[x]/(modulus) for a monic modulus over Q.
 
-    The modulus is a coefficient list, lowest degree first.  Irreducibility is
-    the caller's responsibility (Place and the polynomial layer check it);
-    only monicity is enforced here.
+    The modulus is a coefficient list, lowest degree first; only monicity is
+    enforced here.  An irreducible modulus gives a number field; a
+    squarefree one gives an etale algebra, the product of the fields of its
+    irreducible factors, in which `inverse` works for every element coprime
+    to the modulus and `field_trace` is the sum of the factors' traces.
+    Only Place needs irreducibility, and checks it.
     """
 
     def __init__(self, modulus):
@@ -99,6 +107,27 @@ class NumberField:
             raise ValueError("modulus must be monic")
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
+        self._power_sums = None
+
+    def power_sums(self):
+        """(s_0, ..., s_{d-1}): s_k is the sum of the k-th powers of the
+        modulus's roots, the trace of x^k.  Newton's identities give them
+        from the modulus coefficients c_i, s_k = -(k c_{d-k} +
+        sum_{0<i<k} c_{d-i} s_{k-i}), over the nonzero c_i only; computed
+        once per field."""
+        if self._power_sums is None:
+            c, d = self.modulus, self.degree
+            nonzero = [(i, c[d - i]) for i in range(1, d) if c[d - i] != 0]
+            s = [Fraction(d)]
+            for k in range(1, d):
+                acc = k * c[d - k]
+                for i, ci in nonzero:
+                    if i >= k:
+                        break
+                    acc += ci * s[k - i]
+                s.append(-acc)
+            self._power_sums = tuple(s)
+        return self._power_sums
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -180,7 +209,8 @@ class NumberFieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse via the extended Euclidean algorithm; it
+        exists exactly when the element is coprime to the modulus."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
 
@@ -194,7 +224,7 @@ class NumberFieldElement:
             acc = s0 + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
             s0, s1 = s1, _poly_trim(_add_product(acc, [-x for x in q], s1))
         if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible; modulus not irreducible?")
+            raise ZeroDivisionError("element not invertible: not coprime to the modulus")
         inv = 1 / r0[0]
         return self.field.element([c * inv for c in s0])
 
@@ -280,9 +310,9 @@ def field_norm(e: NumberFieldElement) -> Fraction:
 
 
 def field_trace(e: NumberFieldElement) -> Fraction:
-    """Trace down to Q: trace of the multiplication-by-e map."""
-    m = e.regular_matrix()
-    return sum((m[i][i] for i in range(len(m))), Fraction(0))
+    """Trace down to Q of the multiplication-by-e map: sum a_k s_k for
+    e = sum a_k x^k, with s_k the field's power sums."""
+    return sum(map(mul, e.coeffs, e.field.power_sums()), Fraction(0))
 
 
 def scalar_is_zero(x) -> bool:

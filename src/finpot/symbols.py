@@ -2,6 +2,13 @@
 commutator pairing, their characteristic properties, and the product
 formula over all places of the projective line.
 
+reciprocity_check sums the residues of f dg over the squarefree parts of
+its poles, one trace each, plus the place at infinity (residues.residue_sum):
+it factors nothing and imports no sympy.  Its product of cocycles
+is exp(z^2 * sum / 2), since symbol values multiply by adding exponents.
+The place-by-place route (relevant_places, residue_classical, cocycle)
+gives the same sum and product by factoring.
+
 For the implemented half-space models every symbol value is the exponential
 of a z^2 monomial, exp(z^2 * r) with r rational; SymbolValue asserts that
 shape at construction.  The cocycle is computed from the residue; for
@@ -18,13 +25,14 @@ from fractions import Fraction
 from .errors import WindowExhaustedError
 from .exponentials import OperatorSeries, _exp_terms, det_series
 from .operators import FinitePotentOperator
-from .places import Place, relevant_places
+from .places import Place
 from .polynomials import RationalFunction
 from .residues import (
     _band,
     multiplication_window,
     reduce_to_origin,
     residue_classical,
+    residue_sum,
     split_window_content,
 )
 from .series import TruncatedLaurentSeries, series_exp, series_log
@@ -278,13 +286,12 @@ def reciprocity_check(
     g: RationalFunction,
     prec_z: int = DEFAULT_Z_PREC,
 ):
-    """Sum of residues and product of symbols over every relevant place of
-    the projective line: (sum, product) with sum 0 and product 1."""
+    """Sum of residues of f dg and product of the symbols c(f, g) over
+    every place of the projective line: (sum, product) with sum 0 and
+    product 1.  The finite places come in squarefree parts of the poles of
+    f dg, one trace in Q[t]/(q) per part, with no factoring; the product
+    is exp(z^2 * sum / 2), the product of the per-place cocycles."""
     if f.is_zero() or g.is_zero():
         raise ValueError("reciprocity needs nonzero functions")
-    total = Fraction(0)
-    prod = SymbolValue.from_exponent(Fraction(0), prec_z)
-    for p in relevant_places(f, g):
-        total += residue_classical(f, g, p)
-        prod = prod * cocycle(f, g, p, prec_z)
-    return total, prod
+    total = residue_sum(f, g)
+    return total, SymbolValue.from_exponent(total / 2, prec_z)

@@ -8,7 +8,10 @@ as a generic loop over the stored scalars, dense elimination by pivoting
 Gaussian elimination with unit pivots (_eliminate), the generic product,
 power-trace, convolution and series-determinant loops finpot once ran
 beside its integer kernels, the series product as a double loop over
-stored terms, and local expansions by Newton lifting and series division.
+stored terms, local expansions by Newton lifting and series division, the
+field trace as the trace of the regular matrix, and reciprocity as the
+loop over the irreducible places that finpot ran before it summed
+residues over squarefree parts.
 """
 
 from fractions import Fraction
@@ -108,8 +111,6 @@ def residue_generic_root(f, g, place):
     """res_p(f dg) = Tr(res_{t=theta}(f g' dt)) with theta a generic root of
     the place polynomial, via the derivative formula for a pole of order m:
     res = (n/h)^{(m-1)}(theta) / (m-1)!  where den = (t-theta)^m h."""
-    from finpot.scalars import field_trace
-
     omega = f * g.derivative()
     if omega.is_zero():
         return Fraction(0)
@@ -124,7 +125,7 @@ def residue_generic_root(f, g, place):
         field = place.field
         theta = field.generator()
         to_k = lambda c: field.element([c])
-        trace = field_trace
+        trace = field_trace_regular
     num = [to_k(c) for c in omega.num.coeffs]
     den = [to_k(c) for c in omega.den.coeffs]
     m = 0
@@ -682,3 +683,34 @@ def _expand_at_infinity(f, prec):
     return TruncatedLaurentSeries(
         "u", {k + v: c for k, c in quotient.coeffs.items()}, min(v, 0), prec
     )
+
+
+# -- traces and reciprocity, place by place ------------------------------------
+#
+# The trace of the regular matrix, which field_trace replaced with the power
+# sums of the modulus's roots, and the reciprocity loop finpot ran before it
+# summed residues over the squarefree parts of the poles: factor every
+# numerator and denominator, then take the residue and the cocycle at each
+# irreducible place.
+
+
+def field_trace_regular(e):
+    """Trace down to Q as the diagonal sum of e's regular matrix."""
+    m = e.regular_matrix()
+    return sum((m[i][i] for i in range(len(m))), Fraction(0))
+
+
+def reciprocity_by_places(f, g, prec_z=8):
+    """(sum of res_p(f dg), product of c_p(f, g)) over relevant_places."""
+    from finpot.places import relevant_places
+    from finpot.residues import residue_classical
+    from finpot.symbols import SymbolValue, cocycle
+
+    if f.is_zero() or g.is_zero():
+        raise ValueError("reciprocity needs nonzero functions")
+    total = Fraction(0)
+    prod = SymbolValue.from_exponent(Fraction(0), prec_z)
+    for p in relevant_places(f, g):
+        total += residue_classical(f, g, p)
+        prod = prod * cocycle(f, g, p, prec_z)
+    return total, prod

@@ -322,3 +322,23 @@ def test_regdet_order_above_the_precision():
     code, out, _ = run_cli("regdet", "--op", op, "--m", "1000000", "--prec", "4")
     assert code == 0
     assert out == run_cli("regdet", "--op", op, "--m", "4", "--prec", "4")[1]
+
+
+def test_place_degree_above_the_limit_is_a_parse_error():
+    import time
+
+    # the cap comes before sympy's irreducibility test; without it this took 22 s
+    start = time.perf_counter()
+    code, out, err = run_cli("residue", "--f", "1/(t^300+t+1)", "--g", "t",
+                             "--place", "t^300+t+1")
+    assert time.perf_counter() - start < 1
+    _assert_parse_error(code, out, err)
+    assert "place of degree 300 exceeds the limit 60" in err
+    _assert_parse_error(*run_cli("cocycle", "--f", "t", "--g", "t", "--place", "t^61-2"))
+    code, out, _ = run_cli("residue", "--f", "1/(t^60-2)", "--g", "t^2", "--place", "t^60-2")
+    assert code == 0 and json.loads(out) == {"value": "0"}
+
+
+def test_reciprocity_at_a_high_degree_pole():
+    code, out, _ = run_cli("reciprocity", "--f", "1/(t^200+t+1)", "--g", "t")
+    assert code == 0 and json.loads(out) == {"product": "1 + O(z^8)", "sum": "0"}

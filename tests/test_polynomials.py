@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from finpot.polynomials import (
     factor_monic_irreducibles,
     is_irreducible,
     split_power,
+    squarefree_parts,
 )
 from finpot.scalars import NumberField, _add_product, _poly_mul
 
@@ -62,6 +64,37 @@ def test_factorization():
     factors = dict(factor_monic_irreducibles(p))
     assert factors[t - 1] == 2
     assert factors[t * t + 1] == 1
+
+
+def test_squarefree_parts_example():
+    t = Polynomial.variable()
+    p = (t - 1) ** 2 * (t * t + 1) ** 2 * (t + 2) * (t * t - 3) ** 3 * Fraction(-5, 2)
+    assert squarefree_parts(p) == [
+        (t + 2, 1), ((t - 1) * (t * t + 1), 2), (t * t - 3, 3)
+    ]
+    assert squarefree_parts(Polynomial([7])) == []
+    assert squarefree_parts(t**4) == [(t, 4)]
+    with pytest.raises(ValueError):
+        squarefree_parts(Polynomial())
+
+
+def test_squarefree_parts_random(rng):
+    t = Polynomial.variable()
+    pool = [t - 1, t + 2, t, t * t + 1, t * t - 2, t * t + t + 1, t**3 - 2]
+    for _ in range(40):
+        p = Polynomial([Fraction(rng.randint(1, 5), rng.randint(1, 3))])
+        for fac in rng.sample(pool, rng.randint(0, 4)):
+            p = p * fac ** rng.randint(1, 4)
+        parts = squarefree_parts(p)
+        rebuilt = Polynomial([p.leading()])
+        for q, m in parts:
+            assert q.is_monic() and q.degree >= 1
+            assert q.gcd(q.derivative()) == 1  # squarefree
+            rebuilt = rebuilt * q**m
+        assert rebuilt == p
+        assert len({m for _, m in parts}) == len(parts)
+        for (a, _), (b, _) in combinations(parts, 2):
+            assert a.gcd(b) == 1
 
 
 def test_rational_function_normalization():

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from finpot.errors import ReductionError
 from finpot.parsing import parse_place, parse_rational_function as P
-from finpot.places import Place
-from finpot.residues import residue_classical, residue_tate
+from finpot.places import Place, relevant_places, substitute_inverse
+from finpot.residues import residue_classical, residue_tate, squarefree_residues
 from finpot.polynomials import RationalFunction
 from conftest import random_laurent_poly, random_rational_function
 from oracles import residue_generic_root
@@ -124,3 +126,33 @@ def test_window_retry_path():
     f, g = P("1/t^3"), P("t^3")
     assert residue_tate(f, g, window=2) == 3
     assert residue_tate(f, g) == 3
+
+
+def test_residue_at_infinity_is_the_residue_at_zero_after_inversion(rng):
+    # t = 1/u carries the place at infinity to u = 0
+    for _ in range(30):
+        f = random_rational_function(rng)
+        g = random_rational_function(rng)
+        fw, gw = substitute_inverse(f), substitute_inverse(g)
+        assert residue_classical(f, g, Place.infinity()) == residue_classical(fw, gw, PLACE_T)
+
+
+def test_squarefree_part_residue_is_the_sum_over_its_places():
+    f = P("(t^3+2)/((t^2+1)^3*(t-2)^3*(t^2-3))")
+    g = P("(t+5)/((t^2+1)*(t-2))")
+    parts = dict(squarefree_residues(f, g))
+    q = P("(t^2+1)*(t-2)").num
+    assert parts[q] == Fraction(-16357, 512)
+    assert parts[q] == residue_classical(f, g, parse_place("t-2")) + residue_classical(
+        f, g, parse_place("t^2+1")
+    )
+    assert parts[P("t^2-3").num] == -parts[q]  # no residue at infinity here
+
+
+def test_squarefree_parts_are_taken_after_cancellation():
+    # den f = t^2 - 2t, but f g' = 4(t - 1)(t + 2)/(t - 2) has no pole at 0
+    f, g = P("(2*t^2+2*t-4)/(t^2-2*t)"), P("t^2+1")
+    assert squarefree_residues(f, g) == [(P("t-2").num, Fraction(16))]
+    finite = [p for p in relevant_places(f, g) if not p.is_infinity()]
+    assert sum(residue_classical(f, g, p) for p in finite) == 16
+    assert residue_classical(f, g, Place.infinity()) == -16

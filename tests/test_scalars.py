@@ -11,6 +11,8 @@ from finpot.scalars import (
     parse_rational,
 )
 
+from oracles import field_trace_regular
+
 
 def test_rational_round_trip():
     assert parse_rational("3/4") == Fraction(3, 4)
@@ -56,6 +58,31 @@ def test_field_trace():
     s = ROOT2.generator()
     assert field_trace(s) == 0
     assert field_trace(ROOT2.element([Fraction(1, 2), 3])) == 1
+
+
+@pytest.mark.parametrize("degree", [2, 4, 30, 120])
+def test_field_trace_matches_regular_matrix_trace(degree):
+    import random
+
+    rng = random.Random(degree)
+    q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    # a sparse monic modulus and a dense one, each with a dense element
+    for modulus in ([q(), q()] + [0] * (degree - 2) + [1], [q() for _ in range(degree)] + [1]):
+        field = NumberField(modulus)
+        e = field.element([q() for _ in range(degree)])
+        assert field_trace(e) == field_trace_regular(e)
+        assert field_trace(field.one()) == degree
+
+
+def test_etale_algebra_inverts_elements_coprime_to_the_modulus():
+    # Q[x]/((x^2 + 1)(x - 2)): x - 2 is a zero divisor, x + 1 a unit
+    algebra = NumberField([-2, 1, -2, 1])
+    x = algebra.generator()
+    assert (x + 1) * (x + 1).inverse() == algebra.one()
+    with pytest.raises(ZeroDivisionError):
+        (x - 2).inverse()
+    # the trace is the sum over the factors: tr(x) = i - i + 2
+    assert field_trace(x) == 2
 
 
 def test_inverse_of_zero_raises():

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpot.operators import HalfSpaceSpec
 from finpot.parsing import parse_place, parse_rational_function as P
-from finpot.places import Place
+from finpot.places import Place, relevant_places
+from finpot.polynomials import Polynomial, RationalFunction
+from finpot.residues import residue_classical, squarefree_residues
 from finpot.series import TruncatedLaurentSeries as TLS, series_exp
 from finpot.symbols import (
     SymbolValue,
@@ -18,6 +24,7 @@ from finpot.symbols import (
     reciprocity_check,
 )
 from conftest import random_laurent_poly, random_rational_function
+from oracles import reciprocity_by_places
 
 PLACE_T = Place.at_zero()
 
@@ -177,6 +184,8 @@ def test_reciprocity_examples():
     assert s == 0 and prod.is_one()
     s, prod = reciprocity_check(P("t^2+1"), P("t-5"))  # polynomials
     assert s == 0 and prod.is_one()
+    s, prod = reciprocity_check(P("1/t"), P("5"))  # f dg = 0
+    assert s == 0 and prod.is_one()
 
 
 def test_reciprocity_individual_residues():
@@ -199,6 +208,65 @@ def test_reciprocity_random(rng):
         s, prod = reciprocity_check(f, g)
         assert s == 0
         assert prod.is_one()
+
+
+_FACTORS = st.one_of(
+    st.integers(-3, 3).map(lambda a: Polynomial([-a, 1])),
+    st.sampled_from([Polynomial(c) for c in ([1, 0, 1], [-2, 0, 1], [1, 1, 1], [3, 0, 1])]),
+)
+_POLYS = st.builds(
+    lambda c, powers: Polynomial([c]) * _product(q**m for q, m in powers),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    st.lists(st.tuples(_FACTORS, st.integers(1, 3)), max_size=3),
+)
+_FUNCTIONS = st.builds(RationalFunction, _POLYS, _POLYS)
+
+
+def _product(polys):
+    out = Polynomial([1])
+    for p in polys:
+        out = out * p
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_FUNCTIONS, _FUNCTIONS, st.sampled_from([8, 32]))
+def test_squarefree_residues_match_the_places(f, g, prec):
+    # repeated linear and quadratic factors, so parts hold several places
+    # and the poles of f dg have orders above one
+    finite = [p for p in relevant_places(f, g) if not p.is_infinity()]
+    parts = squarefree_residues(f, g)
+    assert sum(r for _, r in parts) == sum(residue_classical(f, g, p) for p in finite)
+    for q, r in parts:
+        inside = [p for p in finite if (q % p.minimal_poly).is_zero()]
+        assert r == sum(residue_classical(f, g, p) for p in inside)
+    total, prod = reciprocity_check(f, g, prec)
+    want_total, want_prod = reciprocity_by_places(f, g, prec)
+    assert total == want_total == 0
+    assert prod.series == want_prod.series
+    assert prod.series.min_degree == want_prod.series.min_degree
+
+
+def test_reciprocity_imports_no_sympy():
+    # irreducible quadratic and cubic zeros and poles, through the library
+    # and through the command line, in one fresh interpreter
+    f, g = "(t^2+1)*(t^3-2)/((t^2+t+1)^2*(t^3+t+1))", "(t^3-t-1)^2/((t^2-3)*(t-1)^3)"
+    code = "\n".join([
+        "import runpy, sys",
+        "from finpot.parsing import parse_rational_function as P",
+        "from finpot.symbols import reciprocity_check",
+        "total, prod = reciprocity_check(P(%r), P(%r), 32)" % (f, g),
+        "assert total == 0 and prod.is_one()",
+        "sys.argv = ['finpot', 'reciprocity', '--f', %r, '--g', %r]" % (f, g),
+        "try:",
+        "    runpy.run_module('finpot', run_name='__main__')",
+        "except SystemExit as exc:",
+        "    assert exc.code == 0",
+        "print('sympy' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.splitlines() == ['{"product": "1 + O(z^8)", "sum": "0"}', "False"]
 
 
 def test_c4_negative_valuation_side():
