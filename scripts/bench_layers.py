@@ -12,14 +12,17 @@ pole at t - 2, at t^2 + 1 and at infinity, and of series_mul, series_exp
 and series_inv on dense Q series (every coefficient a random p/q as above,
 from degree 0, or degree 1 for exp) at precision 32, 64 and 128, of
 reciprocity_check at z-precision 8 and 32 on a random pair with poles at
-t - 2 (double), t^2 + 1 and t^3 + t + 1, and, end to end, of one fresh
+t - 2 (double), t^2 + 1 and t^3 + t + 1, of SparseOperator.compose on two
+random banded 64 x 64 operators (bandwidth 7), of the windowed symbol
+determinant cocycle_via_operators at z-precision 8 with f in
+span(1/t^2, t) and g in span(1/t, t), and, end to end, of one fresh
 `python -m finpot` process per CLI verb (cli_cold, best of 5, counting
 interpreter start and import; "python" is a bare interpreter start for
 reference).  With --out it also writes the numbers, the git commit of the
 finpot tree it imported, the line count of its modules (src_lines) and the
 machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_11.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_12.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -47,7 +50,7 @@ from finpot.places import local_expand
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.scalars import NumberField
 from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
-from finpot.symbols import reciprocity_check
+from finpot.symbols import cocycle_via_operators, reciprocity_check
 
 SIZES = (8, 16, 24)
 PRECISIONS = (32, 64, 128)
@@ -78,6 +81,18 @@ def dense_series(rng, prec, low):
     while cs[low] == 0:
         cs[low] = rational(rng)
     return TruncatedLaurentSeries("z", cs, 0, prec)
+
+
+def laurent(rng, degrees):
+    """sum c_d t^d over the given degrees, each c_d a nonzero p/q with
+    |p| <= 2 and q <= 2 (the operator requests of symbols-reciprocity)."""
+    cs = {}
+    for d in degrees:
+        while not cs.get(d):
+            cs[d] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    k = -min(0, min(cs))
+    return RationalFunction(Polynomial([cs.get(d - k, 0) for d in range(max(cs) + k + 1)]),
+                            Polynomial([0] * k + [1]))
 
 
 def fitting_input(rng, n):
@@ -155,6 +170,12 @@ def measure():
     f = RationalFunction(Polynomial([rational(rng) for _ in range(3)] + [1]), poles)
     g = RationalFunction(Polynomial([rational(rng) for _ in range(2)] + [1]), (t * t + 1) * (t + 3))
     out["reciprocity_check"] = {str(p): best_of(reciprocity_check, f, g, p) for p in (8, 32)}
+    # drawn after every input above, which stay as in earlier versions
+    a, b = (SparseOperator({(i, j): rational(rng) for i in range(64)
+                            for j in range(max(0, i - 3), min(64, i + 4))}) for _ in range(2))
+    out["sparse_compose"] = {"64": best_of(SparseOperator.compose, a, b)}
+    f, g = (laurent(rng, degrees) for degrees in ((-2, 1), (-1, 1)))
+    out["cocycle_via_operators"] = {"8": best_of(cocycle_via_operators, f, g, None, 0, 8)}
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

@@ -15,12 +15,13 @@ inversion of 1 + phi) and admits a decidable finite-potency certificate.
 
 SparseOperator.add, compose and scale run on an integer kernel when every
 entry of every operand is a Fraction (and a scale factor is an int or a
-Fraction): add and compose take each operand as integer numerators over the
-lcm of its denominators and sum and multiply in int, scale multiplies
-numerators and denominators, and one reduced Fraction is built per nonzero
-result entry.  Operands with NumberFieldElement entries, alone or mixed with
-Fractions, take the same loops over the stored scalars.  Both give the
-same values and types.
+Fraction): such an operator is held as integer numerators over the lcm of
+its denominators (scalars._int_coeffs), the three work on those, and one
+gcd per result brings the denominator back down to the lcm, so no Fraction
+is built between products; the reduced Fractions of `entries` are built
+when first read.  Operands with NumberFieldElement entries, alone or mixed
+with Fractions, take the same loops over the stored scalars.  Both give
+the same values and types.
 
 The tail rule (which e_{i+k} a tail reaches from e_i) lives in one place,
 TailDescriptor.image_of: op_apply, op_entry, the products of a tail with a
@@ -34,11 +35,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from .errors import IncompatibleTailsError, StraddlingTailError
 from .scalars import (
     NumberFieldElement,
+    _int_coeffs,
     _poly_mul,
     format_rational,
     parse_rational,
@@ -49,7 +51,7 @@ from .scalars import (
 class SparseOperator:
     """Finite-support matrix: map (row, col) -> scalar, no stored zeros."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("_entries", "_nums", "_den")
 
     def __init__(self, entries=()):
         clean = {}
@@ -58,7 +60,36 @@ class SparseOperator:
                 clean[(int(i), int(j))] = (
                     c if isinstance(c, NumberFieldElement) else Fraction(c)
                 )
-        self.entries = clean
+        self._entries, self._nums, self._den = clean, None, 1
+
+    @classmethod
+    def _from_ints(cls, nums: dict, den: int) -> "SparseOperator":
+        """Entries n/den for the nonzero integers n, with one gcd bringing
+        den down to the lcm of the reduced denominators."""
+        nums = {k: n for k, n in nums.items() if n}
+        g = gcd(den, *nums.values())
+        if g > 1:
+            nums, den = {k: n // g for k, n in nums.items()}, den // g
+        op = object.__new__(cls)
+        op._entries, op._nums, op._den = None, nums, den
+        return op
+
+    def _ints(self):
+        """(numerators, denominator) when every entry is a Fraction, else None."""
+        if self._nums is None:
+            vals = self._entries.values()
+            if not all(type(v) is Fraction for v in vals):
+                return None
+            nums, self._den = _int_coeffs(vals)
+            self._nums = dict(zip(self._entries, nums))
+        return self._nums, self._den
+
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            den = self._den
+            self._entries = {k: Fraction(n, den) for k, n in self._nums.items()}
+        return self._entries
 
     def __eq__(self, other):
         if not isinstance(other, SparseOperator):
@@ -74,14 +105,17 @@ class SparseOperator:
         )
         return "SparseOperator{%s}" % items
 
+    def _keys(self):
+        return self._nums if self._entries is None else self._entries
+
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._keys()
 
     def rows(self):
-        return {i for i, _ in self.entries}
+        return {i for i, _ in self._keys()}
 
     def cols(self):
-        return {j for _, j in self.entries}
+        return {j for _, j in self._keys()}
 
     def support(self):
         return self.rows() | self.cols()
@@ -89,62 +123,50 @@ class SparseOperator:
     def get(self, i, j):
         return self.entries.get((i, j), Fraction(0))
 
-    @classmethod
-    def _trusted(cls, entries: dict) -> "SparseOperator":
-        """Wrap entries that are already nonzero Fractions keyed by int pairs,
-        skipping __init__'s per-entry checks."""
-        op = object.__new__(cls)
-        op.entries = entries
-        return op
-
     def add(self, *others: "SparseOperator") -> "SparseOperator":
-        """self + other + ...; on the integer kernel, one common denominator
-        and one reduction for the whole sum."""
-        others = [op for op in others if op.entries]
+        """self + other + ...; all-Fraction operands sum their numerators
+        over the lcm of their denominators, with one reduction."""
+        others = [op for op in others if not op.is_zero()]
         if not others:
             return self
-        ints = _all_fractions(self, *others)
+        forms = [op._ints() for op in (self, *others)]
+        ints = None not in forms
         if ints:
-            den = _lcm_denominator(self, *others)
-            out, zero = _numerators(self, den), 0
-            parts = (_numerators(op, den) for op in others)
+            den = lcm(*(d for _, d in forms))
+            parts = ({k: n * (den // d) for k, n in nums.items()} for nums, d in forms)
         else:
-            out, zero, parts = dict(self.entries), Fraction(0), (op.entries for op in others)
+            parts = (op.entries for op in (self, *others))
+        out, zero = dict(next(parts)), 0 if ints else Fraction(0)
         for part in parts:
             for k, c in part.items():
                 out[k] = out.get(k, zero) + c
-        return _over(out, den) if ints else SparseOperator(out)
+        return SparseOperator._from_ints(out, den) if ints else SparseOperator(out)
 
     def scale(self, c) -> "SparseOperator":
-        if isinstance(c, (int, Fraction)) and _all_fractions(self):
-            p, q = Fraction(c).as_integer_ratio()
-            if not p:
-                return SparseOperator()
-            return SparseOperator._trusted(
-                {
-                    k: Fraction(p * v.numerator, q * v.denominator)
-                    for k, v in self.entries.items()
-                }
-            )
+        form = self._ints() if isinstance(c, (int, Fraction)) else None
+        if form is not None:
+            (nums, den), (p, q) = form, Fraction(c).as_integer_ratio()
+            return SparseOperator._from_ints({k: p * n for k, n in nums.items()}, q * den)
         return SparseOperator({k: c * v for k, v in self.entries.items()})
 
     def compose(self, other: "SparseOperator") -> "SparseOperator":
-        """Matrix product self . other."""
-        ints = _all_fractions(self, other)
+        """Matrix product self . other; on all-Fraction operands, of the
+        numerators over the product of the denominators."""
+        a, b = self._ints(), other._ints()
+        ints = a is not None and b is not None
         if ints:
-            ld, rd = _lcm_denominator(self), _lcm_denominator(other)
-            left, right, zero = _numerators(self, ld), _numerators(other, rd), 0
+            (left, ld), (right, rd), zero = a, b, 0
         else:
             left, right, zero = self.entries, other.entries, Fraction(0)
         by_row = {}
         for (k, j), c in right.items():
             by_row.setdefault(k, []).append((j, c))
         out = {}
-        for (i, k), a in left.items():
-            for j, b in by_row.get(k, ()):
+        for (i, k), x in left.items():
+            for j, y in by_row.get(k, ()):
                 key = (i, j)
-                out[key] = out.get(key, zero) + a * b
-        return _over(out, ld * rd) if ints else SparseOperator(out)
+                out[key] = out.get(key, zero) + x * y
+        return SparseOperator._from_ints(out, ld * rd) if ints else SparseOperator(out)
 
     def apply(self, vec: dict) -> dict:
         out = {}
@@ -157,35 +179,6 @@ class SparseOperator:
             for i, c in by_col.get(j, ()):
                 out[i] = out.get(i, Fraction(0)) + c * x
         return {i: v for i, v in out.items() if not scalar_is_zero(v)}
-
-
-# Integer kernel of SparseOperator arithmetic: all-Fraction operands become
-# integer numerators over a common denominator (an lcm, so they stay small).
-
-
-def _all_fractions(*ops) -> bool:
-    return all(type(v) is Fraction for op in ops for v in op.entries.values())
-
-
-def _lcm_denominator(*ops) -> int:
-    return lcm(*(v.denominator for op in ops for v in op.entries.values()))
-
-
-def _numerators(op: SparseOperator, den: int) -> dict:
-    """{key: n} with entry = n / den; den must be a multiple of every
-    denominator of op."""
-    out = {}
-    for k, v in op.entries.items():
-        n, d = v.as_integer_ratio()
-        out[k] = n * (den // d)
-    return out
-
-
-def _over(numerators: dict, den: int) -> SparseOperator:
-    """The operator with entries n/den for the nonzero integers n."""
-    return SparseOperator._trusted(
-        {k: Fraction(n, den) for k, n in numerators.items() if n}
-    )
 
 
 @dataclass(frozen=True)
@@ -443,6 +436,8 @@ def op_sub(phi: FinitePotentOperator, psi: FinitePotentOperator) -> FinitePotent
 
 def _tail_after_sparse(tail: TailDescriptor, sp: SparseOperator) -> SparseOperator:
     """tail . sp as a finite-support matrix."""
+    if tail.is_none():
+        return SparseOperator()
     out = {}
     for (k, j), c in sp.entries.items():
         for i, tc in tail.image_of(k):

@@ -55,17 +55,19 @@ def _add_product(acc, a, b):
     return acc
 
 
-def _poly_mul(a, b):
-    """Product of coefficient lists by _add_product.  When every
-    coefficient is a Fraction, each list becomes integers over the lcm of
-    its denominators and the loop runs on ints, with one Fraction per
-    result coefficient; otherwise it runs on the stored scalars."""
+def _poly_mul(a, b, n=None):
+    """Product of coefficient lists by _add_product, cut to its first n
+    coefficients when n is given.  When every coefficient is a Fraction,
+    each list becomes integers over the lcm of its denominators and the
+    loop runs on ints, with one Fraction per result coefficient; otherwise
+    it runs on the stored scalars."""
     if not a or not b:
         return []
     ints = all(type(x) is Fraction for x in chain(a, b))
     if ints:
         (a, da), (b, db) = _int_coeffs(a), _int_coeffs(b)
-    acc = _add_product([0 if ints else Fraction(0)] * (len(a) + len(b) - 1), a, b)
+    n = len(a) + len(b) - 1 if n is None else n
+    acc = _add_product([0 if ints else Fraction(0)] * n, a, b)
     if ints:
         den = da * db
         acc = [Fraction(c, den) for c in acc]

@@ -261,9 +261,10 @@ def series_mul(
     a: TruncatedLaurentSeries, b: TruncatedLaurentSeries
 ) -> TruncatedLaurentSeries:
     """Product, correct for every degree below the resulting precision, by
-    scalars._poly_mul on the coefficient lists from the valuations, cut below
-    that precision.  A coefficient is a NumberFieldElement exactly where a
-    stored field coefficient takes part, as in the sum over stored pairs."""
+    scalars._poly_mul on the coefficient lists from the valuations, forming
+    only the terms below that precision.  A coefficient is a
+    NumberFieldElement exactly where a stored field coefficient takes part,
+    as in the sum over stored pairs."""
     a._check_var(b)
     va, vb = min(a.coeffs, default=a.precision), min(b.coeffs, default=b.precision)
     prec = min(a.precision + vb, b.precision + va)
@@ -272,7 +273,7 @@ def series_mul(
         n, zero = prec - va - vb, Fraction(0)
         la, lb = ([s.coeffs.get(d, zero) for d in range(v, min(v + n, max(s.coeffs) + 1))]
                   for s, v in ((a, va), (b, vb)))
-        prod = _poly_mul(la, lb)[:n]
+        prod = _poly_mul(la, lb, n)
         if not all(type(x) is Fraction for x in prod):
             # a product with a zero between stored terms made a field element
             # of a degree no stored field coefficient reaches: a Fraction again

@@ -351,6 +351,60 @@ def test_many_operand_sums_match_pairwise_sums(qs, ks, first):
     assert first.add() is first
 
 
+@st.composite
+def _chain(draw, field=None):
+    """A start operator and up to five steps: add or compose (on either
+    side) with a drawn operator, or scale by a drawn scalar; with a field,
+    operands mix all-Fraction and field operators and factors."""
+    ops = _sparse(field) if field is None else st.one_of(_sparse(field), _sparse())
+    scalars = _Q if field is None else st.one_of(
+        _Q, st.tuples(_Q, _Q).map(lambda cs: field.element(list(cs))))
+    steps = []
+    kinds = st.sampled_from(("add", "compose", "compose_right", "scale"))
+    for kind in draw(st.lists(kinds, max_size=5)):
+        steps.append((kind, draw(scalars if kind == "scale" else ops)))
+    return draw(ops), steps
+
+
+def _run_chain(start, steps, add, compose, scale):
+    out = [start]
+    for kind, x in steps:
+        a = out[-1]
+        if kind == "add":
+            out.append(add(a, x))
+        elif kind == "compose":
+            out.append(compose(a, x))
+        elif kind == "compose_right":
+            out.append(compose(x, a))
+        else:
+            out.append(scale(a, x))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from((None, GAUSS)).flatmap(_chain))
+def test_operation_chains_match_generic_loops(chain):
+    """Chains of add/compose/scale on Q, Q(i) and mixed operators equal the
+    generic loops in value and scalar type; every result, read only after
+    the chain, agrees with the operator rebuilt from its entries on
+    is_zero, support, ==, hash and (all-Fraction) the JSON round trip."""
+    start, steps = chain
+    got = _run_chain(start, steps, SparseOperator.add, SparseOperator.compose,
+                     SparseOperator.scale)
+    want = _run_chain(start, steps, sparse_add, sparse_compose, sparse_scale)
+    shape = [(op.is_zero(), op.rows(), op.cols(), op.support()) for op in got]
+    for new, old, (zero, rows, cols, support) in zip(got, want, shape):
+        rebuilt = SparseOperator(new.entries)
+        assert (zero, rows, cols, support) == (
+            rebuilt.is_zero(), rebuilt.rows(), rebuilt.cols(), rebuilt.support())
+        _same_as_oracle(new, old)
+        assert new == rebuilt and hash(new) == hash(rebuilt)
+        if _all_fractions(new):
+            text = FPO(new).to_json()
+            assert text == FPO(rebuilt).to_json()
+            assert FPO.from_json(text).finite_part == new
+
+
 def test_many_operand_op_add_folds_tails():
     tail = TailDescriptor.jordan(3, 5, [1])
     a = FPO(SparseOperator({(0, 1): Fraction(1, 2)}), tail)

@@ -97,6 +97,33 @@ def test_operator_route_agrees(rng):
         assert cocycle_via_operators(f, g) == cocycle(f, g, PLACE_T)
 
 
+_LAURENT = st.dictionaries(
+    st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool),
+    min_size=1, max_size=3,
+)
+
+
+def _laurent_at(coeffs, a):
+    """sum c_k (t - a)^k as an element of Q(t)."""
+    s = Polynomial([-a, 1])
+    k = -min(0, min(coeffs))
+    num = Polynomial([])
+    for d, c in coeffs.items():
+        num = num + Polynomial([c]) * s ** (d + k)
+    return RationalFunction(num, s**k)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_LAURENT, _LAURENT, st.sampled_from([0, 1]))
+def test_operator_route_matches_residue_route(fc, gc, a):
+    """The determinant of the exponential product on the half-space model
+    equals the cocycle from residues, for Laurent f, g at t = 0 and t = 1."""
+    place = parse_place("t" if a == 0 else "t-1")
+    f, g = _laurent_at(fc, a), _laurent_at(gc, a)
+    assert cocycle_via_operators(f, g, place) == cocycle(f, g, place)
+
+
 def test_four_exponential_commutator_route(rng):
     # det(exp(zf1) exp(zg1) exp(-zf1) exp(-zg1)) = exp(z^2 res(f dg))
     assert pairing_via_operators(P("1/t"), P("t")) == sym(1)
