@@ -15,14 +15,18 @@ reciprocity_check at z-precision 8 and 32 on a random pair with poles at
 t - 2 (double), t^2 + 1 and t^3 + t + 1, of SparseOperator.compose on two
 random banded 64 x 64 operators (bandwidth 7), of the windowed symbol
 determinant cocycle_via_operators at z-precision 8 with f in
-span(1/t^2, t) and g in span(1/t, t), and, end to end, of one fresh
+span(1/t^2, t) and g in span(1/t, t), of the four-exponential
+pairing_via_operators on the same shapes, of the loop pairing's int_det on
+the integer stage corner sw_pairing_truncated builds at T = 15 (support
+2 + 2) and T = 19 (support 3 + 3, coefficients +-1/2, +-1/4 as in the
+loop-pairing workload), and, end to end, of one fresh
 `python -m finpot` process per CLI verb (cli_cold, best of 5, counting
 interpreter start and import; "python" is a bare interpreter start for
 reference).  With --out it also writes the numbers, the git commit of the
 finpot tree it imported, the line count of its modules (src_lines) and the
 machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_12.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_13.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -41,16 +45,17 @@ import time
 from fractions import Fraction
 
 import finpot
-from finpot import FinitePotentOperator, SparseOperator
+from finpot import FinitePotentOperator, SparseOperator, segal_wilson
 from finpot.exponentials import det_series, exp_op
 from finpot.fitting import fitting
-from finpot.matrices import charpoly, det, kernel_basis, mat_inverse, mat_mul
+from finpot.matrices import charpoly, det, int_det, kernel_basis, mat_inverse, mat_mul
 from finpot.parsing import parse_place
 from finpot.places import local_expand
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.scalars import NumberField
+from finpot.segal_wilson import LoopExponent, sw_pairing_truncated
 from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
-from finpot.symbols import cocycle_via_operators, reciprocity_check
+from finpot.symbols import cocycle_via_operators, pairing_via_operators, reciprocity_check
 
 SIZES = (8, 16, 24)
 PRECISIONS = (32, 64, 128)
@@ -93,6 +98,21 @@ def laurent(rng, degrees):
     k = -min(0, min(cs))
     return RationalFunction(Polynomial([cs.get(d - k, 0) for d in range(max(cs) + k + 1)]),
                             Polynomial([0] * k + [1]))
+
+
+def stage_corner(rng, T, support):
+    """The integer corner that sw_pairing_truncated hands to int_det, for
+    random exponents with the given support on each side."""
+    coeffs = [Fraction(s, d) for s in (-1, 1) for d in (2, 4)]
+    f, ft = (LoopExponent(side, {n: rng.choice(coeffs) for n in range(1, support + 1)})
+             for side in ("plus", "minus"))
+    seen, real = [], segal_wilson.int_det
+    segal_wilson.int_det = lambda m: seen.append([row[:] for row in m]) or real(m)
+    try:
+        sw_pairing_truncated(f, ft, T)
+    finally:
+        segal_wilson.int_det = real
+    return seen[0]
 
 
 def fitting_input(rng, n):
@@ -176,6 +196,11 @@ def measure():
     out["sparse_compose"] = {"64": best_of(SparseOperator.compose, a, b)}
     f, g = (laurent(rng, degrees) for degrees in ((-2, 1), (-1, 1)))
     out["cocycle_via_operators"] = {"8": best_of(cocycle_via_operators, f, g, None, 0, 8)}
+    # drawn after every input above, which stay as in earlier versions
+    f, g = (laurent(rng, degrees) for degrees in ((-2, 1), (-1, 1)))
+    out["pairing_via_operators"] = {"8": best_of(pairing_via_operators, f, g, None, 0, 8)}
+    out["int_det"] = {str(T): best_of(int_det, stage_corner(rng, T, support))
+                      for T, support in ((15, 2), (19, 3))}
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

@@ -35,6 +35,7 @@ from .exponentials import (
     OperatorSeries,
     det_series,
     exp_op,
+    exp_product,
     infinite_product_det,
     zassenhaus_check,
     zassenhaus_terms,

@@ -9,7 +9,10 @@ commutator identities and determinants of infinite exponential products all
 stay finite, exact computations.
 
 OperatorSeries is the one operator-series type and det_series the one block
-determinant; the windowed symbol route uses both, its content box as core.
+determinant.  exp_product builds a product of exponentials from its
+logarithmic derivative (Wilcox 1967), whose terms are nested commutators
+of the generators: the windowed symbol route takes it for its exponential
+products, then det_series with the content box as core.
 """
 
 from __future__ import annotations
@@ -147,6 +150,52 @@ def exp_op(
         raise ValueError("degree weight k must be >= 1")
     cert = certify_finite_potent(phi)
     return OperatorSeries(variable, prec, _exp_terms(phi, k, prec), cert.indices)
+
+
+def _exp_ad(n: FinitePotentOperator, x: dict, top: int) -> dict:
+    """exp(z ad n) applied to the operator series x (degree -> operator):
+    sum_k z^k ad_n^k(x) / k!, through degree top."""
+    parts: dict = {}
+    for e, term in x.items():
+        k = 0
+        while True:
+            parts.setdefault(e + k, []).append(term)
+            k += 1
+            if e + k > top:
+                break
+            term = op_scale(op_commutator(n, term), Fraction(1, k))
+            if term.is_zero():
+                break
+    return {d: op_add(*ops) for d, ops in parts.items()}
+
+
+def exp_product(generators, prec: int) -> OperatorSeries:
+    """prod_i exp(z M_i) below degree prec, in the variable z, with core ().
+
+    Y = prod_i exp(z M_i) solves Y' = L Y, where
+    L = sum_i exp(z ad M_1) ... exp(z ad M_{i-1})(M_i), nested as
+    M_1 + exp(z ad M_1)(M_2 + exp(z ad M_2)(M_3 + ...)); so
+    d Y_d = sum_k L_k Y_{d-1-k} with Y_0 = 1.  A formal identity over
+    End(V)[[z]] whose only divisions are by integers: the terms are those
+    of the product of the truncated exponentials.  When sum_i M_i = 0,
+    L_0 vanishes and every other L_k is a sum of nested commutators, so L
+    and Y stay as localized as those commutators."""
+    top = prec - 2  # Y_d for d < prec reads L_k for k <= prec - 2
+    log_deriv: dict = {}
+    for m in reversed(generators):
+        log_deriv = _exp_ad(m, log_deriv, top)
+        log_deriv[0] = op_add(m, log_deriv[0]) if 0 in log_deriv else m
+    log_deriv = {k: t for k, t in log_deriv.items() if not t.is_zero()}
+    terms: dict = {}
+    for d in range(1, prec):
+        ops = [log_deriv[d - 1]] if d - 1 in log_deriv else []
+        for k, lk in log_deriv.items():
+            y = terms.get(d - 1 - k)
+            if y is not None:
+                ops.append(op_compose(lk, y))
+        if ops:
+            terms[d] = op_scale(op_add(*ops), Fraction(1, d))
+    return OperatorSeries("z", prec, terms, ())
 
 
 def det_series(s: OperatorSeries) -> TruncatedLaurentSeries:

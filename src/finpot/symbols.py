@@ -14,8 +14,9 @@ of a z^2 monomial, exp(z^2 * r) with r rational; SymbolValue asserts that
 shape at construction.  The cocycle is computed from the residue; for
 degree-1 places it is also computable as a determinant of a product of
 operator exponentials on the windowed model, and the two routes must agree.
-That route multiplies the factors as OperatorSeries and calls det_series with
-the content box as the core: it has no series arithmetic of its own.
+That route builds the product of the factors with exponentials.exp_product
+and calls det_series with the content box as the core: it has no series
+arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import WindowExhaustedError
-from .exponentials import OperatorSeries, _exp_terms, det_series
+from .exponentials import OperatorSeries, det_series, exp_product
 from .operators import FinitePotentOperator
 from .places import Place
 from .polynomials import RationalFunction
@@ -136,8 +137,10 @@ def _det_of_exponential_product(
     Individual factors have no determinant; the product's series terms are
     finite rank, supported in a box near the cut, and the determinant is the
     determinant of that box block: the box is the core of the content series,
-    the factors carry none.  A guard strip between the box and the window
-    edge must stay exactly zero, else the window grows (3 retries).
+    the factors carry none.  exp_product builds the terms from the signed
+    windows through their nested commutators, which live near the cut and
+    the window edge.  A guard strip between the box and the window edge
+    must stay exactly zero, else the window grows (3 retries).
     """
     band = 1
     for fc in coeff_dicts:
@@ -146,11 +149,11 @@ def _det_of_exponential_product(
     content_end = cut + (prec_z - 1) * band
     for _ in range(4):
         hi = content_end + (prec_z + 1) * band + 4
-        prod = OperatorSeries.one("z", prec_z)
-        for fc, sign in zip(coeff_dicts, signs):
-            m = multiplication_window(fc, cut, hi)
-            terms = _exp_terms(FinitePotentOperator(m.scale(Fraction(sign))), 1, prec_z)
-            prod = prod * OperatorSeries("z", prec_z, terms, ())
+        windows = [
+            FinitePotentOperator(multiplication_window(fc, cut, hi).scale(Fraction(sign)))
+            for fc, sign in zip(coeff_dicts, signs)
+        ]
+        prod = exp_product(windows, prec_z)
         exact_end = hi - prec_z * band
         contents = {}
         for d, t in prod.terms.items():

@@ -9,9 +9,10 @@ Gaussian elimination with unit pivots (_eliminate), the generic product,
 power-trace, convolution and series-determinant loops finpot once ran
 beside its integer kernels, the series product as a double loop over
 stored terms, local expansions by Newton lifting and series division, the
-field trace as the trace of the regular matrix, and reciprocity as the
+field trace as the trace of the regular matrix, reciprocity as the
 loop over the irreducible places that finpot ran before it summed
-residues over squarefree parts.
+residues over squarefree parts, and products of operator exponentials
+as a chain of full operator-series products.
 """
 
 from fractions import Fraction
@@ -311,6 +312,23 @@ def sparse_compose(a, b):
             key = (i, j)
             out[key] = out.get(key, Fraction(0)) + x * y
     return SparseOperator(out)
+
+
+# -- products of operator exponentials by series products ----------------------
+#
+# The chain the windowed symbol route ran before exponentials.exp_product:
+# each factor's Taylor terms as an OperatorSeries, multiplied left to right
+# by OperatorSeries.__mul__.
+
+
+def exp_product_by_series(generators, prec):
+    """prod_i exp(z M_i) below degree prec, one series product per factor."""
+    from finpot.exponentials import OperatorSeries, _exp_terms
+
+    prod = OperatorSeries.one("z", prec)
+    for m in generators:
+        prod = prod * OperatorSeries("z", prec, _exp_terms(m, 1, prec), ())
+    return prod
 
 
 # -- dense kernels over the stored scalars --------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from finpot.determinants import tate_trace
 from finpot.errors import CompatibilityError
@@ -10,6 +10,7 @@ from finpot.exponentials import (
     _exp_terms,
     det_series,
     exp_op,
+    exp_product,
     infinite_product_det,
     zassenhaus_check,
     zassenhaus_terms,
@@ -20,11 +21,13 @@ from finpot.operators import (
     TailDescriptor,
     certify_finite_potent,
     op_add,
+    op_commutator,
     op_scale,
 )
 from finpot.scalars import NumberField, scalar_is_zero
 from finpot.series import TruncatedLaurentSeries as TLS, series_exp
 from conftest import random_operator, random_traceless
+from oracles import exp_product_by_series
 
 PROJ = FPO.from_entries([(0, 0, 1)])
 
@@ -199,3 +202,38 @@ def test_exp_op_core_is_the_certificate(phi, k):
     terms = _exp_terms(phi, k, 10)
     assert _core_closure(cert.indices, list(terms.values())) == cert.indices
     assert exp_op(phi, k, 10).core == cert.indices
+
+
+@st.composite
+def _generators(draw):
+    """One to four sparse operators on indices 0..4, all over Q or all
+    over Q(i)."""
+    gauss = draw(st.booleans())
+    cells = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        entries = {}
+        for cell in draw(st.lists(cells, min_size=1, max_size=6, unique=True)):
+            entries[cell] = _GAUSS.element([draw(_Q), draw(_Q)]) if gauss else draw(_Q)
+        gens.append(FPO(SparseOperator(entries)))
+    return gens
+
+
+def _entry_types(op):
+    return {k: type(v) for k, v in op.finite_part.entries.items()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_generators(), st.integers(1, 8))
+def test_exp_product_matches_series_products(gens, prec):
+    """The log-derivative recurrence gives every term of the product of
+    the truncated exponentials, in value and scalar type.  The generators
+    do not commute and need not sum to zero, so L_0 is exercised too."""
+    assume(len(gens) == 1 or any(
+        not op_commutator(a, b).is_zero() for a, b in zip(gens, gens[1:])
+    ))
+    got, want = exp_product(gens, prec), exp_product_by_series(gens, prec)
+    assert got.precision == prec and got.core == ()
+    assert got.terms == want.terms
+    for d, t in want.terms.items():
+        assert _entry_types(got.terms[d]) == _entry_types(t)

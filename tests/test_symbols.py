@@ -104,9 +104,13 @@ _LAURENT = st.dictionaries(
 )
 
 
-def _laurent_at(coeffs, a):
-    """sum c_k (t - a)^k as an element of Q(t)."""
-    s = Polynomial([-a, 1])
+def _laurent_at(coeffs, place):
+    """sum c_k u^k as an element of Q(t), u the local parameter of the
+    place: t - a at a finite place, 1/t at infinity."""
+    if place.is_infinity():
+        s, coeffs = Polynomial([0, 1]), {-d: c for d, c in coeffs.items()}
+    else:
+        s = place.minimal_poly
     k = -min(0, min(coeffs))
     num = Polynomial([])
     for d, c in coeffs.items():
@@ -115,13 +119,15 @@ def _laurent_at(coeffs, a):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(_LAURENT, _LAURENT, st.sampled_from([0, 1]))
-def test_operator_route_matches_residue_route(fc, gc, a):
-    """The determinant of the exponential product on the half-space model
-    equals the cocycle from residues, for Laurent f, g at t = 0 and t = 1."""
-    place = parse_place("t" if a == 0 else "t-1")
-    f, g = _laurent_at(fc, a), _laurent_at(gc, a)
+@given(_LAURENT, _LAURENT, st.sampled_from(["t", "t-1", "inf"]))
+def test_operator_route_matches_residue_route(fc, gc, name):
+    """The determinants of the exponential products on the half-space
+    model equal the cocycle and the pairing from residues, for Laurent
+    f, g at t = 0, t = 1 and infinity."""
+    place = parse_place(name)
+    f, g = _laurent_at(fc, place), _laurent_at(gc, place)
     assert cocycle_via_operators(f, g, place) == cocycle(f, g, place)
+    assert pairing_via_operators(f, g, place) == pairing(f, g, place)
 
 
 def test_four_exponential_commutator_route(rng):
