@@ -19,14 +19,15 @@ span(1/t^2, t) and g in span(1/t, t), of the four-exponential
 pairing_via_operators on the same shapes, of the loop pairing's int_det on
 the integer stage corner sw_pairing_truncated builds at T = 15 (support
 2 + 2) and T = 19 (support 3 + 3, coefficients +-1/2, +-1/4 as in the
-loop-pairing workload), and, end to end, of one fresh
+loop-pairing workload), of mat_mul on two dense 8 x 8 matrices over Q(i)
+(mat_mul_gauss), and, end to end, of one fresh
 `python -m finpot` process per CLI verb (cli_cold, best of 5, counting
 interpreter start and import; "python" is a bare interpreter start for
 reference).  With --out it also writes the numbers, the git commit of the
 finpot tree it imported, the line count of its modules (src_lines) and the
 machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_13.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_14.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -201,6 +202,10 @@ def measure():
     out["pairing_via_operators"] = {"8": best_of(pairing_via_operators, f, g, None, 0, 8)}
     out["int_det"] = {str(T): best_of(int_det, stage_corner(rng, T, support))
                       for T, support in ((15, 2), (19, 3))}
+    # drawn after every input above, which stay as in earlier versions
+    a, b = ([[gauss.element([rational(rng), rational(rng)]) for _ in range(8)] for _ in range(8)]
+            for _ in range(2))
+    out["mat_mul_gauss"] = {"8": best_of(mat_mul, a, b)}
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

@@ -24,6 +24,8 @@ integer Faddeev-LeVerrier charpoly and the integer power traces.  The routes
 stay independent: the power traces come from matrix powers, not from the
 charpoly by Newton's identities.  Number-field blocks run the same
 elimination loop and the generic product loop on their own scalars.
+Every scalar result passes through scalars.canonical (polynomials and
+series through their constructors): a rational value is a Fraction.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .operators import (
     op_compose,
 )
 from .polynomials import Polynomial
-from .scalars import NumberFieldElement, scalar_is_zero
+from .scalars import NumberFieldElement, canonical, scalar_is_zero
 from .series import TruncatedLaurentSeries, series_exp
 
 
@@ -64,8 +66,7 @@ class DetResult:
 
 def tate_trace(phi: FinitePotentOperator):
     """Trace of the invariant-core restriction (nilpotent part contributes 0)."""
-    ast = lift_ast(phi)
-    return mat_trace(ast.core_matrix)
+    return canonical(mat_trace(lift_ast(phi).core_matrix))
 
 
 def _block(phi: FinitePotentOperator):
@@ -76,7 +77,7 @@ def _block(phi: FinitePotentOperator):
 def det_one_plus(phi: FinitePotentOperator):
     """det(1 + phi) = det(1 + phi|W) on the certificate block."""
     m = _block(phi)
-    return det(mat_add(identity(len(m)), m))
+    return canonical(det(mat_add(identity(len(m)), m)))
 
 
 def _core_symmetric(es):
@@ -96,7 +97,7 @@ def exterior_trace(phi: FinitePotentOperator, r: int):
     if r < 1:
         raise ValueError("exterior power index must be >= 1")
     es = _core_symmetric(elementary_symmetric(_block(phi)))
-    return es[r] if r < len(es) else Fraction(0)
+    return canonical(es[r]) if r < len(es) else Fraction(0)
 
 
 def det_poly(phi: FinitePotentOperator) -> Polynomial:
@@ -285,7 +286,7 @@ def wedge_scaling_check(phi: FinitePotentOperator, m: int):
         for i, c in phi.tail.image_of(start + q):
             r = w_dim + i - start
             mat[r][w_dim + q] = mat[r][w_dim + q] + c
-    return det(mat)
+    return canonical(det(mat))
 
 
 def det_routes(phi: FinitePotentOperator):
@@ -302,13 +303,9 @@ def det_routes(phi: FinitePotentOperator):
     traces = power_traces(block, n + 1)
     value_ps = sum(_plemelj_smithies_coeffs(traces), Fraction(0))
     value_ld = sum(_log_det(traces, n + 2).coeffs.values(), Fraction(0))
-    return (
-        DetResult(value_ast, "ast"),
-        DetResult(value_ext, "exterior"),
-        DetResult(value_cp, "charpoly"),
-        DetResult(value_ps, "plemelj_smithies"),
-        DetResult(value_ld, "logdet"),
-    )
+    values = (value_ast, value_ext, value_cp, value_ps, value_ld)
+    routes = ("ast", "exterior", "charpoly", "plemelj_smithies", "logdet")
+    return tuple(DetResult(canonical(v), r) for v, r in zip(values, routes))
 
 
 def routes_agree(phi: FinitePotentOperator) -> bool:

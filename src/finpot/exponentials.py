@@ -31,12 +31,10 @@ from .operators import (
     op_apply,
     op_commutator,
     op_compose,
-    op_entry,
     op_scale,
     op_sub,
 )
 from .series import TruncatedLaurentSeries
-from .scalars import scalar_is_zero
 
 
 def _core_closure(seed, operators, cap: int = 10000):
@@ -119,27 +117,11 @@ class OperatorSeries:
         )
 
 
-def _exp_terms(phi: FinitePotentOperator, k: int, prec: int) -> dict:
-    """The terms z^{jk} -> phi^j / j! of exp_{z^k}(phi) - 1, for jk < prec."""
-    terms = {}
-    power = None
-    fact = 1
-    j = 1
-    while j * k < prec:
-        power = phi if power is None else op_compose(power, phi)
-        fact *= j
-        scaled = op_scale(power, Fraction(1, fact))
-        if scaled.is_zero():
-            break
-        terms[j * k] = scaled
-        j += 1
-    return terms
-
-
 def exp_op(
     phi: FinitePotentOperator, k: int = 1, prec: int = 10, variable: str = "z"
 ) -> OperatorSeries:
-    """1 + sum_{j>=1, jk<prec} z^{jk} phi^j / j!.
+    """1 + sum_{j>=1, jk<prec} z^{jk} phi^j / j!: the terms of
+    exp_product([phi], ceil(prec / k)), degree j placed at jk.
 
     The certificate's W is already a common core, with no closure to run:
     W is the row support of the finite part, so the finite part maps
@@ -149,7 +131,8 @@ def exp_op(
     if k < 1:
         raise ValueError("degree weight k must be >= 1")
     cert = certify_finite_potent(phi)
-    return OperatorSeries(variable, prec, _exp_terms(phi, k, prec), cert.indices)
+    terms = exp_product([phi], -(-prec // k)).terms
+    return OperatorSeries(variable, prec, {j * k: t for j, t in terms.items()}, cert.indices)
 
 
 def _exp_ad(n: FinitePotentOperator, x: dict, top: int) -> dict:
@@ -191,7 +174,7 @@ def exp_product(generators, prec: int) -> OperatorSeries:
         ops = [log_deriv[d - 1]] if d - 1 in log_deriv else []
         for k, lk in log_deriv.items():
             y = terms.get(d - 1 - k)
-            if y is not None:
+            if y is not None and not y.is_zero():
                 ops.append(op_compose(lk, y))
         if ops:
             terms[d] = op_scale(op_add(*ops), Fraction(1, d))
@@ -200,19 +183,18 @@ def exp_product(generators, prec: int) -> OperatorSeries:
 
 def det_series(s: OperatorSeries) -> TruncatedLaurentSeries:
     """Determinant over the series field, as the determinant of the finite
-    core block of 1 + sum z^d term_d."""
+    core block of 1 + sum z^d term_d.  Its cells are filled from each
+    term's stored entries and the tail's images of the core (the two never
+    share a cell: the finite part lies below the tail), skipping zeros."""
     one = TruncatedLaurentSeries.one(s.variable, s.precision)
-    rows = []
-    for i in s.core:
-        row = []
-        for j in s.core:
-            coeffs = {0: Fraction(1)} if i == j else {}
-            for d, t in s.terms.items():
-                c = op_entry(t, i, j)
-                if not scalar_is_zero(c):
-                    coeffs[d] = c
-            row.append(TruncatedLaurentSeries(s.variable, coeffs, 0, s.precision))
-        rows.append(row)
+    pos = {i: p for p, i in enumerate(s.core)}
+    cells = [[{0: Fraction(1)} if p == q else {} for q in pos.values()] for p in pos.values()]
+    for d, t in s.terms.items():
+        tail = [((i, j), c) for j in s.core for i, c in t.tail.image_of(j)]
+        for (i, j), c in [*t.finite_part.entries.items(), *tail]:
+            if i in pos and j in pos:
+                cells[pos[i]][pos[j]][d] = c
+    rows = [[TruncatedLaurentSeries(s.variable, c, 0, s.precision) for c in row] for row in cells]
     return det_series_matrix(rows, one)
 
 

@@ -34,7 +34,6 @@ rule:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import lcm, prod
 from operator import mul
 
@@ -61,15 +60,11 @@ def _scaled(a):
 
 
 def _mul(a, b):
-    """a * b, entry (i, j) the sum from 0 of a[i][p] * b[p][j] over the
-    nonzero a[i][p]: one loop for ints and for the field's own scalars."""
+    """a * b, entry (i, j) the sum from 0 of a[i][p] * b[p][j]: one loop for
+    ints and for the field's own scalars, which may hold a rational value
+    as either type (scalars.canonical sorts that out at the boundary)."""
     cols = list(zip(*b))
-    out = []
-    for row in a:
-        keep = [x != 0 for x in row]
-        xs = list(compress(row, keep))
-        out.append([sum(map(mul, xs, compress(col, keep))) for col in cols])
-    return out
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_mul(a, b):

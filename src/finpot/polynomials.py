@@ -1,8 +1,9 @@
 """Univariate polynomials and rational functions over Q, exact throughout.
 
 Coefficient lists are stored lowest degree first with a nonzero leading
-coefficient (the zero polynomial is the empty list): Fractions, or
-NumberFieldElements kept as they are (det_poly over a number field).
+coefficient (the zero polynomial is the empty list): Fractions, and
+NumberFieldElements only for values outside Q (det_poly over a number
+field), by scalars.canonical.
 Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
 Irreducible factorization over Q, and irreducibility from degree 2 up, are
 delegated to sympy; the rest is local, including the squarefree
@@ -13,19 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import (
-    NumberFieldElement,
-    _poly_divmod,
-    _poly_mul,
-    format_rational,
-)
+from .scalars import _poly_divmod, _poly_mul, canonical, format_rational
 
 
 class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, NumberFieldElement) else Fraction(c) for c in coeffs]
+        cs = [canonical(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

@@ -8,6 +8,13 @@ so each linear-algebra kernel in this package runs one loop over either
 kind of scalar.  _add_product is the package's one termwise product of
 coefficient lists, truncated to its accumulator: _poly_mul runs it on ints
 for all-Fraction lists, on the stored scalars otherwise.
+
+One scalar rule holds where values leave the library: a rational value is
+a Fraction, whichever kernel computed it.  canonical is that rule; the
+series and polynomial constructors and the scalar results of determinants
+apply it.  Operators are exempt and keep the scalars they are given: a
+Q(i) operator whose entries are all rational still names its field, which
+restrict_scalars reads from the entries.
 """
 
 from __future__ import annotations
@@ -29,6 +36,17 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
+
+
+def canonical(x):
+    """x under the package's scalar rule: a Fraction for every rational
+    value (an int, a Fraction, a NumberFieldElement with no term of degree
+    >= 1), any other NumberFieldElement unchanged."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, NumberFieldElement):
+        return x.coeffs[0] if x.is_rational() else x
+    return Fraction(x)
 
 
 def _int_coeffs(cs):
@@ -270,7 +288,7 @@ class NumberFieldElement:
         return all(c == 0 for c in self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():

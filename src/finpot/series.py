@@ -5,7 +5,8 @@ A series knows its variable tag, a lower storage bound ``min_degree``
 at or above it are unknown, not zero).  Products propagate the sharp big-O
 law prec = min(prec_a + val_b, prec_b + val_a); for the usual valuation-0
 operands this is the minimum of the two precisions.  Coefficients are
-Fractions or NumberFieldElements.
+stored under the scalar rule of scalars.canonical: Fractions, and
+NumberFieldElements only for values outside Q.
 
 This is the package's one series layer: series_mul runs on coefficient
 lists, and series_exp, series_log and series_inv run exact coefficient
@@ -19,7 +20,7 @@ import json
 from fractions import Fraction
 
 from .errors import PrecisionError, SeriesDomainError, VariableMismatchError
-from .scalars import (NumberFieldElement, _add_product, _poly_mul, format_rational,
+from .scalars import (NumberFieldElement, _poly_mul, canonical, format_rational,
                       parse_rational, scalar_is_zero)
 
 
@@ -48,7 +49,7 @@ class TruncatedLaurentSeries:
                     "stored degree %d outside window [%d, %d)"
                     % (d, min_degree, precision)
                 )
-            clean[d] = c if isinstance(c, NumberFieldElement) else Fraction(c)
+            clean[d] = canonical(c)
         self.coeffs = clean
 
     # -- constructors --------------------------------------------------------
@@ -262,9 +263,8 @@ def series_mul(
 ) -> TruncatedLaurentSeries:
     """Product, correct for every degree below the resulting precision, by
     scalars._poly_mul on the coefficient lists from the valuations, forming
-    only the terms below that precision.  A coefficient is a
-    NumberFieldElement exactly where a stored field coefficient takes part,
-    as in the sum over stored pairs."""
+    only the terms below that precision; the constructor stores each
+    rational coefficient as a Fraction."""
     a._check_var(b)
     va, vb = min(a.coeffs, default=a.precision), min(b.coeffs, default=b.precision)
     prec = min(a.precision + vb, b.precision + va)
@@ -273,16 +273,7 @@ def series_mul(
         n, zero = prec - va - vb, Fraction(0)
         la, lb = ([s.coeffs.get(d, zero) for d in range(v, min(v + n, max(s.coeffs) + 1))]
                   for s, v in ((a, va), (b, vb)))
-        prod = _poly_mul(la, lb, n)
-        if not all(type(x) is Fraction for x in prod):
-            # a product with a zero between stored terms made a field element
-            # of a degree no stored field coefficient reaches: a Fraction again
-            field = [[isinstance(x, NumberFieldElement) for x in cs] for cs in (la, lb)]
-            reach = _add_product([0] * len(prod), field[0], [x != 0 for x in lb])
-            _add_product(reach, [x != 0 for x in la], field[1])
-            prod = [x if r or type(x) is Fraction else x.rational_value()
-                    for x, r in zip(prod, reach)]
-        out = {va + vb + k: x for k, x in enumerate(prod)}
+        out = {va + vb + k: x for k, x in enumerate(_poly_mul(la, lb, n))}
     return TruncatedLaurentSeries(a.variable, out, a.min_degree + b.min_degree, prec)
 
 

@@ -322,12 +322,19 @@ def sparse_compose(a, b):
 
 
 def exp_product_by_series(generators, prec):
-    """prod_i exp(z M_i) below degree prec, one series product per factor."""
-    from finpot.exponentials import OperatorSeries, _exp_terms
+    """prod_i exp(z M_i) below degree prec, one series product per factor,
+    each factor 1 + sum_{j<prec} z^j M^j / j! by the Taylor loop."""
+    from finpot.exponentials import OperatorSeries
+    from finpot.operators import op_compose, op_scale
 
     prod = OperatorSeries.one("z", prec)
     for m in generators:
-        prod = prod * OperatorSeries("z", prec, _exp_terms(m, 1, prec), ())
+        terms, power, fact = {}, None, 1
+        for j in range(1, prec):
+            power = m if power is None else op_compose(power, m)
+            fact *= j
+            terms[j] = op_scale(power, Fraction(1, fact))
+        prod = prod * OperatorSeries("z", prec, terms, ())
     return prod
 
 

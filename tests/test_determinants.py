@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpot.determinants import (
     char_poly,
@@ -22,6 +23,7 @@ from finpot.operators import (
     FinitePotentOperator as FPO,
     SparseOperator,
     TailDescriptor,
+    certify_finite_potent,
     op_add,
     op_compose,
     op_scale,
@@ -365,25 +367,61 @@ def test_logdet_tail_coefficients_vanish(rng):
 
 
 def test_det_routes_scalar_types_over_number_fields():
-    # Rational-valued results keep the scalar type their route has always
-    # given (canonical text and hashes print the type).  Over a nilpotent
-    # block the exterior route cuts the symmetric values at the core, so it
-    # adds no field zeros and stays Fraction 1, even where the charpoly
-    # route, which sums every coefficient, is a field element.
+    # Every route returns a rational value as a Fraction, whatever scalar
+    # type its kernel ended on: on a nilpotent block the charpoly route sums
+    # field zeros, and i * i is the rational field element -1.
     i, r2 = GAUSS.element([0, 1]), ROOT2.element([0, 1])
-    F, N = Fraction, NumberFieldElement
     cases = [
-        (FPO(SparseOperator({(0, 1): i})), (F, F, F, F, F)),
-        (FPO(SparseOperator({(0, 1): i, (1, 2): GAUSS.element([1, 1]),
-                             (0, 2): GAUSS.element([2])})), (F, F, N, F, F)),
-        (FPO(SparseOperator({(0, 1): r2}), TailDescriptor.jordan(3, 6, [1, -2])),
-         (F, F, F, F, F)),
-        (FPO(SparseOperator({(0, 0): GAUSS.element([-1]),
-                             (2, 1): GAUSS.element([-1, 1])})), (F, N, N, N, N)),
-        (FPO(SparseOperator({(0, 1): i, (1, 0): i})), (N, N, N, N, N)),
-        (FPO(SparseOperator({(0, 1): r2, (1, 0): r2})), (N, N, N, N, N)),
+        FPO(SparseOperator({(0, 1): i})),
+        FPO(SparseOperator({(0, 1): i, (1, 2): GAUSS.element([1, 1]),
+                            (0, 2): GAUSS.element([2])})),
+        FPO(SparseOperator({(0, 1): r2}), TailDescriptor.jordan(3, 6, [1, -2])),
+        FPO(SparseOperator({(0, 0): GAUSS.element([-1]), (2, 1): GAUSS.element([-1, 1])})),
+        FPO(SparseOperator({(0, 1): i, (1, 0): i})),
+        FPO(SparseOperator({(0, 1): r2, (1, 0): r2})),
     ]
-    for phi, types in cases:
+    for phi in cases:
         results = det_routes(phi)
-        assert tuple(type(r.value) for r in results) == types
+        assert tuple(type(r.value) for r in results) == (Fraction,) * 5
         assert all(r.value == results[0].value for r in results)
+
+
+@st.composite
+def _field_operators(draw):
+    """Operators on indices 0..3 over Q(i) or Q(sqrt 2): field entries, some
+    of them rational-valued, mixed with Fractions; a third with a tail."""
+    field = draw(st.sampled_from((GAUSS, ROOT2)))
+    small = st.integers(-2, 2)
+    scalar = st.one_of(st.builds(lambda a, b: field.element([a, b]), small, small),
+                       st.builds(lambda a: field.element([a]), small),
+                       st.builds(Fraction, small, st.integers(1, 2)))
+    cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    entries = draw(st.dictionaries(cells, scalar, min_size=1, max_size=6))
+    tail = TailDescriptor.jordan(3, 6, [1, -2]) if draw(st.integers(0, 2)) == 0 else None
+    return FPO(SparseOperator(entries), tail)
+
+
+def _fraction_if_rational(x):
+    return type(x) is Fraction or (type(x) is NumberFieldElement and not x.is_rational())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_field_operators())
+def test_rational_results_over_number_fields_are_fractions(phi):
+    """Every rational value that the determinant, series and polynomial
+    results return over a number field is a Fraction (scalars.canonical),
+    whichever kernel or route computed it."""
+    from finpot.exponentials import det_series, exp_op
+
+    dim = len(certify_finite_potent(phi).indices)
+    m = dim + (phi.tail.block_size if phi.has_tail() else 0)
+    scalars = [det_one_plus(phi), tate_trace(phi), wedge_scaling_check(phi, m)]
+    scalars += [exterior_trace(phi, r) for r in range(1, dim + 2)]
+    scalars += [r.value for r in det_routes(phi)]
+    polys = [det_poly(phi), plemelj_smithies_series(phi, dim + 1),
+             char_poly([list(row) for row in certify_finite_potent(phi).matrix])]
+    series = [log_det_series(phi, dim + 2), regularized_det_series(phi, 2, dim + 2),
+              det_series(exp_op(phi, 1, 4))]
+    values = scalars + [c for p in polys for c in p.coeffs]
+    values += [c for s in series for c in s.coeffs.values()]
+    assert all(map(_fraction_if_rational, values))

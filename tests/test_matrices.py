@@ -510,10 +510,6 @@ def test_number_field_series_det_matches_generic_elimination(m):
 # -- one product chain and one series determinant for every scalar type --------
 
 
-def _types(value):
-    return [type(x) for x in _flat(value)]
-
-
 def _rational(m):
     return _all_fractions(x for row in m for x in row)
 
@@ -523,8 +519,8 @@ def _rational(m):
        st.booleans(), st.data())
 def test_number_field_products_match_generic_loops(field, n, cols, mixed, data):
     """mat_mul and power_traces over a number field (Fractions mixed into
-    the first row when mixed) give the generic loops' values and scalar
-    types; all-Fraction input gives Fractions."""
+    the first row when mixed) give the generic loops' values; all-Fraction
+    input gives Fractions."""
     m = data.draw(_field_matrix(field, n, n))
     b = data.draw(_field_matrix(field, n, cols))
     if mixed and n:
@@ -535,14 +531,10 @@ def test_number_field_products_match_generic_loops(field, n, cols, mixed, data):
         assert got == want
         if _rational(x) and _rational(y):
             assert _all_fractions(_flat(got))
-        else:
-            assert _types(got) == _types(want)
     got, want = power_traces(m, n + 2), power_traces_generic(m, n + 2)
     assert got == want
     if _rational(m):
         assert _all_fractions(got)
-    else:
-        assert _types(got) == _types(want)
 
 
 @st.composite

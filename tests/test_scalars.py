@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from finpot.scalars import (
     NumberField,
+    canonical,
     field_norm,
     field_trace,
     format_rational,
@@ -88,6 +89,17 @@ def test_etale_algebra_inverts_elements_coprime_to_the_modulus():
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         GAUSS.zero().inverse()
+
+
+def test_canonical_makes_rational_values_fractions():
+    i = GAUSS.generator()
+    for x, want in ((2, Fraction(2)), (Fraction(1, 3), Fraction(1, 3)),
+                    (GAUSS.element([Fraction(-3, 2)]), Fraction(-3, 2)), (i * i, Fraction(-1)),
+                    (ROOT2.zero(), Fraction(0))):
+        got = canonical(x)
+        assert got == want and type(got) is Fraction
+    x = 1 + i
+    assert canonical(x) is x
 
 
 def test_rational_valued_element_hashes_as_its_fraction():

@@ -232,9 +232,9 @@ def _series(draw, kind):
 
 
 def test_mul_field_type_only_where_a_field_term_reaches():
-    """a's field term i meets b's gap at z^1, so degree 1 sums only stored
-    Fractions (1 * 1) and stays a Fraction, as in the sum over stored pairs;
-    degree 2 is i * 1, a field element."""
+    """a's field term i meets b's gap at z^1, so the value at degree 1 is
+    rational and, as every rational coefficient, a Fraction; degree 2 is
+    i * 1, a field element."""
     i = _GAUSS.generator()
     prod = series_mul(S({0: i, 1: 1}, 5), S({0: 1, 2: 1}, 5))
     assert prod == S({0: i, 1: 1, 2: i, 3: 1}, 5)
