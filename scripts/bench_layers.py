@@ -20,14 +20,15 @@ pairing_via_operators on the same shapes, of the loop pairing's int_det on
 the integer stage corner sw_pairing_truncated builds at T = 15 (support
 2 + 2) and T = 19 (support 3 + 3, coefficients +-1/2, +-1/4 as in the
 loop-pairing workload), of mat_mul on two dense 8 x 8 matrices over Q(i)
-(mat_mul_gauss), and, end to end, of one fresh
+(mat_mul_gauss), of the commutator trace residue_tate at band 3 (f in
+span(1/t^3, t), g in span(1/t, t^3)), and, end to end, of one fresh
 `python -m finpot` process per CLI verb (cli_cold, best of 5, counting
 interpreter start and import; "python" is a bare interpreter start for
 reference).  With --out it also writes the numbers, the git commit of the
 finpot tree it imported, the line count of its modules (src_lines) and the
 machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_14.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_15.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -53,6 +54,7 @@ from finpot.matrices import charpoly, det, int_det, kernel_basis, mat_inverse, m
 from finpot.parsing import parse_place
 from finpot.places import local_expand
 from finpot.polynomials import Polynomial, RationalFunction
+from finpot.residues import residue_tate
 from finpot.scalars import NumberField
 from finpot.segal_wilson import LoopExponent, sw_pairing_truncated
 from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
@@ -206,6 +208,9 @@ def measure():
     a, b = ([[gauss.element([rational(rng), rational(rng)]) for _ in range(8)] for _ in range(8)]
             for _ in range(2))
     out["mat_mul_gauss"] = {"8": best_of(mat_mul, a, b)}
+    # drawn after every input above, which stay as in earlier versions
+    f, g = (laurent(rng, degrees) for degrees in ((-3, 1), (-1, 3)))
+    out["residue_tate"] = {"3": best_of(residue_tate, f, g)}
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

@@ -24,7 +24,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import ReductionError
 from .polynomials import RationalFunction
+from .residues import laurent_coefficients
 from .segal_wilson import LoopExponent
 
 _TOKEN = re.compile(r"\s*(\d+|[a-zA-Z]+|\^|\+|-|\*|/|\(|\))")
@@ -183,12 +185,10 @@ def parse_place(text: str):
 def parse_loop_exponent(text: str, side: str) -> LoopExponent:
     """Parse a finite Laurent polynomial in z into a loop exponent; the
     plus side must use positive degrees only, the minus side negative."""
-    f = parse_rational_function(text, "z")
-    den = f.den
-    k = den.degree
-    if any(c != 0 for c in den.coeffs[:-1]):
-        raise ParseError("loop exponent must be a Laurent polynomial in z")
-    coeffs = {i - k: c for i, c in enumerate(f.num.coeffs) if c != 0}
+    try:
+        coeffs = laurent_coefficients(parse_rational_function(text, "z"))
+    except ReductionError:
+        raise ParseError("loop exponent must be a Laurent polynomial in z") from None
     if 0 in coeffs:
         raise ParseError("loop exponent cannot have a constant term")
     if side == "plus":

@@ -16,7 +16,9 @@ The operator route realizes multiplication by f and g on the basis
 e_i <-> t^i in a window that starts at the cut, which makes them the
 compressions to the upper half-space V+ = span{e_i : i >= cut} truncated at
 the window's top, and takes the trace of the finite-rank commutator of the
-compressions.  The two routes must agree wherever both apply.
+compressions.  _window_model sizes the window once, from the pole orders
+and degrees, for this commutator and for the symbol route's exponential
+products alike.  The two routes must agree wherever both apply.
 """
 
 from __future__ import annotations
@@ -38,22 +40,22 @@ def _differential(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     return f * g.derivative()
 
 
-def _residue_at(omega: RationalFunction, q: Polynomial, algebra, prec: int = 0) -> Fraction:
+def _residue_at(omega: RationalFunction, q: Polynomial, algebra) -> Fraction:
     """Trace down to Q of digit -1 of omega / q' in powers of the monic
     squarefree q: the sum of res(omega dt) over the places dividing q.
     omega is normalized, and each irreducible factor of q divides its
     denominator to the same power, so the rest of the denominator is a
     unit mod q (always so for an irreducible q)."""
     den = _poly_mul(omega.den.coeffs, q.derivative().coeffs)
-    _, digits = expand_digits(omega.num.coeffs, den, q.coeffs, algebra, max(prec, 0))
+    _, digits = expand_digits(omega.num.coeffs, den, q.coeffs, algebra, 0)
     c = digits.get(-1, Fraction(0))
     return field_trace(c) if isinstance(c, NumberFieldElement) else c
 
 
-def _residue_at_infinity(omega: RationalFunction, prec: int = 0) -> Fraction:
+def _residue_at_infinity(omega: RationalFunction) -> Fraction:
     """res at infinity of omega dt: with t = 1/u, omega dt =
     -omega(1/u) u^-2 du, so minus the u^1 coefficient at infinity."""
-    return -local_expand(omega, Place.infinity(), max(prec, 2)).series.coefficient(1)
+    return -local_expand(omega, Place.infinity(), 2).series.coefficient(1)
 
 
 def _part_residues(omega: RationalFunction):
@@ -64,16 +66,14 @@ def _part_residues(omega: RationalFunction):
         yield q, _residue_at(omega, q, algebra)
 
 
-def residue_classical(
-    f: RationalFunction, g: RationalFunction, p: Place, prec: int = 0
-) -> Fraction:
+def residue_classical(f: RationalFunction, g: RationalFunction, p: Place) -> Fraction:
     """res_p(f dg) via the digit expansion of f g' d(parameter)."""
     omega = _differential(f, g)
     if omega.is_zero():
         return Fraction(0)
     if p.is_infinity():
-        return _residue_at_infinity(omega, prec)
-    return _residue_at(omega, p.minimal_poly, p.field, prec)
+        return _residue_at_infinity(omega)
+    return _residue_at(omega, p.minimal_poly, p.field)
 
 
 def squarefree_residues(f: RationalFunction, g: RationalFunction):
@@ -132,64 +132,60 @@ def multiplication_window(coeffs: dict, lo: int, hi: int) -> SparseOperator:
     return SparseOperator(entries)
 
 
-def _band(coeffs: dict) -> tuple:
-    """(pole order, degree) of a Laurent coefficient dict."""
-    if not coeffs:
-        return 0, 0
-    return max(0, -min(coeffs)), max(0, max(coeffs))
+def _window_model(coeff_dicts, signs, cut: int, depth: int):
+    """The windowed half-space model for products of at most `depth`
+    compressions: (windows, content_end, exact_end), with windows the
+    multiplication_windows on [cut, hi] scaled by the signs.
+
+    With band the largest pole order or degree (at least 1), the window
+    follows from the input:
+      - [T_f, T_g] = H_g H~_f - H_f H~_g, a difference of Hankel products
+        (Boettcher & Silbermann), lies in [cut, cut + band)^2;
+      - each further factor widens it by at most band, so the content of
+        a product of depth factors lies below content_end = cut +
+        (depth - 1) band;
+      - truncation at hi moves entries only within depth band of hi, so
+        entries below exact_end = hi - depth band are those of the
+        infinite model.
+    hi = content_end + (depth + 1) band + 4 leaves a guard strip
+    [content_end, exact_end) of width band + 4 that must read exactly zero
+    (split_window_content)."""
+    band = max([1] + [max(-min(c), max(c)) for c in coeff_dicts if c])
+    content_end = cut + (depth - 1) * band
+    hi = content_end + (depth + 1) * band + 4
+    windows = [
+        multiplication_window(c, cut, hi).scale(Fraction(sign))
+        for c, sign in zip(coeff_dicts, signs)
+    ]
+    return windows, content_end, hi - depth * band
 
 
 def split_window_content(op: SparseOperator, content_end: int, exact_end: int):
-    """Separate true content from window-edge artifacts.
+    """The entries of op whose row and column lie below content_end.
 
-    The infinite-model operator vanishes outside the box below content_end;
-    window truncation fabricates junk near the edge, but only at indices
-    beyond exact_end.  A clean separation zone [content_end, exact_end)
-    must be exactly zero; entries below it are the content, entries beyond
-    are discarded.  Returns the content or None when the zones overlap or
-    the separation is dirty (window too small).
+    Entries below exact_end are those of the infinite model, which
+    vanishes from content_end on; so the guard strip [content_end,
+    exact_end) must be exactly zero, and what lies beyond it is
+    truncation junk.  A nonzero entry in the strip raises
+    WindowExhaustedError: the content would not be exact.
     """
-    if content_end > exact_end:
-        return None
     content = {}
     for (i, j), c in op.entries.items():
         top = max(i, j)
         if top < content_end:
             content[(i, j)] = c
         elif top < exact_end:
-            return None
+            raise WindowExhaustedError("content reaches the window's guard strip")
     return SparseOperator(content)
 
 
-def residue_tate(
-    f: RationalFunction,
-    g: RationalFunction,
-    window: int = None,
-    place: Place = None,
-) -> Fraction:
+def residue_tate(f: RationalFunction, g: RationalFunction, place: Place = None) -> Fraction:
     """res(f dg) as the trace of [f1, g1], f1 = pi+ f pi+ and g1 = pi+ g pi+
-    on the windowed model of the place (degree 1; defaults to t = 0).
-
-    The true commutator is supported in a finite box near the corner; the
-    window must leave an exactly-zero separation zone between that box and
-    the truncation artifacts at the edge, else it doubles (3 retries)."""
+    on the windowed model of the place (degree 1; defaults to t = 0), with
+    the window of _window_model at cut 0 and depth 2."""
     if place is None:
         place = Place.at_zero()
-    fc = reduce_to_origin(f, place)
-    gc = reduce_to_origin(g, place)
-    pf, df = _band(fc)
-    pg, dg_ = _band(gc)
-    band = max(pf, df, pg, dg_, 1)
-    content_end = max(pf, df, pg, dg_, 1)
-    w = window if window is not None else max(
-        2 * (max(pf, pg) + max(df, dg_)), content_end + 3 * band + 4
-    )
-    for _ in range(4):
-        mf = multiplication_window(fc, 0, w)
-        mg = multiplication_window(gc, 0, w)
-        comm = mf.compose(mg).add(mg.compose(mf).scale(Fraction(-1)))
-        content = split_window_content(comm, content_end, w - 2 * band)
-        if content is not None:
-            return tate_trace(FinitePotentOperator(content))
-        w *= 2
-    raise WindowExhaustedError("commutator content kept reaching the window edge")
+    coeffs = [reduce_to_origin(f, place), reduce_to_origin(g, place)]
+    (mf, mg), content_end, exact_end = _window_model(coeffs, [1, 1], 0, 2)
+    comm = mf.compose(mg).add(mg.compose(mf).scale(Fraction(-1)))
+    return tate_trace(FinitePotentOperator(split_window_content(comm, content_end, exact_end)))

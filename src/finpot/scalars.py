@@ -290,11 +290,6 @@ class NumberFieldElement:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coeffs[0]
-
     def regular_matrix(self):
         """Matrix of multiplication by self on the basis 1, x, ..., x^(d-1).
 

@@ -14,7 +14,8 @@ of a z^2 monomial, exp(z^2 * r) with r rational; SymbolValue asserts that
 shape at construction.  The cocycle is computed from the residue; for
 degree-1 places it is also computable as a determinant of a product of
 operator exponentials on the windowed model, and the two routes must agree.
-That route builds the product of the factors with exponentials.exp_product
+That route takes its window from residues._window_model, sized once from
+the input, builds the product of the factors with exponentials.exp_product
 and calls det_series with the content box as the core: it has no series
 arithmetic of its own.
 """
@@ -23,14 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import WindowExhaustedError
 from .exponentials import OperatorSeries, det_series, exp_product
 from .operators import FinitePotentOperator
 from .places import Place
 from .polynomials import RationalFunction
 from .residues import (
-    _band,
-    multiplication_window,
+    _window_model,
     reduce_to_origin,
     residue_classical,
     residue_sum,
@@ -139,37 +138,21 @@ def _det_of_exponential_product(
     determinant of that box block: the box is the core of the content series,
     the factors carry none.  exp_product builds the terms from the signed
     windows through their nested commutators, which live near the cut and
-    the window edge.  A guard strip between the box and the window edge
-    must stay exactly zero, else the window grows (3 retries).
+    the window edge.  A term of degree below prec_z is a product of fewer
+    than prec_z factors, so the window is residues._window_model's at depth
+    prec_z, sized once from the input; a nonzero guard strip raises
+    WindowExhaustedError.
     """
-    band = 1
-    for fc in coeff_dicts:
-        p, d = _band(fc)
-        band = max(band, p, d)
-    content_end = cut + (prec_z - 1) * band
-    for _ in range(4):
-        hi = content_end + (prec_z + 1) * band + 4
-        windows = [
-            FinitePotentOperator(multiplication_window(fc, cut, hi).scale(Fraction(sign)))
-            for fc, sign in zip(coeff_dicts, signs)
-        ]
-        prod = exp_product(windows, prec_z)
-        exact_end = hi - prec_z * band
-        contents = {}
-        for d, t in prod.terms.items():
-            c = split_window_content(t.finite_part, content_end, exact_end)
-            if c is None:
-                break
-            contents[d] = FinitePotentOperator(c)
-        else:
-            box = set()
-            for t in contents.values():
-                box |= t.finite_part.support()
-            return det_series(OperatorSeries("z", prec_z, contents, sorted(box)))
-        content_end += prec_z * band
-    raise WindowExhaustedError(
-        "operator-route content kept reaching the window edge"
-    )
+    windows, content_end, exact_end = _window_model(coeff_dicts, signs, cut, prec_z)
+    prod = exp_product([FinitePotentOperator(w) for w in windows], prec_z)
+    contents = {
+        d: FinitePotentOperator(split_window_content(t.finite_part, content_end, exact_end))
+        for d, t in prod.terms.items()
+    }
+    box = set()
+    for t in contents.values():
+        box |= t.finite_part.support()
+    return det_series(OperatorSeries("z", prec_z, contents, sorted(box)))
 
 
 def cocycle_via_operators(

@@ -140,6 +140,18 @@ def random_laurent_poly(rng, max_pole=3, max_deg=3):
     return RationalFunction(Polynomial(num), Polynomial([0] * k + [1]))
 
 
+def content_in_guard_strip(monkeypatch, module):
+    """Make module's window model declare no content below the guard strip,
+    so every entry below exact_end falls in the strip."""
+    real = module._window_model
+
+    def model(coeff_dicts, signs, cut, depth):
+        windows, _, exact_end = real(coeff_dicts, signs, cut, depth)
+        return windows, cut, exact_end
+
+    monkeypatch.setattr(module, "_window_model", model)
+
+
 @pytest.fixture
 def rng():
     return random.Random(987123)

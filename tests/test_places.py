@@ -119,7 +119,7 @@ _SMALL_POLY = st.lists(
 )
 def test_local_expand_matches_newton_oracle(place, order, num, den, prec):
     """The digit recurrence agrees with Newton lifting and series division:
-    same coefficients and value types, same window; same valuations."""
+    same coefficients, same window; same valuations."""
     if place.is_infinity():
         param = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
     else:
@@ -128,9 +128,6 @@ def test_local_expand_matches_newton_oracle(place, order, num, den, prec):
     got = local_expand(f, place, prec).series
     want = local_expand_newton(f, place, prec).series
     assert got.coeffs == want.coeffs
-    assert {d: type(c) for d, c in got.coeffs.items()} == {
-        d: type(c) for d, c in want.coeffs.items()
-    }
     assert (got.precision, got.min_degree) == (want.precision, want.min_degree)
     if not place.is_infinity():
         pi = place.minimal_poly

@@ -7,7 +7,7 @@ from finpot.parsing import parse_place, parse_rational_function as P
 from finpot.places import Place, relevant_places, substitute_inverse
 from finpot.residues import residue_classical, residue_tate, squarefree_residues
 from finpot.polynomials import RationalFunction
-from conftest import random_laurent_poly, random_rational_function
+from conftest import content_in_guard_strip, random_laurent_poly, random_rational_function
 from oracles import residue_generic_root
 
 PLACE_T = Place.at_zero()
@@ -121,11 +121,14 @@ def test_zero_inputs_rejected(rng):
         residue_classical(zero, P("t"), PLACE_T)
 
 
-def test_window_retry_path():
-    # deliberately undersized window: doubling still reaches the answer
-    f, g = P("1/t^3"), P("t^3")
-    assert residue_tate(f, g, window=2) == 3
-    assert residue_tate(f, g) == 3
+def test_residue_tate_window_exhausted(monkeypatch):
+    """A nonzero guard strip raises; it never yields a value."""
+    from finpot import residues
+    from finpot.errors import WindowExhaustedError
+
+    content_in_guard_strip(monkeypatch, residues)
+    with pytest.raises(WindowExhaustedError):
+        residue_tate(P("1/t^3"), P("t^3"))
 
 
 def test_residue_at_infinity_is_the_residue_at_zero_after_inversion(rng):

@@ -127,7 +127,7 @@ def _same_value(a):
     if isinstance(a, Fraction):
         v = a
     elif a.is_rational():
-        v = a.rational_value()
+        v = a.coeffs[0]
     else:
         return [a]
     return [a, v, GAUSS.element([v]), ROOT2.element([v])]

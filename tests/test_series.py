@@ -246,15 +246,11 @@ def test_mul_field_type_only_where_a_field_term_reaches():
 @given(st.data())
 def test_series_mul_matches_dict_product(data):
     """series_mul on coefficient lists gives the termwise product's values,
-    precision, min_degree and coefficient types, over Q, Q(i) and mixed
-    Fraction/Q(i) series, with negative valuations, unequal precisions and
-    zero operands."""
+    precision and min_degree, over Q, Q(i) and mixed Fraction/Q(i) series,
+    with negative valuations, unequal precisions and zero operands."""
     kinds = st.sampled_from(("Q", "Q(i)", "mixed", "zero"))
     a = data.draw(_series(data.draw(kinds)))
     b = data.draw(_series(data.draw(kinds)))
     got, want = series_mul(a, b), series_mul_dict(a, b)
     assert got == want
     assert (got.precision, got.min_degree) == (want.precision, want.min_degree)
-    assert {d: type(c) for d, c in got.coeffs.items()} == {
-        d: type(c) for d, c in want.coeffs.items()
-    }

@@ -10,7 +10,7 @@ from finpot.operators import HalfSpaceSpec
 from finpot.parsing import parse_place, parse_rational_function as P
 from finpot.places import Place, relevant_places
 from finpot.polynomials import Polynomial, RationalFunction
-from finpot.residues import residue_classical, squarefree_residues
+from finpot.residues import residue_classical, residue_tate, squarefree_residues
 from finpot.series import TruncatedLaurentSeries as TLS, series_exp
 from finpot.symbols import (
     SymbolValue,
@@ -23,7 +23,7 @@ from finpot.symbols import (
     pairing_via_operators,
     reciprocity_check,
 )
-from conftest import random_laurent_poly, random_rational_function
+from conftest import content_in_guard_strip, random_laurent_poly, random_rational_function
 from oracles import reciprocity_by_places
 
 PLACE_T = Place.at_zero()
@@ -98,7 +98,7 @@ def test_operator_route_agrees(rng):
 
 
 _LAURENT = st.dictionaries(
-    st.integers(-2, 2),
+    st.integers(-3, 3),
     st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool),
     min_size=1, max_size=3,
 )
@@ -118,16 +118,24 @@ def _laurent_at(coeffs, place):
     return RationalFunction(num, s**k)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(_LAURENT, _LAURENT, st.sampled_from(["t", "t-1", "inf"]))
-def test_operator_route_matches_residue_route(fc, gc, name):
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    _LAURENT,
+    _LAURENT,
+    st.sampled_from(["t", "t-1", "inf"]),
+    st.integers(-3, 3),
+    st.integers(2, 8),
+)
+def test_operator_route_matches_residue_route(fc, gc, name, cut, prec_z):
     """The determinants of the exponential products on the half-space
-    model equal the cocycle and the pairing from residues, for Laurent
-    f, g at t = 0, t = 1 and infinity."""
+    model with any cut equal the cocycle and the pairing from residues,
+    and the commutator trace equals the residue, for Laurent f, g at
+    t = 0, t = 1 and infinity."""
     place = parse_place(name)
     f, g = _laurent_at(fc, place), _laurent_at(gc, place)
-    assert cocycle_via_operators(f, g, place) == cocycle(f, g, place)
-    assert pairing_via_operators(f, g, place) == pairing(f, g, place)
+    assert residue_tate(f, g, place) == residue_classical(f, g, place)
+    assert cocycle_via_operators(f, g, place, cut, prec_z) == cocycle(f, g, place, prec_z)
+    assert pairing_via_operators(f, g, place, cut, prec_z) == pairing(f, g, place, prec_z)
 
 
 def test_four_exponential_commutator_route(rng):
@@ -147,37 +155,16 @@ def test_commensurable_cuts_agree():
     assert base == cocycle(f, g, PLACE_T)
 
 
-def _dirty_splits(monkeypatch, count):
-    """Make the first `count` window splits report a dirty guard strip."""
-    from finpot import symbols
-
-    real = symbols.split_window_content
-    calls = {"dirty": 0}
-
-    def split(op, content_end, exact_end):
-        if calls["dirty"] < count:
-            calls["dirty"] += 1
-            return None
-        return real(op, content_end, exact_end)
-
-    monkeypatch.setattr(symbols, "split_window_content", split)
-    return calls
-
-
-def test_operator_route_window_retry(monkeypatch):
-    f, g = P("1/t^2 + t"), P("1/t + t^2")
-    want = cocycle_via_operators(f, g)
-    calls = _dirty_splits(monkeypatch, 1)
-    assert cocycle_via_operators(f, g) == want == cocycle(f, g, PLACE_T)
-    assert calls["dirty"] == 1
-
-
 def test_operator_route_window_exhausted(monkeypatch):
+    """A nonzero guard strip raises; it never yields a value."""
+    from finpot import symbols
     from finpot.errors import WindowExhaustedError
 
-    _dirty_splits(monkeypatch, 4)
+    content_in_guard_strip(monkeypatch, symbols)
     with pytest.raises(WindowExhaustedError):
         cocycle_via_operators(P("1/t"), P("t"))
+    with pytest.raises(WindowExhaustedError):
+        pairing_via_operators(P("1/t^2 + t"), P("1/t + t^2"), cut=2)
 
 
 def test_c4_examples():
