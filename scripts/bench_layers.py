@@ -21,14 +21,24 @@ the integer stage corner sw_pairing_truncated builds at T = 15 (support
 2 + 2) and T = 19 (support 3 + 3, coefficients +-1/2, +-1/4 as in the
 loop-pairing workload), of mat_mul on two dense 8 x 8 matrices over Q(i)
 (mat_mul_gauss), of the commutator trace residue_tate at band 3 (f in
-span(1/t^3, t), g in span(1/t, t^3)), and, end to end, of one fresh
-`python -m finpot` process per CLI verb (cli_cold, best of 5, counting
-interpreter start and import; "python" is a bare interpreter start for
-reference).  With --out it also writes the numbers, the git commit of the
-finpot tree it imported, the line count of its modules (src_lines) and the
-machine to a JSON file.
+span(1/t^3, t), g in span(1/t, t^3)), of det_series on the product
+exp_op(f) exp_op(g) at precision 10, product included, with f a dense
+8 x 8 operator under a Jordan tail and g a dense 8 x 8 operator
+(det_series_product), of cocycle_via_operators at z-precision 16 on the
+shapes above, and, end to end, of one fresh `python -m finpot` process per
+CLI verb (cli_cold, best of 5, counting interpreter start and import;
+"python" is a bare interpreter start for reference).
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_15.json
+Host speed drifts on shared machines, so around every row the script runs
+perfbench/run.py's fixed reference computation (reference_s, which never
+calls finpot) REF_SAMPLES times before and after, and writes each row both
+raw ("results") and scaled by REF_NOMINAL_S over the median of those
+samples ("scaled"): the time on a machine where the reference takes
+REF_NOMINAL_S.  With --out it also writes the numbers, the git commit of
+the finpot tree it imported, the line count of its modules (src_lines) and
+the machine to a JSON file.
+
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_16.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -37,17 +47,19 @@ functions that every version of the package has.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import finpot
-from finpot import FinitePotentOperator, SparseOperator, segal_wilson
+from finpot import FinitePotentOperator, SparseOperator, TailDescriptor, segal_wilson
 from finpot.exponentials import det_series, exp_op
 from finpot.fitting import fitting
 from finpot.matrices import charpoly, det, int_det, kernel_basis, mat_inverse, mat_mul
@@ -60,10 +72,25 @@ from finpot.segal_wilson import LoopExponent, sw_pairing_truncated
 from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
 from finpot.symbols import cocycle_via_operators, pairing_via_operators, reciprocity_check
 
+
+def _perfbench_run():
+    """perfbench/run.py as a module; importing it runs no benchmark."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench",
+                        "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_run = _perfbench_run()
+reference_s, REF_NOMINAL_S = _run.reference_s, _run.REF_NOMINAL_S
+
 SIZES = (8, 16, 24)
 PRECISIONS = (32, 64, 128)
 REPEATS = 15
 CLI_REPEATS = 5
+REF_SAMPLES = 3  # reference_s() runs before and after every row
 CLI_VERBS = {
     "python": ["-c", "pass"],
     "det": ["-m", "finpot", "det", "--op", '{"entries":[[0,0,"1"]]}'],
@@ -137,14 +164,26 @@ def fitting_input(rng, n):
     return mat_mul(mat_mul(s, m), mat_inverse(s))
 
 
-def best_of(fn, *args):
+def dense_operator(rng, n):
+    """A SparseOperator with a nonzero p/q, |p| <= 3 and q <= 2, at every
+    entry of an n x n block on indices 0..n-1."""
+    return SparseOperator({(i, j): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+                           for i in range(n) for j in range(n)})
+
+
+def best_of(fn, *args, repeats=REPEATS):
+    """(raw, scaled): the best time of `repeats` calls fn(*args), and that
+    time scaled by REF_NOMINAL_S over the median reference time around the
+    row."""
+    refs = [reference_s() for _ in range(REF_SAMPLES)]
     best = None
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         fn(*args)
         t = time.perf_counter() - t0
         best = t if best is None else min(best, t)
-    return best
+    refs += [reference_s() for _ in range(REF_SAMPLES)]
+    return best, best * REF_NOMINAL_S / statistics.median(refs)
 
 
 def measure():
@@ -211,22 +250,23 @@ def measure():
     # drawn after every input above, which stay as in earlier versions
     f, g = (laurent(rng, degrees) for degrees in ((-3, 1), (-1, 3)))
     out["residue_tate"] = {"3": best_of(residue_tate, f, g)}
+    # drawn after every input above, which stay as in earlier versions
+    tailed = FinitePotentOperator(dense_operator(rng, 8), TailDescriptor.jordan(3, 10, [1, -1]))
+    a, b = (exp_op(op, 1, 10) for op in (tailed, FinitePotentOperator(dense_operator(rng, 8))))
+    out["det_series_product"] = {"8": best_of(lambda: det_series(a * b))}
+    f, g = (laurent(rng, degrees) for degrees in ((-2, 1), (-1, 1)))
+    out["cocycle_via_operators"]["16"] = best_of(cocycle_via_operators, f, g, None, 0, 16)
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 
 
 def cli_best_of(argv):
     """Best wall time of CLI_REPEATS fresh interpreters running argv, with
-    the imported finpot tree on their path."""
+    the imported finpot tree on their path, raw and scaled."""
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(finpot.__file__)))
     env = dict(os.environ, PYTHONPATH=package_parent)
-    best = None
-    for _ in range(CLI_REPEATS):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable] + argv, env=env, check=True, stdout=subprocess.DEVNULL)
-        t = time.perf_counter() - t0
-        best = t if best is None else min(best, t)
-    return best
+    return best_of(lambda: subprocess.run([sys.executable] + argv, env=env, check=True,
+                                          stdout=subprocess.DEVNULL), repeats=CLI_REPEATS)
 
 
 def src_lines(package_dir):
@@ -265,9 +305,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the results to this JSON file")
     args = parser.parse_args(argv)
-    results = measure()
-    for layer, by_size in results.items():
-        row = "  ".join("n=%s %9.4f ms" % (n, t * 1e3) for n, t in by_size.items())
+    rows = measure()
+    results, scaled = ({layer: {n: pair[k] for n, pair in by_size.items()}
+                        for layer, by_size in rows.items()} for k in (0, 1))
+    for layer, by_size in rows.items():
+        row = "  ".join("n=%s %9.4f ms (scaled %9.4f)" % (n, raw * 1e3, sc * 1e3)
+                        for n, (raw, sc) in by_size.items())
         print("%-17s %s" % (layer, row))
     if args.out:
         package_dir = os.path.dirname(os.path.abspath(finpot.__file__))
@@ -278,7 +321,10 @@ def main(argv=None):
             "repeats": REPEATS,
             "cli_repeats": CLI_REPEATS,
             "unit": "s, best of repeats",
+            "reference_nominal_s": REF_NOMINAL_S,
+            "reference_samples_per_row": 2 * REF_SAMPLES,
             "results": results,
+            "scaled": scaled,
             "src_lines": src_lines(package_dir),
         }
         with open(args.out, "w") as fh:

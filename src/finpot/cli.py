@@ -14,8 +14,8 @@ MAX_T = 40 (the default is 20: for --f z --ftilde z^-1 the exact truncated
 value at T = 28 already has more decimal digits than Python prints, and the
 command exits 1 with a domain error; T = 27 prints), and the parser's limits
 (parsing.MAX_EXPONENT, parsing.MAX_DEGREE, and parsing.MAX_PLACE_DEGREE = 60
-for --place, whose irreducibility sympy decides).  reciprocity takes no
-place and factors nothing, so it never imports sympy.
+for --place, whose irreducibility sympy decides from degree 3 up).
+reciprocity takes no place and factors nothing, so it never imports sympy.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ def _emit(payload: dict, fmt: str) -> None:
             sys.stdout.write("%s: %s\n" % (key, payload[key]))
 
 
-def _series_payload(series) -> dict:
-    return series.to_json_dict()
-
-
 def _run_trace(args):
     return {"value": format_rational(tate_trace(_load_operator(args.op)))}
 
@@ -155,14 +151,12 @@ def _run_ps_series(args):
 
 def _run_logdet(args):
     prec = _default_prec(args.prec)
-    return _series_payload(log_det_series(_load_operator(args.op), prec))
+    return log_det_series(_load_operator(args.op), prec).to_json_dict()
 
 
 def _run_regdet(args):
     prec = _default_prec(args.prec)
-    return _series_payload(
-        regularized_det_series(_load_operator(args.op), args.m, prec)
-    )
+    return regularized_det_series(_load_operator(args.op), args.m, prec).to_json_dict()
 
 
 def _run_exp(args):
@@ -195,7 +189,7 @@ def _run_infprod(args):
         raise ParseError("bad family payload: %s" % exc)
     family = [(w, _operator_from_json(op)) for w, op in family]
     prec = _default_prec(args.prec)
-    return _series_payload(infinite_product_det(family, args.m, prec=prec))
+    return infinite_product_det(family, args.m, prec=prec).to_json_dict()
 
 
 def _run_residue(args):
@@ -212,14 +206,14 @@ def _run_cocycle(args):
     f = parse_rational_function(args.f)
     g = parse_rational_function(args.g)
     prec = _default_prec(args.prec)
-    return _series_payload(cocycle(f, g, parse_place(args.place), prec).series)
+    return cocycle(f, g, parse_place(args.place), prec).series.to_json_dict()
 
 
 def _run_pairing(args):
     f = parse_rational_function(args.f)
     g = parse_rational_function(args.g)
     prec = _default_prec(args.prec)
-    return _series_payload(pairing(f, g, parse_place(args.place), prec).series)
+    return pairing(f, g, parse_place(args.place), prec).series.to_json_dict()
 
 
 def _run_reciprocity(args):

@@ -47,6 +47,3 @@ class ReductionError(FinpotError):
 
     code = "reduction"
 
-
-class NoCommonCoreError(FinpotError):
-    code = "no_common_core"

@@ -1,18 +1,20 @@
 """Operator-valued exponentials over truncated Laurent series.
 
 exp_op(phi, k) is the unipotent series 1 + sum_j z^{jk} phi^j / j!.  Its
-determinant over the series field reduces to the finite common core: a
-certified invariant subspace W with (a) every series term mapping W into W
-and (b) some power of (series - 1) mapping everything into W.  Products of
-such series merge their cores by closure, so determinants of products,
-commutator identities and determinants of infinite exponential products all
-stay finite, exact computations.
+determinant over the series field is taken, as Tate takes the trace, on a
+finite-dimensional subspace W invariant under the series and containing
+the image of some power of (series - 1); the value does not depend on which
+such W is used.  det_series reads W off the series terms (the rows of their
+finite parts), so no series carries a core and products of series need no
+search for one: determinants of products, commutator identities and
+determinants of infinite exponential products all stay finite, exact
+computations.
 
 OperatorSeries is the one operator-series type and det_series the one block
 determinant.  exp_product builds a product of exponentials from its
 logarithmic derivative (Wilcox 1967), whose terms are nested commutators
 of the generators: the windowed symbol route takes it for its exponential
-products, then det_series with the content box as core.
+products, then det_series on their finite contents.
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .determinants import tate_trace
-from .errors import CompatibilityError, NoCommonCoreError
+from .errors import CompatibilityError, IncompatibleTailsError
 from .matrices import det_series_matrix
 from .operators import (
     FinitePotentOperator,
     HalfSpaceSpec,
-    certify_finite_potent,
     classify,
     op_add,
-    op_apply,
     op_commutator,
     op_compose,
     op_scale,
@@ -37,44 +37,22 @@ from .operators import (
 from .series import TruncatedLaurentSeries
 
 
-def _core_closure(seed, operators, cap: int = 10000):
-    """Smallest superset of `seed` closed under the actions of `operators`.
-    Heuristic limit: NoCommonCoreError once more than `cap` indices join."""
-    core = set(seed)
-    frontier = list(core)
-    steps = 0
-    while frontier:
-        idx = frontier.pop()
-        for op in operators:
-            for target in op_apply(op, {idx: Fraction(1)}):
-                if target not in core:
-                    core.add(target)
-                    frontier.append(target)
-                    steps += 1
-                    if steps > cap:
-                        raise NoCommonCoreError(
-                            "core closure did not stabilize"
-                        )
-    return tuple(sorted(core))
-
-
 class OperatorSeries:
     """Unipotent operator series: identity at degree 0 plus terms at
-    degrees 1..precision-1, together with a common invariant core."""
+    degrees 1..precision-1."""
 
-    __slots__ = ("variable", "precision", "terms", "core")
+    __slots__ = ("variable", "precision", "terms")
 
-    def __init__(self, variable: str, precision: int, terms: dict, core):
+    def __init__(self, variable: str, precision: int, terms: dict):
         self.variable = variable
         self.precision = precision
         self.terms = {
             int(d): t for d, t in terms.items() if 0 < int(d) < precision and not t.is_zero()
         }
-        self.core = tuple(core)
 
     @classmethod
     def one(cls, variable: str, precision: int) -> "OperatorSeries":
-        return cls(variable, precision, {}, ())
+        return cls(variable, precision, {})
 
     def truncate(self, precision: int) -> "OperatorSeries":
         precision = min(precision, self.precision)
@@ -82,7 +60,6 @@ class OperatorSeries:
             self.variable,
             precision,
             {d: t for d, t in self.terms.items() if d < precision},
-            self.core,
         )
 
     def __mul__(self, other: "OperatorSeries") -> "OperatorSeries":
@@ -99,9 +76,7 @@ class OperatorSeries:
                 if da + db < prec:
                     parts.setdefault(da + db, []).append(op_compose(ta, tb))
         terms = {d: op_add(*ops) for d, ops in parts.items() if d < prec}
-        all_ops = list(self.terms.values()) + list(other.terms.values())
-        core = _core_closure(set(self.core) | set(other.core), all_ops)
-        return OperatorSeries(self.variable, prec, terms, core)
+        return OperatorSeries(self.variable, prec, terms)
 
     def same_to_precision(self, other: "OperatorSeries") -> bool:
         prec = min(self.precision, other.precision)
@@ -121,18 +96,11 @@ def exp_op(
     phi: FinitePotentOperator, k: int = 1, prec: int = 10, variable: str = "z"
 ) -> OperatorSeries:
     """1 + sum_{j>=1, jk<prec} z^{jk} phi^j / j!: the terms of
-    exp_product([phi], ceil(prec / k)), degree j placed at jk.
-
-    The certificate's W is already a common core, with no closure to run:
-    W is the row support of the finite part, so the finite part maps
-    everything into span(W); W lies strictly below any tail start, so the
-    tail neither acts on W nor maps into it.  Hence phi(W) <= span(W), and
-    every term phi^j / j! maps W into W."""
+    exp_product([phi], ceil(prec / k)), degree j placed at jk."""
     if k < 1:
         raise ValueError("degree weight k must be >= 1")
-    cert = certify_finite_potent(phi)
     terms = exp_product([phi], -(-prec // k)).terms
-    return OperatorSeries(variable, prec, {j * k: t for j, t in terms.items()}, cert.indices)
+    return OperatorSeries(variable, prec, {j * k: t for j, t in terms.items()})
 
 
 def _exp_ad(n: FinitePotentOperator, x: dict, top: int) -> dict:
@@ -153,7 +121,7 @@ def _exp_ad(n: FinitePotentOperator, x: dict, top: int) -> dict:
 
 
 def exp_product(generators, prec: int) -> OperatorSeries:
-    """prod_i exp(z M_i) below degree prec, in the variable z, with core ().
+    """prod_i exp(z M_i) below degree prec, in the variable z.
 
     Y = prod_i exp(z M_i) solves Y' = L Y, where
     L = sum_i exp(z ad M_1) ... exp(z ad M_{i-1})(M_i), nested as
@@ -178,22 +146,37 @@ def exp_product(generators, prec: int) -> OperatorSeries:
                 ops.append(op_compose(lk, y))
         if ops:
             terms[d] = op_scale(op_add(*ops), Fraction(1, d))
-    return OperatorSeries("z", prec, terms, ())
+    return OperatorSeries("z", prec, terms)
 
 
 def det_series(s: OperatorSeries) -> TruncatedLaurentSeries:
-    """Determinant over the series field, as the determinant of the finite
-    core block of 1 + sum z^d term_d.  Its cells are filled from each
-    term's stored entries and the tail's images of the core (the two never
-    share a cell: the finite part lies below the tail), skipping zeros."""
-    one = TruncatedLaurentSeries.one(s.variable, s.precision)
-    pos = {i: p for p, i in enumerate(s.core)}
+    """Determinant over the series field of 1 + sum z^d term_d, as the
+    determinant of its block on W, the sorted union of the rows of the
+    terms' finite parts:
+
+    - each finite part maps every basis vector into span(W);
+    - W lies below every tail, which neither acts on W nor reaches it, so
+      W is invariant and the block is filled from finite entries alone;
+    - on V/W only the tails act, all of one block geometry, so
+      sum z^d term_d is nilpotent there and the quotient contributes 1.
+
+    Raises IncompatibleTailsError when a row of W is at or above a term's
+    tail start, or when two terms' tails differ in geometry; no series
+    built by exp_op, exp_product or OperatorSeries.__mul__ does either."""
+    w = sorted(set().union(*(t.finite_part.rows() for t in s.terms.values())))
+    tails = [t.tail for t in s.terms.values() if t.has_tail()]
+    for tail in tails:
+        if not tail.same_geometry(tails[0]):
+            raise IncompatibleTailsError("series terms carry tails of different geometry")
+        if w and w[-1] >= tail.start_index:
+            raise IncompatibleTailsError("a finite row of the series lies in a tail region")
+    pos = {i: p for p, i in enumerate(w)}
     cells = [[{0: Fraction(1)} if p == q else {} for q in pos.values()] for p in pos.values()]
     for d, t in s.terms.items():
-        tail = [((i, j), c) for j in s.core for i, c in t.tail.image_of(j)]
-        for (i, j), c in [*t.finite_part.entries.items(), *tail]:
-            if i in pos and j in pos:
+        for (i, j), c in t.finite_part.entries.items():
+            if j in pos:
                 cells[pos[i]][pos[j]][d] = c
+    one = TruncatedLaurentSeries.one(s.variable, s.precision)
     rows = [[TruncatedLaurentSeries(s.variable, c, 0, s.precision) for c in row] for row in cells]
     return det_series_matrix(rows, one)
 
@@ -260,16 +243,16 @@ def infinite_product_det(
                 "factor at position %d has nonzero trace beyond the witness" % pos
             )
 
-    def partial(upto: int) -> TruncatedLaurentSeries:
-        out = TruncatedLaurentSeries.one(variable, prec)
-        for pos, (weight, phi) in enumerate(family, start=1):
-            if pos > upto:
-                break
-            out = out * det_series(exp_op(phi, weight, prec, variable))
-        return out
-
-    value = partial(compat_m - 1)
-    extended = partial(compat_m + 2)
+    dets = [
+        det_series(exp_op(phi, weight, prec, variable))
+        for weight, phi in family[: compat_m + 2]
+    ]
+    value = TruncatedLaurentSeries.one(variable, prec)
+    for d in dets[: compat_m - 1]:
+        value = value * d
+    extended = value
+    for d in dets[compat_m - 1 :]:
+        extended = extended * d
     if not value.same_to_precision(extended):
         raise CompatibilityError("product determinant is not stationary")
     return value

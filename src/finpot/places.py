@@ -17,7 +17,7 @@ f(1/t) with pi = t.  The recurrence needs no Place and no irreducibility:
 for a monic squarefree modulus q it runs in the etale algebra Q[t]/(q), the
 product of the residue fields of q's factors, as long as d is coprime to q;
 residues.squarefree_residues uses it that way.  Only Place checks
-irreducibility, through sympy.
+irreducibility, through sympy from degree 3 up.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .series import TruncatedLaurentSeries
 
 class Place:
     """A closed point of P^1 over Q: infinity, or a monic irreducible
-    polynomial, whose irreducibility sympy checks from degree 2 up."""
+    polynomial, whose irreducibility sympy checks from degree 3 up."""
 
     __slots__ = ("kind", "minimal_poly", "degree", "field")
 

@@ -5,7 +5,7 @@ coefficient (the zero polynomial is the empty list): Fractions, and
 NumberFieldElements only for values outside Q (det_poly over a number
 field), by scalars.canonical.
 Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
-Irreducible factorization over Q, and irreducibility from degree 2 up, are
+Irreducible factorization over Q, and irreducibility from degree 3 up, are
 delegated to sympy; the rest is local, including the squarefree
 decomposition (squarefree_parts), which needs only gcds.
 """
@@ -13,6 +13,7 @@ decomposition (squarefree_parts), which needs only gcds.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .scalars import _poly_divmod, _poly_mul, canonical, format_rational
 
@@ -192,10 +193,17 @@ def _from_sympy(sp) -> Polynomial:
 
 
 def is_irreducible(p: Polynomial) -> bool:
-    """True for irreducible nonconstant polynomials over Q; sympy decides
-    degree 2 and up, since every polynomial of degree 1 is irreducible."""
+    """True for irreducible nonconstant polynomials over Q.  Every
+    polynomial of degree 1 is irreducible; one of degree 2 exactly when its
+    discriminant is not a rational square, which is negative or has a
+    numerator or denominator that is not a perfect square; sympy decides
+    degree 3 and up."""
     if p.degree <= 1:
         return p.degree == 1
+    if p.degree == 2:
+        c, b, a = p.coeffs
+        disc = b * b - 4 * a * c
+        return disc < 0 or any(isqrt(n) ** 2 != n for n in (disc.numerator, disc.denominator))
     return _to_sympy(p).is_irreducible
 
 

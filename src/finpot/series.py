@@ -69,10 +69,6 @@ class TruncatedLaurentSeries:
     def zero(cls, variable, precision, min_degree=0):
         return cls(variable, {}, min_degree, precision)
 
-    @classmethod
-    def monomial(cls, variable, degree, coeff, precision):
-        return cls(variable, {degree: coeff}, min(0, degree), precision)
-
     # -- basics --------------------------------------------------------------
 
     def coefficient(self, d: int):

@@ -16,7 +16,7 @@ degree-1 places it is also computable as a determinant of a product of
 operator exponentials on the windowed model, and the two routes must agree.
 That route takes its window from residues._window_model, sized once from
 the input, builds the product of the factors with exponentials.exp_product
-and calls det_series with the content box as the core: it has no series
+and calls det_series on the finite contents of its terms: it has no series
 arithmetic of its own.
 """
 
@@ -134,11 +134,10 @@ def _det_of_exponential_product(
     polynomial, on the windowed model with the given cut.
 
     Individual factors have no determinant; the product's series terms are
-    finite rank, supported in a box near the cut, and the determinant is the
-    determinant of that box block: the box is the core of the content series,
-    the factors carry none.  exp_product builds the terms from the signed
-    windows through their nested commutators, which live near the cut and
-    the window edge.  A term of degree below prec_z is a product of fewer
+    finite rank and supported near the cut, so det_series takes the
+    determinant on the rows of their contents, as for any series.
+    exp_product builds the terms from the signed windows through their
+    nested commutators, which live near the cut and the window edge.  A term of degree below prec_z is a product of fewer
     than prec_z factors, so the window is residues._window_model's at depth
     prec_z, sized once from the input; a nonzero guard strip raises
     WindowExhaustedError.
@@ -149,10 +148,7 @@ def _det_of_exponential_product(
         d: FinitePotentOperator(split_window_content(t.finite_part, content_end, exact_end))
         for d, t in prod.terms.items()
     }
-    box = set()
-    for t in contents.values():
-        box |= t.finite_part.support()
-    return det_series(OperatorSeries("z", prec_z, contents, sorted(box)))
+    return det_series(OperatorSeries("z", prec_z, contents))
 
 
 def cocycle_via_operators(

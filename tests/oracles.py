@@ -11,8 +11,10 @@ beside its integer kernels, the series product as a double loop over
 stored terms, local expansions by Newton lifting and series division, the
 field trace as the trace of the regular matrix, reciprocity as the
 loop over the irreducible places that finpot ran before it summed
-residues over squarefree parts, and products of operator exponentials
-as a chain of full operator-series products.
+residues over squarefree parts, products of operator exponentials
+as a chain of full operator-series products, and series determinants on
+the stored or closed cores and the content box finpot used before it read
+the core off the series terms.
 """
 
 from fractions import Fraction
@@ -334,8 +336,71 @@ def exp_product_by_series(generators, prec):
             power = m if power is None else op_compose(power, m)
             fact *= j
             terms[j] = op_scale(power, Fraction(1, fact))
-        prod = prod * OperatorSeries("z", prec, terms, ())
+        prod = prod * OperatorSeries("z", prec, terms)
     return prod
+
+
+# -- series determinants on a stored core ----------------------------------------
+#
+# det_series before it read W off the series terms: every OperatorSeries
+# carried a core, exp_op took the certificate's W as it, a product merged
+# its factors' cores by closure under their terms, and the windowed symbol
+# route passed the support of its contents (the content box).
+
+
+def core_closure(seed, operators, cap=10000):
+    """Smallest superset of `seed` closed under the actions of `operators`;
+    AssertionError once more than `cap` indices join."""
+    from finpot.operators import op_apply
+
+    core = set(seed)
+    frontier = list(core)
+    while frontier:
+        idx = frontier.pop()
+        for op in operators:
+            for target in op_apply(op, {idx: Fraction(1)}):
+                if target not in core:
+                    core.add(target)
+                    frontier.append(target)
+                    assert len(core) <= len(seed) + cap, "core closure did not stabilize"
+    return tuple(sorted(core))
+
+
+def det_series_on_core(s, core):
+    """det(1 + sum z^d term_d) on the block of an invariant core, its cells
+    filled from each term's stored entries and the tail's images of the
+    core."""
+    from finpot.matrices import det_series_matrix
+
+    pos = {i: p for p, i in enumerate(core)}
+    cells = [[{0: Fraction(1)} if p == q else {} for q in pos.values()] for p in pos.values()]
+    for d, t in s.terms.items():
+        tail = [((i, j), c) for j in core for i, c in t.tail.image_of(j)]
+        for (i, j), c in [*t.finite_part.entries.items(), *tail]:
+            if i in pos and j in pos:
+                cells[pos[i]][pos[j]][d] = c
+    rows = [[TruncatedLaurentSeries(s.variable, c, 0, s.precision) for c in row] for row in cells]
+    return det_series_matrix(rows, TruncatedLaurentSeries.one(s.variable, s.precision))
+
+
+def det_of_exponential_product_on_box(coeff_dicts, signs, cut, prec_z):
+    """symbols._det_of_exponential_product on the content box: the
+    determinant on the rows and columns of the contents of the window
+    product's terms."""
+    from finpot.exponentials import OperatorSeries, exp_product
+    from finpot.operators import FinitePotentOperator
+    from finpot.residues import _window_model, split_window_content
+
+    windows, content_end, exact_end = _window_model(coeff_dicts, signs, cut, prec_z)
+    prod = exp_product([FinitePotentOperator(w) for w in windows], prec_z)
+    contents = {
+        d: FinitePotentOperator(split_window_content(t.finite_part, content_end, exact_end))
+        for d, t in prod.terms.items()
+    }
+    box = set()
+    for t in contents.values():
+        box |= t.finite_part.support()
+    return det_series_on_core(OperatorSeries("z", prec_z, contents), sorted(box))
 
 
 # -- dense kernels over the stored scalars --------------------------------------

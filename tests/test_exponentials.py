@@ -4,9 +4,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from finpot.determinants import tate_trace
-from finpot.errors import CompatibilityError
+from finpot.errors import CompatibilityError, IncompatibleTailsError
 from finpot.exponentials import (
-    _core_closure,
+    OperatorSeries,
     det_series,
     exp_op,
     exp_product,
@@ -26,7 +26,11 @@ from finpot.operators import (
 from finpot.scalars import NumberField, scalar_is_zero
 from finpot.series import TruncatedLaurentSeries as TLS, series_exp
 from conftest import random_operator, random_traceless
-from oracles import exp_product_by_series
+from oracles import (
+    core_closure,
+    det_series_on_core,
+    exp_product_by_series,
+)
 
 PROJ = FPO.from_entries([(0, 0, 1)])
 
@@ -159,7 +163,7 @@ def test_infinite_product_random_traceless(rng):
 
 def test_det_series_product_with_tail():
     # mixing a tailed exponential with a finite-rank one: finite supports
-    # stay below the tail start, the merged core closure does the rest
+    # stay below the tail start, so the product's rows are a core
     tailed = FPO(
         SparseOperator({(0, 0): Fraction(1)}), TailDescriptor.jordan(3, 6)
     )
@@ -174,33 +178,58 @@ _Q = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
 @st.composite
-def _operators(draw):
-    """Sparse operators over Q or Q(i) on indices -3..5, half with a Jordan
-    tail starting above that support."""
+def _operators(draw, tailed=None):
+    """Sparse operators over Q or Q(i) on indices -3..5, with a Jordan tail
+    starting above that support when `tailed` (half of them when None)."""
     gauss = draw(st.booleans())
+
+    def scalar():
+        return _GAUSS.element([draw(_Q), draw(_Q)]) if gauss else draw(_Q)
+
     cells = st.tuples(st.integers(-3, 5), st.integers(-3, 5))
     entries = {}
     for cell in draw(st.lists(cells, max_size=10, unique=True)):
-        x = _GAUSS.element([draw(_Q), draw(_Q)]) if gauss else draw(_Q)
+        x = scalar()
         if not scalar_is_zero(x):
             entries[cell] = x
     tail = TailDescriptor.none()
-    if draw(st.booleans()):
+    if draw(st.booleans()) if tailed is None else tailed:
         b = draw(st.integers(2, 4))
-        coeffs = draw(st.lists(st.integers(-2, 2), min_size=b - 1, max_size=b - 1))
-        tail = TailDescriptor.jordan(b, draw(st.integers(6, 9)), coeffs)
+        tail = TailDescriptor.jordan(b, draw(st.integers(6, 9)), [scalar() for _ in range(b - 1)])
     return FPO(SparseOperator(entries), tail)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_operators(), st.integers(1, 3))
-def test_exp_op_core_is_the_certificate(phi, k):
-    """Every term phi^j / j! maps the certificate's W into W: the core
-    closure over the terms is W itself, which exp_op takes as its core."""
-    cert = certify_finite_potent(phi)
+def test_det_series_of_exp_op_matches_the_certificate_core(phi, k):
+    """The determinant on the rows of the terms equals the determinant on
+    the certificate's W, the core exp_op once stored."""
     series = exp_op(phi, k, 10)
-    assert _core_closure(cert.indices, list(series.terms.values())) == cert.indices
-    assert series.core == cert.indices
+    assert det_series(series) == det_series_on_core(series, certify_finite_potent(phi).indices)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_operators(), _operators(tailed=False), st.booleans(), st.integers(1, 3))
+def test_det_series_of_products_matches_the_closed_core(f, g, swap, k):
+    """On exp_op(f) exp_op(g), with at most one factor tailed, the
+    determinant equals the one on the closure of the factors' certificate
+    cores under all their terms, the core products once merged."""
+    a, b = exp_op(f, k, 8), exp_op(g, 1, 8)
+    if swap:
+        a, b = b, a
+    seed = certify_finite_potent(f).indices + certify_finite_potent(g).indices
+    core = core_closure(seed, [*a.terms.values(), *b.terms.values()])
+    assert det_series(a * b) == det_series_on_core(a * b, core)
+
+
+def test_det_series_rejects_finite_rows_in_a_tail_region():
+    tailed = FPO(SparseOperator({(0, 0): Fraction(1)}), TailDescriptor.jordan(2, 3))
+    above = FPO.from_entries([(5, 0, 1)])
+    with pytest.raises(IncompatibleTailsError):
+        det_series(OperatorSeries("z", 4, {1: tailed, 2: above}))
+    other = FPO(SparseOperator(), TailDescriptor.jordan(3, 3))
+    with pytest.raises(IncompatibleTailsError):
+        det_series(OperatorSeries("z", 4, {1: tailed, 2: other}))
 
 
 @st.composite
@@ -232,7 +261,7 @@ def test_exp_product_matches_series_products(gens, prec):
         not op_commutator(a, b).is_zero() for a, b in zip(gens, gens[1:])
     ))
     got, want = exp_product(gens, prec), exp_product_by_series(gens, prec)
-    assert got.precision == prec and got.core == ()
+    assert got.precision == prec
     assert got.terms == want.terms
     for d, t in want.terms.items():
         assert _entry_types(got.terms[d]) == _entry_types(t)

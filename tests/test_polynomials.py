@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from finpot.polynomials import (
     Polynomial,
     RationalFunction,
+    _to_sympy,
     factor_monic_irreducibles,
     is_irreducible,
     split_power,
@@ -143,10 +144,13 @@ def test_package_import_leaves_sympy_unloaded():
 
 
 def test_degree_one_places_leave_sympy_unloaded():
-    # every polynomial of degree 1 is irreducible, with no call into sympy
+    # every polynomial of degree 1 is irreducible, with no call into sympy,
+    # and the discriminant decides degree 2: residue and cocycle at t^2 + 1
+    # import no sympy either
     code = "\n".join([
-        "import sys",
+        "import contextlib, io, sys",
         "from fractions import Fraction",
+        "from finpot.cli import main",
         "from finpot.parsing import parse_place",
         "from finpot.places import Place",
         "from finpot.polynomials import Polynomial, RationalFunction, is_irreducible",
@@ -157,11 +161,19 @@ def test_degree_one_places_leave_sympy_unloaded():
         "assert Place.at_zero().degree == parse_place('t').degree == 1",
         "assert residue_classical(1 / t, t, Place.infinity()) == -1",
         "assert sw_vs_tate_check(LoopExponent('plus', {1: 1}), LoopExponent('minus', {1: 1}))",
+        "with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "    for verb in (['residue'], ['cocycle', '--prec', '5']):",
+        "        assert main(verb + ['--f', 't/(t^2+1)', '--g', 't', '--place', 't^2+1']) == 0",
         "print('sympy' in sys.modules)",
+        "print(out.getvalue())",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:3] == [
+        "False",
+        '{"value": "1"}',
+        '{"coeffs": {"0": "1", "2": "1/2", "4": "1/8"}, "min": 0, "prec": 5, "var": "z"}',
+    ]
 
 
 def test_irreducibility_by_degree():
@@ -170,6 +182,19 @@ def test_irreducibility_by_degree():
     assert is_irreducible(Polynomial([7, -2]))
     assert is_irreducible(Polynomial([1, 0, 1]))
     assert not is_irreducible(Polynomial([-1, 0, 1]))
+
+
+_SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_SMALL.filter(bool), _SMALL, _SMALL, st.booleans())
+def test_quadratic_irreducibility_matches_sympy(a, b, c, split):
+    """The discriminant rule decides irreducibility of a quadratic as sympy
+    does: on a t^2 + b t + c, and on a (t - b)(t - c), which splits."""
+    p = Polynomial([a * b * c, -a * (b + c), a]) if split else Polynomial([c, b, a])
+    assert is_irreducible(p) == _to_sympy(p).is_irreducible
+    assert not split or not is_irreducible(p)
 
 
 def test_constant_pi_is_rejected():

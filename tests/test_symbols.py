@@ -14,6 +14,7 @@ from finpot.residues import residue_classical, residue_tate, squarefree_residues
 from finpot.series import TruncatedLaurentSeries as TLS, series_exp
 from finpot.symbols import (
     SymbolValue,
+    _det_of_exponential_product,
     c4_check,
     c5_check,
     cocycle,
@@ -24,7 +25,7 @@ from finpot.symbols import (
     reciprocity_check,
 )
 from conftest import content_in_guard_strip, random_laurent_poly, random_rational_function
-from oracles import reciprocity_by_places
+from oracles import det_of_exponential_product_on_box, reciprocity_by_places
 
 PLACE_T = Place.at_zero()
 
@@ -136,6 +137,21 @@ def test_operator_route_matches_residue_route(fc, gc, name, cut, prec_z):
     assert residue_tate(f, g, place) == residue_classical(f, g, place)
     assert cocycle_via_operators(f, g, place, cut, prec_z) == cocycle(f, g, place, prec_z)
     assert pairing_via_operators(f, g, place, cut, prec_z) == pairing(f, g, place, prec_z)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_LAURENT, _LAURENT, st.booleans(), st.integers(-2, 2), st.integers(2, 8))
+def test_symbol_route_determinant_matches_the_content_box(fc, gc, four, cut, prec_z):
+    """The windowed symbol route's determinant on the rows of its contents
+    equals the one on the content box (their rows and columns), for the
+    cocycle's three and the pairing's four exponentials."""
+    if four:
+        dicts, signs = [fc, gc, fc, gc], [1, 1, -1, -1]
+    else:
+        total = {d: fc.get(d, 0) + gc.get(d, 0) for d in {*fc, *gc}}
+        dicts, signs = [fc, gc, total], [1, 1, -1]
+    got = _det_of_exponential_product(dicts, signs, cut, prec_z)
+    assert got == det_of_exponential_product_on_box(dicts, signs, cut, prec_z)
 
 
 def test_four_exponential_commutator_route(rng):
