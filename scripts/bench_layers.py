@@ -27,16 +27,9 @@ exp_op(f) exp_op(g) at precision 10, product included, with f a dense
 (det_series_product), of cocycle_via_operators at z-precision 16 on the
 shapes above, and, end to end, of one fresh `python -m finpot` process per
 CLI verb (cli_cold, best of 5, counting interpreter start and import;
-"python" is a bare interpreter start for reference).
-
-Host speed drifts on shared machines, so around every row the script runs
-perfbench/run.py's fixed reference computation (reference_s, which never
-calls finpot) REF_SAMPLES times before and after, and writes each row both
-raw ("results") and scaled by REF_NOMINAL_S over the median of those
-samples ("scaled"): the time on a machine where the reference takes
-REF_NOMINAL_S.  With --out it also writes the numbers, the git commit of
-the finpot tree it imported, the line count of its modules (src_lines) and
-the machine to a JSON file.
+"python" is a bare interpreter start for reference).  With --out it also
+writes the numbers, the git commit of the finpot tree it imported, the
+line count of its modules (src_lines) and the machine to a JSON file.
 
     PYTHONPATH=src python scripts/bench_layers.py --out BENCH_16.json
 
@@ -47,12 +40,10 @@ functions that every version of the package has.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
 import random
-import statistics
 import subprocess
 import sys
 import time
@@ -72,25 +63,10 @@ from finpot.segal_wilson import LoopExponent, sw_pairing_truncated
 from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
 from finpot.symbols import cocycle_via_operators, pairing_via_operators, reciprocity_check
 
-
-def _perfbench_run():
-    """perfbench/run.py as a module; importing it runs no benchmark."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench",
-                        "run.py")
-    spec = importlib.util.spec_from_file_location("perfbench_run", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_run = _perfbench_run()
-reference_s, REF_NOMINAL_S = _run.reference_s, _run.REF_NOMINAL_S
-
 SIZES = (8, 16, 24)
 PRECISIONS = (32, 64, 128)
 REPEATS = 15
 CLI_REPEATS = 5
-REF_SAMPLES = 3  # reference_s() runs before and after every row
 CLI_VERBS = {
     "python": ["-c", "pass"],
     "det": ["-m", "finpot", "det", "--op", '{"entries":[[0,0,"1"]]}'],
@@ -171,19 +147,14 @@ def dense_operator(rng, n):
                            for i in range(n) for j in range(n)})
 
 
-def best_of(fn, *args, repeats=REPEATS):
-    """(raw, scaled): the best time of `repeats` calls fn(*args), and that
-    time scaled by REF_NOMINAL_S over the median reference time around the
-    row."""
-    refs = [reference_s() for _ in range(REF_SAMPLES)]
+def best_of(fn, *args):
     best = None
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn(*args)
         t = time.perf_counter() - t0
         best = t if best is None else min(best, t)
-    refs += [reference_s() for _ in range(REF_SAMPLES)]
-    return best, best * REF_NOMINAL_S / statistics.median(refs)
+    return best
 
 
 def measure():
@@ -262,11 +233,16 @@ def measure():
 
 def cli_best_of(argv):
     """Best wall time of CLI_REPEATS fresh interpreters running argv, with
-    the imported finpot tree on their path, raw and scaled."""
+    the imported finpot tree on their path."""
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(finpot.__file__)))
     env = dict(os.environ, PYTHONPATH=package_parent)
-    return best_of(lambda: subprocess.run([sys.executable] + argv, env=env, check=True,
-                                          stdout=subprocess.DEVNULL), repeats=CLI_REPEATS)
+    best = None
+    for _ in range(CLI_REPEATS):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable] + argv, env=env, check=True, stdout=subprocess.DEVNULL)
+        t = time.perf_counter() - t0
+        best = t if best is None else min(best, t)
+    return best
 
 
 def src_lines(package_dir):
@@ -305,12 +281,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the results to this JSON file")
     args = parser.parse_args(argv)
-    rows = measure()
-    results, scaled = ({layer: {n: pair[k] for n, pair in by_size.items()}
-                        for layer, by_size in rows.items()} for k in (0, 1))
-    for layer, by_size in rows.items():
-        row = "  ".join("n=%s %9.4f ms (scaled %9.4f)" % (n, raw * 1e3, sc * 1e3)
-                        for n, (raw, sc) in by_size.items())
+    results = measure()
+    for layer, by_size in results.items():
+        row = "  ".join("n=%s %9.4f ms" % (n, t * 1e3) for n, t in by_size.items())
         print("%-17s %s" % (layer, row))
     if args.out:
         package_dir = os.path.dirname(os.path.abspath(finpot.__file__))
@@ -321,10 +294,7 @@ def main(argv=None):
             "repeats": REPEATS,
             "cli_repeats": CLI_REPEATS,
             "unit": "s, best of repeats",
-            "reference_nominal_s": REF_NOMINAL_S,
-            "reference_samples_per_row": 2 * REF_SAMPLES,
             "results": results,
-            "scaled": scaled,
             "src_lines": src_lines(package_dir),
         }
         with open(args.out, "w") as fh:

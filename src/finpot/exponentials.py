@@ -5,10 +5,10 @@ determinant over the series field is taken, as Tate takes the trace, on a
 finite-dimensional subspace W invariant under the series and containing
 the image of some power of (series - 1); the value does not depend on which
 such W is used.  det_series reads W off the series terms (the rows of their
-finite parts), so no series carries a core and products of series need no
-search for one: determinants of products, commutator identities and
-determinants of infinite exponential products all stay finite, exact
-computations.
+finite parts, closed under the tail blocks), so no series carries a core
+and products of series need no search for one: determinants of products,
+commutator identities and determinants of infinite exponential products
+all stay finite, exact computations.
 
 OperatorSeries is the one operator-series type and det_series the one block
 determinant.  exp_product builds a product of exponentials from its
@@ -20,6 +20,7 @@ products, then det_series on their finite contents.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .determinants import tate_trace
 from .errors import CompatibilityError, IncompatibleTailsError
@@ -151,29 +152,44 @@ def exp_product(generators, prec: int) -> OperatorSeries:
 
 def det_series(s: OperatorSeries) -> TruncatedLaurentSeries:
     """Determinant over the series field of 1 + sum z^d term_d, as the
-    determinant of its block on W, the sorted union of the rows of the
-    terms' finite parts:
+    determinant of its block on W: each row of the terms' finite parts,
+    extended through the end of every tail block that holds it.
 
     - each finite part maps every basis vector into span(W);
-    - W lies below every tail, which neither acts on W nor reaches it, so
-      W is invariant and the block is filled from finite entries alone;
-    - on V/W only the tails act, all of one block geometry, so
-      sum z^d term_d is nilpotent there and the quotient contributes 1.
+    - a tail moves an index only upward inside its block, so W, a union of
+      intervals that each end where a block of every tail around it ends,
+      is invariant; the block is filled from the finite entries and the
+      tails' images of W, which never share a cell within one term;
+    - on V/W only the tails act.  Tails of one block geometry are
+      polynomials in one nilpotent shift; tails of two geometries are never
+      composed below the precision in a series from exp_op, exp_product or
+      OperatorSeries.__mul__ (op_compose would raise).  So below the
+      precision the logarithm of the quotient series is a sum of
+      polynomials without constant term in those shifts, one per geometry:
+      nilpotents of trace 0, and the quotient contributes 1.
 
-    Raises IncompatibleTailsError when a row of W is at or above a term's
-    tail start, or when two terms' tails differ in geometry; no series
-    built by exp_op, exp_product or OperatorSeries.__mul__ does either."""
-    w = sorted(set().union(*(t.finite_part.rows() for t in s.terms.values())))
-    tails = [t.tail for t in s.terms.values() if t.has_tail()]
-    for tail in tails:
-        if not tail.same_geometry(tails[0]):
-            raise IncompatibleTailsError("series terms carry tails of different geometry")
-        if w and w[-1] >= tail.start_index:
-            raise IncompatibleTailsError("a finite row of the series lies in a tail region")
-    pos = {i: p for p, i in enumerate(w)}
+    Raises IncompatibleTailsError when no such W is finite: a row lies
+    where the blocks of two tail geometries never end at a common index.
+    Above the highest tail start the block ends repeat with the lcm of the
+    block sizes, so an interval that outgrows that period never closes."""
+    blocks = {(t.tail.start_index, t.tail.block_size) for t in s.terms.values() if t.has_tail()}
+    period = lcm(*(size for _, size in blocks))
+    top = max((start for start, _ in blocks), default=0)
+    w: set = set()
+    for r in sorted(set().union(*(t.finite_part.rows() for t in s.terms.values()))):
+        end = r
+        while r not in w:
+            nxt = max([end] + [a + ((end - a) // b + 1) * b - 1 for a, b in blocks if end >= a])
+            if nxt == end:
+                w.update(range(r, end + 1))
+            elif nxt >= max(r, top) + period:
+                raise IncompatibleTailsError("the series' tail blocks leave no finite invariant core")
+            end = nxt
+    pos = {i: p for p, i in enumerate(sorted(w))}
     cells = [[{0: Fraction(1)} if p == q else {} for q in pos.values()] for p in pos.values()]
     for d, t in s.terms.items():
-        for (i, j), c in t.finite_part.entries.items():
+        tail = [((i, j), c) for j in pos for i, c in t.tail.image_of(j)]
+        for (i, j), c in [*t.finite_part.entries.items(), *tail]:
             if j in pos:
                 cells[pos[i]][pos[j]][d] = c
     one = TruncatedLaurentSeries.one(s.variable, s.precision)

@@ -137,10 +137,10 @@ def _det_of_exponential_product(
     finite rank and supported near the cut, so det_series takes the
     determinant on the rows of their contents, as for any series.
     exp_product builds the terms from the signed windows through their
-    nested commutators, which live near the cut and the window edge.  A term of degree below prec_z is a product of fewer
-    than prec_z factors, so the window is residues._window_model's at depth
-    prec_z, sized once from the input; a nonzero guard strip raises
-    WindowExhaustedError.
+    nested commutators, which live near the cut and the window edge.  A
+    term of degree below prec_z is a product of fewer than prec_z factors,
+    so the window is residues._window_model's at depth prec_z, sized once
+    from the input; a nonzero guard strip raises WindowExhaustedError.
     """
     windows, content_end, exact_end = _window_model(coeff_dicts, signs, cut, prec_z)
     prod = exp_product([FinitePotentOperator(w) for w in windows], prec_z)

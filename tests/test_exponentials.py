@@ -178,15 +178,16 @@ _Q = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
 @st.composite
-def _operators(draw, tailed=None):
-    """Sparse operators over Q or Q(i) on indices -3..5, with a Jordan tail
-    starting above that support when `tailed` (half of them when None)."""
+def _operators(draw, tailed=None, top=5):
+    """Sparse operators over Q or Q(i) on indices -3..top, with a Jordan
+    tail when `tailed` (half of them when None), starting at 6..9 or just
+    above the support."""
     gauss = draw(st.booleans())
 
     def scalar():
         return _GAUSS.element([draw(_Q), draw(_Q)]) if gauss else draw(_Q)
 
-    cells = st.tuples(st.integers(-3, 5), st.integers(-3, 5))
+    cells = st.tuples(st.integers(-3, top), st.integers(-3, top))
     entries = {}
     for cell in draw(st.lists(cells, max_size=10, unique=True)):
         x = scalar()
@@ -195,7 +196,8 @@ def _operators(draw, tailed=None):
     tail = TailDescriptor.none()
     if draw(st.booleans()) if tailed is None else tailed:
         b = draw(st.integers(2, 4))
-        tail = TailDescriptor.jordan(b, draw(st.integers(6, 9)), [scalar() for _ in range(b - 1)])
+        start = max([draw(st.integers(6, 9))] + [i + 1 for cell in entries for i in cell])
+        tail = TailDescriptor.jordan(b, start, [scalar() for _ in range(b - 1)])
     return FPO(SparseOperator(entries), tail)
 
 
@@ -208,28 +210,57 @@ def test_det_series_of_exp_op_matches_the_certificate_core(phi, k):
     assert det_series(series) == det_series_on_core(series, certify_finite_potent(phi).indices)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_operators(), _operators(tailed=False), st.booleans(), st.integers(1, 3))
-def test_det_series_of_products_matches_the_closed_core(f, g, swap, k):
-    """On exp_op(f) exp_op(g), with at most one factor tailed, the
-    determinant equals the one on the closure of the factors' certificate
-    cores under all their terms, the core products once merged."""
-    a, b = exp_op(f, k, 8), exp_op(g, 1, 8)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_operators(tailed=True), _operators(top=9), st.booleans(), st.integers(1, 3),
+       st.integers(1, 3), st.integers(3, 6))
+def test_det_series_of_products_matches_the_closed_core(f, g, swap, kf, kg, prec):
+    """On exp_op(f) exp_op(g), f tailed, where g's rows may lie in f's
+    tail region and g's tail may differ in geometry, the determinant
+    equals the one on the closure of the factors' certificate cores under
+    all their terms, the core products once merged, whenever op_add and
+    op_compose build the product."""
+    a, b = exp_op(f, kf, prec), exp_op(g, kg, prec)
     if swap:
         a, b = b, a
+    try:
+        product = a * b
+    except IncompatibleTailsError:
+        assume(False)
     seed = certify_finite_potent(f).indices + certify_finite_potent(g).indices
     core = core_closure(seed, [*a.terms.values(), *b.terms.values()])
-    assert det_series(a * b) == det_series_on_core(a * b, core)
+    assert det_series(product) == det_series_on_core(product, core)
 
 
-def test_det_series_rejects_finite_rows_in_a_tail_region():
-    tailed = FPO(SparseOperator({(0, 0): Fraction(1)}), TailDescriptor.jordan(2, 3))
-    above = FPO.from_entries([(5, 0, 1)])
+def test_det_series_on_rows_in_a_tail_region():
+    """exp_op(f, 2) exp_op(g, k) puts the row 4 of g (and 5, the tail's
+    image of it in f g) in f's tail block [3, 5]; W takes in the rest of
+    that block, as the closed core did.  With k = 3, g's tail has another
+    geometry, never composed with f's below z^5.  With g = e_4 e_5^T the
+    block is [[1, z], [z^2, 1 + z^3]]: its determinant needs the tail's
+    cell z^2."""
+    f = FPO(SparseOperator({(0, 0): Fraction(1)}), TailDescriptor.jordan(3, 3))
+    want = exp_of_scalar(1, 5, weight=2)  # exp(z^2 tr f); tr g = 0
+    for g, k in ((FPO.from_entries([(4, 0, 1)]), 1),
+                 (FPO(SparseOperator({(4, 0): Fraction(1)}), TailDescriptor.jordan(2, 6)), 3),
+                 (FPO.from_entries([(4, 5, 1)]), 1)):
+        a, b = exp_op(f, 2, 5), exp_op(g, k, 5)
+        core = core_closure((0, 4), [*a.terms.values(), *b.terms.values()])
+        assert core == (0, 4, 5)
+        assert det_series(a * b) == det_series_on_core(a * b, core) == want
+
+
+def test_det_series_rejects_tails_without_a_finite_core():
+    # the blocks [0, 1], [2, 3], ... and [1, 2], [3, 4], ... never end at a
+    # common index, so no finite W holds the row 3; the closure runs off too
+    terms = {
+        1: FPO(SparseOperator(), TailDescriptor.jordan(2, 0)),
+        2: FPO(SparseOperator(), TailDescriptor.jordan(2, 1)),
+        3: FPO.from_entries([(3, -1, 1)]),
+    }
     with pytest.raises(IncompatibleTailsError):
-        det_series(OperatorSeries("z", 4, {1: tailed, 2: above}))
-    other = FPO(SparseOperator(), TailDescriptor.jordan(3, 3))
-    with pytest.raises(IncompatibleTailsError):
-        det_series(OperatorSeries("z", 4, {1: tailed, 2: other}))
+        det_series(OperatorSeries("z", 4, terms))
+    with pytest.raises(AssertionError):
+        core_closure((3,), list(terms.values()))
 
 
 @st.composite
