@@ -16,7 +16,7 @@ from finpot import (
     LoopExponent,
     sw_group_cocycle_check,
     sw_pairing_closed,
-    sw_pairing_truncated,
+    sw_pairing_interval,
     sw_vs_tate_check,
     toeplitz_block,
 )
@@ -27,14 +27,15 @@ blk = toeplitz_block(LoopExponent("plus", {1: Fraction(3, 2)}), 4)
 for row in blk.matrix:
     print([str(x) for x in row])
 
-# Pair f = z against f~ = z^{-1}: the exact truncated determinants are
-# rational numbers converging (fast) to e.
+# Pair f = z against f~ = z^{-1}: the truncated determinants, each a value
+# over 2^128 within a rational bound, converge (fast) to e.
 f = LoopExponent("plus", {1: 1})
 ft = LoopExponent("minus", {1: 1})
 print("closed exponent:", sw_pairing_closed(f, ft))
 for T in (3, 5, 8, 12):
-    v = sw_pairing_truncated(f, ft, T)
-    print("T=%2d  pairing=%.12f  err=%.2e" % (T, float(v), abs(float(v) - math.e)))
+    v, bound = sw_pairing_interval(f, ft, T)
+    print("T=%2d  pairing=%.12f +- %.1e  err=%.2e"
+          % (T, float(v), float(bound), abs(float(v) - math.e)))
 
 # The closed form sums n a_n b_n over matching degrees.
 f2 = LoopExponent("plus", {1: 1, 2: 1})

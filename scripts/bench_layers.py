@@ -17,21 +17,25 @@ random banded 64 x 64 operators (bandwidth 7), of the windowed symbol
 determinant cocycle_via_operators at z-precision 8 with f in
 span(1/t^2, t) and g in span(1/t, t), of the four-exponential
 pairing_via_operators on the same shapes, of the loop pairing's int_det on
-the integer stage corner sw_pairing_truncated builds at T = 15 (support
-2 + 2) and T = 19 (support 3 + 3, coefficients +-1/2, +-1/4 as in the
-loop-pairing workload), of mat_mul on two dense 8 x 8 matrices over Q(i)
+the integer corner sw_pairing_truncated hands it at T = 15 (support 2 + 2)
+and T = 19 (support 3 + 3, coefficients +-1/2, +-1/4 as in the
+loop-pairing workload; since BENCH_17 that is the W-bit Widom corner, with
+W about 160, where earlier files timed the exact T + 28 stage corner of
+about 950-bit entries), of mat_mul on two dense 8 x 8 matrices over Q(i)
 (mat_mul_gauss), of the commutator trace residue_tate at band 3 (f in
 span(1/t^3, t), g in span(1/t, t^3)), of det_series on the product
 exp_op(f) exp_op(g) at precision 10, product included, with f a dense
 8 x 8 operator under a Jordan tail and g a dense 8 x 8 operator
 (det_series_product), of cocycle_via_operators at z-precision 16 on the
-shapes above, and, end to end, of one fresh `python -m finpot` process per
-CLI verb (cli_cold, best of 5, counting interpreter start and import;
-"python" is a bare interpreter start for reference).  With --out it also
+shapes above, of sw_pairing_truncated as a whole at T = 15 (support 2 + 2),
+19 and 40 (support 3 + 3, the coefficients above), and, end to end, of one
+fresh `python -m finpot` process per CLI verb (cli_cold, best of 5,
+counting interpreter start and import; "python" is a bare interpreter start
+for reference).  With --out it also
 writes the numbers, the git commit of the finpot tree it imported, the
 line count of its modules (src_lines) and the machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_16.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_17.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -106,12 +110,18 @@ def laurent(rng, degrees):
                             Polynomial([0] * k + [1]))
 
 
-def stage_corner(rng, T, support):
+def loop_exponents(rng, support):
+    """Plus and minus exponents with the given support on each side and
+    coefficients +-1/2, +-1/4."""
+    coeffs = [Fraction(s, d) for s in (-1, 1) for d in (2, 4)]
+    return (LoopExponent(side, {n: rng.choice(coeffs) for n in range(1, support + 1)})
+            for side in ("plus", "minus"))
+
+
+def pairing_corner(rng, T, support):
     """The integer corner that sw_pairing_truncated hands to int_det, for
     random exponents with the given support on each side."""
-    coeffs = [Fraction(s, d) for s in (-1, 1) for d in (2, 4)]
-    f, ft = (LoopExponent(side, {n: rng.choice(coeffs) for n in range(1, support + 1)})
-             for side in ("plus", "minus"))
+    f, ft = loop_exponents(rng, support)
     seen, real = [], segal_wilson.int_det
     segal_wilson.int_det = lambda m: seen.append([row[:] for row in m]) or real(m)
     try:
@@ -212,7 +222,7 @@ def measure():
     # drawn after every input above, which stay as in earlier versions
     f, g = (laurent(rng, degrees) for degrees in ((-2, 1), (-1, 1)))
     out["pairing_via_operators"] = {"8": best_of(pairing_via_operators, f, g, None, 0, 8)}
-    out["int_det"] = {str(T): best_of(int_det, stage_corner(rng, T, support))
+    out["int_det"] = {str(T): best_of(int_det, pairing_corner(rng, T, support))
                       for T, support in ((15, 2), (19, 3))}
     # drawn after every input above, which stay as in earlier versions
     a, b = ([[gauss.element([rational(rng), rational(rng)]) for _ in range(8)] for _ in range(8)]
@@ -227,6 +237,10 @@ def measure():
     out["det_series_product"] = {"8": best_of(lambda: det_series(a * b))}
     f, g = (laurent(rng, degrees) for degrees in ((-2, 1), (-1, 1)))
     out["cocycle_via_operators"]["16"] = best_of(cocycle_via_operators, f, g, None, 0, 16)
+    # drawn after every input above, which stay as in earlier versions
+    out["sw_pairing_truncated"] = {
+        str(T): best_of(sw_pairing_truncated, *loop_exponents(rng, support), T)
+        for T, support in ((15, 2), (19, 3), (40, 3))}
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

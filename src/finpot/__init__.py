@@ -70,6 +70,7 @@ from .segal_wilson import (
     ToeplitzBlock,
     sw_group_cocycle_check,
     sw_pairing_closed,
+    sw_pairing_interval,
     sw_pairing_truncated,
     sw_vs_tate_check,
     toeplitz_block,

@@ -10,11 +10,15 @@ precision.
 Work caps, checked before any computation: a series precision (--prec or
 FINPOT_PREC) above MAX_PREC = 1024, a ps-series --order above MAX_ORDER = 64
 (one m x m determinant for every m up to the order), an sw-pairing --T above
-MAX_T = 40 (the default is 20: for --f z --ftilde z^-1 the exact truncated
-value at T = 28 already has more decimal digits than Python prints, and the
-command exits 1 with a domain error; T = 27 prints), and the parser's limits
-(parsing.MAX_EXPONENT, parsing.MAX_DEGREE, and parsing.MAX_PLACE_DEGREE = 60
-for --place, whose irreducibility sympy decides from degree 3 up).
+MAX_T = 40 (the default is 20; cold, --f z --ftilde z^-1 takes about 0.6 s
+at T = 40, where the exact T + 28 stage finpot once used took 15-18 s and
+could not print its value), an sw-pairing coefficient size
+sum |a_n| + sum |b_m| above MAX_COEFF_SIZE = 40 (the cutoffs and the working
+precision grow with it: the slowest exponents of size 40 take about 2 s cold
+at T = 40, and --f 1000*z --ftilde 1000*z^-1 would need inner sums of 3650
+terms at 5933 bits), and the parser's limits (parsing.MAX_EXPONENT,
+parsing.MAX_DEGREE, and parsing.MAX_PLACE_DEGREE = 60 for --place, whose
+irreducibility sympy decides from degree 3 up).
 reciprocity takes no place and factors nothing, so it never imports sympy.
 """
 
@@ -58,6 +62,7 @@ from .symbols import cocycle, pairing, reciprocity_check
 MAX_PREC = 1024
 MAX_ORDER = 64
 MAX_T = 40
+MAX_COEFF_SIZE = 40
 
 
 def _default_prec(fallback: int) -> int:
@@ -229,6 +234,10 @@ def _run_sw_pairing(args):
         raise ParseError("T = %d exceeds the limit %d" % (args.T, MAX_T))
     f = parse_loop_exponent(args.f, "plus")
     ftilde = parse_loop_exponent(args.ftilde, "minus")
+    size = sum(map(abs, f.coeffs.values())) + sum(map(abs, ftilde.coeffs.values()))
+    if size > MAX_COEFF_SIZE:
+        raise ParseError("coefficient size %s exceeds the limit %d"
+                         % (format_rational(size), MAX_COEFF_SIZE))
     value = sw_pairing_truncated(f, ftilde, args.T)
     return {
         "exponent": format_rational(sw_pairing_closed(f, ftilde)),
@@ -355,7 +364,7 @@ def main(argv=None) -> int:
     except FinpotError as exc:
         _emit({"detail": str(exc), "error": exc.code}, args.format)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         _emit({"detail": str(exc), "error": "domain"}, args.format)
         return 1
     _emit(payload, args.format)

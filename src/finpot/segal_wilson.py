@@ -1,27 +1,58 @@
-"""Loop-group pairing through truncated Toeplitz sections, exactly.
+"""Loop-group pairing through truncated Toeplitz sections, with a bound.
 
 A loop exponent is a finite Laurent polynomial without constant term, on the
 plus side f = sum a_n z^n or the minus side f~ = sum b_m z^-m.  Multiplying
 by exp(f) and compressing to the nonnegative-degree half gives a unipotent
-triangular Toeplitz block; the pairing is the determinant of the commutator
-of the plus and minus blocks.  The truncated pairing takes the T x T
-principal corner of that commutator built exactly on an enlarged stage
-(size T + 28, inverses realized by negated exponents, which coincide with
-the exact matrix inverses of the triangular sections).  It converges
-factorially fast to exp(sum_n n a_n b_n), the closed trace form, which in
-turn equals the residue res_{t=0}(f~ df) computed by the residue machinery.
+triangular Toeplitz block a = T(exp f), and likewise a~ = T(exp f~); the
+pairing is the determinant of the commutator a~ a a~^-1 a^-1.
+
+Widom's identity T(uv) = T(u) T(v) + H(u) H(v~) (Widom 1976), with H(u) the
+Hankel matrix (u_{i+j+1}) and v~(z) = v(1/z), gives that commutator in
+closed form.  The Hankel term vanishes when u has no positive powers or v no
+negative ones, so with phi = exp(f + f~) and psi = 1/phi, a~ a = T(phi),
+a~^-1 a^-1 = T(psi) and a~ a a~^-1 a^-1 = I - H(phi) H(psi~):
+
+    C_ij = delta_ij - sum_{m>=0} phi_{i+m+1} psi_{-(m+j+1)}.
+
+The truncated pairing is det C_T, with C_T the T x T principal corner.  It
+converges factorially fast in T to exp(sum_n n a_n b_n), the closed trace
+form, which in turn equals the residue res_{t=0}(f~ df) computed by the
+residue machinery.
+
+det C_T is not a rational number, so it is returned as an interval: a value
+rounded to a multiple of 2^-128 and a rational bound with
+|value - det C_T| <= bound <= 2^-128 prod_i max(1, |row_i|_1), the rows
+those of the computed corner.  The corner is built in W-bit fixed point
+from the exact exp_symbol coefficients h of the four exponentials:
+phi_k = sum_j h_{k+j} h~_j cut at N terms (psi likewise), the Hankel sum cut
+at M terms, every entry within 2^-P of C_T's, and its determinant taken
+exactly by int_det.  P, W, N and M are set once, from rational bounds:
+
+- Cauchy's estimate on the circle of radius r,
+  |phi_k| <= exp(sum |a_n| r^n + sum |b_n| r^-n) r^-k, and the like for the
+  h and for psi; each cutoff takes the radius in _RADII of least cutoff;
+- sum_k |phi_k| <= exp(sum |a_n| + sum |b_n|) = 2^s at most, which sets
+  W = P + 2s + 5 against the rounding of the h and of the products;
+- exp(x) <= 2^(13x/9), from the Taylor sum of e plus its remainder.
+
+Hadamard's inequality bounds every term of det(C + E) - det C expanded by
+rows, so |det(C + E) - det C| <= prod(|c_i| + |e_i|) - prod |c_i| (a
+perturbation bound of the kind in Ipsen & Rehman 2008).  With |e_i|_1 <=
+T 2^-P and P = 140 + 2 bitlen(T) this adds at most 2^-139 prod_i
+max(1, |c_i|_1) to the 2^-129 of the final rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, gcd, prod
+from operator import mul
 
 from .matrices import det, int_det, mat_inverse, mat_mul
 from .places import Place
 from .polynomials import Polynomial, RationalFunction
 from .residues import residue_classical
-from .scalars import _int_coeffs
 from .series import TruncatedLaurentSeries, series_exp
 
 
@@ -114,53 +145,123 @@ def toeplitz_block(e: LoopExponent, T: int) -> ToeplitzBlock:
     return ToeplitzBlock(T, rows)
 
 
-def _lower_upper_corner(g, h, n: int):
-    """M(i,k) = sum_{q=0}^{min(i,k)} g[i-q] h[k-q], the exact entries of the
-    (lower Toeplitz of g) . (upper Toeplitz of h) product; O(n^2) by the
-    corner-anchored diagonal recurrence."""
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        M[i][0] = g[i] * h[0]
-    for k in range(n):
-        M[0][k] = g[0] * h[k]
-    for i in range(1, n):
-        gi = g[i]
-        prev = M[i - 1]
-        cur = M[i]
-        for k in range(1, n):
-            cur[k] = prev[k - 1] + gi * h[k]
-    return M
+# Radii r for the Cauchy estimates, each with a rational lam <= log2 r
+# (r^q >= 2^p for lam = p/q), so that r^-n <= 2^(-lam n).  Radii near 1
+# serve exponents of high degree, large radii serve small coefficients.
+_RADII = (
+    (Fraction(17, 16), Fraction(1, 12)),
+    (Fraction(9, 8), Fraction(1, 6)),
+    (Fraction(5, 4), Fraction(5, 16)),
+    (Fraction(3, 2), Fraction(4, 7)),
+) + tuple((Fraction(2**e), Fraction(e)) for e in range(1, 7))
+
+# The value is rounded to a multiple of 2^-_VALUE_BITS.
+_VALUE_BITS = 128
 
 
-def sw_pairing_truncated(f: LoopExponent, ftilde: LoopExponent, T: int) -> Fraction:
-    """T x T principal-corner determinant of atilde a atilde^{-1} a^{-1},
-    built exactly on a stage of size T + 28.  Exact rational.
+def _exp_bits(x) -> int:
+    """An integer b with exp(x) <= 2^b for x >= 0.  The Taylor sum of e to
+    1/12! plus its remainder 2/13! is below 2^(13/9) (its 9th power is
+    below 2^13), so exp(x) <= 2^(13x/9)."""
+    return ceil(Fraction(13, 9) * x)
 
-    The four triangular sections are scaled to integer vectors over common
-    denominators so the stage products and the final determinant run on raw
-    big integers (one rational normalization at the very end)."""
+
+def _log2_ceil(x) -> int:
+    """The least b >= 0 with x <= 2^b, for x > 0."""
+    return (ceil(x) - 1).bit_length()
+
+
+def _sizes(f: LoopExponent, ftilde: LoopExponent, T: int):
+    """Entry precision P, working bits W, and the cutoffs N of phi_k's and
+    psi_-k's inner sums and M of the Hankel sum, such that every entry of
+    the fixed-point corner is within 2^-P of C_T's (see the module
+    docstring; the products of two errors are covered for any M below
+    2^(P + 2s + 3), so for every M that can be run).  Each cutoff takes the
+    radius of least cutoff."""
+
+    def size(e, r):
+        return sum(abs(c) * r**n for n, c in e.coeffs.items())
+
+    P = 140 + 2 * T.bit_length()
+    s = _exp_bits(size(f, 1) + size(ftilde, 1))
+    # |h_{k+j} h~_j| <= exp(size(f, r) + size(f~, r)) r^(-k-2j), summed over j >= N
+    N = min(
+        ceil((_exp_bits(size(f, r) + size(ftilde, r)) + _log2_ceil(r / (r * r - 1))
+              + P + s + 4) / (2 * lam))
+        for r, lam in _RADII
+    )
+    # |phi_{i+m+1} psi_-(m+j+1)| <= exp(...) r^(-2m-2), summed over m >= M
+    M = min(
+        ceil((_exp_bits(size(f, r) + size(ftilde, 1 / r) + size(f, 1 / r) + size(ftilde, r))
+              + _log2_ceil(1 / (r * r - 1)) + P + 2) / (2 * lam))
+        for r, lam in _RADII
+    )
+    return P, P + 2 * s + 5, N, M
+
+
+def _lagged_sums(a, ga, b, gb, count: int, n: int, W: int):
+    """[0] + [sum_{j<n} a[k+j] b[j] / 2^W, rounded, for 0 < k < count].  a
+    is zero off the multiples of ga and b off those of gb (exp of an
+    exponent in z^g is a series in z^g), so only the j on the sparser of
+    the two grids are summed."""
+    half = 1 << (W - 1)
+    out = [0]
+    for k in range(1, count):
+        j0, step = ((-k) % ga, ga) if ga > gb else (0, gb)
+        out.append((sum(map(mul, a[k + j0:k + n:step], b[j0:n:step])) + half) >> W)
+    return out
+
+
+def sw_pairing_interval(f: LoopExponent, ftilde: LoopExponent, T: int):
+    """(value, bound): det C_T, C_T the T x T principal corner of
+    atilde a atilde^{-1} a^{-1}, rounded to a Fraction over 2^128, and a
+    Fraction bound with |value - det C_T| <= bound
+    <= 2^-128 prod_i max(1, |row_i|_1), the rows those of the computed
+    corner."""
     if f.side != "plus" or ftilde.side != "minus":
         raise ValueError("pairing takes a plus exponent and a minus exponent")
     if T <= f.support() + ftilde.support():
         raise ValueError("T must exceed the combined support")
-    n = T + 28
-    g, dg = _int_coeffs(exp_symbol(f, n))
-    gi, dgi = _int_coeffs(exp_symbol(f.negated(), n))
-    gt, dgt = _int_coeffs(exp_symbol(ftilde, n))
-    gti, dgti = _int_coeffs(exp_symbol(ftilde.negated(), n))
-    # a . atilde^{-1} has exact stage-independent entries (lower times upper)
-    middle = _lower_upper_corner(g, gti, n)
-    # P = atilde . middle . a^{-1}, rows/cols < T, internal sums on the stage
-    at_rows = [
-        [sum(gt[q - i] * middle[q][m] for q in range(i, n)) for m in range(n)]
-        for i in range(T)
-    ]
-    corner = [
-        [sum(at_rows[i][m] * gi[m - j] for m in range(j, n)) for j in range(T)]
-        for i in range(T)
-    ]
-    scale = dg * dgi * dgt * dgti
-    return Fraction(int_det(corner), scale**T)
+    P, W, N, M = _sizes(f, ftilde, T)
+    one, half, K = 1 << W, 1 << (W - 1), T + M
+
+    def fixed(e, n):
+        return [(2 * c.numerator * one + c.denominator) // (2 * c.denominator)
+                for c in exp_symbol(e, n)]
+
+    length = K + N - 1
+    h, ht = fixed(f, length), fixed(ftilde, N)
+    hi, hti = fixed(f.negated(), N), fixed(ftilde.negated(), length)
+    g, gt = gcd(*f.coeffs) or 1, gcd(*ftilde.coeffs) or 1
+    # phi_k = sum_j h_{k+j} h~_j and psi_-k = sum_j h'_j h~'_{j+k}, 0 < k < K
+    phi = _lagged_sums(h, g, ht, gt, K, N, W)
+    psi = _lagged_sums(hti, gt, hi, g, K, N, W)
+    # E_ij = sum_{m<M} phi_{i+m+1} psi_-(m+j+1), at scale 2^2W, by the
+    # corner-anchored diagonal recurrence
+    E = [[sum(map(mul, phi[1:M + 1], psi[j + 1:j + M + 1])) for j in range(T)]]
+    for i in range(1, T):
+        prev = E[-1]
+        row = [sum(map(mul, phi[i + 1:i + M + 1], psi[1:M + 1]))]
+        for j in range(1, T):
+            row.append(prev[j - 1] - phi[i] * psi[j] + phi[i + M] * psi[j + M])
+        E.append(row)
+    corner = [[(one if i == j else 0) - ((x + half) >> W) for j, x in enumerate(row)]
+              for i, row in enumerate(E)]
+    shift = W * T
+    value = Fraction(((int_det(corner) << _VALUE_BITS) + (1 << (shift - 1))) >> shift,
+                     1 << _VALUE_BITS)
+    # Hadamard: |det(C + E) - det C| <= prod(|c_i| + |e_i|) - prod |c_i|,
+    # with |e_i|_1 <= T 2^-P; rounded up to a multiple of 2^-W
+    norms = [sum(map(abs, row)) for row in corner]
+    grown = prod(n + (T << (W - P)) for n in norms) - prod(norms)
+    bound = Fraction(-(-grown >> (shift - W)), one) + Fraction(1, 2 << _VALUE_BITS)
+    return value, bound
+
+
+def sw_pairing_truncated(f: LoopExponent, ftilde: LoopExponent, T: int) -> Fraction:
+    """The value of sw_pairing_interval: det C_T rounded to a Fraction over
+    2^128, without its bound."""
+    return sw_pairing_interval(f, ftilde, T)[0]
 
 
 def sw_pairing_closed(f: LoopExponent, ftilde: LoopExponent) -> Fraction:

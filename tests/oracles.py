@@ -14,16 +14,21 @@ loop over the irreducible places that finpot ran before it summed
 residues over squarefree parts, products of operator exponentials
 as a chain of full operator-series products, and series determinants on
 the stored or closed cores and the content box finpot used before it read
-the core off the series terms.
+the core off the series terms, and the truncated loop pairing on a finite
+stage, as finpot computed it before it took the corner from Widom's
+identity.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from finpot.errors import SeriesDomainError
+from finpot.matrices import int_det
 from finpot.places import LocalExpansion
 from finpot.polynomials import Polynomial
-from finpot.scalars import NumberField, NumberFieldElement
+from finpot.scalars import NumberField, NumberFieldElement, _int_coeffs
+from finpot.segal_wilson import exp_symbol
 from finpot.series import TruncatedLaurentSeries, series_inv
 
 
@@ -804,3 +809,42 @@ def reciprocity_by_places(f, g, prec_z=8):
         total += residue_classical(f, g, p)
         prod = prod * cocycle(f, g, p, prec_z)
     return total, prod
+
+
+def _lower_upper_corner(g, h, n: int):
+    """M(i,k) = sum_{q=0}^{min(i,k)} g[i-q] h[k-q], the exact entries of the
+    (lower Toeplitz of g) . (upper Toeplitz of h) product; O(n^2) by the
+    corner-anchored diagonal recurrence."""
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        M[i][0] = g[i] * h[0]
+    for k in range(n):
+        M[0][k] = g[0] * h[k]
+    for i in range(1, n):
+        gi = g[i]
+        prev = M[i - 1]
+        cur = M[i]
+        for k in range(1, n):
+            cur[k] = prev[k - 1] + gi * h[k]
+    return M
+
+
+def sw_pairing_on_stage(f, ftilde, T: int, pad: int) -> Fraction:
+    """T x T principal-corner determinant of atilde a atilde^{-1} a^{-1},
+    built exactly on a stage of size T + pad: the exact rational that
+    finpot returned as the truncated pairing (with pad = 28) before it took
+    the corner from Widom's identity.  Its inner sums stop at the stage, so
+    it differs from det C_T by a padding error that it does not bound."""
+    n = T + pad
+    g, dg = _int_coeffs(exp_symbol(f, n))
+    gi, dgi = _int_coeffs(exp_symbol(f.negated(), n))
+    gt, dgt = _int_coeffs(exp_symbol(ftilde, n))
+    gti, dgti = _int_coeffs(exp_symbol(ftilde.negated(), n))
+    # a . atilde^{-1} has exact stage-independent entries (lower times upper)
+    middle = _lower_upper_corner(g, gti, n)
+    # P = atilde . middle . a^{-1}, rows/cols < T, internal sums on the stage
+    cols = list(zip(*middle))
+    at_rows = [[sum(map(mul, gt, col[i:])) for col in cols] for i in range(T)]
+    corner = [[sum(map(mul, row[j:], gi)) for j in range(T)] for row in at_rows]
+    scale = dg * dgi * dgt * dgti
+    return Fraction(int_det(corner), scale**T)

@@ -299,14 +299,39 @@ def test_ps_series_order_above_the_limit_is_a_parse_error():
     assert code == 0 and json.loads(out) == {"coeffs": {"0": "1", "1": "1/2"}}
 
 
-def test_sw_pairing_unprintable_value_is_a_domain_error():
-    """At T = 28 the exact truncated value has more decimal digits than
-    Python prints: exit 1 with a structured error and no traceback."""
-    code, out, err = run_cli("sw-pairing", "--f", "z", "--ftilde", "z^-1", "--T", "28")
+def test_sw_pairing_prints_at_large_T():
+    """The value is rounded to a multiple of 2^-128, so it prints as a short
+    rational at every T up to the cap."""
+    for T in ("28", "40"):
+        code, out, err = run_cli("sw-pairing", "--f", "z", "--ftilde", "z^-1", "--T", T)
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        num, den = data["truncated"].split("/")
+        assert int(den) <= 2**128 and 2**128 % int(den) == 0
+        assert len(data["truncated"]) <= 80
+        assert abs(data["truncated_float"] - 2.718281828459045) < 1e-15
+
+
+def test_pairing_coefficient_size_above_the_limit_is_a_parse_error():
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli("sw-pairing", "--f", "1000*z", "--ftilde", "1000*z^-1", "--T", "20")
+    assert time.perf_counter() - start < 1
+    _assert_parse_error(code, out, err)
+    assert "coefficient size 2000 exceeds the limit 40" in err
+    code, out, err = run_cli("sw-pairing", "--f", "z/2+39*z^2", "--ftilde=-z^-1", "--T", "9")
+    _assert_parse_error(code, out, err)
+    assert "coefficient size 81/2 exceeds the limit 40" in err
+    code, out, _ = run_cli("sw-pairing", "--f", "20*z", "--ftilde", "20*z^-1", "--T", "20")
+    assert code == 0 and json.loads(out)["exponent"] == "400"
+
+
+def test_sw_pairing_beyond_float_range_is_a_domain_error():
+    # exp(2000) has no float: exit 1 with a structured error, no traceback
+    code, out, err = run_cli("sw-pairing", "--f", "20*z^5", "--ftilde", "20*z^-5", "--T", "11")
     assert code == 1 and err == ""
-    data = json.loads(out)
-    assert data["error"] == "domain" and "integer string conversion" in data["detail"]
-    assert "Traceback" not in out
+    assert json.loads(out)["error"] == "domain"
 
 
 def test_sw_pairing_default_T_prints():

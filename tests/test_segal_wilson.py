@@ -1,16 +1,22 @@
 import math
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from finpot import segal_wilson
 from finpot.segal_wilson import (
+    _RADII,
     LoopExponent,
     sw_group_cocycle_check,
     sw_pairing_closed,
+    sw_pairing_interval,
     sw_pairing_truncated,
     sw_vs_tate_check,
     toeplitz_block,
 )
+from oracles import sw_pairing_on_stage
 
 
 def test_toeplitz_block_plus():
@@ -117,3 +123,95 @@ def test_preconditions():
         sw_pairing_truncated(ft, f, 10)  # sides swapped
     with pytest.raises(ValueError):
         LoopExponent("plus", {0: 1})
+
+
+def interval_and_corner(f, ft, T):
+    """sw_pairing_interval's (value, bound) and the integer corner it hands
+    to int_det, with that corner's working scale 2^W."""
+    seen, real = [], segal_wilson.int_det
+    segal_wilson.int_det = lambda m: seen.append([row[:] for row in m]) or real(m)
+    try:
+        value, bound = sw_pairing_interval(f, ft, T)
+    finally:
+        segal_wilson.int_det = real
+    return value, bound, seen[0], segal_wilson._sizes(f, ft, T)[1]
+
+
+def hadamard_cap(corner, W):
+    """2^-128 prod_i max(1, |row_i|_1) of the corner at scale 2^W."""
+    return prod(max(Fraction(1), Fraction(sum(map(abs, row)), 1 << W)) for row in corner) / 2**128
+
+
+def test_bound_constants():
+    # each radius r with lam = p/q has r^q >= 2^p, so r^-n <= 2^(-lam n)
+    for r, lam in _RADII:
+        assert r**lam.denominator >= 2**lam.numerator
+    # e is below its Taylor sum to 1/12! plus the remainder 2/13!, whose
+    # 9th power is below 2^13: exp(x) <= 2^(13x/9)
+    e_up = sum(Fraction(1, factorial(k)) for k in range(13)) + Fraction(2, factorial(13))
+    assert e_up**9 < 2**13
+
+
+def test_pairing_value_is_dyadic():
+    f = LoopExponent("plus", {1: 1})
+    ft = LoopExponent("minus", {1: 1})
+    value, bound = sw_pairing_interval(f, ft, 12)
+    assert isinstance(value, Fraction) and (1 << 128) % value.denominator == 0
+    assert 0 < bound <= Fraction(1, 2**127)
+    assert sw_pairing_truncated(f, ft, 12) == value
+
+
+coefficient = st.sampled_from([Fraction(s * n, 4) for s in (-1, 1) for n in (1, 2, 4, 6)])
+
+
+@st.composite
+def pairing_inputs(draw):
+    sf, sft = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    f = LoopExponent("plus", {n: draw(coefficient) for n in range(1, sf + 1)})
+    ft = LoopExponent("minus", {n: draw(coefficient) for n in range(1, sft + 1)})
+    return f, ft, draw(st.integers(sf + sft + 1, 12))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(pairing_inputs())
+def test_interval_contains_the_stage_value(case):
+    """The exact stage at pad 110 is within the interval; its own padding
+    error is far below 2^-128 at T <= 12."""
+    f, ft, T = case
+    value, bound, corner, W = interval_and_corner(f, ft, T)
+    assert abs(value - sw_pairing_on_stage(f, ft, T, 110)) <= bound
+    assert bound <= hadamard_cap(corner, W)
+
+
+def test_interval_on_sparse_exponents():
+    # exponents in z^2 and z^3: phi and psi are summed on the coarser grid
+    for a, b, T in (({2: Fraction(1, 2)}, {3: Fraction(-1, 2)}, 8),
+                    ({2: 1, 4: Fraction(-1, 4)}, {2: Fraction(1, 2)}, 10),
+                    ({3: Fraction(3, 2)}, {1: Fraction(1, 4), 2: 1}, 9)):
+        f, ft = LoopExponent("plus", a), LoopExponent("minus", b)
+        value, bound = sw_pairing_interval(f, ft, T)
+        assert abs(value - sw_pairing_on_stage(f, ft, T, 110)) <= bound <= Fraction(1, 2**127)
+
+
+def test_old_stage_lies_outside_the_interval():
+    """The T + 28 stage's padding error is neither bounded nor small: on a
+    long loop-pairing shape it misses det C_T by far more than 2^-128."""
+    f = LoopExponent("plus", {1: Fraction(1, 2), 2: Fraction(-1, 2), 3: Fraction(1, 2)})
+    ft = LoopExponent("minus", {1: Fraction(1, 2), 2: Fraction(1, 2), 3: Fraction(-1, 2)})
+    value, bound = sw_pairing_interval(f, ft, 19)
+    assert bound <= Fraction(1, 2**127)
+    assert abs(value - sw_pairing_on_stage(f, ft, 19, 28)) > 2**64 * bound
+
+
+def test_bound_on_loop_pairing_shapes(rng):
+    """Every shape of the loop-pairing workload (supports per side, T, and
+    coefficients +-1/2, +-1/4) gets a bound of at most 2^-127."""
+    coeffs = [Fraction(s, d) for s in (-1, 1) for d in (2, 4)]
+    short = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3))
+    shapes = [(sf, sft, sf + sft + 6) for sf, sft in short] + [(2, 2, 15), (3, 3, 19)]
+    for sf, sft, T in shapes:
+        # every coefficient 1/2, then three random draws
+        for pick in [lambda: Fraction(1, 2)] + [lambda: rng.choice(coeffs)] * 3:
+            f = LoopExponent("plus", {n: pick() for n in range(1, sf + 1)})
+            ft = LoopExponent("minus", {n: pick() for n in range(1, sft + 1)})
+            assert sw_pairing_interval(f, ft, T)[1] <= Fraction(1, 2**127)
