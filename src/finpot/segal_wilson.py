@@ -225,7 +225,7 @@ def sw_pairing_interval(f: LoopExponent, ftilde: LoopExponent, T: int):
     P, W, N, M = _sizes(f, ftilde, T)
     one, half, K = 1 << W, 1 << (W - 1), T + M
 
-    def fixed(e, n):
+    def fixed(e, n):  # exp_symbol(e, n) rounded to integers at scale 2^W
         return [(2 * c.numerator * one + c.denominator) // (2 * c.denominator)
                 for c in exp_symbol(e, n)]
 
@@ -250,8 +250,8 @@ def sw_pairing_interval(f: LoopExponent, ftilde: LoopExponent, T: int):
     shift = W * T
     value = Fraction(((int_det(corner) << _VALUE_BITS) + (1 << (shift - 1))) >> shift,
                      1 << _VALUE_BITS)
-    # Hadamard: |det(C + E) - det C| <= prod(|c_i| + |e_i|) - prod |c_i|,
-    # with |e_i|_1 <= T 2^-P; rounded up to a multiple of 2^-W
+    # Hadamard: |det(C + D) - det C| <= prod(|c_i| + |d_i|) - prod |c_i|,
+    # with |d_i|_1 <= T 2^-P; rounded up to a multiple of 2^-W
     norms = [sum(map(abs, row)) for row in corner]
     grown = prod(n + (T << (W - P)) for n in norms) - prod(norms)
     bound = Fraction(-(-grown >> (shift - W)), one) + Fraction(1, 2 << _VALUE_BITS)
