@@ -21,7 +21,6 @@ identity.
 
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 from finpot.errors import SeriesDomainError
 from finpot.matrices import int_det
@@ -815,7 +814,7 @@ def _lower_upper_corner(g, h, n: int):
     """M(i,k) = sum_{q=0}^{min(i,k)} g[i-q] h[k-q], the exact entries of the
     (lower Toeplitz of g) . (upper Toeplitz of h) product; O(n^2) by the
     corner-anchored diagonal recurrence."""
-    M = [[0] * n for _ in range(n)]
+    M = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         M[i][0] = g[i] * h[0]
     for k in range(n):
@@ -843,8 +842,13 @@ def sw_pairing_on_stage(f, ftilde, T: int, pad: int) -> Fraction:
     # a . atilde^{-1} has exact stage-independent entries (lower times upper)
     middle = _lower_upper_corner(g, gti, n)
     # P = atilde . middle . a^{-1}, rows/cols < T, internal sums on the stage
-    cols = list(zip(*middle))
-    at_rows = [[sum(map(mul, gt, col[i:])) for col in cols] for i in range(T)]
-    corner = [[sum(map(mul, row[j:], gi)) for j in range(T)] for row in at_rows]
+    at_rows = [
+        [sum(gt[q - i] * middle[q][m] for q in range(i, n)) for m in range(n)]
+        for i in range(T)
+    ]
+    corner = [
+        [sum(at_rows[i][m] * gi[m - j] for m in range(j, n)) for j in range(T)]
+        for i in range(T)
+    ]
     scale = dg * dgi * dgt * dgti
     return Fraction(int_det(corner), scale**T)
