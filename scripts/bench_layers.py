@@ -28,14 +28,16 @@ exp_op(f) exp_op(g) at precision 10, product included, with f a dense
 8 x 8 operator under a Jordan tail and g a dense 8 x 8 operator
 (det_series_product), of cocycle_via_operators at z-precision 16 on the
 shapes above, of sw_pairing_truncated as a whole at T = 15 (support 2 + 2),
-19 and 40 (support 3 + 3, the coefficients above), and, end to end, of one
+19 and 40 (support 3 + 3, the coefficients above), of series_exp on the
+pairing's shape, a sparse exponent at degrees 1, 2 and 3 with coefficients
++-1/2, +-1/4 at length 128 (series_exp "sparse_128"), and, end to end, of one
 fresh `python -m finpot` process per CLI verb (cli_cold, best of 5,
 counting interpreter start and import; "python" is a bare interpreter start
 for reference).  With --out it also
 writes the numbers, the git commit of the finpot tree it imported, the
 line count of its modules (src_lines) and the machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_17.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_18.json
 
 Run it on two checkouts on the same host to compare them; it uses only
 functions that every version of the package has.
@@ -241,6 +243,10 @@ def measure():
     out["sw_pairing_truncated"] = {
         str(T): best_of(sw_pairing_truncated, *loop_exponents(rng, support), T)
         for T, support in ((15, 2), (19, 3), (40, 3))}
+    # drawn after every input above, which stay as in earlier versions
+    f = next(loop_exponents(rng, 3))
+    out["series_exp"]["sparse_128"] = best_of(
+        series_exp, TruncatedLaurentSeries.from_terms("z", f.coeffs, 128))
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

@@ -23,10 +23,14 @@ det C_T is not a rational number, so it is returned as an interval: a value
 rounded to a multiple of 2^-128 and a rational bound with
 |value - det C_T| <= bound <= 2^-128 prod_i max(1, |row_i|_1), the rows
 those of the computed corner.  The corner is built in W-bit fixed point
-from the exact exp_symbol coefficients h of the four exponentials:
+from the exact coefficients h of the four exponentials: each h_k comes from
+the integer numerators of the exp recurrence, h_k = H_k / (k! D^k), and is
+rounded once to a multiple of 2^-W, which gives the same integers as
+rounding the reduced Fraction of exp_symbol.  Then
 phi_k = sum_j h_{k+j} h~_j cut at N terms (psi likewise), the Hankel sum cut
 at M terms, every entry within 2^-P of C_T's, and its determinant taken
-exactly by int_det.  P, W, N and M are set once, from rational bounds:
+exactly by int_det.  P, W, N and M are set once, from rational bounds,
+evaluated as integer fractions with ceiling divisions:
 
 - Cauchy's estimate on the circle of radius r,
   |phi_k| <= exp(sum |a_n| r^n + sum |b_n| r^-n) r^-k, and the like for the
@@ -46,14 +50,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, prod
+from math import ceil, gcd, lcm, prod
 from operator import mul
 
 from .matrices import det, int_det, mat_inverse, mat_mul
 from .places import Place
 from .polynomials import Polynomial, RationalFunction
 from .residues import residue_classical
-from .series import TruncatedLaurentSeries, series_exp
+from .series import TruncatedLaurentSeries, _exp_numerators, series_exp
 
 
 class LoopExponent:
@@ -145,6 +149,11 @@ def toeplitz_block(e: LoopExponent, T: int) -> ToeplitzBlock:
     return ToeplitzBlock(T, rows)
 
 
+def _log2_ceil(x) -> int:
+    """The least b >= 0 with x <= 2^b, for x > 0."""
+    return (ceil(x) - 1).bit_length()
+
+
 # Radii r for the Cauchy estimates, each with a rational lam <= log2 r
 # (r^q >= 2^p for lam = p/q), so that r^-n <= 2^(-lam n).  Radii near 1
 # serve exponents of high degree, large radii serve small coefficients.
@@ -155,20 +164,34 @@ _RADII = (
     (Fraction(3, 2), Fraction(4, 7)),
 ) + tuple((Fraction(2**e), Fraction(e)) for e in range(1, 7))
 
+# Per radius r = p/q with lam = u/v: (p, q, u, v, log2 r/(r^2 - 1) and
+# log2 1/(r^2 - 1) rounded up), the integer form _sizes reads.
+_RADIUS_TERMS = tuple(
+    (r.numerator, r.denominator, lam.numerator, lam.denominator,
+     _log2_ceil(r / (r * r - 1)), _log2_ceil(1 / (r * r - 1)))
+    for r, lam in _RADII
+)
+
 # The value is rounded to a multiple of 2^-_VALUE_BITS.
 _VALUE_BITS = 128
 
 
-def _exp_bits(x) -> int:
-    """An integer b with exp(x) <= 2^b for x >= 0.  The Taylor sum of e to
-    1/12! plus its remainder 2/13! is below 2^(13/9) (its 9th power is
-    below 2^13), so exp(x) <= 2^(13x/9)."""
-    return ceil(Fraction(13, 9) * x)
+def _size(e: LoopExponent, p: int, q: int):
+    """(num, den) with sum |c_n| (p/q)^n = num / den, in integers."""
+    top, den = e.support(), lcm(*(c.denominator for c in e.coeffs.values()))
+    num = sum(abs(c.numerator) * (den // c.denominator) * p**n * q**(top - n)
+              for n, c in e.coeffs.items())
+    return num, den * q**top
 
 
-def _log2_ceil(x) -> int:
-    """The least b >= 0 with x <= 2^b, for x > 0."""
-    return (ceil(x) - 1).bit_length()
+def _exp_bits(*sizes) -> int:
+    """An integer b with exp(x) <= 2^b for x >= 0 the sum of the
+    (num, den) sizes.  The Taylor sum of e to 1/12! plus its remainder 2/13!
+    is below 2^(13/9) (its 9th power is below 2^13), so exp(x) <= 2^(13x/9)."""
+    num, den = 0, 1
+    for a, b in sizes:
+        num, den = num * b + a * den, den * b
+    return -(-13 * num // (9 * den))
 
 
 def _sizes(f: LoopExponent, ftilde: LoopExponent, T: int):
@@ -177,26 +200,18 @@ def _sizes(f: LoopExponent, ftilde: LoopExponent, T: int):
     the fixed-point corner is within 2^-P of C_T's (see the module
     docstring; the products of two errors are covered for any M below
     2^(P + 2s + 3), so for every M that can be run).  Each cutoff takes the
-    radius of least cutoff."""
-
-    def size(e, r):
-        return sum(abs(c) * r**n for n, c in e.coeffs.items())
-
+    radius of least cutoff; every size is an integer fraction and every
+    ceiling a ceiling division."""
     P = 140 + 2 * T.bit_length()
-    s = _exp_bits(size(f, 1) + size(ftilde, 1))
-    # |h_{k+j} h~_j| <= exp(size(f, r) + size(f~, r)) r^(-k-2j), summed over j >= N
-    N = min(
-        ceil((_exp_bits(size(f, r) + size(ftilde, r)) + _log2_ceil(r / (r * r - 1))
-              + P + s + 4) / (2 * lam))
-        for r, lam in _RADII
-    )
-    # |phi_{i+m+1} psi_-(m+j+1)| <= exp(...) r^(-2m-2), summed over m >= M
-    M = min(
-        ceil((_exp_bits(size(f, r) + size(ftilde, 1 / r) + size(f, 1 / r) + size(ftilde, r))
-              + _log2_ceil(1 / (r * r - 1)) + P + 2) / (2 * lam))
-        for r, lam in _RADII
-    )
-    return P, P + 2 * s + 5, N, M
+    s = _exp_bits(_size(f, 1, 1), _size(ftilde, 1, 1))
+    Ns, Ms = [], []
+    for p, q, u, v, log_n, log_m in _RADIUS_TERMS:
+        fr, fi, tr, ti = _size(f, p, q), _size(f, q, p), _size(ftilde, p, q), _size(ftilde, q, p)
+        # |h_{k+j} h~_j| <= exp(size(f, r) + size(f~, r)) r^(-k-2j), summed over j >= N
+        Ns.append(-(-(_exp_bits(fr, tr) + log_n + P + s + 4) * v // (2 * u)))
+        # |phi_{i+m+1} psi_-(m+j+1)| <= exp(...) r^(-2m-2), summed over m >= M
+        Ms.append(-(-(_exp_bits(fr, ti, fi, tr) + log_m + P + 2) * v // (2 * u)))
+    return P, P + 2 * s + 5, min(Ns), min(Ms)
 
 
 def _lagged_sums(a, ga, b, gb, count: int, n: int, W: int):
@@ -212,6 +227,19 @@ def _lagged_sums(a, ga, b, gb, count: int, n: int, W: int):
     return out
 
 
+def _fixed_symbol(e: LoopExponent, n: int, W: int):
+    """exp_symbol(e, n) rounded to integers at scale 2^W: each h_k =
+    H_k / (k! D^k) from _exp_numerators, rounded once as
+    (2 H_k 2^W + den) // (2 den) with den = k! D^k, which rounds the same
+    rational as the reduced Fraction."""
+    H, D = _exp_numerators(e.coeffs, n)
+    out, den = [1 << W], 1
+    for k in range(1, n):
+        den *= k * D
+        out.append(((H[k] << (W + 1)) + den) // (den << 1))
+    return out
+
+
 def sw_pairing_interval(f: LoopExponent, ftilde: LoopExponent, T: int):
     """(value, bound): det C_T, C_T the T x T principal corner of
     atilde a atilde^{-1} a^{-1}, rounded to a Fraction over 2^128, and a
@@ -224,14 +252,9 @@ def sw_pairing_interval(f: LoopExponent, ftilde: LoopExponent, T: int):
         raise ValueError("T must exceed the combined support")
     P, W, N, M = _sizes(f, ftilde, T)
     one, half, K = 1 << W, 1 << (W - 1), T + M
-
-    def fixed(e, n):  # exp_symbol(e, n) rounded to integers at scale 2^W
-        return [(2 * c.numerator * one + c.denominator) // (2 * c.denominator)
-                for c in exp_symbol(e, n)]
-
     length = K + N - 1
-    h, ht = fixed(f, length), fixed(ftilde, N)
-    hi, hti = fixed(f.negated(), N), fixed(ftilde.negated(), length)
+    h, ht = _fixed_symbol(f, length, W), _fixed_symbol(ftilde, N, W)
+    hi, hti = _fixed_symbol(f.negated(), N, W), _fixed_symbol(ftilde.negated(), length, W)
     g, gt = gcd(*f.coeffs) or 1, gcd(*ftilde.coeffs) or 1
     # phi_k = sum_j h_{k+j} h~_j and psi_-k = sum_j h'_j h~'_{j+k}, 0 < k < K
     phi = _lagged_sums(h, g, ht, gt, K, N, W)

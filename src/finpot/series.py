@@ -12,12 +12,16 @@ This is the package's one series layer: series_mul runs on coefficient
 lists, and series_exp, series_log and series_inv run exact coefficient
 recurrences (Brent & Kung 1978) in one pass of _dot steps, which the series
 determinant also divides by; every exp, log or quotient elsewhere calls them.
+For all-Fraction input the exp recurrence runs on integers instead: with D
+the lcm of the denominators, h_k = H_k / (k! D^k) and the H_k are integers
+(_exp_numerators), which the loop pairing also rounds directly.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .errors import PrecisionError, SeriesDomainError, VariableMismatchError
 from .scalars import (NumberFieldElement, _poly_mul, canonical, format_rational,
@@ -305,18 +309,53 @@ def series_inv(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
     )
 
 
+def _exp_numerators(coeffs, n):
+    """(H, D) with exp(a)_k = H_k / (k! D^k) for 0 <= k < n (H_0 = 1), where
+    a = sum_j a_j z^j is given by coeffs {j: a_j}, all Fractions and j >= 1,
+    and D is the lcm of their denominators.  With a_j = A_j / D the
+    recurrence k h_k = sum_j j a_j h_{k-j} becomes the integer recurrence
+    H_k = sum_j j A_j D^(j-1) (k-1)!/(k-j)! H_{k-j}, the falling factorial
+    (k-1)!/(k-j)! built up along j."""
+    D = lcm(*(c.denominator for c in coeffs.values()))
+    weighted = sorted((j, j * c.numerator * (D // c.denominator) * D ** (j - 1))
+                      for j, c in coeffs.items())
+    H = [1]
+    for k in range(1, n):
+        s, falling, reached = 0, 1, 1
+        for j, w in weighted:
+            if j > k:
+                break
+            for i in range(reached, j):
+                falling *= k - i
+            reached = j
+            x = H[k - j]
+            if x:
+                s += w * falling * x
+        H.append(s)
+    return H, D
+
+
 def series_exp(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
     """exp of a series with no constant and no polar part, by the recurrence
-    k h_k = sum_{j<=k} j a_j h_{k-j} (h_0 = 1)."""
+    k h_k = sum_{j<=k} j a_j h_{k-j} (h_0 = 1).  For all-Fraction input it
+    runs on integers, h_k = H_k / (k! D^k) with D the lcm of the
+    denominators (_exp_numerators), and divides once per coefficient."""
     if any(d <= 0 for d in a.coeffs):
         raise SeriesDomainError(
             "series_exp needs valuation >= 1, got terms at degrees %s"
             % sorted(d for d in a.coeffs if d <= 0)
         )
-    weighted = sorted((j, j * c) for j, c in a.coeffs.items())
-    h = [Fraction(1)]
-    for k in range(1, a.precision):
-        h.append(_dot(weighted, h, k) * Fraction(1, k))
+    if all(type(c) is Fraction for c in a.coeffs.values()):
+        H, D = _exp_numerators(a.coeffs, a.precision)
+        h, den = [Fraction(1)], 1
+        for k in range(1, len(H)):
+            den *= k * D
+            h.append(Fraction(H[k], den))
+    else:
+        weighted = sorted((j, j * c) for j, c in a.coeffs.items())
+        h = [Fraction(1)]
+        for k in range(1, a.precision):
+            h.append(_dot(weighted, h, k) * Fraction(1, k))
     return TruncatedLaurentSeries(a.variable, dict(enumerate(h)), 0, a.precision)
 
 

@@ -14,20 +14,22 @@ loop over the irreducible places that finpot ran before it summed
 residues over squarefree parts, products of operator exponentials
 as a chain of full operator-series products, and series determinants on
 the stored or closed cores and the content box finpot used before it read
-the core off the series terms, and the truncated loop pairing on a finite
+the core off the series terms, the truncated loop pairing on a finite
 stage, as finpot computed it before it took the corner from Widom's
-identity.
+identity, and the exp recurrence and the pairing's cutoff sizing on
+Fractions, as finpot ran them before it ran both on integers.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 from finpot.errors import SeriesDomainError
 from finpot.matrices import int_det
 from finpot.places import LocalExpansion
 from finpot.polynomials import Polynomial
 from finpot.scalars import NumberField, NumberFieldElement, _int_coeffs
-from finpot.segal_wilson import exp_symbol
+from finpot.segal_wilson import _RADII, exp_symbol
 from finpot.series import TruncatedLaurentSeries, series_inv
 
 
@@ -852,3 +854,46 @@ def sw_pairing_on_stage(f, ftilde, T: int, pad: int) -> Fraction:
     ]
     scale = dg * dgi * dgt * dgti
     return Fraction(int_det(corner), scale**T)
+
+
+def series_exp_by_fractions(a):
+    """exp of a series with no constant and no polar part by the recurrence
+    k h_k = sum_{j<=k} j a_j h_{k-j} (h_0 = 1) on Fractions, as series_exp
+    ran it before it ran on integer numerators."""
+    weighted = sorted((j, j * c) for j, c in a.coeffs.items())
+    h = [Fraction(1)]
+    for k in range(1, a.precision):
+        s = Fraction(0)
+        for j, c in weighted:
+            if j <= k:
+                s += c * h[k - j]
+        h.append(s / k)
+    return TruncatedLaurentSeries(a.variable, dict(enumerate(h)), 0, a.precision)
+
+
+def sizes_by_fractions(f, ftilde, T: int):
+    """segal_wilson._sizes's (P, W, N, M) from Fraction sizes and math.ceil,
+    as finpot computed them before it sized the pairing in integers."""
+
+    def size(e, r):
+        return sum(abs(c) * r**n for n, c in e.coeffs.items())
+
+    def exp_bits(x):
+        return ceil(Fraction(13, 9) * x)
+
+    def log2_ceil(x):
+        return (ceil(x) - 1).bit_length()
+
+    P = 140 + 2 * T.bit_length()
+    s = exp_bits(size(f, 1) + size(ftilde, 1))
+    N = min(
+        ceil((exp_bits(size(f, r) + size(ftilde, r)) + log2_ceil(r / (r * r - 1))
+              + P + s + 4) / (2 * lam))
+        for r, lam in _RADII
+    )
+    M = min(
+        ceil((exp_bits(size(f, r) + size(ftilde, 1 / r) + size(f, 1 / r) + size(ftilde, r))
+              + log2_ceil(1 / (r * r - 1)) + P + 2) / (2 * lam))
+        for r, lam in _RADII
+    )
+    return P, P + 2 * s + 5, N, M

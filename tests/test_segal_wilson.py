@@ -3,12 +3,13 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from finpot import segal_wilson
+from finpot import cli, segal_wilson
 from finpot.segal_wilson import (
     _RADII,
     LoopExponent,
+    exp_symbol,
     sw_group_cocycle_check,
     sw_pairing_closed,
     sw_pairing_interval,
@@ -16,7 +17,7 @@ from finpot.segal_wilson import (
     sw_vs_tate_check,
     toeplitz_block,
 )
-from oracles import sw_pairing_on_stage
+from oracles import sizes_by_fractions, sw_pairing_on_stage
 
 
 def test_toeplitz_block_plus():
@@ -215,3 +216,40 @@ def test_bound_on_loop_pairing_shapes(rng):
             f = LoopExponent("plus", {n: pick() for n in range(1, sf + 1)})
             ft = LoopExponent("minus", {n: pick() for n in range(1, sft + 1)})
             assert sw_pairing_interval(f, ft, T)[1] <= Fraction(1, 2**127)
+
+
+def exponent(side, max_degree):
+    """Up to four terms of degree <= max_degree, each |c| <= 5 with a
+    denominator up to 1000, so two sides stay within cli.MAX_COEFF_SIZE."""
+    coeff = st.fractions(-5, 5, max_denominator=1000)
+    return st.builds(LoopExponent, st.just(side),
+                     st.dictionaries(st.integers(1, max_degree), coeff, max_size=4))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(exponent("plus", 40), exponent("minus", 40), st.integers(1, cli.MAX_T))
+@example(LoopExponent("plus", {40: cli.MAX_COEFF_SIZE}), LoopExponent("minus", {}), cli.MAX_T)
+@example(LoopExponent("plus", {}),
+         LoopExponent("minus", {1: Fraction(-79, 2), 40: Fraction(1, 2)}), cli.MAX_T)
+@example(LoopExponent("plus", {}), LoopExponent("minus", {}), 1)
+def test_sizes_match_fraction_sizing(f, ft, T):
+    """_sizes in integers returns the (P, W, N, M) of the Fraction sizing,
+    with either side empty, degrees up to 40, coefficient size up to
+    cli.MAX_COEFF_SIZE and T up to cli.MAX_T."""
+    assert segal_wilson._sizes(f, ft, T) == sizes_by_fractions(f, ft, T)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(("plus", "minus")),
+       st.dictionaries(st.integers(1, 4), st.sampled_from(
+           [Fraction(s, d) for s in (-1, 1) for d in (1, 2, 3, 4)]), max_size=3),
+       st.integers(5, 90), st.integers(150, 260))
+def test_fixed_symbol_rounds_the_exp_symbol_fractions(side, coeffs, n, W):
+    """The pairing's fixed-point coefficients, rounded from the integer
+    numerators, are exp_symbol's Fractions rounded to the nearest multiple
+    of 2^-W (halves up)."""
+    e = LoopExponent(side, coeffs)
+    want = [(2 * c.numerator * 2**W + c.denominator) // (2 * c.denominator)
+            for c in exp_symbol(e, n)]
+    assert segal_wilson._fixed_symbol(e, n, W) == want
+

@@ -12,7 +12,13 @@ from finpot.series import (
     series_log,
     series_mul,
 )
-from oracles import series_exp_taylor, series_inv_geometric, series_log_taylor, series_mul_dict
+from oracles import (
+    series_exp_by_fractions,
+    series_exp_taylor,
+    series_inv_geometric,
+    series_log_taylor,
+    series_mul_dict,
+)
 
 
 def S(terms, prec, var="z"):
@@ -208,6 +214,34 @@ def test_inv_recurrence_matches_geometric_sum(a):
             series_inv(a)
         return
     _same(series_inv(a), series_inv_geometric(a))
+
+
+@st.composite
+def _fraction_series(draw):
+    """An all-Fraction series in z from degree 1 at precision 1 to 64: zero;
+    sparse, up to four terms with denominators up to 10^6, some at the
+    last degrees below the precision; or dense up to a top degree, with
+    denominators up to 10^6 to degree 6 and up to 12 beyond."""
+    prec = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(("zero", "sparse", "dense")))
+    if kind == "zero" or prec == 1:
+        return TLS("z", {}, 0, prec)
+    big = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    if kind == "sparse":
+        degree = st.one_of(st.integers(1, prec - 1), st.integers(max(1, prec - 3), prec - 1))
+        return TLS("z", draw(st.dictionaries(degree, big, min_size=1, max_size=4)), 0, prec)
+    top = draw(st.integers(1, prec - 1))
+    small = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12))
+    coeff = big if top <= 6 else small
+    return TLS("z", {d: draw(coeff) for d in range(1, top + 1)}, 0, prec)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fraction_series())
+def test_exp_integer_recurrence_matches_fraction_recurrence(a):
+    """series_exp on integer numerators gives the Fraction recurrence's
+    coefficients, min_degree and precision."""
+    _same(series_exp(a), series_exp_by_fractions(a))
 
 
 _Q = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 6, 12)))
