@@ -16,30 +16,36 @@ t - 2 (double), t^2 + 1 and t^3 + t + 1, of SparseOperator.compose on two
 random banded 64 x 64 operators (bandwidth 7), of the windowed symbol
 determinant cocycle_via_operators at z-precision 8 with f in
 span(1/t^2, t) and g in span(1/t, t), of the four-exponential
-pairing_via_operators on the same shapes, of the loop pairing's int_det on
-the integer corner sw_pairing_truncated hands it at T = 15 (support 2 + 2)
-and T = 19 (support 3 + 3, coefficients +-1/2, +-1/4 as in the
-loop-pairing workload; since BENCH_17 that is the W-bit Widom corner, with
-W about 160, where earlier files timed the exact T + 28 stage corner of
-about 950-bit entries), of mat_mul on two dense 8 x 8 matrices over Q(i)
-(mat_mul_gauss), of the commutator trace residue_tate at band 3 (f in
-span(1/t^3, t), g in span(1/t, t^3)), of det_series on the product
-exp_op(f) exp_op(g) at precision 10, product included, with f a dense
-8 x 8 operator under a Jordan tail and g a dense 8 x 8 operator
-(det_series_product), of cocycle_via_operators at z-precision 16 on the
+pairing_via_operators on the same shapes, of the loop pairing's exact int_det
+on the integer corner whose determinant sw_pairing_truncated rounds
+(segal_wilson._corner) at T = 15 (support 2 + 2) and T = 19 (support 3 + 3,
+coefficients +-1/2, +-1/4 as in the loop-pairing workload; since BENCH_17
+that is the W-bit Widom corner, with W about 160, where earlier files timed
+the exact T + 28 stage corner of about 950-bit entries), of mat_mul on
+two dense 8 x 8 matrices over Q(i) (mat_mul_gauss), of the commutator
+trace residue_tate at band 3 (f in span(1/t^3, t), g in span(1/t, t^3)),
+of det_series on the product exp_op(f) exp_op(g) at precision 10, product
+included, with f a dense 8 x 8 operator under a Jordan tail and g a dense
+8 x 8 operator (det_series_product), of cocycle_via_operators at z-precision 16 on the
 shapes above, of sw_pairing_truncated as a whole at T = 15 (support 2 + 2),
 19 and 40 (support 3 + 3, the coefficients above), of series_exp on the
 pairing's shape, a sparse exponent at degrees 1, 2 and 3 with coefficients
-+-1/2, +-1/4 at length 128 (series_exp "sparse_128"), and, end to end, of one
-fresh `python -m finpot` process per CLI verb (cli_cold, best of 5,
-counting interpreter start and import; "python" is a bare interpreter start
-for reference).  With --out it also
-writes the numbers, the git commit of the finpot tree it imported, the
-line count of its modules (src_lines) and the machine to a JSON file.
++-1/2, +-1/4 at length 128 (series_exp "sparse_128"), of the pairing's
+rounded determinant segal_wilson._rounded_det (the fixed-point LU
+enclosure, with int_det only on its fallback) on the int_det corners at
+T = 15 and 19 and on a T = 40 corner (support 3 + 3) drawn after every
+other input, on which int_det is timed too (int_det "40"), and, end to
+end, of one fresh `python -m finpot` process per CLI verb (cli_cold, best
+of 5, counting interpreter start and import; "python" is a bare
+interpreter start for reference).  With --out it also writes the numbers,
+the git commit of the finpot tree it imported, the line count of its
+modules (src_lines) and the machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_18.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_19.json
 
-Run it on two checkouts on the same host to compare them; it uses only
+Run it on two checkouts on the same host to compare them, each with its own
+copy of this script: the pairing rows read segal_wilson._corner and
+_rounded_det, which older versions lack; every other row uses only
 functions that every version of the package has.
 """
 
@@ -121,16 +127,10 @@ def loop_exponents(rng, support):
 
 
 def pairing_corner(rng, T, support):
-    """The integer corner that sw_pairing_truncated hands to int_det, for
-    random exponents with the given support on each side."""
-    f, ft = loop_exponents(rng, support)
-    seen, real = [], segal_wilson.int_det
-    segal_wilson.int_det = lambda m: seen.append([row[:] for row in m]) or real(m)
-    try:
-        sw_pairing_truncated(f, ft, T)
-    finally:
-        segal_wilson.int_det = real
-    return seen[0]
+    """(corner, W): the integer corner at scale 2^W whose determinant
+    sw_pairing_truncated rounds, for random exponents with the given
+    support on each side."""
+    return segal_wilson._corner(*loop_exponents(rng, support), T)
 
 
 def fitting_input(rng, n):
@@ -224,8 +224,8 @@ def measure():
     # drawn after every input above, which stay as in earlier versions
     f, g = (laurent(rng, degrees) for degrees in ((-2, 1), (-1, 1)))
     out["pairing_via_operators"] = {"8": best_of(pairing_via_operators, f, g, None, 0, 8)}
-    out["int_det"] = {str(T): best_of(int_det, pairing_corner(rng, T, support))
-                      for T, support in ((15, 2), (19, 3))}
+    corners = {T: pairing_corner(rng, T, support) for T, support in ((15, 2), (19, 3))}
+    out["int_det"] = {str(T): best_of(int_det, corner) for T, (corner, _) in corners.items()}
     # drawn after every input above, which stay as in earlier versions
     a, b = ([[gauss.element([rational(rng), rational(rng)]) for _ in range(8)] for _ in range(8)]
             for _ in range(2))
@@ -247,6 +247,11 @@ def measure():
     f = next(loop_exponents(rng, 3))
     out["series_exp"]["sparse_128"] = best_of(
         series_exp, TruncatedLaurentSeries.from_terms("z", f.coeffs, 128))
+    # drawn after every input above, which stay as in earlier versions
+    corners[40] = pairing_corner(rng, 40, 3)
+    out["int_det"]["40"] = best_of(int_det, corners[40][0])
+    out["rounded_det"] = {str(T): best_of(segal_wilson._rounded_det, *corner)
+                          for T, corner in corners.items()}
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

@@ -229,6 +229,14 @@ def _run_reciprocity(args):
     return {"product": format_series(prod.series), "sum": format_rational(total)}
 
 
+def _finite_float(x):
+    """float(x), or None when x is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
 def _run_sw_pairing(args):
     if args.T > MAX_T:
         raise ParseError("T = %d exceeds the limit %d" % (args.T, MAX_T))
@@ -243,7 +251,7 @@ def _run_sw_pairing(args):
         "exponent": format_rational(sw_pairing_closed(f, ftilde)),
         "matches_residue": sw_vs_tate_check(f, ftilde),
         "truncated": format_rational(value),
-        "truncated_float": float(value),
+        "truncated_float": _finite_float(value),
     }
 
 

@@ -28,8 +28,8 @@ the integer numerators of the exp recurrence, h_k = H_k / (k! D^k), and is
 rounded once to a multiple of 2^-W, which gives the same integers as
 rounding the reduced Fraction of exp_symbol.  Then
 phi_k = sum_j h_{k+j} h~_j cut at N terms (psi likewise), the Hankel sum cut
-at M terms, every entry within 2^-P of C_T's, and its determinant taken
-exactly by int_det.  P, W, N and M are set once, from rational bounds,
+at M terms, every entry within 2^-P of C_T's, and its determinant rounded
+as in the last paragraph.  P, W, N and M are set once, from rational bounds,
 evaluated as integer fractions with ceiling divisions:
 
 - Cauchy's estimate on the circle of radius r,
@@ -44,6 +44,22 @@ rows, so |det(C + E) - det C| <= prod(|c_i| + |e_i|) - prod |c_i| (a
 perturbation bound of the kind in Ipsen & Rehman 2008).  With |e_i|_1 <=
 T 2^-P and P = 140 + 2 bitlen(T) this adds at most 2^-139 prod_i
 max(1, |c_i|_1) to the 2^-129 of the final rounding.
+
+That rounding of det C (C the integer corner) is certified from one
+fixed-point LU, without the exact determinant.  Gaussian elimination with
+partial pivoting runs on a copy of C at scale 2^W and applies the same row
+operations to 2^W I, which gives an integer X, unit lower triangular at
+scale 2^W, near 2^W L^-1 for P C = L U.  A row swap at step k exchanges only
+the columns < k of X's two rows, so X stays triangular however its entries
+were rounded, and det X = 2^(WT) exactly.  Y = X P C, formed exactly, then
+has det Y = sign(P) 2^(WT) det C and is upper triangular up to short rows
+s_i below the diagonal; with u_i the rest of row i, the expansion above
+gives |det Y - prod y_ii| <= prod(|u_i| + |s_i|) - prod |u_i|.  Rounding is
+monotone, so when both ends of that enclosure round alike, that is det C's
+rounding.  When they do not, or a pivot is zero, the exact int_det (Bareiss
+1968) decides: this happens for corners with large rows, such as
+f = 10z, f~ = 10z^-1 at T = 20, where the enclosure is as vacuous as the
+bound.
 """
 
 from __future__ import annotations
@@ -51,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .matrices import det, int_det, mat_inverse, mat_mul
 from .places import Place
@@ -194,6 +210,11 @@ def _exp_bits(*sizes) -> int:
     return -(-13 * num // (9 * den))
 
 
+def _entry_bits(T: int) -> int:
+    """P: every entry of the fixed-point corner is within 2^-P of C_T's."""
+    return 140 + 2 * T.bit_length()
+
+
 def _sizes(f: LoopExponent, ftilde: LoopExponent, T: int):
     """Entry precision P, working bits W, and the cutoffs N of phi_k's and
     psi_-k's inner sums and M of the Hankel sum, such that every entry of
@@ -202,7 +223,7 @@ def _sizes(f: LoopExponent, ftilde: LoopExponent, T: int):
     2^(P + 2s + 3), so for every M that can be run).  Each cutoff takes the
     radius of least cutoff; every size is an integer fraction and every
     ceiling a ceiling division."""
-    P = 140 + 2 * T.bit_length()
+    P = _entry_bits(T)
     s = _exp_bits(_size(f, 1, 1), _size(ftilde, 1, 1))
     Ns, Ms = [], []
     for p, q, u, v, log_n, log_m in _RADIUS_TERMS:
@@ -240,17 +261,11 @@ def _fixed_symbol(e: LoopExponent, n: int, W: int):
     return out
 
 
-def sw_pairing_interval(f: LoopExponent, ftilde: LoopExponent, T: int):
-    """(value, bound): det C_T, C_T the T x T principal corner of
-    atilde a atilde^{-1} a^{-1}, rounded to a Fraction over 2^128, and a
-    Fraction bound with |value - det C_T| <= bound
-    <= 2^-128 prod_i max(1, |row_i|_1), the rows those of the computed
-    corner."""
-    if f.side != "plus" or ftilde.side != "minus":
-        raise ValueError("pairing takes a plus exponent and a minus exponent")
-    if T <= f.support() + ftilde.support():
-        raise ValueError("T must exceed the combined support")
-    P, W, N, M = _sizes(f, ftilde, T)
+def _corner(f: LoopExponent, ftilde: LoopExponent, T: int):
+    """(corner, W): the T x T Widom corner C_T in W-bit fixed point, as
+    integer rows at scale 2^W, each entry within 2^-P of C_T's for
+    P = _entry_bits(T)."""
+    _, W, N, M = _sizes(f, ftilde, T)
     one, half, K = 1 << W, 1 << (W - 1), T + M
     length = K + N - 1
     h, ht = _fixed_symbol(f, length, W), _fixed_symbol(ftilde, N, W)
@@ -270,14 +285,75 @@ def sw_pairing_interval(f: LoopExponent, ftilde: LoopExponent, T: int):
         E.append(row)
     corner = [[(one if i == j else 0) - ((x + half) >> W) for j, x in enumerate(row)]
               for i, row in enumerate(E)]
-    shift = W * T
-    value = Fraction(((int_det(corner) << _VALUE_BITS) + (1 << (shift - 1))) >> shift,
-                     1 << _VALUE_BITS)
+    return corner, W
+
+
+def _round_scaled(v: int, shift: int) -> int:
+    """v 2^(128 - shift) rounded to an integer, halves up."""
+    return ((v << _VALUE_BITS) + (1 << (shift - 1))) >> shift
+
+
+def _certified_rounded_det(corner, W: int):
+    """_round_scaled(det corner, W T) for a T x T integer matrix, from the
+    fixed-point LU enclosure of the module docstring without the exact
+    determinant; None when the enclosure straddles a rounding boundary or
+    a pivot is zero."""
+    n = len(corner)
+    a = [row[:] for row in corner]
+    # x[i] holds columns 0..i of X, unit lower triangular at scale 2^W
+    x = [[0] * i + [1 << W] for i in range(n)]
+    order, sign = list(range(n)), 1
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        pivot = a[p][k]
+        if not pivot:
+            return None
+        if p != k:
+            a[k], a[p], order[k], order[p], sign = a[p], a[k], order[p], order[k], -sign
+            # the diagonal 2^W of X stays in place: only columns < k move
+            x[k][:k], x[p][:k] = x[p][:k], x[k][:k]
+        ak, xk = a[k], x[k]
+        for i in range(k + 1, n):
+            m = (a[i][k] << W) // pivot
+            if m:
+                a[i] = [u - (m * v >> W) for u, v in zip(a[i], ak)]
+                x[i][:k + 1] = [u - (m * v >> W) for u, v in zip(x[i], xk)]
+    # Y = X P C exactly; row i of X has no terms past column i
+    columns = list(zip(*(corner[r] for r in order)))
+    y = [[sum(map(mul, xi, col)) for col in columns] for xi in x]
+    upper = [sum(map(abs, yi[i:])) for i, yi in enumerate(y)]
+    lower = [sum(map(abs, yi[:i])) for i, yi in enumerate(y)]
+    centre = sign * prod(yi[i] for i, yi in enumerate(y))
+    radius = prod(map(add, upper, lower)) - prod(upper)
+    shift = 2 * W * n
+    low = _round_scaled(centre - radius, shift)
+    return low if low == _round_scaled(centre + radius, shift) else None
+
+
+def _rounded_det(corner, W: int) -> int:
+    """det(corner) 2^(128 - W T) rounded to an integer, halves up: certified
+    by _certified_rounded_det, or else from the exact int_det."""
+    out = _certified_rounded_det(corner, W)
+    return _round_scaled(int_det(corner), W * len(corner)) if out is None else out
+
+
+def sw_pairing_interval(f: LoopExponent, ftilde: LoopExponent, T: int):
+    """(value, bound): det C_T, C_T the T x T principal corner of
+    atilde a atilde^{-1} a^{-1}, rounded to a Fraction over 2^128, and a
+    Fraction bound with |value - det C_T| <= bound
+    <= 2^-128 prod_i max(1, |row_i|_1), the rows those of the computed
+    corner."""
+    if f.side != "plus" or ftilde.side != "minus":
+        raise ValueError("pairing takes a plus exponent and a minus exponent")
+    if T <= f.support() + ftilde.support():
+        raise ValueError("T must exceed the combined support")
+    corner, W = _corner(f, ftilde, T)
+    value = Fraction(_rounded_det(corner, W), 1 << _VALUE_BITS)
     # Hadamard: |det(C + D) - det C| <= prod(|c_i| + |d_i|) - prod |c_i|,
     # with |d_i|_1 <= T 2^-P; rounded up to a multiple of 2^-W
     norms = [sum(map(abs, row)) for row in corner]
-    grown = prod(n + (T << (W - P)) for n in norms) - prod(norms)
-    bound = Fraction(-(-grown >> (shift - W)), one) + Fraction(1, 2 << _VALUE_BITS)
+    grown = prod(n + (T << (W - _entry_bits(T))) for n in norms) - prod(norms)
+    bound = Fraction(-(-grown >> (W * T - W)), 1 << W) + Fraction(1, 2 << _VALUE_BITS)
     return value, bound
 
 

@@ -16,8 +16,10 @@ as a chain of full operator-series products, and series determinants on
 the stored or closed cores and the content box finpot used before it read
 the core off the series terms, the truncated loop pairing on a finite
 stage, as finpot computed it before it took the corner from Widom's
-identity, and the exp recurrence and the pairing's cutoff sizing on
-Fractions, as finpot ran them before it ran both on integers.
+identity, the exp recurrence and the pairing's cutoff sizing on
+Fractions, as finpot ran them before it ran both on integers, and the
+pairing's rounded corner determinant from the exact int_det, as finpot
+took it before it certified the rounding from a fixed-point LU.
 """
 
 from fractions import Fraction
@@ -897,3 +899,11 @@ def sizes_by_fractions(f, ftilde, T: int):
         for r, lam in _RADII
     )
     return P, P + 2 * s + 5, N, M
+
+
+def rounded_det_exact(corner, W: int) -> int:
+    """det(corner) 2^(128 - W T) rounded to an integer, halves up, from the
+    exact Bareiss determinant, as sw_pairing_interval rounded it before the
+    fixed-point LU enclosure."""
+    shift = W * len(corner)
+    return ((int_det(corner) << 128) + (1 << (shift - 1))) >> shift

@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+from finpot import cli
 from finpot.cli import main
 
 
@@ -327,11 +329,21 @@ def test_pairing_coefficient_size_above_the_limit_is_a_parse_error():
     assert code == 0 and json.loads(out)["exponent"] == "400"
 
 
-def test_sw_pairing_beyond_float_range_is_a_domain_error():
-    # exp(2000) has no float: exit 1 with a structured error, no traceback
+def test_sw_pairing_beyond_float_range_prints_a_null_float():
+    # exp(2000) has no float: the exact value prints, its float is null
     code, out, err = run_cli("sw-pairing", "--f", "20*z^5", "--ftilde", "20*z^-5", "--T", "11")
-    assert code == 1 and err == ""
-    assert json.loads(out)["error"] == "domain"
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert set(data) == {"exponent", "matches_residue", "truncated", "truncated_float"}
+    assert data["exponent"] == "2000" and data["truncated_float"] is None
+    assert Fraction(data["truncated"]) > 2**1024
+
+
+def test_finite_float_is_null_beyond_the_float_range():
+    assert cli._finite_float(Fraction(15 * 10**400, 7)) is None
+    assert cli._finite_float(-Fraction(10**400, 3)) is None
+    assert cli._finite_float(Fraction(1, 10**400)) == 0.0
+    assert cli._finite_float(Fraction(5, 2)) == 2.5
 
 
 def test_sw_pairing_default_T_prints():

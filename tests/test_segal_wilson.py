@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,7 @@ from finpot.segal_wilson import (
     sw_vs_tate_check,
     toeplitz_block,
 )
-from oracles import sizes_by_fractions, sw_pairing_on_stage
+from oracles import rounded_det_exact, sizes_by_fractions, sw_pairing_on_stage
 
 
 def test_toeplitz_block_plus():
@@ -127,15 +128,9 @@ def test_preconditions():
 
 
 def interval_and_corner(f, ft, T):
-    """sw_pairing_interval's (value, bound) and the integer corner it hands
-    to int_det, with that corner's working scale 2^W."""
-    seen, real = [], segal_wilson.int_det
-    segal_wilson.int_det = lambda m: seen.append([row[:] for row in m]) or real(m)
-    try:
-        value, bound = sw_pairing_interval(f, ft, T)
-    finally:
-        segal_wilson.int_det = real
-    return value, bound, seen[0], segal_wilson._sizes(f, ft, T)[1]
+    """sw_pairing_interval's (value, bound), the integer corner whose
+    determinant it rounds, and that corner's working scale 2^W."""
+    return sw_pairing_interval(f, ft, T) + segal_wilson._corner(f, ft, T)
 
 
 def hadamard_cap(corner, W):
@@ -206,7 +201,8 @@ def test_old_stage_lies_outside_the_interval():
 
 def test_bound_on_loop_pairing_shapes(rng):
     """Every shape of the loop-pairing workload (supports per side, T, and
-    coefficients +-1/2, +-1/4) gets a bound of at most 2^-127."""
+    coefficients +-1/2, +-1/4) gets a bound of at most 2^-127, and the
+    fixed-point LU certifies its rounded determinant without int_det."""
     coeffs = [Fraction(s, d) for s in (-1, 1) for d in (2, 4)]
     short = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3))
     shapes = [(sf, sft, sf + sft + 6) for sf, sft in short] + [(2, 2, 15), (3, 3, 19)]
@@ -215,7 +211,55 @@ def test_bound_on_loop_pairing_shapes(rng):
         for pick in [lambda: Fraction(1, 2)] + [lambda: rng.choice(coeffs)] * 3:
             f = LoopExponent("plus", {n: pick() for n in range(1, sf + 1)})
             ft = LoopExponent("minus", {n: pick() for n in range(1, sft + 1)})
-            assert sw_pairing_interval(f, ft, T)[1] <= Fraction(1, 2**127)
+            value, bound, corner, W = interval_and_corner(f, ft, T)
+            assert bound <= Fraction(1, 2**127)
+            assert value == Fraction(segal_wilson._certified_rounded_det(corner, W), 2**128)
+
+
+def integer_matrix(kind, n, W, rng):
+    """An n x n integer matrix at scale 2^W: dense with entries up to 2^W;
+    2^W I plus entries up to 2^(W/2) with its rows shuffled, so that
+    partial pivoting swaps; of rank below n; or dense with a zero first
+    column."""
+    if kind == "near_identity":
+        half = 1 << W // 2
+        m = [[((i == j) << W) + rng.randint(-half, half) for j in range(n)] for i in range(n)]
+        rng.shuffle(m)
+        return m
+    if kind == "low_rank":
+        r, side = rng.randrange(n), 1 << W // 2
+        left = [[rng.randint(-side, side) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randint(-side, side) for _ in range(n)] for _ in range(r)]
+        return [[sum(map(mul, row, col)) for col in zip(*right)] if r else [0] * n
+                for row in left]
+    m = [[rng.randint(-(1 << W), 1 << W) for _ in range(n)] for _ in range(n)]
+    if kind == "zero_column":
+        for row in m:
+            row[0] = 0
+    return m
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(("dense", "near_identity", "low_rank", "zero_column")),
+       st.integers(1, 12), st.sampled_from((8, 40, 160)), st.randoms(use_true_random=False))
+def test_certified_rounding_is_exact_or_none(kind, n, W, rng):
+    """The fixed-point LU enclosure returns the exact rounding of det or
+    None, never another value; at W = 160 it certifies every shuffled
+    near-identity matrix, whose elimination swaps rows."""
+    m = integer_matrix(kind, n, W, rng)
+    out = segal_wilson._certified_rounded_det(m, W)
+    assert out in (None, rounded_det_exact(m, W))
+    if kind == "near_identity" and W == 160:
+        assert out is not None
+
+
+def test_large_coefficients_fall_back_to_the_exact_rounding():
+    """At f = 10z, f~ = 10z^-1, T = 20 the corner's rows are large and the
+    enclosure is vacuous: the value is int_det's exact rounding."""
+    f, ft = LoopExponent("plus", {1: 10}), LoopExponent("minus", {1: 10})
+    corner, W = segal_wilson._corner(f, ft, 20)
+    assert segal_wilson._certified_rounded_det(corner, W) is None
+    assert sw_pairing_interval(f, ft, 20)[0] == Fraction(rounded_det_exact(corner, W), 2**128)
 
 
 def exponent(side, max_degree):
