@@ -34,14 +34,18 @@ pairing's shape, a sparse exponent at degrees 1, 2 and 3 with coefficients
 rounded determinant segal_wilson._rounded_det (the fixed-point LU
 enclosure, with int_det only on its fallback) on the int_det corners at
 T = 15 and 19 and on a T = 40 corner (support 3 + 3) drawn after every
-other input, on which int_det is timed too (int_det "40"), and, end to
-end, of one fresh `python -m finpot` process per CLI verb (cli_cold, best
+other input, on which int_det is timed too (int_det "40"), of det on
+rows with unlike denominators at sizes 16 and 24 (det "mixed_rows_16",
+"mixed_rows_24": entry p/q^(i mod 3) in row i, |p| <= 9 and q a random
+prime <= 23 per row, drawn after every other input; the row where
+scaling each row by its own lcm, as every elimination does, beats one lcm
+for the whole matrix), and, end to end, of one fresh `python -m finpot` process per CLI verb (cli_cold, best
 of 5, counting interpreter start and import; "python" is a bare
 interpreter start for reference).  With --out it also writes the numbers,
 the git commit of the finpot tree it imported, the line count of its
 modules (src_lines) and the machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_19.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_20.json
 
 Run it on two checkouts on the same host to compare them, each with its own
 copy of this script: the pairing rows read segal_wilson._corner and
@@ -159,6 +163,15 @@ def dense_operator(rng, n):
                            for i in range(n) for j in range(n)})
 
 
+def mixed_rows(rng, n):
+    """n x n over Q, row i over q^(i mod 3) for a random prime q <= 23."""
+    rows = []
+    for i in range(n):
+        den = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23)) ** (i % 3)
+        rows.append([Fraction(rng.randint(-9, 9), den) for _ in range(n)])
+    return rows
+
+
 def best_of(fn, *args):
     best = None
     for _ in range(REPEATS):
@@ -252,6 +265,9 @@ def measure():
     out["int_det"]["40"] = best_of(int_det, corners[40][0])
     out["rounded_det"] = {str(T): best_of(segal_wilson._rounded_det, *corner)
                           for T, corner in corners.items()}
+    # drawn after every input above, which stay as in earlier versions
+    for n in (16, 24):
+        out["det"]["mixed_rows_%d" % n] = best_of(det, mixed_rows(rng, n))
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from .determinants import (
     log_det_series,
     plemelj_smithies_series,
     regularized_det_series,
+    routes_agree,
     tate_trace,
 )
 from .errors import FinpotError
@@ -49,12 +51,13 @@ from .exponentials import (
     zassenhaus_terms,
 )
 from .fitting import lift_ast
-from .operators import FinitePotentOperator
+from .operators import FinitePotentOperator, SparseOperator, TailDescriptor
 from .parsing import ParseError, parse_loop_exponent, parse_place, parse_rational_function
-from .polynomials import Polynomial
+from .polynomials import Polynomial, RationalFunction
 from .residues import residue_classical, residue_tate
 from .scalars import format_rational
-from .segal_wilson import sw_pairing_closed, sw_pairing_truncated, sw_vs_tate_check
+from .segal_wilson import (LoopExponent, sw_pairing_closed, sw_pairing_truncated,
+                           sw_vs_tate_check)
 from .series import format_series
 from .symbols import cocycle, pairing, reciprocity_check
 
@@ -256,10 +259,6 @@ def _run_sw_pairing(args):
 
 
 def _run_selftest(args):
-    import random
-
-    from .operators import SparseOperator, TailDescriptor
-
     rng = random.Random(20240501)
     checks = {}
 
@@ -274,24 +273,17 @@ def _run_selftest(args):
             tail = TailDescriptor.jordan(rng.randint(2, 4), 6, [1])
         return FinitePotentOperator(SparseOperator(entries), tail)
 
-    from .determinants import routes_agree
-
     checks["det_routes"] = all(routes_agree(random_operator()) for _ in range(25))
 
-    ok_res = True
+    ok_res, p0 = True, parse_place("t")
     for _ in range(10):
         num = Polynomial([rng.randint(-3, 3) for _ in range(3)] + [1])
-        from .polynomials import RationalFunction
-
         f = RationalFunction(num, Polynomial([0, 1]) ** rng.randint(1, 2))
         g = RationalFunction(Polynomial([rng.randint(-2, 2), 1]))
         if f.is_zero() or g.is_zero():
             continue
-        p0 = parse_place("t")
         ok_res = ok_res and residue_classical(f, g, p0) == residue_tate(f, g)
     checks["residue_routes"] = ok_res
-
-    from .segal_wilson import LoopExponent
 
     f = LoopExponent("plus", {1: 1})
     ft = LoopExponent("minus", {1: 1})

@@ -20,10 +20,10 @@ products, then det_series on their finite contents.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .determinants import tate_trace
-from .errors import CompatibilityError, IncompatibleTailsError
+from .errors import CompatibilityError, IncompatibleTailsError, PrecisionError
 from .matrices import det_series_matrix
 from .operators import (
     FinitePotentOperator,
@@ -40,11 +40,14 @@ from .series import TruncatedLaurentSeries
 
 class OperatorSeries:
     """Unipotent operator series: identity at degree 0 plus terms at
-    degrees 1..precision-1."""
+    degrees 1..precision-1.  Like a TruncatedLaurentSeries, it raises
+    PrecisionError when no degree is known (precision < 1)."""
 
     __slots__ = ("variable", "precision", "terms")
 
     def __init__(self, variable: str, precision: int, terms: dict):
+        if precision < 1:
+            raise PrecisionError("empty precision window [0, %d)" % precision)
         self.variable = variable
         self.precision = precision
         self.terms = {
@@ -223,10 +226,7 @@ def zassenhaus_check(
     c1, c2, c3 = zassenhaus_terms(f, g)
     rhs = exp_op(f, 1, prec) * exp_op(g, 1, prec)
     for i, c in ((1, c1), (2, c2), (3, c3)):
-        fact = 1
-        for v in range(2, i + 2):
-            fact *= v
-        rhs = rhs * exp_op(op_scale(c, Fraction(-1, fact)), i + 1, prec)
+        rhs = rhs * exp_op(op_scale(c, Fraction(-1, factorial(i + 1))), i + 1, prec)
     return lhs.same_to_precision(rhs)
 
 

@@ -15,16 +15,19 @@ inverse of the previous pivot otherwise.  The Gauss-Jordan form leaves d
 times the reduced echelon form, d the last pivot (Nakos, Turner & Williams
 1997), which kernel_basis, solve_columns and mat_inverse divide out once.
 
-On all-Fraction input the loops run on Python ints: each row is scaled to
-integers over the lcm of its denominators, which changes neither the
-pivots, nor the kernel, nor the reduced echelon form, and the rational
-answer is built once at the end (Fraction normalisation is canonical, so
-the values are the same Fractions).  The other kernels follow the same
-rule:
+On all-Fraction input the loops run on Python ints, from
+scalars._int_coeffs: each row is scaled to integers over the lcm of its
+own denominators (_rows), which changes neither the pivots, nor the
+kernel, nor the reduced echelon form, and the rational answer is built
+once at the end (Fraction normalisation is canonical, so the values are
+the same Fractions).  The products scale the whole matrix by one lcm
+(_scaled) instead; an elimination on that scaling is much slower on rows
+with unlike denominators.  The other kernels follow the same rule:
 
-  mat_mul, charpoly,    one product loop (_mul); over Q on B = D*M, with
-  power_traces          results over D^k; Faddeev-LeVerrier on B (every
-                        tr(N_k)/k is an exact integer division)
+  mat_mul, charpoly,    one product loop (_mul); over Q on B = D*M
+  power_traces          (_scaled), with results over D^k;
+                        Faddeev-LeVerrier on B (every tr(N_k)/k is an
+                        exact integer division)
   det_series_matrix     Bareiss over K[z]/(z^p) on coefficient lists
                         (_series_bareiss_det), p the least precision of the
                         entries; over Q on integer lists, by
@@ -34,7 +37,8 @@ rule:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from itertools import islice
+from math import prod
 from operator import mul
 
 from .errors import NotInvertibleError, VariableMismatchError
@@ -46,17 +50,15 @@ def identity(n, one=Fraction(1), zero=Fraction(0)):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _is_rational(a) -> bool:
-    return all(type(x) is Fraction for row in a for x in row)
-
-
 def _scaled(a):
     """(B, D) with a = B / D for the least integer D when every entry of a
-    is a Fraction; otherwise (a, None)."""
-    if not _is_rational(a):
+    is a Fraction (scalars._int_coeffs over the whole matrix); otherwise
+    (a, None).  The products scale this way, one D for all of a."""
+    form = _int_coeffs([x for row in a for x in row])
+    if form is None:
         return a, None
-    d = lcm(*(x.denominator for row in a for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+    nums = iter(form[0])
+    return [list(islice(nums, len(row))) for row in a], form[1]
 
 
 def _mul(a, b):
@@ -149,13 +151,15 @@ def _bareiss(m, ncols: int, reduce: bool = False):
 
 def _rows(a):
     """(rows, den) to run _bareiss on: on all-Fraction input, integer rows,
-    each row of a over the lcm of its own denominators, and den the product
-    of those lcms; otherwise a copy of a and den None.  Row scaling changes
-    neither the pivots, nor the kernel, nor the reduced echelon form."""
-    if not _is_rational(a):
+    each row of a over the lcm of its own denominators (scalars._int_coeffs
+    row by row), and den the product of those lcms; otherwise a copy of a
+    and den None.  Row scaling changes neither the pivots, nor the kernel,
+    nor the reduced echelon form, and keeps the integers of rows with
+    unlike denominators smaller than one D for the whole matrix would."""
+    forms = [_int_coeffs(row) for row in a]
+    if None in forms:
         return [list(row) for row in a], None
-    pairs = [_int_coeffs(row) for row in a]
-    return [row for row, _ in pairs], prod(d for _, d in pairs)
+    return [row for row, _ in forms], prod(d for _, d in forms)
 
 
 def _divide_by(d):

@@ -77,10 +77,10 @@ class SparseOperator:
     def _ints(self):
         """(numerators, denominator) when every entry is a Fraction, else None."""
         if self._nums is None:
-            vals = self._entries.values()
-            if not all(type(v) is Fraction for v in vals):
+            form = _int_coeffs(self._entries.values())
+            if form is None:
                 return None
-            nums, self._den = _int_coeffs(vals)
+            nums, self._den = form
             self._nums = dict(zip(self._entries, nums))
         return self._nums, self._den
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .scalars import _poly_divmod, _poly_mul, canonical, format_rational
+from .scalars import _poly_divmod, _poly_mul, _power, _Ring, canonical, format_rational
 
 
-class Polynomial:
+class Polynomial(_Ring):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
@@ -62,10 +62,14 @@ class Polynomial:
             return self.coeffs[i]
         return Fraction(0)
 
-    def __eq__(self, other):
+    def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        if not isinstance(other, Polynomial):
+            return Polynomial([other])
+        return other if isinstance(other, Polynomial) else None
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -73,9 +77,8 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self[i] + other[i] for i in range(n)])
@@ -84,16 +87,6 @@ class Polynomial:
 
     def __neg__(self):
         return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -107,14 +100,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Polynomial([1]))
 
     def divmod(self, other: "Polynomial"):
         if other.is_zero():
@@ -252,7 +238,7 @@ def factor_monic_irreducibles(p: Polynomial):
     return [(_from_sympy(f).monic(), int(m)) for f, m in factors]
 
 
-class RationalFunction:
+class RationalFunction(_Ring):
     """Quotient of polynomials, normalized with a monic denominator."""
 
     __slots__ = ("num", "den")
@@ -286,10 +272,14 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def __eq__(self, other):
+    def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RationalFunction.from_const(other)
-        if not isinstance(other, RationalFunction):
+            return RationalFunction.from_const(other)
+        return other if isinstance(other, RationalFunction) else None
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -297,9 +287,8 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.from_const(other)
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
@@ -310,50 +299,28 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.from_const(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.from_const(other)
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.from_const(other)
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.from_const(other)
-        return other / self
+        other = self._coerce(other)
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return (1 / self) ** (-n)
-        out = RationalFunction.from_const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(1 / self if n < 0 else self, abs(n), RationalFunction.from_const(1))
 
     def derivative(self) -> "RationalFunction":
         return RationalFunction(

@@ -5,9 +5,12 @@ denominator).  Number fields are Q[x]/(p) for a monic p: a field when p is
 irreducible, an etale algebra (a product of fields) when p is squarefree.
 Their elements interoperate with ``int`` and ``Fraction`` through coercion,
 so each linear-algebra kernel in this package runs one loop over either
-kind of scalar.  _add_product is the package's one termwise product of
-coefficient lists, truncated to its accumulator: _poly_mul runs it on ints
-for all-Fraction lists, on the stored scalars otherwise.
+kind of scalar.  The arithmetic core lives here.  _int_coeffs is the one
+Fraction -> integer boundary (the all-Fraction test and the lcm scaling)
+of every integer kernel.  _add_product is the one termwise product of
+coefficient lists, truncated to its accumulator; _poly_mul runs it on ints
+for all-Fraction lists, on the stored scalars otherwise.  _Ring and _power
+give the exact value types one subtraction and one power.
 
 One scalar rule holds where values leave the library: a rational value is
 a Fraction, whichever kernel computed it.  canonical is that rule; the
@@ -20,7 +23,6 @@ restrict_scalars reads from the entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from operator import mul
 
@@ -50,8 +52,40 @@ def canonical(x):
 
 
 def _int_coeffs(cs):
+    """(numerators, D) with cs[i] = numerators[i] / D, D the lcm of the
+    denominators, if every entry of cs (iterated twice) is a Fraction;
+    None if any entry is an int or a field element."""
+    if not all(type(x) is Fraction for x in cs):
+        return None
     d = lcm(*(x.denominator for x in cs))
     return [x.numerator * (d // x.denominator) for x in cs], d
+
+
+def _power(x, n: int, one):
+    """x ** n for n >= 0 by square-and-multiply, starting from one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
+class _Ring:
+    """x - y as x + (-y), y - x as y + (-x), for a type with _coerce (None
+    for an operand it does not take), + and unary -."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
 
 
 def _poly_trim(cs):
@@ -81,15 +115,13 @@ def _poly_mul(a, b, n=None):
     it runs on the stored scalars."""
     if not a or not b:
         return []
-    ints = all(type(x) is Fraction for x in chain(a, b))
-    if ints:
-        (a, da), (b, db) = _int_coeffs(a), _int_coeffs(b)
+    fa, fb = _int_coeffs(a), _int_coeffs(b)
     n = len(a) + len(b) - 1 if n is None else n
-    acc = _add_product([0 if ints else Fraction(0)] * n, a, b)
-    if ints:
-        den = da * db
-        acc = [Fraction(c, den) for c in acc]
-    return _poly_trim(acc)
+    if fa is None or fb is None:
+        return _poly_trim(_add_product([Fraction(0)] * n, a, b))
+    (a, da), (b, db) = fa, fb
+    den = da * db
+    return _poly_trim([Fraction(c, den) for c in _add_product([0] * n, a, b)])
 
 
 def _poly_divmod(a, b):
@@ -175,7 +207,7 @@ class NumberField:
         return self.element([1])
 
 
-class NumberFieldElement:
+class NumberFieldElement(_Ring):
     """Element of a NumberField, stored as the reduced representative."""
 
     __slots__ = ("field", "coeffs")
@@ -206,18 +238,6 @@ class NumberFieldElement:
 
     def __neg__(self):
         return NumberFieldElement(self.field, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -261,16 +281,7 @@ class NumberFieldElement:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self.inverse() if n < 0 else self, abs(n), self.field.one())
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -66,13 +66,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm, prod
+from math import ceil, gcd, prod
 from operator import add, mul
 
 from .matrices import det, int_det, mat_inverse, mat_mul
 from .places import Place
 from .polynomials import Polynomial, RationalFunction
 from .residues import residue_classical
+from .scalars import _int_coeffs
 from .series import TruncatedLaurentSeries, _exp_numerators, series_exp
 
 
@@ -194,9 +195,8 @@ _VALUE_BITS = 128
 
 def _size(e: LoopExponent, p: int, q: int):
     """(num, den) with sum |c_n| (p/q)^n = num / den, in integers."""
-    top, den = e.support(), lcm(*(c.denominator for c in e.coeffs.values()))
-    num = sum(abs(c.numerator) * (den // c.denominator) * p**n * q**(top - n)
-              for n, c in e.coeffs.items())
+    (nums, den), top = _int_coeffs(e.coeffs.values()), e.support()
+    num = sum(abs(a) * p**n * q**(top - n) for n, a in zip(e.coeffs, nums))
     return num, den * q**top
 
 

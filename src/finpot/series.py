@@ -21,18 +21,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
 
 from .errors import PrecisionError, SeriesDomainError, VariableMismatchError
-from .scalars import (NumberFieldElement, _poly_mul, canonical, format_rational,
-                      parse_rational, scalar_is_zero)
+from .scalars import (NumberFieldElement, _int_coeffs, _poly_mul, _Ring, canonical,
+                      format_rational, parse_rational, scalar_is_zero)
 
 
 def _inv_scalar(c):
     return c.inverse() if isinstance(c, NumberFieldElement) else 1 / Fraction(c)
 
 
-class TruncatedLaurentSeries:
+class TruncatedLaurentSeries(_Ring):
     __slots__ = ("variable", "min_degree", "precision", "coeffs")
 
     def __init__(self, variable: str, coeffs, min_degree: int, precision: int):
@@ -164,15 +163,6 @@ class TruncatedLaurentSeries:
             self.min_degree,
             self.precision,
         )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c) -> "TruncatedLaurentSeries":
         if scalar_is_zero(c):
@@ -311,14 +301,16 @@ def series_inv(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
 
 def _exp_numerators(coeffs, n):
     """(H, D) with exp(a)_k = H_k / (k! D^k) for 0 <= k < n (H_0 = 1), where
-    a = sum_j a_j z^j is given by coeffs {j: a_j}, all Fractions and j >= 1,
-    and D is the lcm of their denominators.  With a_j = A_j / D the
-    recurrence k h_k = sum_j j a_j h_{k-j} becomes the integer recurrence
-    H_k = sum_j j A_j D^(j-1) (k-1)!/(k-j)! H_{k-j}, the falling factorial
-    (k-1)!/(k-j)! built up along j."""
-    D = lcm(*(c.denominator for c in coeffs.values()))
-    weighted = sorted((j, j * c.numerator * (D // c.denominator) * D ** (j - 1))
-                      for j, c in coeffs.items())
+    a = sum_j a_j z^j is given by coeffs {j: a_j}, j >= 1, and D is the lcm
+    of their denominators; None unless every a_j is a Fraction.  With
+    a_j = A_j / D the recurrence k h_k = sum_j j a_j h_{k-j} becomes the
+    integer recurrence H_k = sum_j j A_j D^(j-1) (k-1)!/(k-j)! H_{k-j}, the
+    falling factorial (k-1)!/(k-j)! built up along j."""
+    form = _int_coeffs(coeffs.values())
+    if form is None:
+        return None
+    nums, D = form
+    weighted = sorted((j, j * A * D ** (j - 1)) for j, A in zip(coeffs, nums))
     H = [1]
     for k in range(1, n):
         s, falling, reached = 0, 1, 1
@@ -345,8 +337,9 @@ def series_exp(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
             "series_exp needs valuation >= 1, got terms at degrees %s"
             % sorted(d for d in a.coeffs if d <= 0)
         )
-    if all(type(c) is Fraction for c in a.coeffs.values()):
-        H, D = _exp_numerators(a.coeffs, a.precision)
+    form = _exp_numerators(a.coeffs, a.precision)
+    if form is not None:
+        H, D = form
         h, den = [Fraction(1)], 1
         for k in range(1, len(H)):
             den *= k * D

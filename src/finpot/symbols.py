@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .exponentials import OperatorSeries, det_series, exp_product
 from .operators import FinitePotentOperator
-from .places import Place
-from .polynomials import RationalFunction
+from .places import Place, local_expand
+from .polynomials import Polynomial, RationalFunction
 from .residues import (
     _window_model,
     reduce_to_origin,
@@ -35,6 +35,7 @@ from .residues import (
     residue_sum,
     split_window_content,
 )
+from .scalars import NumberFieldElement
 from .series import TruncatedLaurentSeries, series_exp, series_log
 
 DEFAULT_Z_PREC = 8
@@ -219,10 +220,6 @@ def c4_check(
 def _quotient_trace(h: RationalFunction, p: Place, lo: int, hi: int) -> Fraction:
     """Trace of multiplication by h on span{t^j pi^i : 0 <= j < deg, lo <= i < hi},
     modulo pi^hi and the sub-block below pi^lo."""
-    from .polynomials import Polynomial
-    from .places import local_expand
-    from .scalars import NumberFieldElement
-
     pi = p.minimal_poly
     d = p.degree
     total = Fraction(0)

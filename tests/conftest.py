@@ -1,13 +1,16 @@
-"""Shared random-instance generators.
+"""Shared random-instance generators and the one hypothesis profile.
 
 Everything is seeded; core dimensions stay <= 6 and entries small so exact
-determinant growth stays tame.
+determinant growth stays tame.  Every @given test runs under the "finpot"
+profile: derandomized (the same examples on every run), no deadline and
+no example database; a test sets only its own max_examples.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from finpot.operators import (
     FinitePotentOperator,
@@ -16,6 +19,9 @@ from finpot.operators import (
     op_apply,
 )
 from finpot.polynomials import Polynomial, RationalFunction
+
+settings.register_profile("finpot", derandomize=True, deadline=None, database=None)
+settings.load_profile("finpot")
 
 
 def rand_fraction(rng, top=3, bottom=2):
@@ -155,3 +161,19 @@ def content_in_guard_strip(monkeypatch, module):
 @pytest.fixture
 def rng():
     return random.Random(987123)
+
+
+@st.composite
+def q_operators(draw):
+    """A finite-potent operator over Q: up to 8 entries on indices -3..4 with
+    mixed denominators, and half the time a tail from 5 on, a plain Jordan
+    shift or a shift polynomial with coefficients."""
+    q = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5, 6)))
+    cells = st.tuples(st.integers(-3, 4), st.integers(-3, 4))
+    entries = draw(st.dictionaries(cells, q, max_size=8))
+    tail = None
+    if draw(st.booleans()):
+        size = draw(st.integers(2, 4))
+        coeffs = draw(st.one_of(st.just([1]), st.lists(q, min_size=1, max_size=size - 1)))
+        tail = TailDescriptor.jordan(size, 5, coeffs)
+    return FinitePotentOperator(SparseOperator(entries), tail)

@@ -379,3 +379,18 @@ def test_place_degree_above_the_limit_is_a_parse_error():
 def test_reciprocity_at_a_high_degree_pole():
     code, out, _ = run_cli("reciprocity", "--f", "1/(t^200+t+1)", "--g", "t")
     assert code == 0 and json.loads(out) == {"product": "1 + O(z^8)", "sum": "0"}
+
+
+def test_empty_operator_series_precision_is_a_precision_error():
+    """exp and zassenhaus at a precision below 1 know no degree of the
+    series: a structured precision error, as logdet gives, not an empty
+    series or a vacuous identity check."""
+    op = '{"entries":[[0,0,"1"]]}'
+    f, g = '{"entries":[[1,0,"1"]]}', '{"entries":[[0,1,"1"]]}'
+    for prec in ("0", "-3"):
+        for args in (("exp", "--op", op), ("zassenhaus", "--f", f, "--g", g)):
+            code, out, err = run_cli(*args, "--prec", prec)
+            assert (code, err) == (1, "")
+            payload = json.loads(out)
+            assert payload["error"] == "precision"
+            assert payload["detail"] == "empty precision window [0, %s)" % prec

@@ -31,7 +31,7 @@ from finpot.operators import (
 from finpot.polynomials import Polynomial
 from finpot.scalars import NumberField, NumberFieldElement, field_norm
 from finpot.series import TruncatedLaurentSeries as TLS
-from conftest import composite_is_identity, random_operator, random_nilpotent
+from conftest import composite_is_identity, q_operators, random_operator, random_nilpotent
 
 PROJ = FPO.from_entries([(0, 0, 1)])
 NILP = FPO.from_entries([(0, 1, 1)])
@@ -89,6 +89,22 @@ def test_invert_with_tail():
     psi = invert_one_plus(phi)
     assert composite_is_identity(phi, psi, span=50, lo=-5)
     assert composite_is_identity(psi, phi, span=30, lo=8)
+
+
+@settings(max_examples=100)
+@given(q_operators())
+def test_invert_one_plus_round_trip(phi):
+    """(1 + phi)(1 + psi) = (1 + psi)(1 + phi) = 1 exactly, as operators, and
+    det(1 + phi) det(1 + psi) = 1, for psi = invert_one_plus(phi)."""
+    d = det_one_plus(phi)
+    if d == 0:
+        with pytest.raises(NotInvertibleError):
+            invert_one_plus(phi)
+        return
+    psi = invert_one_plus(phi)
+    assert op_add(phi, psi, op_compose(phi, psi)).is_zero()
+    assert op_add(psi, phi, op_compose(psi, phi)).is_zero()
+    assert d * det_one_plus(psi) == 1
 
 
 def test_plemelj_examples():
@@ -405,7 +421,7 @@ def _fraction_if_rational(x):
     return type(x) is Fraction or (type(x) is NumberFieldElement and not x.is_rational())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_field_operators())
 def test_rational_results_over_number_fields_are_fractions(phi):
     """Every rational value that the determinant, series and polynomial

@@ -201,7 +201,7 @@ def _operators(draw, tailed=None, top=5):
     return FPO(SparseOperator(entries), tail)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(_operators(), st.integers(1, 3))
 def test_det_series_of_exp_op_matches_the_certificate_core(phi, k):
     """The determinant on the rows of the terms equals the determinant on
@@ -210,7 +210,7 @@ def test_det_series_of_exp_op_matches_the_certificate_core(phi, k):
     assert det_series(series) == det_series_on_core(series, certify_finite_potent(phi).indices)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(_operators(tailed=True), _operators(top=9), st.booleans(), st.integers(1, 3),
        st.integers(1, 3), st.integers(3, 6))
 def test_det_series_of_products_matches_the_closed_core(f, g, swap, kf, kg, prec):
@@ -282,7 +282,7 @@ def _entry_types(op):
     return {k: type(v) for k, v in op.finite_part.entries.items()}
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(_generators(), st.integers(1, 8))
 def test_exp_product_matches_series_products(gens, prec):
     """The log-derivative recurrence gives every term of the product of

@@ -155,7 +155,7 @@ def _fitting_matrices(draw):
     return mat_mul(mat_mul(s, m), mat_inverse(s))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(_fitting_matrices())
 def test_rank_stabilisation_matches_dimension_exponent(m):
     ast, ref = fitting(m), fitting_at_dimension(m)

@@ -271,7 +271,7 @@ def _all_fractions(values):
     return all(type(x) is Fraction for x in values)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(_q_matrix(), st.integers(0, 4), st.data())
 def test_rational_kernels_match_generic_loops(m, cols, data):
     n = len(m)
@@ -296,7 +296,7 @@ def test_rational_kernels_match_generic_loops(m, cols, data):
     assert traces == chain and _all_fractions(traces)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.integers(0, 6).flatmap(
     lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
                        min_size=n, max_size=n)), st.booleans())
@@ -342,7 +342,7 @@ def _series_matrix(draw):
     return rows
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(_series_matrix())
 def test_series_det_matches_generic_loops(m):
     one = TLS.one("z", m[0][0].precision)
@@ -446,7 +446,7 @@ def _assert_same(field, got, want):
         assert _all_fractions(_flat(got[1]))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.sampled_from(sorted(_SCALARS)), st.integers(0, 5), st.integers(0, 5), st.data())
 def test_reduced_echelon_routines_match_generic_elimination(field, n, cols, data):
     square = data.draw(_field_matrix(field, n, n))
@@ -496,7 +496,7 @@ def _field_series_matrix(draw):
     return rows
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(_field_series_matrix())
 def test_number_field_series_det_matches_generic_elimination(m):
     one = TLS.one("z", m[0][0].precision)
@@ -514,7 +514,7 @@ def _rational(m):
     return _all_fractions(x for row in m for x in row)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(st.sampled_from(("Q(i)", "Q(sqrt2)")), st.integers(0, 5), st.integers(0, 4),
        st.booleans(), st.data())
 def test_number_field_products_match_generic_loops(field, n, cols, mixed, data):
@@ -573,7 +573,7 @@ def _in_field(field, values):
                for x in values)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(_mixed_precision_series_matrix(), st.integers(1, 7))
 def test_series_det_cuts_entries_to_the_least_precision(case, one_precision):
     """Entries of differing precision are cut to the least one, p: the
@@ -594,7 +594,7 @@ def test_series_det_cuts_entries_to_the_least_precision(case, one_precision):
         assert _in_field(field, got[1].coeffs.values())
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(_mixed_precision_series_matrix(), st.integers(-3, -1), st.data())
 def test_series_det_rejects_a_polar_term(case, degree, data):
     field, m = case

@@ -22,7 +22,7 @@ from finpot.operators import (
     verify_certificate,
 )
 from finpot.scalars import NumberField, scalar_is_zero
-from conftest import random_operator
+from conftest import q_operators, random_operator
 from oracles import sparse_add, sparse_compose, sparse_scale, tail_compose_generic
 
 
@@ -221,6 +221,16 @@ def test_json_round_trip(rng):
     assert FPO.from_json(data) == plain
 
 
+@settings(max_examples=150)
+@given(q_operators())
+def test_json_round_trip_over_q(phi):
+    """from_json(to_json(phi)) == phi over Q, tails with coefficients
+    included, and the wire form is stable."""
+    text = phi.to_json()
+    back = FPO.from_json(text)
+    assert back == phi and back.to_json() == text
+
+
 def test_invariant_rejects_overlap():
     with pytest.raises(ValueError):
         FPO.from_entries([(6, 6, 1)], TailDescriptor.jordan(2, 5))
@@ -279,7 +289,7 @@ def _all_fractions(op):
     return all(type(v) is Fraction for v in op.entries.values())
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_sparse(), _sparse(), _Q)
 def test_rational_arithmetic_matches_generic_loops(a, b, c):
     results = [
@@ -295,7 +305,7 @@ def test_rational_arithmetic_matches_generic_loops(a, b, c):
         assert _all_fractions(new)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_sparse(), _sparse(), st.data())
 def test_cancelling_sums_match_generic_loops(a, b, data):
     assert a.add(a.scale(-1)).entries == {}
@@ -313,7 +323,7 @@ def test_cancelling_sums_match_generic_loops(a, b, data):
         assert _all_fractions(new)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.sampled_from((GAUSS, ROOT2)).flatmap(
     lambda K: st.tuples(_sparse(K), _sparse(K), _sparse(), _Q,
                         st.tuples(_Q, _Q).map(lambda cs: K.element(list(cs))))
@@ -331,7 +341,7 @@ def test_number_field_arithmetic_matches_generic_loops(ops):
 
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.lists(_sparse(), max_size=5), st.lists(_sparse(GAUSS), max_size=2), _sparse())
 def test_many_operand_sums_match_pairwise_sums(qs, ks, first):
     """SparseOperator.add and op_add with several operands (one common
@@ -381,7 +391,7 @@ def _run_chain(start, steps, add, compose, scale):
     return out
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.sampled_from((None, GAUSS)).flatmap(_chain))
 def test_operation_chains_match_generic_loops(chain):
     """Chains of add/compose/scale on Q, Q(i) and mixed operators equal the
@@ -431,7 +441,7 @@ def _tail(draw, block_size, start):
     return TailDescriptor.jordan(block_size, start, draw(st.lists(_TAIL_Q, max_size=9)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.integers(1, 9), st.integers(-4, 4), st.data())
 def test_tail_compose_matches_double_loop(block_size, start, data):
     s = data.draw(_tail(block_size, start))
@@ -442,7 +452,7 @@ def test_tail_compose_matches_double_loop(block_size, start, data):
     assert got.is_none() or len(got.coeffs) < block_size
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.integers(1, 5), st.integers(0, 3), st.data())
 def test_tail_entries_read_through_image_of(block_size, start, data):
     """op_entry and wedge_scaling_check read the tail through image_of:
@@ -465,7 +475,7 @@ def test_tail_entries_read_through_image_of(block_size, start, data):
         assert wedge_scaling_check(phi, w_dim + k * block_size) == det_one_plus(phi)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.integers(1, 5), st.integers(0, 3), st.data())
 def test_compositions_with_a_tail_act_as_their_factors(block_size, start, data):
     """phi . psi and psi . phi, psi with a tail and phi a finite matrix that

@@ -109,7 +109,7 @@ _SMALL_POLY = st.lists(
 ).filter(lambda cs: cs[-1] != 0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     st.sampled_from(_ORACLE_PLACES),
     st.integers(-3, 3),

@@ -187,7 +187,7 @@ def test_irreducibility_by_degree():
 _SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(_SMALL.filter(bool), _SMALL, _SMALL, st.booleans())
 def test_quadratic_irreducibility_matches_sympy(a, b, c, split):
     """The discriminant rule decides irreducibility of a quadratic as sympy
@@ -212,7 +212,7 @@ def test_constant_pi_is_rejected():
 _Q = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 6, 12)))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.lists(_Q, max_size=12), st.lists(_Q, max_size=12), st.booleans())
 def test_coefficient_product_matches_generic_loop(a, b, field):
     """_poly_mul on Fraction lists (zeros and trailing zeros included) runs on
@@ -230,7 +230,7 @@ def test_coefficient_product_matches_generic_loop(a, b, field):
 _FIELDS = {"Q(i)": NumberField([1, 0, 1]), "Q(sqrt2)": NumberField([-2, 0, 1])}
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.sampled_from(("Q(i)", "Q(sqrt2)", "Q(i) with Q")), st.data())
 def test_number_field_coefficient_product_matches_generic_loop(kind, data):
     """_poly_mul on lists of number-field elements, alone or mixed with
@@ -258,7 +258,7 @@ def test_add_product_truncates_and_accumulates():
     assert _add_product([0] * 4, [0, 2], [1, 1]) == [0, 2, 2, 0]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.sampled_from(("Q", "Q(i) with Q")), st.data())
 def test_add_product_matches_generic_loop_cut_to_length(kind, data):
     """_add_product into an accumulator of any length (shorter than the

@@ -1,16 +1,20 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finpot.polynomials import Polynomial, RationalFunction
 from finpot.scalars import (
     NumberField,
+    _int_coeffs,
     canonical,
     field_norm,
     field_trace,
     format_rational,
     parse_rational,
 )
+from finpot.series import TruncatedLaurentSeries
 
 from oracles import field_trace_regular
 
@@ -133,10 +137,79 @@ def _same_value(a):
     return [a, v, GAUSS.element([v]), ROOT2.element([v])]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_equal_scalars_hash_equal(data):
     a = data.draw(_scalar())
     b = data.draw(st.one_of(_scalar(), st.sampled_from(_same_value(a))))
     if a == b:
         assert hash(a) == hash(b)
+
+
+# -- the derived ring operations and the Fraction->integer boundary ------------
+
+_Q3 = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_POLY = st.lists(_Q3, max_size=3).map(Polynomial)
+_KINDS = ("Q(i)", "Q(sqrt2)", "polynomial", "rational function", "series")
+
+
+@st.composite
+def _value(draw, kind):
+    """An element of one of the exact value types: a number field element, a
+    polynomial, a rational function, or a series in z over Q and Q(i)."""
+    if kind in ("Q(i)", "Q(sqrt2)"):
+        return (GAUSS if kind == "Q(i)" else ROOT2).element([draw(_Q3), draw(_Q3)])
+    if kind == "polynomial":
+        return draw(_POLY)
+    if kind == "rational function":
+        return RationalFunction(draw(_POLY), draw(_POLY.filter(lambda p: not p.is_zero())))
+    prec, low = draw(st.integers(1, 7)), draw(st.integers(-2, 0))
+    coeff = st.one_of(_Q3, st.builds(lambda a, b: GAUSS.element([a, b]), _Q3, _Q3))
+    terms = draw(st.dictionaries(st.integers(low, prec - 1), coeff, max_size=4))
+    return TruncatedLaurentSeries("z", terms, low, prec)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_KINDS).flatmap(lambda k: st.tuples(_value(k), _value(k))),
+       st.one_of(st.integers(-3, 3), _Q3))
+def test_subtraction_is_addition_of_the_negative(xy, k):
+    """x - y == x + (-y), and k - x == -(x - k) for an int or Fraction k."""
+    x, y = xy
+    assert x - y == x + (-y)
+    assert k - x == -(x - k)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(_KINDS[:4]).flatmap(_value), st.integers(0, 6))
+def test_powers_are_repeated_products(x, n):
+    """x ** n equals the n-fold product, and for a nonzero field element or
+    rational function x ** -n is its inverse."""
+    product = 1
+    for _ in range(n):
+        product = product * x
+    assert x ** n == product
+    if isinstance(x, Polynomial):
+        return
+    zero = x.is_zero() if isinstance(x, RationalFunction) else x == 0
+    if not zero:
+        assert x ** -n * x ** n == 1
+
+
+def test_negative_power_of_a_polynomial_raises():
+    with pytest.raises(ValueError):
+        Polynomial([1, 1]) ** -1
+
+
+@settings(max_examples=100)
+@given(st.lists(_Q3, max_size=6), st.data())
+def test_int_coeffs_takes_only_all_fraction_lists(cs, data):
+    """On Fractions, integers over their least common denominator that give
+    back the same Fractions; None once any entry is an int or a field
+    element."""
+    nums, d = _int_coeffs(cs)
+    assert all(type(n) is int for n in nums)
+    assert [Fraction(n, d) for n in nums] == cs
+    assert d == lcm(*(x.denominator for x in cs))
+    other = data.draw(st.one_of(st.integers(-3, 3), st.builds(GAUSS.element, st.lists(_Q3, max_size=2)),
+                                st.builds(ROOT2.element, st.lists(_Q3, max_size=2))))
+    assert _int_coeffs(cs[:1] + [other] + cs[1:]) is None

@@ -168,7 +168,7 @@ def pairing_inputs(draw):
     return f, ft, draw(st.integers(sf + sft + 1, 12))
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=10)
 @given(pairing_inputs())
 def test_interval_contains_the_stage_value(case):
     """The exact stage at pad 110 is within the interval; its own padding
@@ -239,7 +239,7 @@ def integer_matrix(kind, n, W, rng):
     return m
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(st.sampled_from(("dense", "near_identity", "low_rank", "zero_column")),
        st.integers(1, 12), st.sampled_from((8, 40, 160)), st.randoms(use_true_random=False))
 def test_certified_rounding_is_exact_or_none(kind, n, W, rng):
@@ -270,7 +270,7 @@ def exponent(side, max_degree):
                      st.dictionaries(st.integers(1, max_degree), coeff, max_size=4))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(exponent("plus", 40), exponent("minus", 40), st.integers(1, cli.MAX_T))
 @example(LoopExponent("plus", {40: cli.MAX_COEFF_SIZE}), LoopExponent("minus", {}), cli.MAX_T)
 @example(LoopExponent("plus", {}),
@@ -283,7 +283,7 @@ def test_sizes_match_fraction_sizing(f, ft, T):
     assert segal_wilson._sizes(f, ft, T) == sizes_by_fractions(f, ft, T)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(st.sampled_from(("plus", "minus")),
        st.dictionaries(st.integers(1, 4), st.sampled_from(
            [Fraction(s, d) for s in (-1, 1) for d in (1, 2, 3, 4)]), max_size=3),

@@ -119,7 +119,7 @@ def _laurent_at(coeffs, place):
     return RationalFunction(num, s**k)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     _LAURENT,
     _LAURENT,
@@ -139,7 +139,7 @@ def test_operator_route_matches_residue_route(fc, gc, name, cut, prec_z):
     assert pairing_via_operators(f, g, place, cut, prec_z) == pairing(f, g, place, prec_z)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(_LAURENT, _LAURENT, st.booleans(), st.integers(-2, 2), st.integers(2, 8))
 def test_symbol_route_determinant_matches_the_content_box(fc, gc, four, cut, prec_z):
     """The windowed symbol route's determinant on the rows of its contents
@@ -265,7 +265,7 @@ def _product(polys):
     return out
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(_FUNCTIONS, _FUNCTIONS, st.sampled_from([8, 32]))
 def test_squarefree_residues_match_the_places(f, g, prec):
     # repeated linear and quadratic factors, so parts hold several places
