@@ -117,6 +117,13 @@ def test_rational_function_field_ops(rng):
         f / RationalFunction.from_const(0)
 
 
+def test_polynomial_over_rational_function_is_a_type_error():
+    """A Polynomial numerator is not coerced into Q(t): the division returns
+    NotImplemented on both sides, which Python turns into a TypeError."""
+    with pytest.raises(TypeError):
+        Polynomial([1, 1]) / RationalFunction(Polynomial([0, 1]))
+
+
 def test_derivative_quotient_rule():
     t = RationalFunction.variable()
     f = 1 / (t * t + 1)
