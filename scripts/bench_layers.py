@@ -39,13 +39,17 @@ rows with unlike denominators at sizes 16 and 24 (det "mixed_rows_16",
 "mixed_rows_24": entry p/q^(i mod 3) in row i, |p| <= 9 and q a random
 prime <= 23 per row, drawn after every other input; the row where
 scaling each row by its own lcm, as every elimination does, beats one lcm
-for the whole matrix), and, end to end, of one fresh `python -m finpot` process per CLI verb (cli_cold, best
-of 5, counting interpreter start and import; "python" is a bare
-interpreter start for reference).  With --out it also writes the numbers,
+for the whole matrix), of op_compose both ways between a dense 8 x 8
+operator on indices 0..7 and a dense 4 x 4 operator under a Jordan tail
+from index 4 (block size 3, shift polynomial s - s^2), whose tail region
+the first reaches into (op_compose_tail, drawn after every other input),
+and, end to end, of one fresh `python -m finpot` process per CLI verb
+(cli_cold, best of 5, counting interpreter start and import; "python" is
+a bare interpreter start for reference).  With --out it also writes the numbers,
 the git commit of the finpot tree it imported, the line count of its
 modules (src_lines) and the machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_20.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_21.json
 
 Run it on two checkouts on the same host to compare them, each with its own
 copy of this script: the pairing rows read segal_wilson._corner and
@@ -70,6 +74,7 @@ from finpot import FinitePotentOperator, SparseOperator, TailDescriptor, segal_w
 from finpot.exponentials import det_series, exp_op
 from finpot.fitting import fitting
 from finpot.matrices import charpoly, det, int_det, kernel_basis, mat_inverse, mat_mul
+from finpot.operators import op_compose
 from finpot.parsing import parse_place
 from finpot.places import local_expand
 from finpot.polynomials import Polynomial, RationalFunction
@@ -268,6 +273,11 @@ def measure():
     # drawn after every input above, which stay as in earlier versions
     for n in (16, 24):
         out["det"]["mixed_rows_%d" % n] = best_of(det, mixed_rows(rng, n))
+    # drawn after every input above, which stay as in earlier versions
+    free = FinitePotentOperator(dense_operator(rng, 8))
+    tailed = FinitePotentOperator(dense_operator(rng, 4), TailDescriptor.jordan(3, 4, [1, -1]))
+    out["op_compose_tail"] = {"8": best_of(lambda: (op_compose(free, tailed),
+                                                    op_compose(tailed, free)))}
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

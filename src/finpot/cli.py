@@ -34,7 +34,6 @@ from fractions import Fraction
 from .determinants import (
     det_one_plus,
     det_poly,
-    det_routes,
     exterior_trace,
     invert_one_plus,
     log_det_series,
@@ -106,12 +105,8 @@ def _poly_coeff_map(p: Polynomial) -> dict:
     return {str(i): format_rational(c) for i, c in enumerate(p.coeffs) if c != 0}
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        for key in sorted(payload):
-            sys.stdout.write("%s: %s\n" % (key, payload[key]))
+def _emit(payload: dict) -> None:
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _run_trace(args):
@@ -301,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="finpot",
         description="Exact traces, determinants and local symbols of finite potent operators",
     )
-    parser.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, fn, **arguments):
@@ -362,12 +354,12 @@ def main(argv=None) -> int:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2
     except FinpotError as exc:
-        _emit({"detail": str(exc), "error": exc.code}, args.format)
+        _emit({"detail": str(exc), "error": exc.code})
         return 1
     except (ArithmeticError, ValueError) as exc:
-        _emit({"detail": str(exc), "error": "domain"}, args.format)
+        _emit({"detail": str(exc), "error": "domain"})
         return 1
-    _emit(payload, args.format)
+    _emit(payload)
     return 0
 
 

@@ -39,8 +39,6 @@ from .matrices import (
     charpoly,
     det,
     elementary_symmetric,
-    identity,
-    mat_add,
     mat_inverse,
     mat_trace,
     power_traces,
@@ -48,7 +46,6 @@ from .matrices import (
 from .operators import (
     FinitePotentOperator,
     SparseOperator,
-    TailDescriptor,
     certify_finite_potent,
     op_add,
     op_compose,
@@ -74,10 +71,14 @@ def _block(phi: FinitePotentOperator):
     return [list(row) for row in certify_finite_potent(phi).matrix]
 
 
+def _one_plus(m):
+    """1 + m for a square matrix m, added on the diagonal only."""
+    return [[*row[:p], Fraction(1) + row[p], *row[p + 1 :]] for p, row in enumerate(m)]
+
+
 def det_one_plus(phi: FinitePotentOperator):
     """det(1 + phi) = det(1 + phi|W) on the certificate block."""
-    m = _block(phi)
-    return canonical(det(mat_add(identity(len(m)), m)))
+    return canonical(det(_one_plus(_block(phi))))
 
 
 def _core_symmetric(es):
@@ -200,30 +201,15 @@ def invert_one_plus(phi: FinitePotentOperator) -> FinitePotentOperator:
     if scalar_is_zero(det_one_plus(phi)):
         raise NotInvertibleError("det(1 + phi) = 0; 1 + phi is not invertible")
     support = sorted(phi.finite_part.support())
-    pos = {i: p for p, i in enumerate(support)}
     n = len(support)
-    block = identity(n)
-    for (i, j), c in phi.finite_part.entries.items():
-        block[pos[i]][pos[j]] = block[pos[i]][pos[j]] + c
-    inv = mat_inverse(block)
-    entries = {}
-    for r in range(n):
-        for c in range(n):
-            val = inv[r][c] - (1 if r == c else 0)
-            if not scalar_is_zero(val):
-                entries[(support[r], support[c])] = val
-    tail = TailDescriptor.none()
-    if phi.has_tail():
-        # (1 + T)^{-1} - 1 = sum_{k>=1} (-T)^k, terminating at the block size
-        term = phi.tail.scale(Fraction(-1))
-        acc = term
-        power = term
-        for _ in range(phi.tail.nilpotency_degree() - 1):
-            power = power.compose(phi.tail.scale(Fraction(-1)))
-            if power.is_none():
-                break
-            acc = acc.add(power)
-        tail = acc
+    inv = mat_inverse(_one_plus(phi.finite_part.block(support)))
+    entries = {(support[r], support[c]): inv[r][c] - (1 if r == c else 0)
+               for r in range(n) for c in range(n)}
+    # (1 + T)^{-1} - 1 = sum_{k>=1} (-T)^k, terminating at the block size
+    tail = power = neg = phi.tail.scale(Fraction(-1))
+    for _ in range(phi.tail.nilpotency_degree() - 1):
+        power = power.compose(neg)
+        tail = tail.add(power)
     psi = FinitePotentOperator(SparseOperator(entries), tail)
     check = op_add(op_add(phi, psi), op_compose(phi, psi))
     if not check.is_zero():
@@ -265,28 +251,20 @@ def wedge_scaling_check(phi: FinitePotentOperator, m: int):
     """det of (1 + phi) on the span of the first m basis vectors: the
     certificate block followed by whole tail blocks.  Stable in m: every
     admissible m returns det_one_plus(phi)."""
-    block = _block(phi)
-    w_dim = len(block)
-    if m < w_dim:
-        raise ValueError("m must cover the invariant block (>= %d)" % w_dim)
-    extra = m - w_dim
+    w = certify_finite_potent(phi).indices
+    extra = m - len(w)
+    if extra < 0:
+        raise ValueError("m must cover the invariant block (>= %d)" % len(w))
     if phi.has_tail():
         b = phi.tail.block_size
         if extra % b != 0:
             raise ValueError("m must align with whole tail blocks of size %d" % b)
     elif extra != 0:
-        raise ValueError("no tail: m must equal the invariant block size %d" % w_dim)
-    mat = identity(m)
-    for r, row in enumerate(block):
-        for c, x in enumerate(row):
-            mat[r][c] = mat[r][c] + x
-    # tail blocks: e_(start + q) sits at w_dim + q
-    start = phi.tail.start_index
-    for q in range(extra):
-        for i, c in phi.tail.image_of(start + q):
-            r = w_dim + i - start
-            mat[r][w_dim + q] = mat[r][w_dim + q] + c
-    return canonical(det(mat))
+        raise ValueError("no tail: m must equal the invariant block size %d" % len(w))
+    # tail blocks: e_(start + q) sits at len(w) + q
+    indices = [*w, *range(phi.tail.start_index, phi.tail.start_index + extra)]
+    block = phi.finite_part.add(phi.tail.on(indices)).block(indices)
+    return canonical(det(_one_plus(block)))
 
 
 def det_routes(phi: FinitePotentOperator):
@@ -295,7 +273,7 @@ def det_routes(phi: FinitePotentOperator):
     block = _block(phi)
     ast = fitting(block)
     n = ast.core_dim
-    value_ast = det(mat_add(identity(n), ast.core_matrix))
+    value_ast = det(_one_plus(ast.core_matrix))
     es = elementary_symmetric(block)
     value_ext = sum(_core_symmetric(es)[1:], Fraction(1))
     # det(1 + M) = (-1)^N charpoly(-1) = e_N + ... + e_0 for the N x N block M

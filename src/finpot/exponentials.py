@@ -162,7 +162,8 @@ def det_series(s: OperatorSeries) -> TruncatedLaurentSeries:
     - a tail moves an index only upward inside its block, so W, a union of
       intervals that each end where a block of every tail around it ends,
       is invariant; the block is filled from the finite entries and the
-      tails' images of W, which never share a cell within one term;
+      tails' entries in the columns of W (tail.on), which never share a
+      cell within one term;
     - on V/W only the tails act.  Tails of one block geometry are
       polynomials in one nilpotent shift; tails of two geometries are never
       composed below the precision in a series from exp_op, exp_product or
@@ -191,8 +192,7 @@ def det_series(s: OperatorSeries) -> TruncatedLaurentSeries:
     pos = {i: p for p, i in enumerate(sorted(w))}
     cells = [[{0: Fraction(1)} if p == q else {} for q in pos.values()] for p in pos.values()]
     for d, t in s.terms.items():
-        tail = [((i, j), c) for j in pos for i, c in t.tail.image_of(j)]
-        for (i, j), c in [*t.finite_part.entries.items(), *tail]:
+        for (i, j), c in [*t.finite_part.entries.items(), *t.tail.on(pos).entries.items()]:
             if j in pos:
                 cells[pos[i]][pos[j]][d] = c
     one = TruncatedLaurentSeries.one(s.variable, s.precision)

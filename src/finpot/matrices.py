@@ -46,7 +46,8 @@ from .scalars import _add_product, _int_coeffs, scalar_is_zero
 from .series import TruncatedLaurentSeries, _dot, _inv_scalar
 
 
-def identity(n, one=Fraction(1), zero=Fraction(0)):
+def identity(n):
+    one, zero = Fraction(1), Fraction(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
@@ -82,10 +83,6 @@ def mat_mul(a, b):
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_trace(a):

@@ -23,9 +23,12 @@ when first read.  Operands with NumberFieldElement entries, alone or mixed
 with Fractions, take the same loops over the stored scalars.  Both give
 the same values and types.
 
-The tail rule (which e_{i+k} a tail reaches from e_i) lives in one place,
-TailDescriptor.image_of: op_apply, op_entry, the products of a tail with a
-finite part and determinants.wedge_scaling_check all read it, and
+Two views turn an operator into a finite matrix.  TailDescriptor.on(cols),
+the tail's entries in those columns as a SparseOperator, is the only reader
+of the tail rule (TailDescriptor.image_of); op_apply, op_entry, op_compose
+(through SparseOperator.compose) and exponentials.det_series take tails
+from it.  SparseOperator.block(indices), the dense matrix on those indices,
+fills the certificate and the blocks of the determinants module.
 TailDescriptor.compose multiplies shift polynomials with scalars._poly_mul.
 """
 
@@ -152,6 +155,8 @@ class SparseOperator:
     def compose(self, other: "SparseOperator") -> "SparseOperator":
         """Matrix product self . other; on all-Fraction operands, of the
         numerators over the product of the denominators."""
+        if self.is_zero() or other.is_zero():
+            return SparseOperator()
         a, b = self._ints(), other._ints()
         ints = a is not None and b is not None
         if ints:
@@ -167,6 +172,16 @@ class SparseOperator:
                 key = (i, j)
                 out[key] = out.get(key, zero) + x * y
         return SparseOperator._from_ints(out, ld * rd) if ints else SparseOperator(out)
+
+    def block(self, indices) -> list:
+        """Dense matrix of the entries whose row and column both lie in
+        indices, rows and columns in that order."""
+        pos = {i: p for p, i in enumerate(indices)}
+        out = [[Fraction(0)] * len(pos) for _ in pos]
+        for (i, j), c in self.entries.items():
+            if i in pos and j in pos:
+                out[pos[i]][pos[j]] = c
+        return out
 
     def apply(self, vec: dict) -> dict:
         out = {}
@@ -216,18 +231,12 @@ class TailDescriptor:
             and self.start_index == other.start_index
         )
 
-    def lowest_power(self) -> int:
-        """Smallest k with coeffs[k-1] nonzero (valuation of the shift poly)."""
-        for k, c in enumerate(self.coeffs, start=1):
-            if c != 0:
-                return k
-        raise ValueError("normalized tail cannot be zero")
-
     def nilpotency_degree(self) -> int:
+        """ceil(block_size / v), v the valuation of the shift polynomial."""
         if self.is_none():
             return 1
-        v = self.lowest_power()
-        return -(-self.block_size // v)  # ceil(block_size / v)
+        v = next(k for k, c in enumerate(self.coeffs, start=1) if c != 0)
+        return -(-self.block_size // v)
 
     def image_of(self, i: int):
         """[(target index, coeff)] for the tail acting on e_i."""
@@ -239,6 +248,10 @@ class TailDescriptor:
             if c != 0 and q + k < self.block_size:
                 out.append((i + k, c))
         return out
+
+    def on(self, cols) -> SparseOperator:
+        """The tail's entries in the given columns, as a SparseOperator."""
+        return SparseOperator({(i, j): c for j in cols for i, c in self.image_of(j)})
 
     def add(self, other: "TailDescriptor") -> "TailDescriptor":
         if self.is_none():
@@ -389,14 +402,7 @@ class Certificate:
 
 def op_apply(phi: FinitePotentOperator, vec: dict) -> dict:
     """Action on a finite-support vector {index: coefficient}."""
-    out = phi.finite_part.apply(vec)
-    if phi.has_tail():
-        for j, x in vec.items():
-            if scalar_is_zero(x):
-                continue
-            for i, c in phi.tail.image_of(j):
-                out[i] = out.get(i, Fraction(0)) + c * x
-    return {i: v for i, v in out.items() if not scalar_is_zero(v)}
+    return phi.finite_part.add(phi.tail.on(vec)).apply(vec)
 
 
 def op_scale(phi: FinitePotentOperator, c) -> FinitePotentOperator:
@@ -405,11 +411,7 @@ def op_scale(phi: FinitePotentOperator, c) -> FinitePotentOperator:
 
 def op_entry(phi: FinitePotentOperator, i: int, j: int):
     """Matrix entry (i, j), tail contribution included."""
-    val = phi.finite_part.get(i, j)
-    for target, c in phi.tail.image_of(j):
-        if target == i:
-            val = val + c
-    return val
+    return phi.finite_part.get(i, j) + phi.tail.on([j]).get(i, j)
 
 
 def op_add(phi: FinitePotentOperator, *psis: FinitePotentOperator) -> FinitePotentOperator:
@@ -434,45 +436,22 @@ def op_sub(phi: FinitePotentOperator, psi: FinitePotentOperator) -> FinitePotent
     return op_add(phi, op_scale(psi, Fraction(-1)))
 
 
-def _tail_after_sparse(tail: TailDescriptor, sp: SparseOperator) -> SparseOperator:
-    """tail . sp as a finite-support matrix."""
-    if tail.is_none():
-        return SparseOperator()
-    out = {}
-    for (k, j), c in sp.entries.items():
-        for i, tc in tail.image_of(k):
-            out[(i, j)] = out.get((i, j), Fraction(0)) + tc * c
-    return SparseOperator(out)
-
-
-def _sparse_after_tail(sp: SparseOperator, tail: TailDescriptor) -> SparseOperator:
-    """sp . tail as a finite-support matrix: only columns feeding sp's
-    column support matter, and each has finitely many tail preimages."""
-    if tail.is_none():
-        return SparseOperator()
-    by_col = {}
-    for (i, k), c in sp.entries.items():
-        by_col.setdefault(k, []).append((i, c))
-    out = {}
-    for k, targets in by_col.items():
-        # tail(e_j) can hit e_k only for j = k - s, 1 <= s <= len(coeffs),
-        # and only from j at or above the tail start
-        for j in range(max(k - len(tail.coeffs), tail.start_index), k):
-            for hit, tc in tail.image_of(j):
-                if hit == k:
-                    for i, c in targets:
-                        out[(i, j)] = out.get((i, j), Fraction(0)) + c * tc
-    return SparseOperator(out)
-
-
 def op_compose(
     phi: FinitePotentOperator, psi: FinitePotentOperator
 ) -> FinitePotentOperator:
-    """Composition phi . psi (apply psi first)."""
+    """Composition phi . psi (apply psi first).  psi's tail reaches a column
+    k of phi's finite part only from the columns k - len(coeffs) .. k - 1 at
+    or above its start, and phi's tail acts only on the rows of psi's."""
     tail = phi.tail.compose(psi.tail)  # raises on incompatible geometry
-    finite = phi.finite_part.compose(psi.finite_part)
-    finite = finite.add(_sparse_after_tail(phi.finite_part, psi.tail))
-    finite = finite.add(_tail_after_sparse(phi.tail, psi.finite_part))
+    a, b = phi.finite_part, psi.finite_part
+    parts = []
+    if psi.has_tail():
+        reach, start = len(psi.tail.coeffs), psi.tail.start_index
+        cols = {j for k in a.cols() for j in range(max(k - reach, start), k)}
+        parts.append(a.compose(psi.tail.on(cols)))
+    if phi.has_tail():
+        parts.append(phi.tail.on(b.rows()).compose(b))
+    finite = a.compose(b).add(*parts)
     if not tail.is_none():
         sup = finite.support()
         if sup and max(sup) >= tail.start_index:
@@ -508,12 +487,7 @@ def certify_finite_potent(phi: FinitePotentOperator) -> Certificate:
     phi^n(e_i) in span(W) for all i.
     """
     indices = tuple(sorted(phi.finite_part.rows()))
-    pos = {i: p for p, i in enumerate(indices)}
-    size = len(indices)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for (i, j), c in phi.finite_part.entries.items():
-        if j in pos:
-            matrix[pos[i]][pos[j]] = c
+    matrix = phi.finite_part.block(indices)
     n = max(1, phi.tail.nilpotency_degree()) if phi.has_tail() else 1
     return Certificate(n, indices, tuple(tuple(r) for r in matrix))
 

@@ -13,10 +13,11 @@ f = pi^v n/d with d coprime to pi, and let inv = d^-1 mod pi: 1/d(a) for
 pi = t - a, the inverse in Q[theta]/(pi) when deg pi > 1.  Each digit is
 r = n inv mod pi, and n then becomes (n - r d)/pi, an exact division that
 keeps deg n bounded.  The place at infinity runs the same recurrence on
-f(1/t) with pi = t.  The recurrence needs no Place and no irreducibility:
-for a monic squarefree modulus q it runs in the etale algebra Q[t]/(q), the
-product of the residue fields of q's factors, as long as d is coprime to q;
-residues.squarefree_residues uses it that way.  Only Place checks
+the reversed, unnormalised lists of f(1/t) with pi = t.  The recurrence
+needs no Place and no irreducibility: for a monic squarefree modulus q it
+runs in the etale algebra Q[t]/(q), the product of the residue fields of
+q's factors, as long as d is coprime to q; residues.squarefree_residues
+uses it that way.  Only Place checks
 irreducibility, through sympy from degree 3 up.
 """
 
@@ -156,10 +157,14 @@ def local_expand(f: RationalFunction, p: Place, prec: int) -> LocalExpansion:
     if f.is_zero():
         raise SeriesDomainError("cannot expand the zero function at a place")
     if p.is_infinity():
-        f, pi = substitute_inverse(f), (Fraction(0), Fraction(1))
+        # f(1/t) as t^m n(1/t) / (t^m d(1/t)), not normalised: the gcd is 1,
+        # and scaling both lists by one constant leaves every digit as it is
+        m = max(f.num.degree, f.den.degree) + 1
+        num, den = (_poly_trim(q.reversed_coeffs(m)) for q in (f.num, f.den))
+        pi = (Fraction(0), Fraction(1))
     else:
-        pi = p.minimal_poly.coeffs
-    v, digits = expand_digits(f.num.coeffs, f.den.coeffs, pi, p.field, prec)
+        num, den, pi = f.num.coeffs, f.den.coeffs, p.minimal_poly.coeffs
+    v, digits = expand_digits(num, den, pi, p.field, prec)
     if prec <= v:
         series = TruncatedLaurentSeries.zero("u", prec, min_degree=min(v, prec - 1))
     else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import PrecisionError
 from .exponentials import OperatorSeries, det_series, exp_product
 from .operators import FinitePotentOperator
 from .places import Place, local_expand
@@ -42,11 +43,14 @@ DEFAULT_Z_PREC = 8
 
 
 class SymbolValue:
-    """A series in z with constant term 1 whose log is a pure z^2 monomial."""
+    """A series in z with constant term 1 whose log is a pure z^2 monomial.
+    exp(z^2 r) carries r only from precision 3 up, so a lower precision
+    raises PrecisionError.  Values compare and hash by (variable, r)."""
 
     __slots__ = ("series", "exponent")
 
     def __init__(self, series: TruncatedLaurentSeries):
+        _check_precision(series.precision)
         log = series_log(series)
         bad = [d for d in log.coeffs if d != 2]
         if bad:
@@ -60,8 +64,12 @@ class SymbolValue:
     def from_exponent(
         cls, r, prec: int = DEFAULT_Z_PREC, variable: str = "z"
     ) -> "SymbolValue":
+        _check_precision(prec)
+        out = object.__new__(cls)
         mono = TruncatedLaurentSeries.from_terms(variable, {2: r}, prec, 0)
-        return cls(series_exp(mono))
+        out.series = series_exp(mono)
+        out.exponent = mono.coefficient(2)
+        return out
 
     def __mul__(self, other: "SymbolValue") -> "SymbolValue":
         return SymbolValue.from_exponent(
@@ -73,16 +81,22 @@ class SymbolValue:
     def __eq__(self, other):
         if not isinstance(other, SymbolValue):
             return NotImplemented
-        return self.series.same_to_precision(other.series)
+        self.series._check_var(other.series)
+        return self.exponent == other.exponent
 
     def __hash__(self):
-        return hash(self.series)
+        return hash((self.series.variable, self.exponent))
 
     def is_one(self) -> bool:
         return self.exponent == 0
 
     def __repr__(self):
         return "SymbolValue(%s)" % (self.series,)
+
+
+def _check_precision(prec: int) -> None:
+    if prec < 3:
+        raise PrecisionError("exp(z^2 r) carries r only from precision 3, not %d" % prec)
 
 
 def cocycle(

@@ -17,9 +17,11 @@ the stored or closed cores and the content box finpot used before it read
 the core off the series terms, the truncated loop pairing on a finite
 stage, as finpot computed it before it took the corner from Widom's
 identity, the exp recurrence and the pairing's cutoff sizing on
-Fractions, as finpot ran them before it ran both on integers, and the
+Fractions, as finpot ran them before it ran both on integers, the
 pairing's rounded corner determinant from the exact int_det, as finpot
-took it before it certified the rounding from a fixed-point LU.
+took it before it certified the rounding from a fixed-point LU, and the
+action of an operator and of a composition from the stored finite
+entries and the tail's image_of, without the tail.on and block views.
 """
 
 from fractions import Fraction
@@ -30,7 +32,7 @@ from finpot.errors import SeriesDomainError
 from finpot.matrices import int_det
 from finpot.places import LocalExpansion
 from finpot.polynomials import Polynomial
-from finpot.scalars import NumberField, NumberFieldElement, _int_coeffs
+from finpot.scalars import NumberField, NumberFieldElement, _int_coeffs, scalar_is_zero
 from finpot.segal_wilson import _RADII, exp_symbol
 from finpot.series import TruncatedLaurentSeries, series_inv
 
@@ -322,6 +324,23 @@ def sparse_compose(a, b):
             key = (i, j)
             out[key] = out.get(key, Fraction(0)) + x * y
     return SparseOperator(out)
+
+
+def apply_by_image_of(phi, vec):
+    """op_apply as one loop over the vector: the finite part's stored
+    entries in each column, then the tail's image_of the index."""
+    out = {}
+    for j, x in vec.items():
+        column = [(i, c) for (i, k), c in phi.finite_part.entries.items() if k == j]
+        for i, c in column + phi.tail.image_of(j):
+            out[i] = out.get(i, Fraction(0)) + c * x
+    return {i: v for i, v in out.items() if not scalar_is_zero(v)}
+
+
+def compose_by_image_of(phi, psi, columns):
+    """{j: (phi . psi)(e_j)} for j in columns, psi applied first, each
+    factor by apply_by_image_of."""
+    return {j: apply_by_image_of(phi, apply_by_image_of(psi, {j: Fraction(1)})) for j in columns}
 
 
 # -- products of operator exponentials by series products ----------------------

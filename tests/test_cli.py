@@ -394,3 +394,21 @@ def test_empty_operator_series_precision_is_a_precision_error():
             payload = json.loads(out)
             assert payload["error"] == "precision"
             assert payload["detail"] == "empty precision window [0, %s)" % prec
+
+
+def test_symbol_precision_below_3_is_a_precision_error():
+    """A symbol value exp(z^2 r) carries r only from precision 3 up: the
+    symbol verbs exit 1 with a precision error below it, whatever the
+    residue, instead of a domain error or a vacuous 1 + O(z^2)."""
+    for verb in ("cocycle", "pairing", "reciprocity"):
+        for f in ("1/t", "t"):
+            for prec in ("1", "2"):
+                code, out, err = run_cli(verb, "--f", f, "--g", "t", "--prec", prec)
+                assert (code, err) == (1, "")
+                assert json.loads(out)["error"] == "precision"
+
+
+def test_format_flag_is_rejected():
+    """Output is JSON only: --format is not an option."""
+    code, out, err = run_cli("--format", "text", "residue", "--f", "1/t", "--g", "t")
+    assert code == 2 and out == "" and err.startswith("usage: finpot")

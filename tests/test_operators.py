@@ -23,7 +23,14 @@ from finpot.operators import (
 )
 from finpot.scalars import NumberField, scalar_is_zero
 from conftest import q_operators, random_operator
-from oracles import sparse_add, sparse_compose, sparse_scale, tail_compose_generic
+from oracles import (
+    apply_by_image_of,
+    compose_by_image_of,
+    sparse_add,
+    sparse_compose,
+    sparse_scale,
+    tail_compose_generic,
+)
 
 
 def test_apply_single_entry():
@@ -506,3 +513,63 @@ def test_scaling_a_tail_by_a_number_field_element():
     for vec in ({0: Fraction(1)}, {5: Fraction(2), 6: Fraction(-1)}, {0: c, 7: Fraction(3), 8: 1}):
         want = {i: c * x for i, x in op_apply(phi, vec).items()}
         assert op_apply(scaled, vec) == want
+
+
+# -- the two matrix views: TailDescriptor.on and SparseOperator.block ----------
+
+
+def _scalar(draw, field):
+    """A Fraction from _Q, zero included, or with a field half the time a
+    field element."""
+    c = draw(_TAIL_Q)
+    if field is not None and draw(st.booleans()):
+        c = field.element([c, draw(_Q)])
+    return c
+
+
+@st.composite
+def _operator_on(draw, field, lo, hi, tail):
+    """Up to 6 entries on lo..hi over Q or Q and the field, with the tail."""
+    keys = draw(st.lists(st.tuples(st.integers(lo, hi), st.integers(lo, hi)),
+                         max_size=6, unique=True))
+    return FPO(SparseOperator({k: _scalar(draw, field) for k in keys}), tail)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from((None, GAUSS)), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_apply_and_compose_with_tails_match_image_of(field, block_size, start, data):
+    """op_apply and op_compose on tailed operators over Q and Q(i) act as
+    the stored entries and the tail's image_of do: vectors with zero
+    entries and indices below the tail start; a tail-free factor that
+    reaches into the other's tail region on either side, and two tails of
+    one geometry."""
+    def tail():
+        cs = [_scalar(data.draw, field) for _ in range(data.draw(st.integers(1, 3)))]
+        return TailDescriptor.jordan(block_size, start, cs)
+
+    hi = start + 2 * block_size
+    span = range(-3, hi + block_size)
+    psi = data.draw(_operator_on(field, -3, start - 1, tail()))
+    tailed = data.draw(_operator_on(field, -3, start - 1, tail()))
+    free = data.draw(_operator_on(field, -3, hi, TailDescriptor.none()))
+    for phi in (psi, tailed, free):
+        keys = data.draw(st.lists(st.sampled_from(span), max_size=5, unique=True))
+        vec = {j: _scalar(data.draw, field) for j in keys}
+        assert op_apply(phi, vec) == apply_by_image_of(phi, vec)
+    for first, second in ((psi, free), (free, psi), (psi, tailed), (tailed, psi)):
+        both = op_compose(second, first)
+        assert both.tail == tail_compose_generic(second.tail, first.tail)
+        want = compose_by_image_of(second, first, span)
+        assert {j: apply_by_image_of(both, {j: Fraction(1)}) for j in span} == want
+
+
+@settings(max_examples=100)
+@given(st.sampled_from((None, GAUSS)).flatmap(_sparse),
+       st.lists(st.integers(-6, 5), max_size=8, unique=True))
+def test_block_matches_dict_reference(a, indices):
+    """block(indices) holds entry (i, j) of a at the positions of i and j
+    in indices, and Fraction 0 where a stores nothing."""
+    want = [[a.entries.get((i, j), Fraction(0)) for j in indices] for i in indices]
+    got = a.block(indices)
+    assert got == want
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]

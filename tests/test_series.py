@@ -173,7 +173,7 @@ _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def _series(draw, first_degree):
+def _recurrence_series(draw, first_degree):
     """A series in z with min_degree 0 and precision up to 40, coefficients in
     Q or in Q(i) or Q(sqrt 2), stored from first_degree on."""
     field = draw(st.sampled_from(_FIELDS))
@@ -194,20 +194,20 @@ def _same(new, old):
 
 
 @settings(max_examples=60)
-@given(_series(1))
+@given(_recurrence_series(1))
 def test_exp_recurrence_matches_taylor_sum(a):
     _same(series_exp(a), series_exp_taylor(a))
 
 
 @settings(max_examples=60)
-@given(_series(1))
+@given(_recurrence_series(1))
 def test_log_recurrence_matches_taylor_sum(x):
     a = x + 1
     _same(series_log(a), series_log_taylor(a))
 
 
 @settings(max_examples=60)
-@given(_series(0))
+@given(_recurrence_series(0))
 def test_inv_recurrence_matches_geometric_sum(a):
     if a.is_zero():
         with pytest.raises(SeriesDomainError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finpot.errors import PrecisionError, VariableMismatchError
 from finpot.operators import HalfSpaceSpec
 from finpot.parsing import parse_place, parse_rational_function as P
 from finpot.places import Place, relevant_places
@@ -40,6 +41,35 @@ def test_symbol_shape_guard():
     bad = series_exp(TLS.from_terms("z", {1: 1}, 8))
     with pytest.raises(ValueError):
         SymbolValue(bad)
+
+
+@pytest.mark.parametrize("prec", [1, 2])
+def test_symbol_value_below_precision_3_is_a_precision_error(prec):
+    """exp(z^2 r) carries r only from precision 3 up, so every route to a
+    symbol value below it raises PrecisionError, whatever the residue."""
+    for r in (0, 1):
+        with pytest.raises(PrecisionError):
+            sym(r, prec)
+    with pytest.raises(PrecisionError):
+        SymbolValue(TLS.one("z", prec))
+    for f in (P("1/t"), P("t")):
+        with pytest.raises(PrecisionError):
+            cocycle(f, P("t"), PLACE_T, prec)
+        with pytest.raises(PrecisionError):
+            cocycle_via_operators(f, P("t"), PLACE_T, 0, prec)
+        with pytest.raises(PrecisionError):
+            reciprocity_check(f, P("t"), prec)
+
+
+def test_equal_symbol_values_hash_alike():
+    """Symbol values compare and hash by variable and exponent, at any
+    precision from 3 up; values in different variables do not compare."""
+    a, b = sym(1, 8), sym(1, 16)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a == SymbolValue(series_exp(TLS.from_terms("z", {2: 1}, 3)))
+    assert sym(1, 3) != sym(2, 3) and len({sym(0, 3), sym(0, 5), sym(2, 4)}) == 2
+    with pytest.raises(VariableMismatchError):
+        a == SymbolValue.from_exponent(Fraction(1), 8, "w")
 
 
 def test_cocycle_examples():
@@ -125,7 +155,7 @@ def _laurent_at(coeffs, place):
     _LAURENT,
     st.sampled_from(["t", "t-1", "inf"]),
     st.integers(-3, 3),
-    st.integers(2, 8),
+    st.integers(3, 8),
 )
 def test_operator_route_matches_residue_route(fc, gc, name, cut, prec_z):
     """The determinants of the exponential products on the half-space
