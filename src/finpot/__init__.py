@@ -62,7 +62,7 @@ from .operators import (
 )
 from .parsing import parse_loop_exponent, parse_place, parse_rational_function
 from .places import LocalExpansion, Place, local_expand, relevant_places
-from .polynomials import Polynomial, RationalFunction, squarefree_parts
+from .polynomials import Polynomial, RationalFunction, coprime_basis, squarefree_parts
 from .residues import residue_classical, residue_sum, residue_tate, squarefree_residues
 from .scalars import NumberField, NumberFieldElement, field_norm, field_trace
 from .segal_wilson import (

@@ -9,7 +9,9 @@ precision.
 
 Work caps, checked before any computation: a series precision (--prec or
 FINPOT_PREC) above MAX_PREC = 1024, a ps-series --order above MAX_ORDER = 64
-(one m x m determinant for every m up to the order), an sw-pairing --T above
+(one m x m determinant for every m up to the order), a tail block_size above
+MAX_BLOCK_SIZE = 256 (invert sums one term per block row: cold, tail
+coefficients [1/2, 1/3] take 0.6 s at 256 and 11 s at 1024), an sw-pairing --T above
 MAX_T = 40 (the default is 20; cold, --f z --ftilde z^-1 takes about 0.6 s
 at T = 40, where the exact T + 28 stage finpot once used took 15-18 s and
 could not print its value), an sw-pairing coefficient size
@@ -17,9 +19,8 @@ sum |a_n| + sum |b_m| above MAX_COEFF_SIZE = 40 (the cutoffs and the working
 precision grow with it: the slowest exponents of size 40 take about 2 s cold
 at T = 40, and --f 1000*z --ftilde 1000*z^-1 would need inner sums of 3650
 terms at 5933 bits), and the parser's limits (parsing.MAX_EXPONENT,
-parsing.MAX_DEGREE, and parsing.MAX_PLACE_DEGREE = 60 for --place, whose
-irreducibility sympy decides from degree 3 up).
-reciprocity takes no place and factors nothing, so it never imports sympy.
+parsing.MAX_DEGREE, and parsing.MAX_PLACE_DEGREE = 60 for --place).
+A --place is squarefree; a reducible one stands for the places dividing it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .operators import FinitePotentOperator, SparseOperator, TailDescriptor
 from .parsing import ParseError, parse_loop_exponent, parse_place, parse_rational_function
 from .polynomials import Polynomial, RationalFunction
 from .residues import residue_classical, residue_tate
-from .scalars import format_rational
+from .scalars import format_rational, parse_integer
 from .segal_wilson import (LoopExponent, sw_pairing_closed, sw_pairing_truncated,
                            sw_vs_tate_check)
 from .series import format_series
@@ -65,6 +66,7 @@ MAX_PREC = 1024
 MAX_ORDER = 64
 MAX_T = 40
 MAX_COEFF_SIZE = 40
+MAX_BLOCK_SIZE = 256
 
 
 def _default_prec(fallback: int) -> int:
@@ -94,11 +96,16 @@ def _load_operator(arg: str) -> FinitePotentOperator:
 
 
 def _operator_from_json(data) -> FinitePotentOperator:
-    """Decoded operator JSON; a payload of the wrong shape is a parse error."""
+    """Decoded operator JSON; a payload of the wrong shape, or with a tail
+    block above MAX_BLOCK_SIZE, is a parse error."""
     try:
-        return FinitePotentOperator.from_json_dict(data)
+        op = FinitePotentOperator.from_json_dict(data)
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad operator payload: %s" % exc)
+    if op.tail.block_size > MAX_BLOCK_SIZE:
+        raise ParseError("tail block size %d exceeds the limit %d"
+                         % (op.tail.block_size, MAX_BLOCK_SIZE))
+    return op
 
 
 def _poly_coeff_map(p: Polynomial) -> dict:
@@ -187,7 +194,7 @@ def _run_zassenhaus(args):
 def _run_infprod(args):
     try:
         raw = json.loads(args.family)
-        family = [(int(w), op) for w, op in raw]
+        family = [(parse_integer(w), op) for w, op in raw]
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ParseError("bad family payload: %s" % exc)
     family = [(w, _operator_from_json(op)) for w, op in family]

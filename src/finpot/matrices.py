@@ -81,10 +81,6 @@ def mat_mul(a, b):
     return [[Fraction(x, den) for x in row] for row in _mul(ia, ib)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_trace(a):
     n = len(a)
     if n == 0:

@@ -46,6 +46,7 @@ from .scalars import (
     _int_coeffs,
     _poly_mul,
     format_rational,
+    parse_integer,
     parse_rational,
     scalar_is_zero,
 )
@@ -358,7 +359,8 @@ class FinitePotentOperator:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FinitePotentOperator":
         entries = {
-            (int(i), int(j)): parse_rational(c) for i, j, c in data.get("entries", [])
+            (parse_integer(i), parse_integer(j)): parse_rational(c)
+            for i, j, c in data.get("entries", [])
         }
         tdata = data.get("tail")
         if tdata is None:
@@ -366,7 +368,7 @@ class FinitePotentOperator:
         else:
             coeffs = [parse_rational(c) for c in tdata.get("coeffs", ["1"])]
             tail = TailDescriptor.jordan(
-                int(tdata["block_size"]), int(tdata["start"]), coeffs
+                parse_integer(tdata["block_size"]), parse_integer(tdata["start"]), coeffs
             )
         return cls(SparseOperator(entries), tail)
 

@@ -13,10 +13,11 @@ Limits, each a ParseError raised before the work it bounds:
     "(t+1)^1000*(t+2)^1000" fails before the product is formed, while
     "t^-1000" and "(t+1)^1000" are accepted.
 Together they bound the work of any one expression.  A place given by
-parse_place may not have degree above MAX_PLACE_DEGREE = 60: a Place tests
-its polynomial for irreducibility through sympy from degree 3 up, which took about 0.1 s at
-degree 60 and 0.5 s at degree 100 on t^d + t + 1 and on dense polynomials
-with small integer coefficients.
+parse_place may not have degree above MAX_PLACE_DEGREE = 60: the squarefree
+check gcd(q, q') and the inverse mod q of a residue are Fraction Euclid
+runs.  Cold, `residue --f 1/q --g t^2 --place q` took 0.2 s at degree 60 for
+q = t^60 + t + 1, and for dense q with integer coefficients in [-9, 9] 0.25 s
+at degree 20, 1.0 s at 40 and 8.7 s at 60.
 """
 
 from __future__ import annotations

@@ -1,24 +1,20 @@
 """Closed points of the projective line over Q and exact local expansions.
 
-A finite place is a monic irreducible pi(t); its local parameter is pi
-itself and its residue field is Q[theta]/(pi).  The expansion of a rational
-function is the pi-adic digit expansion: f = sum_i r_i(t) pi^i with digit
-polynomials of degree < deg(pi), reported through the residue-field elements
-r_i(theta).  This is the coefficientwise-linear section of the completion
-(exact re-summation, digit by digit); it is not a ring map, but the residue
-functional Tr(r_{-1}(theta)) it induces is the classical residue.
+A finite place is a monic squarefree q(t), its local parameter is q and its
+residue algebra Q[theta]/(q): a field when q is irreducible, else the etale
+product of the fields of the places dividing q, whose residues it sums
+(Tate 1968).  The expansion of a rational function is the q-adic digit
+expansion f = sum_i r_i(t) q^i, digits of degree < deg(q) reported as the
+algebra elements r_i(theta).  This is the coefficientwise-linear section of
+the completion; it is not a ring map, but the residue functional
+Tr(r_{-1}(theta)) it induces is the classical residue.
 
 One digit recurrence, expand_digits, computes every expansion.  Write
-f = pi^v n/d with d coprime to pi, and let inv = d^-1 mod pi: 1/d(a) for
-pi = t - a, the inverse in Q[theta]/(pi) when deg pi > 1.  Each digit is
-r = n inv mod pi, and n then becomes (n - r d)/pi, an exact division that
-keeps deg n bounded.  The place at infinity runs the same recurrence on
-the reversed, unnormalised lists of f(1/t) with pi = t.  The recurrence
-needs no Place and no irreducibility: for a monic squarefree modulus q it
-runs in the etale algebra Q[t]/(q), the product of the residue fields of
-q's factors, as long as d is coprime to q; residues.squarefree_residues
-uses it that way.  Only Place checks
-irreducibility, through sympy from degree 3 up.
+f = q^v n/d with q not dividing d, and let inv = d^-1 mod q: 1/d(a) for
+q = t - a, the inverse in Q[theta]/(q) when deg q > 1, which exists when
+the places dividing q see one order.  Each digit is r = n inv mod q, and n
+then becomes (n - r d)/q, an exact division that keeps deg n bounded.  The
+place at infinity runs it on the reversed lists of f(1/t) with q = t.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SeriesDomainError
-from .polynomials import Polynomial, RationalFunction, is_irreducible, split_power
+from .polynomials import Polynomial, RationalFunction, coprime_basis, split_power
 from .scalars import (
     NumberField,
     NumberFieldElement,
@@ -40,30 +36,25 @@ from .series import TruncatedLaurentSeries
 
 
 class Place:
-    """A closed point of P^1 over Q: infinity, or a monic irreducible
-    polynomial, whose irreducibility sympy checks from degree 3 up."""
+    """Infinity, or the places dividing a monic squarefree polynomial (one
+    gcd with its derivative checks it): a closed point when irreducible."""
 
     __slots__ = ("kind", "minimal_poly", "degree", "field")
 
     def __init__(self, kind: str, minimal_poly: Polynomial = None):
         if kind == "infinity":
-            self.kind = kind
-            self.minimal_poly = None
-            self.degree = 1
-            self.field = None
+            self.kind, self.minimal_poly, self.degree, self.field = kind, None, 1, None
             return
         if kind != "finite":
             raise ValueError("kind must be 'finite' or 'infinity'")
-        if minimal_poly is None or not minimal_poly.is_monic():
-            raise ValueError("finite place needs a monic minimal polynomial")
-        if not is_irreducible(minimal_poly):
-            raise ValueError("minimal polynomial must be irreducible over Q")
+        if minimal_poly is None or not minimal_poly.is_monic() or minimal_poly.degree < 1:
+            raise ValueError("finite place needs a monic nonconstant polynomial")
+        if minimal_poly.gcd(minimal_poly.derivative()).degree > 0:
+            raise ValueError("place polynomial must be squarefree")
         self.kind = kind
         self.minimal_poly = minimal_poly
         self.degree = minimal_poly.degree
-        self.field = (
-            NumberField(list(minimal_poly.coeffs)) if self.degree > 1 else None
-        )
+        self.field = NumberField(minimal_poly.coeffs) if self.degree > 1 else None
 
     @classmethod
     def finite(cls, minimal_poly: Polynomial) -> "Place":
@@ -131,14 +122,19 @@ def expand_digits(num, den, pi, algebra, prec: int):
     nonzero, in powers of the monic squarefree pi: v is the order of pi in
     num/den, and digits maps each i with v <= i < prec to its nonzero digit,
     a value of `algebra` (NumberField(pi), or None for the value at a when
-    pi = t - a).  The part of den prime to pi must be a unit mod pi."""
+    pi = t - a).  Raises SeriesDomainError when the part of den prime to pi
+    is not a unit mod pi: the places dividing pi see unequal pole orders."""
     v, num = split_power(num, pi)
     w, den = split_power(den, pi)
     v -= w
     digits = {}
-    if prec <= v:
+    if v > 0 and prec <= v:  # pi divides num, so den, prime to num, is a unit mod pi
         return v, digits
-    inv = 1 / _residue(den, pi, algebra)
+    try:
+        inv = 1 / _residue(den, pi, algebra)
+    except ZeroDivisionError:
+        raise SeriesDomainError("the places dividing %s see unequal orders"
+                                % (Polynomial(pi),)) from None
     for i in range(v, prec):
         if i > v:  # the next numerator, (num - r den)/pi, from the last digit r
             if not scalar_is_zero(r):
@@ -183,19 +179,10 @@ def substitute_inverse(f: RationalFunction) -> RationalFunction:
 
 
 def relevant_places(*functions: RationalFunction):
-    """Finite places where any of the numerators/denominators vanish, plus
-    the place at infinity (the full pole/zero locus of the inputs), by
-    factoring through sympy."""
-    from .polynomials import factor_monic_irreducibles
-
-    seen = {}
-    for f in functions:
-        for poly in (f.num, f.den):
-            if poly.degree < 1:
-                continue
-            for fac, _ in factor_monic_irreducibles(poly):
-                if fac.degree >= 1:
-                    seen.setdefault(fac, None)
-    places = [Place.finite(fac) for fac in sorted(seen, key=lambda q: (q.degree, q.coeffs))]
+    """The places of a coprime squarefree basis of every numerator and
+    denominator, sorted by (degree, coefficients), then infinity: the full
+    pole/zero locus of the inputs.  Nothing is factored."""
+    basis = coprime_basis(p for f in functions for p in (f.num, f.den) if p.degree > 0)
+    places = [Place.finite(q) for q in sorted(basis, key=lambda q: (q.degree, q.coeffs))]
     places.append(Place.infinity())
     return places

@@ -5,15 +5,14 @@ coefficient (the zero polynomial is the empty list): Fractions, and
 NumberFieldElements only for values outside Q (det_poly over a number
 field), by scalars.canonical.
 Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
-Irreducible factorization over Q, and irreducibility from degree 3 up, are
-delegated to sympy; the rest is local, including the squarefree
-decomposition (squarefree_parts), which needs only gcds.
+Nothing here factors over Q: the squarefree decomposition (squarefree_parts)
+and the coprime squarefree basis of several polynomials (coprime_basis)
+need only gcds and exact divisions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .scalars import _poly_divmod, _poly_mul, _power, _Ring, canonical, format_rational
 
@@ -164,35 +163,6 @@ def format_polynomial(p: Polynomial, var: str) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
-def _to_sympy(p: Polynomial):
-    import sympy  # imported on first use: it dominates the package import time
-
-    return sympy.Poly.from_list(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-        or [0],
-        sympy.Symbol("x"),
-    )
-
-
-def _from_sympy(sp) -> Polynomial:
-    return Polynomial([Fraction(str(c)) for c in reversed(sp.all_coeffs())])
-
-
-def is_irreducible(p: Polynomial) -> bool:
-    """True for irreducible nonconstant polynomials over Q.  Every
-    polynomial of degree 1 is irreducible; one of degree 2 exactly when its
-    discriminant is not a rational square, which is negative or has a
-    numerator or denominator that is not a perfect square; sympy decides
-    degree 3 and up."""
-    if p.degree <= 1:
-        return p.degree == 1
-    if p.degree == 2:
-        c, b, a = p.coeffs
-        disc = b * b - 4 * a * c
-        return disc < 0 or any(isqrt(n) ** 2 != n for n in (disc.numerator, disc.denominator))
-    return _to_sympy(p).is_irreducible
-
-
 def split_power(cs, pi):
     """(m, cs / pi^m) for nonzero coefficient lists cs and pi, with m the
     multiplicity of pi in cs, by exact division on the lists.  Raises
@@ -230,12 +200,28 @@ def squarefree_parts(p: Polynomial):
     return out
 
 
-def factor_monic_irreducibles(p: Polynomial):
-    """Factor p over Q: list of (monic irreducible Polynomial, multiplicity)."""
-    if p.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    _, factors = _to_sympy(p).factor_list()
-    return [(_from_sympy(f).monic(), int(m)) for f, m in factors]
+def coprime_basis(polys):
+    """A coprime squarefree basis of the nonzero polys: monic, squarefree,
+    pairwise coprime nonconstant polynomials such that each input is a
+    constant times a product of their powers.  Factor refinement by gcds
+    only (Bach, Driscoll & Shallit 1993): each Yun part a meets the basis
+    once, since for squarefree a and b with g = gcd(a, b) the parts g, b/g
+    and a/g are squarefree and pairwise coprime."""
+    basis = []
+    for p in polys:
+        for a, _ in squarefree_parts(p):
+            refined = []
+            for b in basis:
+                g = a.gcd(b)
+                if g.degree > 0:  # g leaves both; no division by a unit gcd
+                    refined.append(g)
+                    a, b = a // g, b // g
+                if b.degree > 0:
+                    refined.append(b)
+            if a.degree > 0:
+                refined.append(a)
+            basis = refined
+    return basis
 
 
 class RationalFunction(_Ring):
@@ -332,13 +318,16 @@ class RationalFunction(_Ring):
         """Substitute t -> t + a."""
         return RationalFunction(self.num.shift(a), self.den.shift(a))
 
-    def valuation_at(self, pi: Polynomial) -> int:
-        """Order of vanishing along the irreducible pi (negative at poles)."""
+    def valuation_at(self, q: Polynomial) -> int:
+        """Order of vanishing (negative at poles) at each place dividing the
+        squarefree q; ValueError when those places see different orders."""
         if self.is_zero():
             raise ValueError("valuation of the zero function")
-        return split_power(self.num.coeffs, pi.coeffs)[0] - split_power(
-            self.den.coeffs, pi.coeffs
-        )[0]
+        v, num = split_power(self.num.coeffs, q.coeffs)
+        w, den = split_power(self.den.coeffs, q.coeffs)
+        if q.degree > 1 and Polynomial(_poly_mul(num, den)).gcd(q).degree > 0:
+            raise ValueError("the places dividing %s see different orders" % (q,))
+        return v - w
 
     def __repr__(self):
         if self.is_polynomial():

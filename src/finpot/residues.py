@@ -1,17 +1,15 @@
 """Residues of rational differentials f dg over Q(t), by two routes.
 
 The coefficient route reads the residue off the exact digit expansion of
-f g' / pi' at the place (trace of the parameter^{-1} coefficient down to Q),
-which it expands once; at infinity, where t = 1/u and f g' dt =
--f g'(1/u) u^-2 du, it is minus the u^1 coefficient of f g' at infinity.
-The same digit recurrence also sums residues without factoring: for a monic
-squarefree q whose square does not divide the poles of f dg, the trace of
-digit -1 of f g' / q' in the etale algebra Q[t]/(q) is the sum of the
-residues at the places dividing q (Tate 1968, where the residue is itself a
-trace).  squarefree_residues takes q over the squarefree parts (Yun) of the
-denominator of f g', which need no sympy, and residue_sum adds the place at
-infinity; residue_classical at one place stays the independent,
-place-by-place route.
+f g' / q' in powers of a monic squarefree q: the trace down to Q of digit
+-1, in the etale algebra Q[t]/(q), is the sum of the residues at the places
+dividing q (Tate 1968, where the residue is itself a trace).  _residue_at
+is that one routine.  When the places dividing q see unequal pole orders
+of f dg it splits q by one gcd and adds the two halves.  residue_classical
+runs it at a given place, and squarefree_residues over the squarefree
+parts (Yun) of the denominator of f g'; residue_sum adds the place at
+infinity, where t = 1/u and f g' dt = -f g'(1/u) u^-2 du, so the residue
+is minus the u^1 coefficient of f g' at infinity.  Nothing is factored.
 The operator route realizes multiplication by f and g on the basis
 e_i <-> t^i in a window that starts at the cut, which makes them the
 compressions to the upper half-space V+ = span{e_i : i >= cut} truncated at
@@ -26,10 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .determinants import tate_trace
-from .errors import ReductionError, WindowExhaustedError
+from .errors import ReductionError, SeriesDomainError, WindowExhaustedError
 from .operators import FinitePotentOperator, SparseOperator
 from .places import Place, expand_digits, local_expand, substitute_inverse
-from .polynomials import Polynomial, RationalFunction, squarefree_parts
+from .polynomials import Polynomial, RationalFunction, split_power, squarefree_parts
 from .scalars import NumberField, NumberFieldElement, _poly_mul, field_trace
 
 
@@ -40,14 +38,18 @@ def _differential(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     return f * g.derivative()
 
 
-def _residue_at(omega: RationalFunction, q: Polynomial, algebra) -> Fraction:
+def _residue_at(omega: RationalFunction, q: Polynomial) -> Fraction:
     """Trace down to Q of digit -1 of omega / q' in powers of the monic
-    squarefree q: the sum of res(omega dt) over the places dividing q.
-    omega is normalized, and each irreducible factor of q divides its
-    denominator to the same power, so the rest of the denominator is a
-    unit mod q (always so for an irreducible q)."""
+    squarefree q, in Q[t]/(q): the sum of res(omega dt) over the places
+    dividing q.  If they see unequal pole orders (never at degree 1), the
+    rest of omega's denominator shares a factor h with q: sum at h and q/h."""
+    algebra = NumberField(q.coeffs) if q.degree > 1 else None
     den = _poly_mul(omega.den.coeffs, q.derivative().coeffs)
-    _, digits = expand_digits(omega.num.coeffs, den, q.coeffs, algebra, 0)
+    try:
+        _, digits = expand_digits(omega.num.coeffs, den, q.coeffs, algebra, 0)
+    except SeriesDomainError:
+        h = Polynomial(split_power(omega.den.coeffs, q.coeffs)[1]).gcd(q)
+        return _residue_at(omega, h) + _residue_at(omega, q // h)
     c = digits.get(-1, Fraction(0))
     return field_trace(c) if isinstance(c, NumberFieldElement) else c
 
@@ -62,32 +64,32 @@ def _part_residues(omega: RationalFunction):
     """(q, residue sum over the places dividing q) for each squarefree
     part q of omega's denominator, in Q[t]/(q)."""
     for q, _ in squarefree_parts(omega.den):
-        algebra = NumberField(q.coeffs) if q.degree > 1 else None
-        yield q, _residue_at(omega, q, algebra)
+        yield q, _residue_at(omega, q)
 
 
 def residue_classical(f: RationalFunction, g: RationalFunction, p: Place) -> Fraction:
-    """res_p(f dg) via the digit expansion of f g' d(parameter)."""
+    """res_p(f dg) via the digit expansion of f g' d(parameter): at a
+    reducible place, the sum over the places dividing it."""
     omega = _differential(f, g)
     if omega.is_zero():
         return Fraction(0)
     if p.is_infinity():
         return _residue_at_infinity(omega)
-    return _residue_at(omega, p.minimal_poly, p.field)
+    return _residue_at(omega, p.minimal_poly)
 
 
 def squarefree_residues(f: RationalFunction, g: RationalFunction):
     """[(q, r)] over the squarefree parts q of the denominator of f g'
     (the poles of f dg), with r the sum of res_p(f dg) over the places p
     dividing q, each r one trace in Q[t]/(q).  Together they hold every
-    finite place where f dg has a residue.  No factoring, no sympy."""
+    finite place where f dg has a residue.  No factoring."""
     return list(_part_residues(_differential(f, g)))
 
 
 def residue_sum(f: RationalFunction, g: RationalFunction) -> Fraction:
     """Sum of res_p(f dg) over every place of P^1, 0 by the residue
     theorem: the squarefree_residues and the place at infinity, from one
-    f g'.  No factoring, no sympy."""
+    f g'.  No factoring."""
     omega = _differential(f, g)
     if omega.is_zero():
         return Fraction(0)

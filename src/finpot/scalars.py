@@ -17,19 +17,33 @@ a Fraction, whichever kernel computed it.  canonical is that rule; the
 series and polynomial constructors and the scalar results of determinants
 apply it.  Operators are exempt and keep the scalars they are given: a
 Q(i) operator whose entries are all rational still names its field, which
-restrict_scalars reads from the entries.
+restrict_scalars reads from the entries.  JSON input reaches the package
+through parse_rational and parse_integer, which read literals only.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text.strip())
+    """A signed integer or p/q literal as a Fraction.  Exponent and decimal
+    notation ("1e30000000" would build a 30-million-digit integer), a
+    literal past int()'s digit limit and any non-str are a ValueError."""
+    if not isinstance(text, str) or not re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", text):
+        raise ValueError("not an integer or p/q literal: %r" % (text,))
+    return Fraction(text)
+
+
+def parse_integer(x) -> int:
+    """An int, or a str holding a signed integer literal; a float or a bool
+    is a ValueError, so 1.5 is refused instead of truncated."""
+    if type(x) is int or isinstance(x, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", x):
+        return int(x)
+    raise ValueError("not an integer: %r" % (x,))
 
 
 def format_rational(x: Fraction) -> str:
@@ -148,7 +162,8 @@ class NumberField:
     squarefree one gives an etale algebra, the product of the fields of its
     irreducible factors, in which `inverse` works for every element coprime
     to the modulus and `field_trace` is the sum of the factors' traces.
-    Only Place needs irreducibility, and checks it.
+    Nothing in the package needs irreducibility: Place asks for a
+    squarefree modulus, and computes in the etale algebra.
     """
 
     def __init__(self, modulus):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import PrecisionError, SeriesDomainError, VariableMismatchError
 from .scalars import (NumberFieldElement, _int_coeffs, _poly_mul, _Ring, canonical,
-                      format_rational, parse_rational, scalar_is_zero)
+                      format_rational, parse_integer, parse_rational, scalar_is_zero)
 
 
 def _inv_scalar(c):
@@ -223,9 +223,9 @@ class TruncatedLaurentSeries(_Ring):
     def from_json_dict(cls, data: dict) -> "TruncatedLaurentSeries":
         return cls(
             data["var"],
-            {int(d): parse_rational(c) for d, c in data.get("coeffs", {}).items()},
-            int(data["min"]),
-            int(data["prec"]),
+            {parse_integer(d): parse_rational(c) for d, c in data.get("coeffs", {}).items()},
+            parse_integer(data["min"]),
+            parse_integer(data["prec"]),
         )
 
     @classmethod

@@ -3,11 +3,10 @@ commutator pairing, their characteristic properties, and the product
 formula over all places of the projective line.
 
 reciprocity_check sums the residues of f dg over the squarefree parts of
-its poles, one trace each, plus the place at infinity (residues.residue_sum):
-it factors nothing and imports no sympy.  Its product of cocycles
-is exp(z^2 * sum / 2), since symbol values multiply by adding exponents.
-The place-by-place route (relevant_places, residue_classical, cocycle)
-gives the same sum and product by factoring.
+its poles, one trace each, plus the place at infinity (residues.residue_sum).
+Its product of cocycles is exp(z^2 * sum / 2), since symbol values
+multiply by adding exponents.  The route through relevant_places,
+residue_classical and cocycle gives the same sum and product place by place.
 
 For the implemented half-space models every symbol value is the exponential
 of a z^2 monomial, exp(z^2 * r) with r rational; SymbolValue asserts that

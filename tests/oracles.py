@@ -9,19 +9,20 @@ Gaussian elimination with unit pivots (_eliminate), the generic product,
 power-trace, convolution and series-determinant loops finpot once ran
 beside its integer kernels, the series product as a double loop over
 stored terms, local expansions by Newton lifting and series division, the
-field trace as the trace of the regular matrix, reciprocity as the
-loop over the irreducible places that finpot ran before it summed
-residues over squarefree parts, products of operator exponentials
-as a chain of full operator-series products, and series determinants on
-the stored or closed cores and the content box finpot used before it read
-the core off the series terms, the truncated loop pairing on a finite
-stage, as finpot computed it before it took the corner from Widom's
-identity, the exp recurrence and the pairing's cutoff sizing on
-Fractions, as finpot ran them before it ran both on integers, the
-pairing's rounded corner determinant from the exact int_det, as finpot
+field trace as the trace of the regular matrix, the irreducible places
+by sympy's factoring, which finpot ran before it took places as
+squarefree divisors, reciprocity as the loop over those places that
+finpot ran before it summed residues over squarefree parts, products of
+operator exponentials as a chain of full operator-series products, and
+series determinants on the stored or closed cores and the content box
+finpot used before it read the core off the series terms, the truncated
+loop pairing on a finite stage, as finpot computed it before it took the
+corner from Widom's identity, the exp recurrence and the pairing's cutoff
+sizing on Fractions, as finpot ran them before it ran both on integers,
+the pairing's rounded corner determinant from the exact int_det, as finpot
 took it before it certified the rounding from a fixed-point LU, and the
-action of an operator and of a composition from the stored finite
-entries and the tail's image_of, without the tail.on and block views.
+action of an operator and of a composition from the stored finite entries
+and the tail's image_of, without the tail.on and block views.
 """
 
 from fractions import Fraction
@@ -807,8 +808,8 @@ def _expand_at_infinity(f, prec):
 # The trace of the regular matrix, which field_trace replaced with the power
 # sums of the modulus's roots, and the reciprocity loop finpot ran before it
 # summed residues over the squarefree parts of the poles: factor every
-# numerator and denominator, then take the residue and the cocycle at each
-# irreducible place.
+# numerator and denominator with sympy, then take the residue and the
+# cocycle at each irreducible place.  sympy is a test-only dependency.
 
 
 def field_trace_regular(e):
@@ -817,9 +818,36 @@ def field_trace_regular(e):
     return sum((m[i][i] for i in range(len(m))), Fraction(0))
 
 
+def sympy_factors(p):
+    """[(monic irreducible Polynomial, multiplicity)] of a nonzero p, by
+    sympy's factoring over Q."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly.from_list(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x
+    )
+    return [
+        (Polynomial([Fraction(str(c)) for c in reversed(fac.all_coeffs())]).monic(), int(m))
+        for fac, m in poly.factor_list()[1]
+    ]
+
+
+def irreducible_places(*functions):
+    """The irreducible places of every numerator and denominator, factored
+    by sympy and sorted by (degree, coefficients), then infinity: the
+    places relevant_places listed before it returned a coprime basis."""
+    from finpot.places import Place
+
+    seen = {q for f in functions for p in (f.num, f.den) if p.degree > 0
+            for q, _ in sympy_factors(p)}
+    places = [Place.finite(q) for q in sorted(seen, key=lambda q: (q.degree, q.coeffs))]
+    return places + [Place.infinity()]
+
+
 def reciprocity_by_places(f, g, prec_z=8):
-    """(sum of res_p(f dg), product of c_p(f, g)) over relevant_places."""
-    from finpot.places import relevant_places
+    """(sum of res_p(f dg), product of c_p(f, g)) over the irreducible
+    places of f and g, found by sympy."""
     from finpot.residues import residue_classical
     from finpot.symbols import SymbolValue, cocycle
 
@@ -827,7 +855,7 @@ def reciprocity_by_places(f, g, prec_z=8):
         raise ValueError("reciprocity needs nonzero functions")
     total = Fraction(0)
     prod = SymbolValue.from_exponent(Fraction(0), prec_z)
-    for p in relevant_places(f, g):
+    for p in irreducible_places(f, g):
         total += residue_classical(f, g, p)
         prod = prod * cocycle(f, g, p, prec_z)
     return total, prod

@@ -253,6 +253,58 @@ def test_inline_operator_list_is_read_as_json():
     _assert_bad_operator_payload(*run_cli("det", "--op", "  [1,2]"))
 
 
+def test_operator_literals_other_than_integers_and_fractions_are_parse_errors():
+    import time
+
+    # Fraction() would read exponent and decimal notation: "1e30000000"
+    # ran for more than 30 s, "1e5000" exited 1 past int()'s digit limit
+    start = time.perf_counter()
+    for value in ("1e30000000", "1e5000", "1.5", "0x10", "1_000", "1/-2", ""):
+        op = json.dumps({"entries": [[0, 0, value]]})
+        _assert_bad_operator_payload(*run_cli("det", "--op", op))
+    for tail in ({"kind": "jordan_blocks", "block_size": 3, "start": 4, "coeffs": ["1e3"]},
+                 {"kind": "jordan_blocks", "block_size": 3, "start": 4, "coeffs": [0.5]}):
+        op = json.dumps({"entries": [[0, 0, "1"]], "tail": tail})
+        _assert_bad_operator_payload(*run_cli("det", "--op", op))
+    _assert_bad_operator_payload(*run_cli("det", "--op", '{"entries":[[0,0,"%s"]]}' % ("9" * 5000)))
+    assert time.perf_counter() - start < 1
+    code, out, _ = run_cli("det", "--op", '{"entries":[[0,0," -3/4 "],[1,1,"+2"]]}')
+    assert code == 0 and json.loads(out) == {"value": "3/4"}
+
+
+def test_operator_indices_must_be_integers():
+    # int() truncated 1.5 to 1 and read true as 1
+    for entry in ("[1.5, 0, \"1\"]", "[0, true, \"1\"]", "[0, null, \"1\"]"):
+        _assert_bad_operator_payload(*run_cli("det", "--op", '{"entries":[%s]}' % entry))
+    for key, value in (("block_size", 2.5), ("start", "4.0")):
+        tail = {"kind": "jordan_blocks", "block_size": 3, "start": 4}
+        tail[key] = value
+        op = json.dumps({"entries": [[0, 0, "1"]], "tail": tail})
+        _assert_bad_operator_payload(*run_cli("det", "--op", op))
+    fam = json.dumps([[1.5, {"entries": [[0, 0, "1"]]}]])
+    _assert_parse_error(*run_cli("infprod", "--family", fam, "--m", "2"))
+
+
+def test_tail_block_size_above_the_limit_is_a_parse_error():
+    import time
+
+    # invert sums one term per block row: 10^8 rows ran for more than 15 s
+    start = time.perf_counter()
+    for verb in ("invert", "det"):
+        tail = {"kind": "jordan_blocks", "block_size": 10**8, "start": 4,
+                "coeffs": ["1/2", "1/3"]}
+        code, out, err = run_cli(verb, "--op", json.dumps({"entries": [[0, 0, "1"]],
+                                                           "tail": tail}))
+        _assert_parse_error(code, out, err)
+        assert "tail block size 100000000 exceeds the limit %d" % cli.MAX_BLOCK_SIZE in err
+    fam = json.dumps([[1, {"entries": [], "tail": tail}]])
+    _assert_parse_error(*run_cli("infprod", "--family", fam, "--m", "2"))
+    assert time.perf_counter() - start < 1
+    tail["block_size"] = 8
+    code, _, _ = run_cli("invert", "--op", json.dumps({"entries": [[0, 0, "1"]], "tail": tail}))
+    assert code == 0
+
+
 def test_exponent_above_the_limit_is_a_parse_error():
     code, out, err = run_cli("residue", "--f", "t^99999999", "--g", "t")
     _assert_parse_error(code, out, err)
@@ -364,7 +416,7 @@ def test_regdet_order_above_the_precision():
 def test_place_degree_above_the_limit_is_a_parse_error():
     import time
 
-    # the cap comes before sympy's irreducibility test; without it this took 22 s
+    # the cap comes before the place's squarefree test and any expansion
     start = time.perf_counter()
     code, out, err = run_cli("residue", "--f", "1/(t^300+t+1)", "--g", "t",
                              "--place", "t^300+t+1")
@@ -374,6 +426,25 @@ def test_place_degree_above_the_limit_is_a_parse_error():
     _assert_parse_error(*run_cli("cocycle", "--f", "t", "--g", "t", "--place", "t^61-2"))
     code, out, _ = run_cli("residue", "--f", "1/(t^60-2)", "--g", "t^2", "--place", "t^60-2")
     assert code == 0 and json.loads(out) == {"value": "0"}
+
+
+def test_reducible_place_gives_the_sum_over_its_places():
+    # f dg = t^2/((t-1)^2 (t+1)) dt: residue 3/4 at t = 1 and 1/4 at t = -1
+    args = ("--f", "1/((t-1)^2*(t+1))", "--g", "t^3/3")
+    values = [json.loads(run_cli("residue", *args, "--place", p)[1])["value"]
+              for p in ("t^2-1", "t-1", "t+1")]
+    assert values == ["1", "3/4", "1/4"]
+    code, out, _ = run_cli("pairing", *args, "--place", "t^2-1", "--prec", "4")
+    assert code == 0  # symbol values multiply: exp(3/4 z^2) exp(1/4 z^2)
+    assert json.loads(out)["coeffs"] == {"0": "1", "2": "1"}
+
+
+def test_place_with_a_repeated_factor_is_refused():
+    for place in ("t^2-2*t+1", "(t^2+1)^2*(t-3)"):
+        code, out, _ = run_cli("residue", "--f", "1/t", "--g", "t", "--place", place)
+        assert code == 1
+        assert json.loads(out) == {"detail": "place polynomial must be squarefree",
+                                   "error": "domain"}
 
 
 def test_reciprocity_at_a_high_degree_pole():

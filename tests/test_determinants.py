@@ -351,7 +351,7 @@ def test_det_poly_pointwise_oracle(rng):
     # det(1 + k*phi) evaluated directly for k = 0..dim matches the
     # polynomial coefficients (a degree-bounded polynomial is pinned by
     # dim+1 sample points)
-    from finpot.matrices import det as mat_det, identity, mat_add
+    from finpot.matrices import det as mat_det
     from finpot.fitting import lift_ast
 
     for _ in range(25):
@@ -362,7 +362,8 @@ def test_det_poly_pointwise_oracle(rng):
         assert dp.degree <= n
         for k in range(n + 2):
             direct = (
-                mat_det(mat_add(identity(n), [[Fraction(k) * x for x in row] for row in ast.core_matrix]))
+                mat_det([[k * x + (i == j) for j, x in enumerate(row)]
+                         for i, row in enumerate(ast.core_matrix)])
                 if n
                 else Fraction(1)
             )

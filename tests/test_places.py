@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finpot.errors import SeriesDomainError
 from finpot.places import Place, local_expand, relevant_places
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.parsing import parse_place, parse_rational_function as P
@@ -13,10 +14,33 @@ def test_place_validation():
     assert parse_place("t").degree == 1
     assert parse_place("t^2+1").degree == 2
     assert parse_place("inf").is_infinity()
-    with pytest.raises(ValueError):
-        Place.finite(Polynomial([-1, 0, 1]))  # t^2 - 1 reducible
-    with pytest.raises(ValueError):
-        Place.finite(Polynomial([0, 2]))  # not monic
+    # a reducible squarefree polynomial stands for the places dividing it
+    place = Place.finite(Polynomial([-1, 0, 1]))  # t^2 - 1
+    assert place.degree == 2 and place.field.modulus == (-1, 0, 1)
+    for bad in ([1, -2, 1], [0, 2], [1]):  # (t - 1)^2, not monic, constant
+        with pytest.raises(ValueError):
+            Place.finite(Polynomial(bad))
+
+
+def test_unequal_orders_at_a_reducible_place_are_refused():
+    """At t^2 - 1, the functions below have different orders at t = 1 and
+    t = -1: no one valuation exists, and the part of the denominator prime
+    to t^2 - 1 has no inverse mod t^2 - 1."""
+    place = parse_place("t^2-1")
+    q = place.minimal_poly
+    for text in ("1/((t-1)^2*(t+1))", "1/(t-1)", "t-1", "(t-1)/(t+1)^3", "(t^2-1)*(t+1)"):
+        with pytest.raises(ValueError, match="different orders"):
+            P(text).valuation_at(q)
+    for text in ("1/((t-1)^2*(t+1))", "1/(t-1)", "(t-1)/(t+1)^3"):
+        for prec in (-5, 0, 3):
+            with pytest.raises(SeriesDomainError):
+                local_expand(P(text), place, prec)
+    # equal orders: the valuation and the expansion exist
+    assert P("(t^2-1)^2/t").valuation_at(q) == 2
+    assert P("t/(t^2-1)").valuation_at(q) == -1
+    assert local_expand(P("t/(t^2-1)"), place, 0).series.coefficient(-1) == place.field.generator()
+    # a zero at every place dividing q leaves the part prime to q a unit
+    assert local_expand(P("(t^2-1)*(t+1)"), place, 1).series.is_zero()
 
 
 def test_expand_simple_pole():
@@ -90,9 +114,15 @@ def test_relevant_places():
     f = P("(t^2+1)/(t-3)")
     g = P("1/t")
     places = relevant_places(f, g)
-    polys = {str(p.minimal_poly) for p in places if not p.is_infinity()}
-    assert polys == {"t", "-3 + t", "1 + t^2"}
+    polys = [str(p.minimal_poly) for p in places if not p.is_infinity()]
+    assert polys == ["-3 + t", "t", "1 + t^2"]  # by (degree, coefficients)
     assert places[-1].is_infinity()
+    # a coprime squarefree basis, not a factorization: gcds split t^2 - 1
+    # only where another input shares a factor with it
+    polys = [str(p.minimal_poly) for p in relevant_places(P("(t^3-2)*(t^2-1)"), P("1/t^2"))]
+    assert polys == ["t", "2 - 2*t^2 - t^3 + t^5", "None"]
+    polys = [str(p.minimal_poly) for p in relevant_places(P("1/(t^2-1)"), P("(t-1)^3"))]
+    assert polys == ["-1 + t", "1 + t", "None"]
 
 
 def test_expand_window_shorter_than_valuation():

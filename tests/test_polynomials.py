@@ -10,15 +10,13 @@ from hypothesis import given, settings, strategies as st
 from finpot.polynomials import (
     Polynomial,
     RationalFunction,
-    _to_sympy,
-    factor_monic_irreducibles,
-    is_irreducible,
+    coprime_basis,
     split_power,
     squarefree_parts,
 )
 from finpot.scalars import NumberField, _add_product, _poly_mul
 
-from oracles import poly_mul_generic
+from oracles import poly_mul_generic, sympy_factors
 
 
 def rand_poly(rng, deg=3):
@@ -51,20 +49,21 @@ def test_derivative_and_shift():
     assert shifted == t * t * t + 3 * t * t + 5 * t + 3
 
 
-def test_irreducibility():
+def test_coprime_basis_example():
     t = Polynomial.variable()
-    assert is_irreducible(t * t + 1)
-    assert is_irreducible(t - 3)
-    assert not is_irreducible(t * t - 1)
-    assert not is_irreducible(Polynomial([5]))
-
-
-def test_factorization():
-    t = Polynomial.variable()
-    p = (t - 1) ** 2 * (t * t + 1) * 3
-    factors = dict(factor_monic_irreducibles(p))
-    assert factors[t - 1] == 2
-    assert factors[t * t + 1] == 1
+    a = (t - 1) ** 2 * (t * t + 1) * 3
+    b = (t * t - 1) * (t + 2) ** 3
+    c = Polynomial([Fraction(1, 2)]) * (t * t + 1) * (t - 1)
+    basis = coprime_basis([a, b, c])
+    assert sorted(basis, key=lambda q: (q.degree, q.coeffs)) == [
+        t - 1, t + 1, t + 2, t * t + 1
+    ]
+    # t^2 - 1 and (t - 1)(t^2 + 1) are squarefree and share only t - 1
+    assert set(coprime_basis([t * t - 1, (t - 1) * (t * t + 1)])) == {
+        t - 1, t + 1, t * t + 1
+    }
+    assert coprime_basis([t**3 - 2, (t**3 - 2) ** 2]) == [t**3 - 2]
+    assert coprime_basis([Polynomial([5])]) == []
 
 
 def test_squarefree_parts_example():
@@ -96,6 +95,40 @@ def test_squarefree_parts_random(rng):
         assert len({m for _, m in parts}) == len(parts)
         for (a, _), (b, _) in combinations(parts, 2):
             assert a.gcd(b) == 1
+
+
+_FACTOR = st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(
+    lambda cs: cs[-1] != 0).map(Polynomial)
+
+
+@settings(max_examples=60)
+@given(st.lists(_FACTOR, min_size=1, max_size=4), st.data())
+def test_coprime_basis_matches_sympy_factors(pool, data):
+    """Inputs built from a shared pool of small factors: the basis is monic,
+    squarefree and pairwise coprime, each input is a constant times a
+    product of powers of basis elements, and each irreducible factor of an
+    input, by sympy, divides exactly one basis element."""
+    powers = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), max_size=3)
+    polys = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = Polynomial([data.draw(st.fractions(-3, 3, max_denominator=3).filter(bool))])
+        for q, m in data.draw(powers):
+            p = p * q**m
+        polys.append(p)
+    basis = coprime_basis(polys)
+    for q in basis:
+        assert q.is_monic() and q.degree >= 1
+        assert q.gcd(q.derivative()) == 1
+    for a, b in combinations(basis, 2):
+        assert a.gcd(b) == 1
+    assert all(any((p % q).is_zero() for p in polys) for q in basis)
+    for p in polys:
+        rest = list(p.coeffs)
+        for q in basis:
+            rest = split_power(rest, list(q.coeffs))[1]
+        assert len(rest) == 1
+        for fac, _ in sympy_factors(p):
+            assert sum((q % fac).is_zero() for q in basis) == 1
 
 
 def test_rational_function_normalization():
@@ -143,65 +176,36 @@ def test_valuation_at():
 
 
 def test_package_import_leaves_sympy_unloaded():
-    # sympy is imported on the first irreducibility or factoring call only
     code = "import sys, finpot; print('sympy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert out.stdout.strip() == "False"
 
 
-def test_degree_one_places_leave_sympy_unloaded():
-    # every polynomial of degree 1 is irreducible, with no call into sympy,
-    # and the discriminant decides degree 2: residue and cocycle at t^2 + 1
-    # import no sympy either
+def test_places_of_any_degree_leave_sympy_unloaded():
+    # residue, cocycle and pairing at an irreducible cubic and at a
+    # reducible quadratic, and relevant_places on cubic factors, in one
+    # fresh interpreter: sympy is a test-only dependency
     code = "\n".join([
         "import contextlib, io, sys",
-        "from fractions import Fraction",
         "from finpot.cli import main",
-        "from finpot.parsing import parse_place",
-        "from finpot.places import Place",
-        "from finpot.polynomials import Polynomial, RationalFunction, is_irreducible",
-        "from finpot.residues import residue_classical",
-        "from finpot.segal_wilson import LoopExponent, sw_vs_tate_check",
-        "t = RationalFunction(Polynomial([0, 1]))",
-        "assert is_irreducible(Polynomial([Fraction(-2, 3), 5]))",
-        "assert Place.at_zero().degree == parse_place('t').degree == 1",
-        "assert residue_classical(1 / t, t, Place.infinity()) == -1",
-        "assert sw_vs_tate_check(LoopExponent('plus', {1: 1}), LoopExponent('minus', {1: 1}))",
+        "from finpot.parsing import parse_rational_function as P",
+        "from finpot.places import relevant_places",
+        "places = relevant_places(P('(t^3+t+1)*(t^3-2)/(t^2-1)'), P('1/(t^3+t+1)^2'))",
+        "print([str(p.minimal_poly) for p in places[:-1]])",
         "with contextlib.redirect_stdout(io.StringIO()) as out:",
-        "    for verb in (['residue'], ['cocycle', '--prec', '5']):",
-        "        assert main(verb + ['--f', 't/(t^2+1)', '--g', 't', '--place', 't^2+1']) == 0",
+        "    for place in ('t^3+t+1', 't^2-1'):",
+        "        for verb in (['residue'], ['cocycle', '--prec', '5'], ['pairing', '--prec', '5']):",
+        "            f = '1/(%s)' % place",
+        "            assert main(verb + ['--f', f, '--g', 't^3', '--place', place]) == 0",
+        "print(out.getvalue().strip())",
         "print('sympy' in sys.modules)",
-        "print(out.getvalue())",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.split("\n")[:3] == [
-        "False",
-        '{"value": "1"}',
-        '{"coeffs": {"0": "1", "2": "1/2", "4": "1/8"}, "min": 0, "prec": 5, "var": "z"}',
-    ]
-
-
-def test_irreducibility_by_degree():
-    assert not is_irreducible(Polynomial([]))
-    assert not is_irreducible(Polynomial([3]))
-    assert is_irreducible(Polynomial([7, -2]))
-    assert is_irreducible(Polynomial([1, 0, 1]))
-    assert not is_irreducible(Polynomial([-1, 0, 1]))
-
-
-_SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-
-
-@settings(max_examples=200)
-@given(_SMALL.filter(bool), _SMALL, _SMALL, st.booleans())
-def test_quadratic_irreducibility_matches_sympy(a, b, c, split):
-    """The discriminant rule decides irreducibility of a quadratic as sympy
-    does: on a t^2 + b t + c, and on a (t - b)(t - c), which splits."""
-    p = Polynomial([a * b * c, -a * (b + c), a]) if split else Polynomial([c, b, a])
-    assert is_irreducible(p) == _to_sympy(p).is_irreducible
-    assert not split or not is_irreducible(p)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "['-1 + t^2', '-2 + t^3', '1 + t + t^3']"
+    assert len(lines) == 8 and lines[-1] == "False"
 
 
 def test_constant_pi_is_rejected():

@@ -1,14 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpot.errors import ReductionError
 from finpot.parsing import parse_place, parse_rational_function as P
 from finpot.places import Place, relevant_places, substitute_inverse
 from finpot.residues import residue_classical, residue_tate, squarefree_residues
-from finpot.polynomials import RationalFunction
+from finpot.polynomials import Polynomial, RationalFunction
 from conftest import content_in_guard_strip, random_laurent_poly, random_rational_function
-from oracles import residue_generic_root
+from oracles import residue_generic_root, sympy_factors
 
 PLACE_T = Place.at_zero()
 
@@ -159,3 +160,56 @@ def test_squarefree_parts_are_taken_after_cancellation():
     finite = [p for p in relevant_places(f, g) if not p.is_infinity()]
     assert sum(residue_classical(f, g, p) for p in finite) == 16
     assert residue_classical(f, g, Place.infinity()) == -16
+
+
+def test_residue_at_a_reducible_place_with_unequal_pole_orders():
+    # f dg = dt/((t-1)^2 (t+1)): residue -1/4 at t = 1 and 1/4 at t = -1
+    place = parse_place("t^2-1")
+    assert residue_classical(P("1/((t-1)^2*(t+1))"), P("t"), place) == 0
+    assert residue_classical(P("1/((t-1)^2*(t+1))"), P("t^3/3"), place) == 1
+    # f dg = dt/(t+1) once normalised: no pole at t = 1
+    assert residue_classical(P("1/(t^2-1)"), P("t^2/2-t"), place) == 1
+    for f, g in (("1/((t-1)^2*(t+1))", "t"), ("1/(t^2-1)", "t^2/2-t"),
+                 ("1/((t-1)^3*(t^2+1)^2*(t+1))", "t^2+t")):
+        want = sum(residue_classical(P(f), P(g), parse_place(p))
+                   for p in ("t-1", "t+1", "t^2+1"))
+        assert residue_classical(P(f), P(g), parse_place("(t^2-1)*(t^2+1)")) == want
+
+
+_PLACE_POOL = [Polynomial([-a, 1]) for a in range(-2, 3)] + [
+    Polynomial(c) for c in ([1, 0, 1], [-2, 0, 1], [1, 1, 1], [-2, 0, 0, 1])
+]
+_POWERS = st.lists(st.tuples(st.sampled_from(_PLACE_POOL), st.integers(1, 3)), max_size=3)
+
+
+def _rational_from_powers(c, num_powers, den_powers):
+    num, den = Polynomial([c]), Polynomial([1])
+    for q, m in num_powers:
+        num = num * q**m
+    for q, m in den_powers:
+        den = den * q**m
+    return RationalFunction(num, den)
+
+
+_POOL_FUNCTIONS = st.builds(
+    _rational_from_powers,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    _POWERS,
+    _POWERS,
+)
+
+
+@settings(max_examples=60)
+@given(_POOL_FUNCTIONS, _POOL_FUNCTIONS,
+       st.sets(st.sampled_from(range(len(_PLACE_POOL))), min_size=1, max_size=3))
+def test_residue_at_a_squarefree_divisor_is_the_sum_over_its_factors(f, g, chosen):
+    """The residue at a squarefree q, possibly reducible and holding poles
+    of unequal orders, is the sum of the residues at q's irreducible
+    factors, which sympy finds."""
+    if f.is_zero() or g.is_zero():
+        return
+    q = Polynomial([1])
+    for i in chosen:
+        q = q * _PLACE_POOL[i]
+    want = sum(residue_classical(f, g, Place.finite(p)) for p, _ in sympy_factors(q))
+    assert residue_classical(f, g, Place.finite(q)) == want

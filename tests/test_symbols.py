@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from finpot.errors import PrecisionError, VariableMismatchError
 from finpot.operators import HalfSpaceSpec
 from finpot.parsing import parse_place, parse_rational_function as P
-from finpot.places import Place, relevant_places
+from finpot.places import Place
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.residues import residue_classical, residue_tate, squarefree_residues
 from finpot.series import TruncatedLaurentSeries as TLS, series_exp
@@ -26,7 +26,7 @@ from finpot.symbols import (
     reciprocity_check,
 )
 from conftest import content_in_guard_strip, random_laurent_poly, random_rational_function
-from oracles import det_of_exponential_product_on_box, reciprocity_by_places
+from oracles import det_of_exponential_product_on_box, irreducible_places, reciprocity_by_places
 
 PLACE_T = Place.at_zero()
 
@@ -300,7 +300,7 @@ def _product(polys):
 def test_squarefree_residues_match_the_places(f, g, prec):
     # repeated linear and quadratic factors, so parts hold several places
     # and the poles of f dg have orders above one
-    finite = [p for p in relevant_places(f, g) if not p.is_infinity()]
+    finite = [p for p in irreducible_places(f, g) if not p.is_infinity()]
     parts = squarefree_residues(f, g)
     assert sum(r for _, r in parts) == sum(residue_classical(f, g, p) for p in finite)
     for q, r in parts:
