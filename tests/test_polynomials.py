@@ -49,6 +49,24 @@ def test_derivative_and_shift():
     assert shifted == t * t * t + 3 * t * t + 5 * t + 3
 
 
+def _irreducible(p):
+    """Irreducibility over Q, decided by sympy's factoring in the oracle;
+    finpot itself only asks that a place be squarefree."""
+    return p.degree >= 1 and sympy_factors(p) == [(p.monic(), 1)]
+
+
+def test_irreducibility():
+    t = Polynomial.variable()
+    assert _irreducible(t * t + 1)
+    assert _irreducible(t - 3)
+    assert not _irreducible(t * t - 1)
+    assert not _irreducible(Polynomial([5]))
+    # an irreducible place is one squarefree part and its own coprime basis
+    for q in (t * t + 1, t - 3, 2 * t**3 - 4):
+        assert squarefree_parts(q) == [(q.monic(), 1)]
+        assert coprime_basis([q]) == [q.monic()]
+
+
 def test_coprime_basis_example():
     t = Polynomial.variable()
     a = (t - 1) ** 2 * (t * t + 1) * 3
@@ -206,6 +224,16 @@ def test_places_of_any_degree_leave_sympy_unloaded():
     lines = out.stdout.splitlines()
     assert lines[0] == "['-1 + t^2', '-2 + t^3', '1 + t + t^3']"
     assert len(lines) == 8 and lines[-1] == "False"
+
+
+def test_irreducibility_by_degree():
+    assert not _irreducible(Polynomial([]))
+    assert not _irreducible(Polynomial([3]))
+    assert _irreducible(Polynomial([7, -2]))
+    assert _irreducible(Polynomial([1, 0, 1]))
+    assert not _irreducible(Polynomial([-1, 0, 1]))
+    # t^2 - 1 splits, yet finpot takes it whole as one squarefree place
+    assert coprime_basis([Polynomial([-1, 0, 1])]) == [Polynomial([-1, 0, 1])]
 
 
 def test_constant_pi_is_rejected():
