@@ -24,7 +24,7 @@ from finpot import (
 # The compression of exp(a z) is lower triangular with the exponential
 # series marching down the subdiagonals.
 blk = toeplitz_block(LoopExponent("plus", {1: Fraction(3, 2)}), 4)
-for row in blk.matrix:
+for row in blk:
     print([str(x) for x in row])
 
 # Pair f = z against f~ = z^{-1}: the truncated determinants, each a value

@@ -67,7 +67,6 @@ from .residues import residue_classical, residue_sum, residue_tate, squarefree_r
 from .scalars import NumberField, NumberFieldElement, field_norm, field_trace
 from .segal_wilson import (
     LoopExponent,
-    ToeplitzBlock,
     sw_group_cocycle_check,
     sw_pairing_closed,
     sw_pairing_interval,

@@ -197,12 +197,14 @@ def invert_one_plus(phi: FinitePotentOperator) -> FinitePotentOperator:
 
     Assembled from the exact inverse on the finite block and the terminating
     geometric series on the tail; the composition is verified before
-    returning."""
-    if scalar_is_zero(det_one_plus(phi)):
-        raise NotInvertibleError("det(1 + phi) = 0; 1 + phi is not invertible")
+    returning.  The support block of 1 + phi is block triangular over the
+    certificate core W, so it is singular exactly when det(1 + phi) = 0."""
     support = sorted(phi.finite_part.support())
     n = len(support)
-    inv = mat_inverse(_one_plus(phi.finite_part.block(support)))
+    try:
+        inv = mat_inverse(_one_plus(phi.finite_part.block(support)))
+    except NotInvertibleError:
+        raise NotInvertibleError("det(1 + phi) = 0; 1 + phi is not invertible") from None
     entries = {(support[r], support[c]): inv[r][c] - (1 if r == c else 0)
                for r in range(n) for c in range(n)}
     # (1 + T)^{-1} - 1 = sum_{k>=1} (-T)^k, terminating at the block size

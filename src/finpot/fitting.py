@@ -9,6 +9,12 @@ nilpotency order of M on U.  The decomposition is unique; traces and
 determinants of 1 + M reduce to the W block.  Only tate_trace, the ast
 route of det_routes and the `ast` CLI verb use the split; the other
 determinant functions read the certificate block directly.
+
+Both bases and both blocks come from one reduced echelon form R of M^e,
+with pivot columns P and free columns F.  The core basis is C = M^e[:, P]
+and M^e = C R; since M commutes with M^e, M C = M^e M[:, P] = C (R M[:, P]),
+so the core block is R M[:, P].  The nil basis N is the kernel of R with
+N[F] = I, so M N = N Y gives the nil block Y as rows F of M N.
 """
 
 from __future__ import annotations
@@ -16,15 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFinitePotentError
-from .matrices import (
-    column_space_basis,
-    det,
-    identity,
-    kernel_basis,
-    mat_mul,
-    rank,
-    solve_columns,
-)
+from .matrices import _kernel_vectors, det, identity, mat_mul, rank, reduced_echelon
 from .operators import Certificate, FinitePotentOperator, certify_finite_potent
 from .scalars import scalar_is_zero
 
@@ -55,18 +53,13 @@ class ASTDecomposition:
         return len(self.nil_basis)
 
 
-def _images(matrix, cols):
-    """The columns M v for v in cols, from one mat_mul."""
-    return list(zip(*mat_mul(matrix, [list(row) for row in zip(*cols)])))
-
-
 def fitting(matrix) -> ASTDecomposition:
     """Split the ambient space into the invertible core and nilpotent part.
 
     Takes powers of M until the rank stops falling: at the first e with
     rank M^(e+1) = rank M^e, W = im(M^e), U = ker(M^e) and e is the
-    nilpotency order of M on U.  Bases come out of the elimination kernel in
-    matrices.
+    nilpotency order of M on U.  Bases and blocks come out of the reduced
+    echelon form of M^e (see the module docstring).
     """
     d = len(matrix)
     power, r, e = identity(d), d, 0
@@ -74,12 +67,12 @@ def fitting(matrix) -> ASTDecomposition:
     while (r_next := rank(nxt)) < r:
         power, r, e = nxt, r_next, e + 1
         nxt = mat_mul(nxt, matrix)
-    core_cols = column_space_basis(power)
-    nil_cols = kernel_basis(power)
-    if len(core_cols) + len(nil_cols) != d:
-        raise NotFinitePotentError("rank-nullity failure in fitting")
-    core_matrix = solve_columns(core_cols, _images(matrix, core_cols))
-    nil_matrix = solve_columns(nil_cols, _images(matrix, nil_cols))
+    pivots, reduced = reduced_echelon(power)
+    core_cols = [[row[c] for row in power] for c in pivots]
+    nil_cols = _kernel_vectors(pivots, reduced, d)
+    core_matrix = mat_mul(reduced, [[row[c] for c in pivots] for row in matrix])
+    free_rows = [row for i, row in enumerate(matrix) if i not in pivots]
+    nil_matrix = mat_mul(free_rows, [[v[i] for v in nil_cols] for i in range(d)])
     if scalar_is_zero(det(core_matrix)):
         raise NotFinitePotentError("core block came out singular")
     nil_power = nil_matrix

@@ -7,13 +7,13 @@ NumberFieldElement entries.  Each kernel is one loop: it runs on Python
 ints for all-Fraction input and on the field's own scalars otherwise.
 
 Every elimination runs on the fraction-free loop _bareiss (Bareiss 1968):
-det, rank, column_space_basis, kernel_basis, solve_columns and
+det, rank, reduced_echelon (and kernel_basis, which reads it) and
 mat_inverse.  The pivot is the first nonzero entry at or below the current
 row, and every other row becomes (pivot * row - entry * pivot row) /
 previous pivot, an exact division: '//' on ints, a product with the
 inverse of the previous pivot otherwise.  The Gauss-Jordan form leaves d
 times the reduced echelon form, d the last pivot (Nakos, Turner & Williams
-1997), which kernel_basis, solve_columns and mat_inverse divide out once.
+1997), which reduced_echelon and mat_inverse divide out once.
 
 On all-Fraction input the loops run on Python ints, from
 scalars._int_coeffs: each row is scaled to integers over the lcm of its
@@ -201,55 +201,37 @@ def mat_inverse(a):
     return [[over(x) for x in row[n:]] for row in m]
 
 
-def _pivot_columns(a):
-    return _bareiss(_rows(a)[0], len(a[0]) if a else 0)[0]
-
-
 def rank(a) -> int:
-    return len(_pivot_columns(a))
+    return len(_bareiss(_rows(a)[0], len(a[0]) if a else 0)[0])
 
 
-def column_space_basis(a):
-    """Basis of the column span, as column vectors (lists)."""
-    return [[row[c] for row in a] for c in _pivot_columns(a)]
+def reduced_echelon(a):
+    """(pivot columns, R): R the nonzero rows of the reduced echelon form of
+    a, from one reduced _bareiss with its last pivot d divided out.  With C
+    the pivot columns of a, a = C * R."""
+    m, _ = _rows(a)
+    pivots, _ = _bareiss(m, len(a[0]) if a else 0, reduce=True)
+    over = _divide_by(m[len(pivots) - 1][pivots[-1]] if pivots else 1)
+    return pivots, [[over(x) for x in row] for row in m[: len(pivots)]]
 
 
 def kernel_basis(a):
-    """Basis of the right kernel, as vectors (lists), one per non-pivot
-    column of the reduced echelon form."""
-    m, _ = _rows(a)
-    cols = len(m[0]) if m else 0
-    pivots, _ = _bareiss(m, cols, reduce=True)
-    over = _divide_by(m[len(pivots) - 1][pivots[-1]] if pivots else 1)
+    """Basis of the right kernel, as vectors (lists), from reduced_echelon."""
+    return _kernel_vectors(*reduced_echelon(a), len(a[0]) if a else 0)
+
+
+def _kernel_vectors(pivots, r, cols):
+    """The kernel basis of a matrix with cols columns and reduced echelon
+    form (pivots, r): for each non-pivot column fc, the vector with 1 at fc,
+    -r[i][fc] at the i-th pivot column and 0 elsewhere."""
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for row, c in zip(m, pivots):
-            v[c] = over(-row[fc])
+        for row, c in zip(r, pivots):
+            v[c] = -row[fc]
         basis.append(v)
     return basis
-
-
-def solve_columns(basis_cols, targets):
-    """Coordinates of each target vector in the span of basis_cols.
-
-    basis_cols: list of independent column vectors (length n each);
-    targets: list of column vectors in their span.  Returns the coordinate
-    matrix C with target[j] = sum_i C[i][j] * basis_cols[i].
-    """
-    if not basis_cols:
-        if any(any(not scalar_is_zero(x) for x in t) for t in targets):
-            raise NotInvertibleError("target outside the span of an empty basis")
-        return []
-    k = len(basis_cols)
-    aug, _ = _rows(list(zip(*basis_cols, *targets)))
-    if len(_bareiss(aug, k, reduce=True)[0]) < k:
-        raise NotInvertibleError("basis columns are dependent")
-    if any(not scalar_is_zero(x) for row in aug[k:] for x in row[k:]):
-        raise NotInvertibleError("target vector outside the span")
-    over = _divide_by(aug[k - 1][k - 1])
-    return [[over(x) for x in row[k:]] for row in aug[:k]]
 
 
 def charpoly(a):

@@ -64,7 +64,6 @@ bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, prod
 from operator import add, mul
@@ -133,17 +132,6 @@ class LoopExponent:
         )
 
 
-@dataclass
-class ToeplitzBlock:
-    size: int
-    matrix: list
-
-    def __post_init__(self):
-        for i in range(self.size):
-            if self.matrix[i][i] != 1:
-                raise ValueError("block must be unipotent")
-
-
 def exp_symbol(e: LoopExponent, length: int):
     """Power-series coefficients h_0..h_{length-1} of exp(f) in |degree|."""
     if length < 1:
@@ -153,17 +141,15 @@ def exp_symbol(e: LoopExponent, length: int):
     return [h.coefficient(k) for k in range(length)]
 
 
-def toeplitz_block(e: LoopExponent, T: int) -> ToeplitzBlock:
+def toeplitz_block(e: LoopExponent, T: int) -> list:
     """H+ -> H+ compression of multiplication by exp(f) on z^0..z^{T-1}:
     lower unipotent triangular for the plus side, upper for the minus."""
     if T < 1:
         raise ValueError("T must be >= 1")
     h = exp_symbol(e, T)
     if e.side == "plus":
-        rows = [[h[i - j] if 0 <= i - j else Fraction(0) for j in range(T)] for i in range(T)]
-    else:
-        rows = [[h[j - i] if 0 <= j - i else Fraction(0) for j in range(T)] for i in range(T)]
-    return ToeplitzBlock(T, rows)
+        return [[h[i - j] if 0 <= i - j else Fraction(0) for j in range(T)] for i in range(T)]
+    return [[h[j - i] if 0 <= j - i else Fraction(0) for j in range(T)] for i in range(T)]
 
 
 def _log2_ceil(x) -> int:
@@ -389,8 +375,8 @@ def sw_group_cocycle_check(g1: LoopExponent, g2: LoopExponent, T: int) -> bool:
     (a1 a2 = a3 with g3 = g1 g2), so det(a1 a2 a3^{-1}) = 1 at any T."""
     if g1.side != "plus" or g2.side != "plus":
         raise ValueError("group cocycle check takes plus-side elements")
-    a1 = toeplitz_block(g1, T).matrix
-    a2 = toeplitz_block(g2, T).matrix
-    a3 = toeplitz_block(g1.combined(g2), T).matrix
+    a1 = toeplitz_block(g1, T)
+    a2 = toeplitz_block(g2, T)
+    a3 = toeplitz_block(g1.combined(g2), T)
     value = det(mat_mul(mat_mul(a1, a2), mat_inverse(a3)))
     return value == 1

@@ -253,18 +253,14 @@ def series_inv_geometric(a):
 #
 # The decomposition finpot.fitting replaced with rank stabilisation: W and U
 # from M^d by repeated squaring, and the nilpotency order of the U block by
-# a separate search over its powers.
+# a separate search over its powers.  The bases and blocks come from the
+# generic Gaussian elimination below (a column basis, a kernel and two
+# solves), not from finpot's reduced echelon form.
 
 
 def fitting_at_dimension(matrix):
     from finpot.fitting import ASTDecomposition
-    from finpot.matrices import (
-        column_space_basis,
-        identity,
-        kernel_basis,
-        mat_mul,
-        solve_columns,
-    )
+    from finpot.matrices import identity, mat_mul
     from finpot.scalars import scalar_is_zero
 
     def is_zero_matrix(a):
@@ -280,10 +276,10 @@ def fitting_at_dimension(matrix):
             md = mat_mul(md, base)
         base = mat_mul(base, base)
         k >>= 1
-    core_cols = column_space_basis(md)
-    nil_cols = kernel_basis(md)
-    core_matrix = solve_columns(core_cols, [mat_vec(matrix, w) for w in core_cols])
-    nil_matrix = solve_columns(nil_cols, [mat_vec(matrix, u) for u in nil_cols])
+    core_cols = [[row[c] for row in md] for c in echelon_generic(md)[1]]
+    nil_cols = kernel_basis_generic(md)
+    core_matrix = solve_columns_generic(core_cols, [mat_vec(matrix, w) for w in core_cols])
+    nil_matrix = solve_columns_generic(nil_cols, [mat_vec(matrix, u) for u in nil_cols])
     nil_degree, power = 0, identity(len(nil_matrix))
     while not is_zero_matrix(power):
         nil_degree += 1
@@ -437,7 +433,8 @@ def det_of_exponential_product_on_box(coeff_dicts, signs, cut, prec_z):
 # and mat_inverse as finpot.matrices ran them on every input before it took
 # integer kernels and fraction-free elimination: one scalar operation per
 # step, elimination by pivoting Gaussian elimination (_eliminate) with a unit
-# pivot on the reduced rows.
+# pivot on the reduced rows.  finpot has since dropped solve_columns;
+# fitting_at_dimension still solves with it.
 
 
 def _is_zero(x) -> bool:
@@ -533,6 +530,14 @@ def mat_inverse_generic(a):
     if len(_eliminate(m, n, reduce=True)[0]) < n:
         raise NotInvertibleError("matrix is singular")
     return [row[n:] for row in m]
+
+
+def reduced_echelon_generic(a):
+    """(pivot columns, nonzero rows of the reduced echelon form) of a by
+    _eliminate with reduce=True."""
+    m = [row[:] for row in a]
+    pivots, _ = _eliminate(m, len(m[0]) if m else 0, reduce=True)
+    return pivots, m[: len(pivots)]
 
 
 def kernel_basis_generic(a):

@@ -413,6 +413,40 @@ def test_regdet_order_above_the_precision():
     assert out == run_cli("regdet", "--op", op, "--m", "4", "--prec", "4")[1]
 
 
+def test_exp_work_above_the_limit_is_a_parse_error():
+    import random
+    import time
+
+    from finpot import FinitePotentOperator, log_det_series, regularized_det_series
+
+    rng = random.Random(23)
+    entries = [[i, j, "%d/%d" % (rng.randint(-3, 3), rng.randint(1, 3))]
+               for i in range(4) for j in range(4)]
+    op = json.dumps({"entries": entries})
+    huge = json.dumps({"entries": [[i, j, "%d/%d" % (rng.randint(10**999, 10**1000),
+                                                     rng.randint(10**999, 10**1000))]
+                                   for i in range(4) for j in range(4)]})
+    for args in (("logdet", "--op", op, "--prec", "1024"),
+                 ("regdet", "--op", op, "--prec", "256", "--m", "256"),
+                 ("regdet", "--op", op, "--prec", "1024", "--m", "10"),
+                 ("logdet", "--op", huge)):
+        start = time.perf_counter()
+        code, out, err = run_cli(*args)
+        assert time.perf_counter() - start < 1
+        _assert_parse_error(code, out, err)
+        assert "exceeds the limit 3e+11" in err
+    # default precision, and the largest admitted regdet at precision 1024
+    phi = FinitePotentOperator.from_json(op)
+    code, out, _ = run_cli("logdet", "--op", op)
+    assert code == 0 and json.loads(out) == log_det_series(phi, 10).to_json_dict()
+    code, out, _ = run_cli("regdet", "--op", op)
+    assert code == 0 and json.loads(out) == regularized_det_series(phi, 2, 10).to_json_dict()
+    code, out, _ = run_cli("regdet", "--op", op, "--prec", "1024", "--m", "9")
+    assert code == 0 and json.loads(out)["prec"] == 1024
+    code, out, _ = run_cli("logdet", "--op", '{"entries": []}', "--prec", "1024")
+    assert code == 0 and json.loads(out)["coeffs"] == {"0": "1"}
+
+
 def test_place_degree_above_the_limit_is_a_parse_error():
     import time
 

@@ -8,7 +8,6 @@ import finpot.matrices as matrices
 from finpot.errors import NotInvertibleError, VariableMismatchError
 from finpot.matrices import (
     charpoly,
-    column_space_basis,
     det,
     det_series_matrix,
     elementary_symmetric,
@@ -20,7 +19,7 @@ from finpot.matrices import (
     mat_trace,
     power_traces,
     rank,
-    solve_columns,
+    reduced_echelon,
 )
 from finpot.scalars import NumberField, NumberFieldElement
 from finpot.series import TruncatedLaurentSeries as TLS
@@ -38,7 +37,7 @@ from oracles import (
     power_traces_generic,
     principal_minor_sum,
     rank_generic,
-    solve_columns_generic,
+    reduced_echelon_generic,
 )
 
 
@@ -95,16 +94,10 @@ def test_rank_kernel_image(rng):
         assert r + len(kers) == n
         for v in kers:
             assert all(x == 0 for x in (sum(m[i][j] * v[j] for j in range(n)) for i in range(n)))
-        cols = column_space_basis(m)
-        assert len(cols) == r
-
-
-def test_solve_columns():
-    basis = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    targets = [[Fraction(3), Fraction(2)]]
-    coords = solve_columns(basis, targets)
-    # 3,2 = 1*(1,0) + 2*(1,1)
-    assert coords == [[Fraction(1)], [Fraction(2)]]
+        pivots, red = reduced_echelon(m)
+        assert len(pivots) == r
+        if pivots:  # m = C * R, C the pivot columns of m
+            assert mat_mul([[row[c] for c in pivots] for row in m], red) == m
 
 
 def test_bareiss_is_echelon(rng):
@@ -116,7 +109,7 @@ def test_bareiss_is_echelon(rng):
             lead = next((j for j, x in enumerate(row) if x != 0), None)
             assert lead == pivots[r]
         assert rank(m) == len(pivots)
-        assert column_space_basis(m) == [[row[c] for row in m] for c in pivots]
+        assert reduced_echelon(m)[0] == pivots
 
 
 def test_series_determinant():
@@ -191,26 +184,13 @@ def test_number_field_kernel_basis(rng):
             assert all(sum((x * y for x, y in zip(row, v)), Fraction(0)) == 0 for row in m)
 
 
-def test_solve_columns_rejects_dependent_basis_and_outside_target():
-    e0 = [Fraction(1), Fraction(0), Fraction(0)]
-    e1 = [Fraction(0), Fraction(1), Fraction(0)]
-    both = [Fraction(2), Fraction(3), Fraction(0)]
-    with pytest.raises(NotInvertibleError):
-        solve_columns([e0, e1, both], [e0])
-    with pytest.raises(NotInvertibleError):
-        solve_columns([e0, e1], [[Fraction(1), Fraction(1), Fraction(1)]])
-    with pytest.raises(NotInvertibleError):
-        solve_columns([], [e0])
-    assert solve_columns([e0, e1], [both]) == [[Fraction(2)], [Fraction(3)]]
-
-
 def test_rectangular_rank_and_kernel(rng):
     for _ in range(30):
         rows, cols = rng.choice([(1, 3), (2, 4), (3, 5), (4, 2), (5, 3), (3, 1)])
         m = [[Fraction(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
         r = rank(m)
         assert r == cofactor_rank(m)
-        assert len(column_space_basis(m)) == r
+        assert len(reduced_echelon(m)[0]) == r
         kers = kernel_basis(m)
         assert len(kers) == cols - r
         for v in kers:
@@ -287,7 +267,7 @@ def test_rational_kernels_match_generic_loops(m, cols, data):
     for a in (m, b):
         pivots = echelon_generic(a)[1]
         assert rank(a) == len(pivots)
-        assert column_space_basis(a) == [[row[c] for row in a] for c in pivots]
+        assert reduced_echelon(a)[0] == pivots
     power, chain = identity(n), []
     for _ in range(n + 2):
         power = mat_mul_generic(power, m)
@@ -381,16 +361,15 @@ def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
         seen.clear()
         assert det(a) == det_generic(a)
         assert rank(a) == rank_generic(a)
-        assert column_space_basis(a) == [list(col) for col in zip(*a)]
+        assert reduced_echelon(a) == (list(range(4)), identity(4))
         assert kernel_basis(a) == kernel_basis_generic(a) == []
         assert mat_inverse(a) == mat_inverse_generic(a)
-        cols = [list(col) for col in zip(*a)]
-        assert solve_columns(cols[:2], cols[:2]) == solve_columns_generic(cols[:2], cols[:2])
-        assert len(seen) == 6 and all(map(reaches, seen))
+        assert len(seen) == 5 and all(map(reaches, seen))
     seen.clear()
     assert det_series_matrix(series, one) == det_series_matrix_generic(series, one)
     assert not any(TLS in types for types in seen)
-    for name in ("_eliminate", "_det", "_is_zero", "bareiss_echelon", "mat_vec"):
+    for name in ("_eliminate", "_det", "_is_zero", "bareiss_echelon", "mat_vec",
+                 "solve_columns", "column_space_basis", "_pivot_columns"):
         assert not hasattr(matrices, name)
 
 
@@ -453,20 +432,11 @@ def test_reduced_echelon_routines_match_generic_elimination(field, n, cols, data
     rect = data.draw(_field_matrix(field, n, cols))
     for m in (square, rect):
         assert rank(m) == rank_generic(m)
+        got, want = reduced_echelon(m), reduced_echelon_generic(m)
+        assert got[0] == want[0]
+        _assert_same(field, ("value", got[1]), ("value", want[1]))
         _assert_same(field, _outcome(kernel_basis, m), _outcome(kernel_basis_generic, m))
     _assert_same(field, _outcome(mat_inverse, square), _outcome(mat_inverse_generic, square))
-    # independent pivot columns and the other columns as targets; all
-    # columns as a basis (dependent once the rank falls short); a random
-    # target (outside the span unless the columns span everything); and
-    # the empty basis with a nonzero target
-    columns = [list(col) for col in zip(*rect)]
-    pivots = echelon_generic(rect)[1]
-    basis = [columns[c] for c in pivots]
-    extra = [data.draw(_SCALARS[field]) for _ in range(n)]
-    for b, targets in ((basis, columns), (columns, columns), (basis, [extra]),
-                       ([], [extra]), ([], [])):
-        _assert_same(field, _outcome(solve_columns, b, targets),
-                     _outcome(solve_columns_generic, b, targets))
 
 
 @st.composite
