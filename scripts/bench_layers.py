@@ -3,7 +3,9 @@
 Prints the best of 15 runs of det, charpoly, mat_mul, fitting, mat_inverse
 and kernel_basis on random Q matrices of sizes 8, 16 and 24 (entries p/q
 with |p| <= 9, q <= 6, fixed seed; the fitting input has an invertible and a
-nilpotent part, so the rank chain runs past the first power; the
+nilpotent part, so the chain of restrictions to the image takes e = n/2
+steps, and the fitting "invertible_<n>" input, drawn after every other
+input, is dense and invertible, so e = 0 and the chain stops at once; the
 kernel_basis input has rank n/2), of det on a dense 8 x 8 matrix over Q(i),
 of det_series on exp_op of a dense 10 x 10 operator at precision 10 (and
 of a dense 4 x 4 operator over Q(i), det_series_gauss), of
@@ -49,7 +51,7 @@ a bare interpreter start for reference).  With --out it also writes the numbers,
 the git commit of the finpot tree it imported, the line count of its
 modules (src_lines) and the machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_21.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_24.json
 
 Run it on two checkouts on the same host to compare them, each with its own
 copy of this script: the pairing rows read segal_wilson._corner and
@@ -142,15 +144,20 @@ def pairing_corner(rng, T, support):
     return segal_wilson._corner(*loop_exponents(rng, support), T)
 
 
+def invertible(rng, n):
+    """A dense n x n matrix over Q with nonzero determinant."""
+    while True:
+        a = dense(rng, n)
+        if det(a) != 0:
+            return a
+
+
 def fitting_input(rng, n):
     """S (A + N) S^-1: A an invertible dense block of size n/2, N a
     strictly upper triangular block, S unit lower triangular."""
     h = n // 2
     m = [[Fraction(0)] * n for _ in range(n)]
-    while True:
-        a = dense(rng, h)
-        if det(a) != 0:
-            break
+    a = invertible(rng, h)
     for i in range(h):
         m[i][:h] = a[i]
     for i in range(h, n):
@@ -278,6 +285,9 @@ def measure():
     tailed = FinitePotentOperator(dense_operator(rng, 4), TailDescriptor.jordan(3, 4, [1, -1]))
     out["op_compose_tail"] = {"8": best_of(lambda: (op_compose(free, tailed),
                                                     op_compose(tailed, free)))}
+    # drawn after every input above, which stay as in earlier versions
+    for n in SIZES:
+        out["fitting"]["invertible_%d" % n] = best_of(fitting, invertible(rng, n))
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

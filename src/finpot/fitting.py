@@ -10,11 +10,14 @@ determinants of 1 + M reduce to the W block.  Only tate_trace, the ast
 route of det_routes and the `ast` CLI verb use the split; the other
 determinant functions read the certificate block directly.
 
-Both bases and both blocks come from one reduced echelon form R of M^e,
-with pivot columns P and free columns F.  The core basis is C = M^e[:, P]
-and M^e = C R; since M commutes with M^e, M C = M^e M[:, P] = C (R M[:, P]),
-so the core block is R M[:, P].  The nil basis N is the kernel of R with
-N[F] = I, so M N = N Y gives the nil block Y as rows F of M N.
+No power of M is formed.  A chain of restrictions to the image keeps the
+pivot columns B of M^k, its reduced echelon rows S with pivots L, and A,
+with M^k = B S and M B = B A.  With A = C R, C the pivot columns P of A
+and R its reduced echelon rows, M^(k+1) = (B C)(R S) with R S reduced and
+pivots L[P], and rank M^(k+1) = rank A; so each step sets B, S, A, L to
+B C, R S, R C, L[P], and the first A of full rank ends the chain at k = e.
+B is the core basis and A the core block; the nil basis N is the kernel
+of S with N[F] = I, F the free columns, and the nil block is rows F of M N.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFinitePotentError
-from .matrices import _kernel_vectors, det, identity, mat_mul, rank, reduced_echelon
+from .matrices import _kernel_vectors, identity, mat_mul, reduced_echelon
 from .operators import Certificate, FinitePotentOperator, certify_finite_potent
 from .scalars import scalar_is_zero
 
@@ -54,33 +57,29 @@ class ASTDecomposition:
 
 
 def fitting(matrix) -> ASTDecomposition:
-    """Split the ambient space into the invertible core and nilpotent part.
-
-    Takes powers of M until the rank stops falling: at the first e with
-    rank M^(e+1) = rank M^e, W = im(M^e), U = ker(M^e) and e is the
-    nilpotency order of M on U.  Bases and blocks come out of the reduced
-    echelon form of M^e (see the module docstring).
-    """
+    """Split the ambient space into the invertible core and nilpotent part,
+    restricting M to its image until the restriction A is invertible: one
+    reduced echelon form a step, M B = B A and M^k = B S throughout (see the
+    module docstring), and e steps, the nilpotency order of M on U."""
     d = len(matrix)
-    power, r, e = identity(d), d, 0
-    nxt = matrix
-    while (r_next := rank(nxt)) < r:
-        power, r, e = nxt, r_next, e + 1
-        nxt = mat_mul(nxt, matrix)
-    pivots, reduced = reduced_echelon(power)
-    core_cols = [[row[c] for row in power] for c in pivots]
-    nil_cols = _kernel_vectors(pivots, reduced, d)
-    core_matrix = mat_mul(reduced, [[row[c] for c in pivots] for row in matrix])
+    basis, rows, pivots, e = identity(d), identity(d), list(range(d)), 0
+    block = [list(row) for row in matrix]
+    piv, red = reduced_echelon(block)
+    while len(piv) < len(block):
+        cols = [[row[c] for c in piv] for row in block]
+        basis, rows, block = mat_mul(basis, cols), mat_mul(red, rows), mat_mul(red, cols)
+        pivots, e = [pivots[c] for c in piv], e + 1
+        piv, red = reduced_echelon(block)
+    core_cols = [list(col) for col in zip(*basis)]
+    nil_cols = _kernel_vectors(pivots, rows, d)
     free_rows = [row for i, row in enumerate(matrix) if i not in pivots]
     nil_matrix = mat_mul(free_rows, [[v[i] for v in nil_cols] for i in range(d)])
-    if scalar_is_zero(det(core_matrix)):
-        raise NotFinitePotentError("core block came out singular")
     nil_power = nil_matrix
     for _ in range(e - 1):
         nil_power = mat_mul(nil_power, nil_matrix)
     if any(not scalar_is_zero(x) for row in nil_power for x in row):
         raise NotFinitePotentError("U block is not nilpotent")
-    return ASTDecomposition(core_cols, nil_cols, core_matrix, nil_matrix, e)
+    return ASTDecomposition(core_cols, nil_cols, block, nil_matrix, e)
 
 
 def lift_ast(phi: FinitePotentOperator) -> ASTDecomposition:

@@ -7,13 +7,13 @@ NumberFieldElement entries.  Each kernel is one loop: it runs on Python
 ints for all-Fraction input and on the field's own scalars otherwise.
 
 Every elimination runs on the fraction-free loop _bareiss (Bareiss 1968):
-det, rank, reduced_echelon (and kernel_basis, which reads it) and
-mat_inverse.  The pivot is the first nonzero entry at or below the current
-row, and every other row becomes (pivot * row - entry * pivot row) /
-previous pivot, an exact division: '//' on ints, a product with the
-inverse of the previous pivot otherwise.  The Gauss-Jordan form leaves d
-times the reduced echelon form, d the last pivot (Nakos, Turner & Williams
-1997), which reduced_echelon and mat_inverse divide out once.
+det, and reduced_echelon, which kernel_basis and mat_inverse (the right
+half of the reduced echelon form of [a | I]) read.  The pivot is the first
+nonzero entry at or below the current row, and every other row becomes
+(pivot * row - entry * pivot row) / previous pivot, an exact division: '//'
+on ints, a product with the inverse of the previous pivot otherwise.  The
+Gauss-Jordan form leaves d times the reduced echelon form, d the last pivot
+(Nakos, Turner & Williams 1997), which reduced_echelon divides out once.
 
 On all-Fraction input the loops run on Python ints, from
 scalars._int_coeffs: each row is scaled to integers over the lcm of its
@@ -155,14 +155,6 @@ def _rows(a):
     return [row for row, _ in forms], prod(d for _, d in forms)
 
 
-def _divide_by(d):
-    """x -> x / d: a Fraction for an int d, else a product with 1/d."""
-    if type(d) is int:
-        return lambda x: Fraction(x, d)
-    inv = _inv_scalar(d)
-    return lambda x: x * inv
-
-
 def _bareiss_det(m):
     """Determinant of the square matrix m (consumed) by _bareiss: the sign
     times the last pivot; None when a column has no pivot."""
@@ -191,18 +183,13 @@ def int_det(m) -> int:
 
 
 def mat_inverse(a):
-    """Exact inverse, from the reduced echelon form of [a | I]; raises
-    NotInvertibleError on singular input."""
+    """Exact inverse, the right half of the reduced echelon form of [a | I];
+    raises NotInvertibleError unless its pivots are the columns of a."""
     n = len(a)
-    m, _ = _rows([row[:] + irow for row, irow in zip(a, identity(n))])
-    if len(_bareiss(m, n, reduce=True)[0]) < n:
+    pivots, r = reduced_echelon([list(row) + irow for row, irow in zip(a, identity(n))])
+    if pivots != list(range(n)):
         raise NotInvertibleError("matrix is singular")
-    over = _divide_by(m[-1][n - 1] if n else 1)
-    return [[over(x) for x in row[n:]] for row in m]
-
-
-def rank(a) -> int:
-    return len(_bareiss(_rows(a)[0], len(a[0]) if a else 0)[0])
+    return [row[n:] for row in r]
 
 
 def reduced_echelon(a):
@@ -211,8 +198,12 @@ def reduced_echelon(a):
     the pivot columns of a, a = C * R."""
     m, _ = _rows(a)
     pivots, _ = _bareiss(m, len(a[0]) if a else 0, reduce=True)
-    over = _divide_by(m[len(pivots) - 1][pivots[-1]] if pivots else 1)
-    return pivots, [[over(x) for x in row] for row in m[: len(pivots)]]
+    rows = m[: len(pivots)]
+    d = rows[-1][pivots[-1]] if pivots else 1
+    if type(d) is int:
+        return pivots, [[Fraction(x, d) for x in row] for row in rows]
+    inv = _inv_scalar(d)
+    return pivots, [[x * inv for x in row] for row in rows]
 
 
 def kernel_basis(a):

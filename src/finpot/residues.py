@@ -8,8 +8,8 @@ is that one routine.  When the places dividing q see unequal pole orders
 of f dg it splits q by one gcd and adds the two halves.  residue_classical
 runs it at a given place, and squarefree_residues over the squarefree
 parts (Yun) of the denominator of f g'; residue_sum adds the place at
-infinity, where t = 1/u and f g' dt = -f g'(1/u) u^-2 du, so the residue
-is minus the u^1 coefficient of f g' at infinity.  Nothing is factored.
+infinity, where the residue is minus the t^-1 coefficient of f g' in
+powers of 1/t, from one polynomial division.  Nothing is factored.
 The operator route realizes multiplication by f and g on the basis
 e_i <-> t^i in a window that starts at the cut, which makes them the
 compressions to the upper half-space V+ = span{e_i : i >= cut} truncated at
@@ -26,7 +26,7 @@ from fractions import Fraction
 from .determinants import tate_trace
 from .errors import ReductionError, SeriesDomainError, WindowExhaustedError
 from .operators import FinitePotentOperator, SparseOperator
-from .places import Place, expand_digits, local_expand, substitute_inverse
+from .places import Place, expand_digits, substitute_inverse
 from .polynomials import Polynomial, RationalFunction, split_power, squarefree_parts
 from .scalars import NumberField, NumberFieldElement, _poly_mul, field_trace
 
@@ -55,9 +55,10 @@ def _residue_at(omega: RationalFunction, q: Polynomial) -> Fraction:
 
 
 def _residue_at_infinity(omega: RationalFunction) -> Fraction:
-    """res at infinity of omega dt: with t = 1/u, omega dt =
-    -omega(1/u) u^-2 du, so minus the u^1 coefficient at infinity."""
-    return -local_expand(omega, Place.infinity(), 2).series.coefficient(1)
+    """res at infinity of omega dt: minus the t^-1 coefficient of omega in
+    1/t.  Of q + r/d (d monic of degree m, deg r < m) only r/d has one,
+    r_(m-1); a constant d leaves index -1, which reads 0."""
+    return -(omega.num % omega.den)[omega.den.degree - 1]
 
 
 def _part_residues(omega: RationalFunction):

@@ -251,7 +251,8 @@ def series_inv_geometric(a):
 
 # -- Fitting split at the exponent d = dimension --------------------------------
 #
-# The decomposition finpot.fitting replaced with rank stabilisation: W and U
+# The decomposition finpot.fitting replaced with a chain of restrictions to
+# the image (first with rank stabilisation of the powers of M): W and U
 # from M^d by repeated squaring, and the nilpotency order of the U block by
 # a separate search over its powers.  The bases and blocks come from the
 # generic Gaussian elimination below (a column basis, a kernel and two

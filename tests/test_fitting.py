@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 from finpot.fitting import fitting, lift_ast
 from finpot.matrices import (
     det,
+    identity,
     mat_inverse,
     mat_mul,
     mat_trace,
-    rank,
+    reduced_echelon,
 )
 from finpot.operators import FinitePotentOperator as FPO, SparseOperator, TailDescriptor
 from finpot.scalars import NumberField
@@ -46,13 +47,56 @@ def test_idempotent_like():
     assert v[0] + v[1] == 0 and v[0] != 0
 
 
+def _entries(ast):
+    return [x for m in (ast.core_basis, ast.nil_basis, ast.core_matrix, ast.nil_matrix)
+            for row in m for x in row]
+
+
+def test_invertible_matrix_is_its_own_core():
+    m = [[Fraction(2), Fraction(1, 3), Fraction(0)],
+         [Fraction(-1), Fraction(0), Fraction(5, 2)],
+         [Fraction(0), Fraction(1), Fraction(1)]]
+    ast = fitting(m)
+    assert ast.nil_degree == 0 and ast.nil_dim == 0
+    assert ast.core_matrix == m
+    assert ast.core_basis == identity(3)
+    assert all(type(x) is Fraction for x in _entries(ast))
+
+
+def test_single_jordan_block_takes_eight_steps():
+    m = [[Fraction(int(j == i + 1)) for j in range(8)] for i in range(8)]
+    ast = fitting(m)
+    assert ast.nil_degree == 8
+    assert ast.core_dim == 0 and ast.nil_dim == 8
+    assert ast.core_matrix == [] and ast.nil_matrix == m
+    assert all(type(x) is Fraction for x in _entries(ast))
+
+
+def test_invertible_beside_nilpotent_over_q_sqrt2():
+    """An invertible 2 x 2 block beside a 3 x 3 nilpotent Jordan block,
+    conjugated by a unit lower-triangular matrix over Q(sqrt2)."""
+    field = NumberField([-2, 0, 1])
+    r2, zero, one = field.generator(), field.element([0]), field.element([1])
+    m = [[zero] * 5 for _ in range(5)]
+    m[0][:2], m[1][:2] = [one, r2], [r2 + 1, field.element([3])]
+    m[2][3], m[3][4] = one, one
+    s = [[one if i == j else (r2 - j if j < i else zero) for j in range(5)] for i in range(5)]
+    conj = mat_mul(mat_mul(s, m), mat_inverse(s))
+    ast = fitting(conj)
+    assert ast.nil_degree == 3
+    assert ast.core_dim == 2 and ast.nil_dim == 3
+    basis = [list(row) for row in zip(*ast.core_basis)]
+    assert mat_mul(conj, basis) == mat_mul(basis, ast.core_matrix)
+    assert det(ast.core_matrix) == det([m[0][:2], m[1][:2]])
+
+
 def _span_equal(vs, ws):
     if len(vs) != len(ws):
         return False
     if not vs:
         return True
     rows = [list(v) for v in vs]
-    return rank(rows) == rank(rows + [list(w) for w in ws])
+    return len(reduced_echelon(rows)[0]) == len(reduced_echelon(rows + [list(w) for w in ws])[0])
 
 
 def test_uniqueness_under_similarity(rng):
@@ -159,7 +203,7 @@ def _fitting_matrices(draw):
 
 @settings(max_examples=50)
 @given(_fitting_matrices())
-def test_rank_stabilisation_matches_dimension_exponent(m):
+def test_image_restriction_chain_matches_dimension_exponent(m):
     ast, ref = fitting(m), fitting_at_dimension(m)
     assert ast.core_matrix == ref.core_matrix
     assert ast.nil_basis == ref.nil_basis

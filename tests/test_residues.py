@@ -5,8 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from finpot.errors import ReductionError
 from finpot.parsing import parse_place, parse_rational_function as P
-from finpot.places import Place, relevant_places, substitute_inverse
-from finpot.residues import residue_classical, residue_tate, squarefree_residues
+from finpot.places import Place, local_expand, relevant_places, substitute_inverse
+from finpot.residues import (
+    _residue_at_infinity,
+    residue_classical,
+    residue_tate,
+    squarefree_residues,
+)
 from finpot.polynomials import Polynomial, RationalFunction
 from conftest import content_in_guard_strip, random_laurent_poly, random_rational_function
 from oracles import residue_generic_root, sympy_factors
@@ -139,6 +144,25 @@ def test_residue_at_infinity_is_the_residue_at_zero_after_inversion(rng):
         g = random_rational_function(rng)
         fw, gw = substitute_inverse(f), substitute_inverse(g)
         assert residue_classical(f, g, Place.infinity()) == residue_classical(fw, gw, PLACE_T)
+
+
+def test_residue_at_infinity_matches_the_expansion_at_infinity(rng):
+    """One division against minus the t^-1 coefficient of local_expand at
+    infinity: random omega, plus a constant den, deg num >= deg den and a
+    polynomial omega."""
+
+    def poly(deg):
+        return Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                           for _ in range(deg)] + [Fraction(rng.randint(1, 4), rng.randint(1, 3))])
+
+    omegas = [P("3/2"), P("t^3 - t/5"), P("(t^2 + 1)/3"), P("t^4/(t^2 + 1)"),
+              P("(2*t^3 + t)/(t^3 - 2)"), P("1/(t - 1)"), P("t/(2*t^2 + 3)")]
+    omegas += [RationalFunction(poly(rng.randint(0, 6)), poly(rng.randint(0, 6)))
+               for _ in range(80)]
+    for omega in omegas:
+        want = -local_expand(omega, Place.infinity(), 2).series.coefficient(1)
+        got = _residue_at_infinity(omega)
+        assert got == want and type(got) is Fraction
 
 
 def test_squarefree_part_residue_is_the_sum_over_its_places():
