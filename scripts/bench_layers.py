@@ -45,13 +45,17 @@ for the whole matrix), of op_compose both ways between a dense 8 x 8
 operator on indices 0..7 and a dense 4 x 4 operator under a Jordan tail
 from index 4 (block size 3, shift polynomial s - s^2), whose tail region
 the first reaches into (op_compose_tail, drawn after every other input),
-and, end to end, of one fresh `python -m finpot` process per CLI verb
+of mat_inverse on a dense 8 x 8 matrix over Q(i) (mat_inverse_gauss) and
+of det on a dense 6 x 6 matrix over the cubic field Q[x]/(x^3 + x^2/3 -
+1/2), whose integer reduction table has a denominator (det_cubic), both
+drawn after every other input, and, end to end, of one fresh
+`python -m finpot` process per CLI verb
 (cli_cold, best of 5, counting interpreter start and import; "python" is
 a bare interpreter start for reference).  With --out it also writes the numbers,
 the git commit of the finpot tree it imported, the line count of its
 modules (src_lines) and the machine to a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_24.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_25.json
 
 Run it on two checkouts on the same host to compare them, each with its own
 copy of this script: the pairing rows read segal_wilson._corner and
@@ -288,6 +292,12 @@ def measure():
     # drawn after every input above, which stay as in earlier versions
     for n in SIZES:
         out["fitting"]["invertible_%d" % n] = best_of(fitting, invertible(rng, n))
+    # drawn after every input above, which stay as in earlier versions
+    a = [[gauss.element([rational(rng), rational(rng)]) for _ in range(8)] for _ in range(8)]
+    out["mat_inverse_gauss"] = {"8": best_of(mat_inverse, a)}
+    cubic = NumberField([Fraction(-1, 2), 0, Fraction(1, 3), 1])
+    a = [[cubic.element([rational(rng) for _ in range(3)]) for _ in range(6)] for _ in range(6)]
+    out["det_cubic"] = {"6": best_of(det, a)}
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
     return out
 

@@ -186,10 +186,10 @@ def mat_inverse(a):
     """Exact inverse, the right half of the reduced echelon form of [a | I];
     raises NotInvertibleError unless its pivots are the columns of a."""
     n = len(a)
-    pivots, r = reduced_echelon([list(row) + irow for row, irow in zip(a, identity(n))])
-    if pivots != list(range(n)):
+    m, _ = _rows([list(row) + irow for row, irow in zip(a, identity(n))])
+    if _bareiss(m, 2 * n, reduce=True)[0] != list(range(n)):
         raise NotInvertibleError("matrix is singular")
-    return [row[n:] for row in r]
+    return _divided([row[n:] for row in m], m[-1][n - 1] if n else 1)
 
 
 def reduced_echelon(a):
@@ -199,11 +199,15 @@ def reduced_echelon(a):
     m, _ = _rows(a)
     pivots, _ = _bareiss(m, len(a[0]) if a else 0, reduce=True)
     rows = m[: len(pivots)]
-    d = rows[-1][pivots[-1]] if pivots else 1
+    return pivots, _divided(rows, rows[-1][pivots[-1]] if pivots else 1)
+
+
+def _divided(rows, d):
+    """rows over d: Fractions from ints, otherwise products with 1/d."""
     if type(d) is int:
-        return pivots, [[Fraction(x, d) for x in row] for row in rows]
+        return [[Fraction(x, d) for x in row] for row in rows]
     inv = _inv_scalar(d)
-    return pivots, [[x * inv for x in row] for row in rows]
+    return [[x * inv for x in row] for row in rows]
 
 
 def kernel_basis(a):

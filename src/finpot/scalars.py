@@ -3,14 +3,15 @@
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator).  Number fields are Q[x]/(p) for a monic p: a field when p is
 irreducible, an etale algebra (a product of fields) when p is squarefree.
-Their elements interoperate with ``int`` and ``Fraction`` through coercion,
-so each linear-algebra kernel in this package runs one loop over either
-kind of scalar.  The arithmetic core lives here.  _int_coeffs is the one
-Fraction -> integer boundary (the all-Fraction test and the lcm scaling)
-of every integer kernel.  _add_product is the one termwise product of
-coefficient lists, truncated to its accumulator; _poly_mul runs it on ints
-for all-Fraction lists, on the stored scalars otherwise.  _Ring and _power
-give the exact value types one subtraction and one power.
+Their elements are integer numerators over one denominator, and
+interoperate with ``int`` and ``Fraction`` through coercion, so each
+linear-algebra kernel in this package runs one loop over either kind of
+scalar.  The arithmetic core lives here.  _int_coeffs, the all-Fraction
+test and the lcm scaling, is the one Fraction -> integer boundary of every
+integer kernel.  _add_product is the one termwise product of coefficient
+lists, truncated to its accumulator; _poly_mul runs it on ints for
+all-Fraction lists, on the stored scalars otherwise.  _Ring gives the other
+exact value types one subtraction, and _power all of them one power.
 
 One scalar rule holds where values leave the library: a rational value is
 a Fraction, whichever kernel computed it.  canonical is that rule; the
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 
 
 def parse_rational(text: str) -> Fraction:
@@ -61,7 +62,7 @@ def canonical(x):
     if type(x) is Fraction:
         return x
     if isinstance(x, NumberFieldElement):
-        return x.coeffs[0] if x.is_rational() else x
+        return Fraction(x.nums[0], x.den) if x.is_rational() else x
     return Fraction(x)
 
 
@@ -175,6 +176,23 @@ class NumberField:
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
         self._power_sums = None
+        self._table = None
+
+    def _reduction(self):
+        """(rows, E): rows[k - d] holds the nonzero terms (i, c), c an int,
+        of E * (x^k mod modulus) for d <= k <= 2d - 2, E the least common
+        denominator.  Built on the first product, not per field."""
+        if self._table is None:
+            d = self.degree
+            low = [-c for c in self.modulus[:-1]]  # x^d mod modulus
+            rows, row = [], low
+            for _ in range(d - 1):
+                rows.append(row)
+                row = [(row[i - 1] if i else 0) + row[-1] * low[i] for i in range(d)]
+            nums, e = _int_coeffs([c for row in rows for c in row])
+            self._table = ([[(i, c) for i, c in enumerate(nums[k : k + d]) if c]
+                            for k in range(0, len(nums), d)], e)
+        return self._table
 
     def power_sums(self):
         """(s_0, ..., s_{d-1}): s_k is the sum of the k-th powers of the
@@ -207,10 +225,10 @@ class NumberField:
 
     def element(self, coeffs) -> "NumberFieldElement":
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) >= len(self.modulus):
-            _, cs = _poly_divmod(cs, list(self.modulus))
-        cs = cs + [Fraction(0)] * (self.degree - len(cs))
-        return NumberFieldElement(self, tuple(cs[: self.degree]))
+        if len(cs) > self.degree:
+            _, cs = _poly_divmod(cs, self.modulus)
+        nums, den = _int_coeffs(cs)
+        return NumberFieldElement(self, nums + [0] * (self.degree - len(nums)), den)
 
     def generator(self) -> "NumberFieldElement":
         return self.element([0, 1])
@@ -222,44 +240,78 @@ class NumberField:
         return self.element([1])
 
 
-class NumberFieldElement(_Ring):
-    """Element of a NumberField, stored as the reduced representative."""
+class NumberFieldElement:
+    """Element of a NumberField: the reduced representative sum_{i<d}
+    nums[i] x^i / den, stored as d ints over one int den > 0, divided by
+    their gcd on construction.  That form is canonical, so equality compares
+    integers; coeffs reads it as d Fractions.  A product is one integer
+    _add_product reduced by the field's integer table of x^k mod modulus
+    (NumberField._reduction); sums, negation and products by an int or a
+    Fraction work on the numerators."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: NumberField, coeffs):
+    def __init__(self, field: NumberField, nums, den: int):
+        g = gcd(den, *nums)
         self.field = field
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        assert len(self.coeffs) == field.degree
+        self.nums = tuple(nums) if g == 1 else tuple(x // g for x in nums)
+        self.den = den // g
+
+    @property
+    def coeffs(self):
+        """The coefficients of 1, x, ..., x^(d-1), as d Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 return None
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.element([Fraction(other)])
+            nums = (other.numerator,) + (0,) * (self.field.degree - 1)
+            return NumberFieldElement(self.field, nums, other.denominator)
         return None
+
+    def _combine(self, o, op):
+        """self op o for op add or sub, over a shared denominator if any."""
+        a, b = self.den, o.den
+        if a == b:
+            return type(self)(self.field, list(map(op, self.nums, o.nums)), a)
+        return type(self)(self.field, [op(x * b, y * a) for x, y in zip(self.nums, o.nums)], a * b)
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return NumberFieldElement(
-            self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)]
-        )
+        return NotImplemented if o is None else self._combine(o, add)
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._combine(o, sub)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._combine(self, sub)
+
     def __neg__(self):
-        return NumberFieldElement(self.field, [-a for a in self.coeffs])
+        return NumberFieldElement(self.field, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return NumberFieldElement(self.field, [x * other.numerator for x in self.nums],
+                                      self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs))
-        return self.field.element(prod)
+        d = self.field.degree
+        rows, e = self.field._reduction()
+        acc = _add_product([0] * (2 * d - 1), self.nums, o.nums)
+        out = [x * e for x in acc[:d]]
+        for c, row in zip(acc[d:], rows):
+            if c:
+                for i, t in row:
+                    out[i] += c * t
+        return NumberFieldElement(self.field, out, self.den * o.den * e)
 
     __rmul__ = __mul__
 
@@ -285,36 +337,30 @@ class NumberFieldElement(_Ring):
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, n: int):
         return _power(self.inverse() if n < 0 else self, abs(n), self.field.one())
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        return NotImplemented if o is None else self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
         # a rational-valued element equals its Fraction, so it hashes as one
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.field, self.coeffs))
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field, self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def regular_matrix(self):
         """Matrix of multiplication by self on the basis 1, x, ..., x^(d-1).

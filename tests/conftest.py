@@ -19,6 +19,7 @@ from finpot.operators import (
     op_apply,
 )
 from finpot.polynomials import Polynomial, RationalFunction
+from finpot.scalars import NumberField
 
 settings.register_profile("finpot", derandomize=True, deadline=None, database=None)
 settings.load_profile("finpot")
@@ -175,5 +176,28 @@ def q_operators(draw):
     if draw(st.booleans()):
         size = draw(st.integers(2, 4))
         coeffs = draw(st.one_of(st.just([1]), st.lists(q, min_size=1, max_size=size - 1)))
+        tail = TailDescriptor.jordan(size, 5, coeffs)
+    return FinitePotentOperator(SparseOperator(entries), tail)
+
+
+_QUADRATIC_FIELDS = (NumberField([1, 0, 1]), NumberField([-2, 0, 1]))  # Q(i), Q(sqrt 2)
+
+
+@st.composite
+def field_operators(draw, tails=True):
+    """A finite-potent operator over Q(i) or Q(sqrt 2): one to six entries
+    on indices -3..4, each a field element a + b x with p/q coefficients and
+    a != 0 (a rational value about half the time), and with tails=True,
+    half the time a tail from 5 on whose shift polynomial has rational or
+    field coefficients."""
+    field = draw(st.sampled_from(_QUADRATIC_FIELDS))
+    q = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    scalar = st.builds(lambda a, b: field.element([a, b]), q.filter(bool), st.one_of(st.just(0), q))
+    cells = st.tuples(st.integers(-3, 4), st.integers(-3, 4))
+    entries = draw(st.dictionaries(cells, scalar, min_size=1, max_size=6))
+    tail = None
+    if tails and draw(st.booleans()):
+        size = draw(st.integers(2, 4))
+        coeffs = draw(st.lists(st.one_of(q, scalar), min_size=1, max_size=size - 1))
         tail = TailDescriptor.jordan(size, 5, coeffs)
     return FinitePotentOperator(SparseOperator(entries), tail)

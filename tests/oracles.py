@@ -20,9 +20,12 @@ loop pairing on a finite stage, as finpot computed it before it took the
 corner from Widom's identity, the exp recurrence and the pairing's cutoff
 sizing on Fractions, as finpot ran them before it ran both on integers,
 the pairing's rounded corner determinant from the exact int_det, as finpot
-took it before it certified the rounding from a fixed-point LU, and the
+took it before it certified the rounding from a fixed-point LU, the
 action of an operator and of a composition from the stored finite entries
-and the tail's image_of, without the tail.on and block views.
+and the tail's image_of, without the tail.on and block views, and the
+number-field product as a Fraction product of coefficient lists reduced
+by polynomial division, as finpot formed it before it ran on integer
+numerators.
 """
 
 from fractions import Fraction
@@ -33,7 +36,8 @@ from finpot.errors import SeriesDomainError
 from finpot.matrices import int_det
 from finpot.places import LocalExpansion
 from finpot.polynomials import Polynomial
-from finpot.scalars import NumberField, NumberFieldElement, _int_coeffs, scalar_is_zero
+from finpot.scalars import (NumberField, NumberFieldElement, _int_coeffs, _poly_divmod, _poly_mul,
+                            scalar_is_zero)
 from finpot.segal_wilson import _RADII, exp_symbol
 from finpot.series import TruncatedLaurentSeries, series_inv
 
@@ -676,6 +680,17 @@ def tail_compose_generic(s, t):
             if i + j < b:
                 prod[i + j - 1] += a * c
     return TailDescriptor.jordan(b, s.start_index, prod)
+
+
+def field_mul_fraction(a, b):
+    """The coefficients of a * b for two elements of one NumberField, from
+    Fractions: scalars._poly_mul of the coefficient lists, reduced modulo
+    the modulus by scalars._poly_divmod and padded to the degree."""
+    field = a.field
+    prod = _poly_mul(list(a.coeffs), list(b.coeffs))
+    if len(prod) > field.degree:
+        prod = _poly_divmod(prod, list(field.modulus))[1]
+    return tuple(prod + [Fraction(0)] * (field.degree - len(prod)))
 
 
 def poly_mul_generic(a, b):

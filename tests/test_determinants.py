@@ -31,7 +31,8 @@ from finpot.operators import (
 from finpot.polynomials import Polynomial
 from finpot.scalars import NumberField, NumberFieldElement, field_norm
 from finpot.series import TruncatedLaurentSeries as TLS
-from conftest import composite_is_identity, q_operators, random_operator, random_nilpotent
+from conftest import (composite_is_identity, field_operators, q_operators, random_operator,
+                      random_nilpotent)
 
 PROJ = FPO.from_entries([(0, 0, 1)])
 NILP = FPO.from_entries([(0, 1, 1)])
@@ -299,6 +300,30 @@ def test_det_routes_over_number_fields(rng):
             "ast", "exterior", "charpoly", "plemelj_smithies", "logdet"]
         assert all(r.value == d for r in results)
         assert routes_agree(phi)
+
+
+@settings(max_examples=100)
+@given(field_operators())
+def test_routes_and_traces_agree_over_number_fields(phi):
+    """Over Q(i) and Q(sqrt 2): all five det_routes give det_one_plus(phi),
+    and tate_trace(phi) is the first exterior trace."""
+    d = det_one_plus(phi)
+    assert [r.value for r in det_routes(phi)] == [d] * 5
+    assert tate_trace(phi) == exterior_trace(phi, 1)
+
+
+@settings(max_examples=100)
+@given(field_operators(tails=False))
+def test_restricted_routes_give_the_norm(phi):
+    """Every det_routes value of restrict_scalars(phi), an operator over Q,
+    is the field norm of det(1 + phi), for tail-free phi with 1 + phi
+    invertible."""
+    d = det_one_plus(phi)
+    if d == 0:
+        return
+    field = next(iter(phi.finite_part.entries.values())).field
+    norm = field_norm(field.one() * d)
+    assert [r.value for r in det_routes(restrict_scalars(phi))] == [norm] * 5
 
 
 def test_det_poly_over_number_fields(rng):

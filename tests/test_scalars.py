@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +16,7 @@ from finpot.scalars import (
 )
 from finpot.series import TruncatedLaurentSeries
 
-from oracles import field_trace_regular
+from oracles import field_mul_fraction, field_trace_regular
 
 
 def test_rational_round_trip():
@@ -144,6 +144,69 @@ def test_equal_scalars_hash_equal(data):
     b = data.draw(st.one_of(_scalar(), st.sampled_from(_same_value(a))))
     if a == b:
         assert hash(a) == hash(b)
+
+
+# -- integer numerators over one denominator, against Fractions ----------------
+
+_MODULI = {
+    "x^2+1": [1, 0, 1],
+    "x^2-2": [-2, 0, 1],
+    "x^2+x+1": [1, 1, 1],
+    "x^2-1/2": [Fraction(-1, 2), 0, 1],
+    "x^3+x/3+1": [1, Fraction(1, 3), 0, 1],
+    "x^3+x^2/3-1/2": [Fraction(-1, 2), 0, Fraction(1, 3), 1],  # x^4 needs x^3 reduced again
+    "x^2-1 (etale)": [-1, 0, 1],
+}
+_FIELDS = {name: NumberField(m) for name, m in _MODULI.items()}
+
+
+def _is_canonical(x):
+    """x's coefficients are d Fractions, and it is stored as d ints over a
+    positive int denominator with no common factor."""
+    d = x.field.degree
+    return (type(x.coeffs) is tuple and len(x.coeffs) == d
+            and all(type(c) is Fraction for c in x.coeffs)
+            and len(x.nums) == d and all(type(n) is int for n in x.nums)
+            and type(x.den) is int and x.den > 0 and gcd(x.den, *x.nums) == 1)
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(sorted(_MODULI)), st.data())
+def test_element_arithmetic_matches_fractions(name, data):
+    """Products, sums, differences, negation and products by an int or a
+    Fraction give the coefficients the Fraction arithmetic gives (products
+    by the oracle's Fraction product reduced by polynomial division), each
+    in canonical form; inverse round-trips wherever the element is coprime
+    to the modulus, and raises exactly where it is not; == and hash agree
+    with Fraction on rational values."""
+    field = _FIELDS[name]
+    coeffs = st.lists(_COEFF, max_size=field.degree + 2)  # longer lists are reduced first
+    a, b = (field.element(data.draw(coeffs)) for _ in range(2))
+    k = data.draw(st.one_of(st.integers(-3, 3), _COEFF))
+    ac, bc = a.coeffs, b.coeffs
+    cases = [
+        (a * b, field_mul_fraction(a, b)),
+        (a + b, tuple(x + y for x, y in zip(ac, bc))),
+        (a - b, tuple(x - y for x, y in zip(ac, bc))),
+        (-a, tuple(-x for x in ac)),
+        (a * k, tuple(x * k for x in ac)),
+        (k * a, tuple(x * k for x in ac)),
+        (a + k, (ac[0] + k,) + ac[1:]),
+        (k - a, (k - ac[0],) + tuple(-x for x in ac[1:])),
+    ]
+    for got, want in cases:
+        assert got.coeffs == want and _is_canonical(got)
+    try:
+        inv = a.inverse()
+    except ZeroDivisionError:
+        assert Polynomial(ac).gcd(Polynomial(field.modulus)).degree > 0
+    else:
+        assert a * inv == 1 and _is_canonical(inv)
+    # a rational value equals its Fraction both ways and hashes as it
+    v = data.draw(_COEFF)
+    e = field.element([v])
+    assert e == v and v == e and hash(e) == hash(v) and _is_canonical(e)
+    assert (a == ac[0]) == a.is_rational() and (e == k) == (v == k)
 
 
 # -- the derived ring operations and the Fraction->integer boundary ------------
