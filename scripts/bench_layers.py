@@ -48,14 +48,19 @@ the first reaches into (op_compose_tail, drawn after every other input),
 of mat_inverse on a dense 8 x 8 matrix over Q(i) (mat_inverse_gauss) and
 of det on a dense 6 x 6 matrix over the cubic field Q[x]/(x^3 + x^2/3 -
 1/2), whose integer reduction table has a denominator (det_cubic), both
-drawn after every other input, and, end to end, of one fresh
-`python -m finpot` process per CLI verb
+drawn after every other input, of NumberFieldElement.inverse at degrees
+2, 12 and 40 (nf_inverse: a random monic modulus and element, every
+coefficient a p/q as above, drawn after every other input), and, end to
+end, of one fresh `python -m finpot` process per CLI verb
 (cli_cold, best of 5, counting interpreter start and import; "python" is
-a bare interpreter start for reference).  With --out it also writes the numbers,
-the git commit of the finpot tree it imported, the line count of its
-modules (src_lines) and the machine to a JSON file.
+a bare interpreter start for reference; "reciprocity dense 60" is
+`reciprocity --f 1/P --g t` for a monic P of degree 60 with every lower
+coefficient a random integer in [1, 9], drawn after every other input).
+With --out it also writes the numbers, the git commit of the finpot tree
+it imported, the line count of its modules (src_lines) and the machine to
+a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_25.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_26.json
 
 Run it on two checkouts on the same host to compare them, each with its own
 copy of this script: the pairing rows read segal_wilson._corner and
@@ -298,7 +303,17 @@ def measure():
     cubic = NumberField([Fraction(-1, 2), 0, Fraction(1, 3), 1])
     a = [[cubic.element([rational(rng) for _ in range(3)]) for _ in range(6)] for _ in range(6)]
     out["det_cubic"] = {"6": best_of(det, a)}
-    out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in CLI_VERBS.items()}
+    # drawn after every input above, which stay as in earlier versions
+    out["nf_inverse"] = {}
+    for n in (2, 12, 40):
+        field = NumberField([rational(rng) for _ in range(n)] + [1])
+        element = field.element([rational(rng) for _ in range(n)])
+        out["nf_inverse"][str(n)] = best_of(element.inverse)
+    pole = "+".join("%d*t^%d" % (rng.randint(1, 9), k) for k in range(60))
+    verbs = dict(CLI_VERBS)
+    verbs["reciprocity dense 60"] = ["-m", "finpot", "reciprocity", "--f", "1/(t^60+%s)" % pole,
+                                     "--g", "t"]
+    out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in verbs.items()}
     return out
 
 

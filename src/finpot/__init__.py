@@ -4,7 +4,6 @@ residue pairing on the projective line, and the loop-group pairing."""
 
 from .determinants import (
     DetResult,
-    char_poly,
     det_one_plus,
     det_poly,
     det_routes,
@@ -58,7 +57,6 @@ from .operators import (
     op_power,
     op_scale,
     op_sub,
-    verify_certificate,
 )
 from .parsing import parse_loop_exponent, parse_place, parse_rational_function
 from .places import LocalExpansion, Place, local_expand, relevant_places

@@ -36,7 +36,6 @@ from fractions import Fraction
 from .errors import NotInvertibleError
 from .fitting import fitting, lift_ast
 from .matrices import (
-    charpoly,
     det,
     elementary_symmetric,
     mat_inverse,
@@ -104,11 +103,6 @@ def exterior_trace(phi: FinitePotentOperator, r: int):
 def det_poly(phi: FinitePotentOperator) -> Polynomial:
     """det(1 + mu*phi) as an exact polynomial in mu."""
     return Polynomial(_core_symmetric(elementary_symmetric(_block(phi))))
-
-
-def char_poly(matrix) -> Polynomial:
-    """Exact characteristic polynomial det(xI - M), lowest degree first."""
-    return Polynomial(charpoly(matrix))
 
 
 def _plemelj_smithies_coeffs(traces):

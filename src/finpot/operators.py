@@ -511,24 +511,3 @@ def classify(phi: FinitePotentOperator, h: HalfSpaceSpec) -> OperatorClass:
     in_e2 = not phi.has_tail()
     return OperatorClass(in_E=True, in_E1=True, in_E2=in_e2, in_E0=in_e2)
 
-
-def verify_certificate(
-    phi: FinitePotentOperator, cert: Certificate, span: int = 50
-) -> bool:
-    """Brute-force check: apply phi cert.n times to each of `span` basis
-    vectors straddling the interesting region and confirm every image lies
-    in span(W).  Heuristic limit: only `span` (default 50) indices are
-    tried, so True is evidence, not proof, for wider operators."""
-    anchors = set(phi.finite_part.support())
-    if phi.has_tail():
-        anchors.add(phi.tail.start_index)
-        anchors.add(phi.tail.start_index + 2 * phi.tail.block_size)
-    lo = min(anchors) - 3 if anchors else -3
-    wset = set(cert.indices)
-    for i in range(lo, lo + span):
-        vec = {i: Fraction(1)}
-        for _ in range(cert.n):
-            vec = op_apply(phi, vec)
-        if any(ix not in wset for ix in vec):
-            return False
-    return True

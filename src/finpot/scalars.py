@@ -13,6 +13,12 @@ lists, truncated to its accumulator; _poly_mul runs it on ints for
 all-Fraction lists, on the stored scalars otherwise.  _Ring gives the other
 exact value types one subtraction, and _power all of them one power.
 
+Linear algebra over Q in Q[x]/(p) reads one form, an element's integer
+multiplication matrix (NumberFieldElement._int_matrix), built by the same
+integer reduction (NumberField._reduce) as the product: regular_matrix is
+that matrix over its denominator, inverse one reduced matrices._bareiss on
+its integer rows, and field_norm matrices.int_det of it.
+
 One scalar rule holds where values leave the library: a rational value is
 a Fraction, whichever kernel computed it.  canonical is that rule; the
 series and polynomial constructors and the scalar results of determinants
@@ -194,6 +200,18 @@ class NumberField:
                             for k in range(0, len(nums), d)], e)
         return self._table
 
+    def _reduce(self, acc):
+        """E * (acc mod modulus) as d ints, for an int coefficient list acc
+        of length 2d - 1 (E from _reduction): acc's low d terms times E,
+        plus each higher term times its row of the table."""
+        rows, e = self._reduction()
+        out = [x * e for x in acc[: self.degree]]
+        for c, row in zip(acc[self.degree :], rows):
+            if c:
+                for i, t in row:
+                    out[i] += c * t
+        return out
+
     def power_sums(self):
         """(s_0, ..., s_{d-1}): s_k is the sum of the k-th powers of the
         modulus's roots, the trace of x^k.  Newton's identities give them
@@ -303,37 +321,41 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        rows, e = self.field._reduction()
-        acc = _add_product([0] * (2 * d - 1), self.nums, o.nums)
-        out = [x * e for x in acc[:d]]
-        for c, row in zip(acc[d:], rows):
-            if c:
-                for i, t in row:
-                    out[i] += c * t
-        return NumberFieldElement(self.field, out, self.den * o.den * e)
+        field = self.field
+        acc = _add_product([0] * (2 * field.degree - 1), self.nums, o.nums)
+        den = self.den * o.den * field._reduction()[1]
+        return NumberFieldElement(field, field._reduce(acc), den)
 
     __rmul__ = __mul__
 
+    def _int_matrix(self):
+        """(M, s): M an integer matrix (a list of rows) and M / s the
+        regular matrix.  Column j holds the numerators of s * self * x^j,
+        the shifted nums reduced by NumberField._reduce, with s = den * E."""
+        field = self.field
+        d = field.degree
+        cols = [field._reduce([0] * j + list(self.nums) + [0] * (d - 1 - j)) for j in range(d)]
+        return [list(row) for row in zip(*cols)], self.den * field._reduction()[1]
+
     def inverse(self) -> "NumberFieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm; it
-        exists exactly when the element is coprime to the modulus."""
+        """Multiplicative inverse, the solution v of M v = s e_0 for
+        (M, s) = _int_matrix(): one reduced matrices._bareiss on the integer
+        rows [M | s e_0] leaves D v in the last column, D the last pivot.
+        It exists exactly when the element is coprime to the modulus, that
+        is when M has full rank."""
+        from .matrices import _bareiss  # matrices imports this module
+
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-
-        # invariants: r0 = s0 * self (mod modulus), r1 = s1 * self (mod modulus)
-        r0, r1 = list(self.field.modulus), _poly_trim(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            # s0 - q * s1, accumulated into a copy of s0
-            acc = s0 + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
-            s0, s1 = s1, _poly_trim(_add_product(acc, [-x for x in q], s1))
-        if len(r0) != 1:
+        m, s = self._int_matrix()
+        d = self.field.degree
+        m = [row + [0] for row in m]
+        m[0][d] = s
+        if _bareiss(m, d, reduce=True)[0] != list(range(d)):
             raise ZeroDivisionError("element not invertible: not coprime to the modulus")
-        inv = 1 / r0[0]
-        return self.field.element([c * inv for c in s0])
+        den = m[-1][d - 1]
+        sign = -1 if den < 0 else 1
+        return NumberFieldElement(self.field, [sign * row[d] for row in m], sign * den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -363,18 +385,11 @@ class NumberFieldElement:
         return not any(self.nums[1:])
 
     def regular_matrix(self):
-        """Matrix of multiplication by self on the basis 1, x, ..., x^(d-1).
-
-        Returned as a list of rows; column j holds the coordinates of
-        self * x^j.
-        """
-        d = self.field.degree
-        cols = []
-        cur = self
-        for _ in range(d):
-            cols.append(cur.coeffs)
-            cur = cur * self.field.generator()
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
+        """Matrix of multiplication by self on the basis 1, x, ..., x^(d-1),
+        as a list of rows of Fractions; column j holds the coordinates of
+        self * x^j.  It is _int_matrix's M over s."""
+        m, s = self._int_matrix()
+        return [[Fraction(x, s) for x in row] for row in m]
 
     def __repr__(self):
         terms = []
@@ -390,10 +405,12 @@ class NumberFieldElement:
 
 
 def field_norm(e: NumberFieldElement) -> Fraction:
-    """Norm down to Q: determinant of the multiplication-by-e map."""
-    from .matrices import det  # matrices imports this module
+    """Norm down to Q: determinant of the multiplication-by-e map, the
+    integer determinant of e's _int_matrix M over s^d."""
+    from .matrices import int_det  # matrices imports this module
 
-    return det(e.regular_matrix())
+    m, s = e._int_matrix()
+    return Fraction(int_det(m), s ** len(m))
 
 
 def field_trace(e: NumberFieldElement) -> Fraction:

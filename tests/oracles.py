@@ -25,7 +25,8 @@ action of an operator and of a composition from the stored finite entries
 and the tail's image_of, without the tail.on and block views, and the
 number-field product as a Fraction product of coefficient lists reduced
 by polynomial division, as finpot formed it before it ran on integer
-numerators.
+numerators, and the finite-potency certificate checked by brute force on
+a span of basis vectors, which finpot once exported.
 """
 
 from fractions import Fraction
@@ -343,6 +344,28 @@ def compose_by_image_of(phi, psi, columns):
     """{j: (phi . psi)(e_j)} for j in columns, psi applied first, each
     factor by apply_by_image_of."""
     return {j: apply_by_image_of(phi, apply_by_image_of(psi, {j: Fraction(1)})) for j in columns}
+
+
+def verify_certificate(phi, cert, span: int = 50) -> bool:
+    """Brute-force check: apply phi cert.n times to each of `span` basis
+    vectors straddling the interesting region and confirm every image lies
+    in span(W).  Heuristic limit: only `span` (default 50) indices are
+    tried, so True is evidence, not proof, for wider operators."""
+    from finpot.operators import op_apply
+
+    anchors = set(phi.finite_part.support())
+    if phi.has_tail():
+        anchors.add(phi.tail.start_index)
+        anchors.add(phi.tail.start_index + 2 * phi.tail.block_size)
+    lo = min(anchors) - 3 if anchors else -3
+    wset = set(cert.indices)
+    for i in range(lo, lo + span):
+        vec = {i: Fraction(1)}
+        for _ in range(cert.n):
+            vec = op_apply(phi, vec)
+        if any(ix not in wset for ix in vec):
+            return False
+    return True
 
 
 # -- products of operator exponentials by series products ----------------------

@@ -350,7 +350,10 @@ def test_series_det_matches_generic_loops(m):
 
 def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
     """Q input reaches _bareiss as integer rows and Q(i) input with its own
-    scalars; _bareiss never receives a series."""
+    scalars; _bareiss never receives a series.  Only outermost calls are
+    counted: a Q(i) inverse, at a pivot or outside the loop, runs a nested
+    _bareiss of its own, on the integer rows of its multiplication matrix,
+    and only on ints."""
     q, g = rand_matrix(rng, 4), rand_gauss_matrix(rng, 4, 4)
     q[0][1], q[2][3] = Fraction(1, 3), Fraction(-5, 2)
     for i in range(4):  # diagonally dominant, so both are invertible
@@ -358,14 +361,24 @@ def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
         g[i][i] = g[i][i] + 20
     one, z = TLS.one("z", 4), TLS.from_terms("z", {1: GAUSS.generator()}, 4)
     series = [[one + z, z], [z * z, one]]
-    seen = []
+    seen, nested, depth = [], [], [0]
 
-    def counting(m, *args, _fn=matrices._bareiss, **kwargs):
-        seen.append({type(x) for row in m for x in row})
+    def nesting(fn):
+        def inside(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return inside
+
+    def counting(m, *args, _fn=nesting(matrices._bareiss), **kwargs):
+        (nested if depth[0] else seen).append({type(x) for row in m for x in row})
         return _fn(m, *args, **kwargs)
 
     monkeypatch.setattr(matrices, "_bareiss", counting)
     nfe = type(GAUSS.generator())
+    monkeypatch.setattr(nfe, "inverse", nesting(nfe.inverse))
     for a, reaches in ((q, lambda types: types == {int}),
                        (g, lambda types: nfe in types and int not in types)):
         seen.clear()
@@ -375,6 +388,7 @@ def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
         assert kernel_basis(a) == kernel_basis_generic(a) == []
         assert mat_inverse(a) == mat_inverse_generic(a)
         assert len(seen) == 5 and all(map(reaches, seen))
+    assert nested and all(types == {int} for types in nested)
     seen.clear()
     assert det_series_matrix(series, one) == det_series_matrix_generic(series, one)
     assert not any(TLS in types for types in seen)

@@ -19,7 +19,6 @@ from finpot.operators import (
     op_entry,
     op_power,
     op_scale,
-    verify_certificate,
 )
 from finpot.scalars import NumberField, scalar_is_zero
 from conftest import q_operators, random_operator
@@ -30,6 +29,7 @@ from oracles import (
     sparse_compose,
     sparse_scale,
     tail_compose_generic,
+    verify_certificate,
 )
 
 
