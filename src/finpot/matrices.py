@@ -10,8 +10,9 @@ Every elimination runs on the fraction-free loop _bareiss (Bareiss 1968):
 det, and reduced_echelon, which kernel_basis and mat_inverse (the right
 half of the reduced echelon form of [a | I]) read, and in scalars the
 number-field inverse (one reduced _bareiss on the integer rows of the
-element's multiplication matrix) and field_norm (int_det of that matrix).  The pivot is the first
-nonzero entry at or below the current row, and every other row becomes
+element's multiplication matrix) and field_norm (int_det of that matrix).
+The pivot is the first nonzero entry at or below the current row, and
+every other row becomes
 (pivot * row - entry * pivot row) / previous pivot, an exact division: '//'
 on ints, a product with the inverse of the previous pivot otherwise.  The
 Gauss-Jordan form leaves d times the reduced echelon form, d the last pivot
