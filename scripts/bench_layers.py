@@ -55,12 +55,18 @@ end, of one fresh `python -m finpot` process per CLI verb
 (cli_cold, best of 5, counting interpreter start and import; "python" is
 a bare interpreter start for reference; "reciprocity dense 60" is
 `reciprocity --f 1/P --g t` for a monic P of degree 60 with every lower
-coefficient a random integer in [1, 9], drawn after every other input).
+coefficient a random integer in [1, 9], drawn after every other input),
+and, drawn after all of those, of Polynomial.gcd at degrees 20, 40 and 80
+(poly_gcd: "coprime_<n>" is (P, P') for such a dense monic P of degree n,
+"common_<n>" two products A C and B C of dense monic polynomials with C
+of degree n/2), of f * g.derivative() on the Laurent shapes of the
+cocycle_via_operators row (rf_differential, the f g' of every residue),
+and of cli_cold "reciprocity dense 80", the dense-60 row at degree 80.
 With --out it also writes the numbers, the git commit of the finpot tree
 it imported, the line count of its modules (src_lines) and the machine to
 a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_26.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_27.json
 
 Run it on two checkouts on the same host to compare them, each with its own
 copy of this script: the pairing rows read segal_wilson._corner and
@@ -144,6 +150,12 @@ def loop_exponents(rng, support):
     coeffs = [Fraction(s, d) for s in (-1, 1) for d in (2, 4)]
     return (LoopExponent(side, {n: rng.choice(coeffs) for n in range(1, support + 1)})
             for side in ("plus", "minus"))
+
+
+def dense_monic(rng, n):
+    """t^n plus a random integer in [1, 9] at every lower degree, the shape
+    of the dense poles of the cli_cold rows."""
+    return Polynomial([rng.randint(1, 9) for _ in range(n)] + [1])
 
 
 def pairing_corner(rng, T, support):
@@ -312,6 +324,19 @@ def measure():
     pole = "+".join("%d*t^%d" % (rng.randint(1, 9), k) for k in range(60))
     verbs = dict(CLI_VERBS)
     verbs["reciprocity dense 60"] = ["-m", "finpot", "reciprocity", "--f", "1/(t^60+%s)" % pole,
+                                     "--g", "t"]
+    # drawn after every input above, which stay as in earlier versions
+    out["poly_gcd"] = {}
+    for n in (20, 40, 80):
+        p = dense_monic(rng, n)
+        out["poly_gcd"]["coprime_%d" % n] = best_of(p.gcd, p.derivative())
+        c = dense_monic(rng, n // 2)
+        a, b = (dense_monic(rng, n - n // 2) * c for _ in range(2))
+        out["poly_gcd"]["common_%d" % n] = best_of(a.gcd, b)
+    f, g = (laurent(rng, degrees) for degrees in ((-2, 1), (-1, 1)))
+    out["rf_differential"] = {"laurent": best_of(lambda: f * g.derivative())}
+    pole = "+".join("%d*t^%d" % (rng.randint(1, 9), k) for k in range(80))
+    verbs["reciprocity dense 80"] = ["-m", "finpot", "reciprocity", "--f", "1/(t^80+%s)" % pole,
                                      "--g", "t"]
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in verbs.items()}
     return out

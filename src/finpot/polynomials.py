@@ -5,6 +5,14 @@ coefficient (the zero polynomial is the empty list): Fractions, and
 NumberFieldElements only for values outside Q (det_poly over a number
 field), by scalars.canonical.
 Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
+
+Q[t] arithmetic runs on Python ints, each list its numerators over their
+lcm (scalars._int_coeffs), with one Fraction per output coefficient:
+division is scalars._poly_divmod; gcd the primitive PRS _int_gcd, made
+monic at the end; and the construction, +, *, / and derivative of a
+rational function form n / d on integer lists and normalize it in
+_normal_form, one _int_gcd and two exact divisions.  gcd and rational
+functions are over Q: a NumberFieldElement coefficient is a TypeError.
 Nothing here factors over Q: the squarefree decomposition (squarefree_parts)
 and the coprime squarefree basis of several polynomials (coprime_basis)
 need only gcds and exact divisions.
@@ -13,8 +21,11 @@ need only gcds and exact divisions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
-from .scalars import _poly_divmod, _poly_mul, _power, _Ring, canonical, format_rational
+from .scalars import (_add_product, _int_coeffs, _int_divmod, _poly_divmod, _poly_mul, _poly_trim,
+                      _power, _Ring, canonical, format_rational)
 
 
 class Polynomial(_Ring):
@@ -114,13 +125,13 @@ class Polynomial(_Ring):
         return self.divmod(other)[1]
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial(_derivative(self.coeffs))
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd over Q (zero for two zeros), from _int_gcd on the
+        numerators; TypeError for coefficients outside Q."""
+        g = _int_gcd(*_int_pair(self, other))
+        return Polynomial([Fraction(x, g[-1]) for x in g])
 
     def evaluate(self, x):
         """Horner evaluation; x may be a Fraction, NumberFieldElement, etc."""
@@ -161,6 +172,58 @@ def format_polynomial(p: Polynomial, var: str) -> str:
             head = "" if c == 1 else ("-" if c == -1 else format_rational(c) + "*")
             terms.append(head + (var if i == 1 else "%s^%d" % (var, i)))
     return " + ".join(terms).replace("+ -", "- ")
+
+
+def _int_mul(a, b):
+    return _add_product([0] * (len(a) + len(b) - 1), a, b) if a and b else []
+
+
+def _derivative(a):
+    return [i * x for i, x in enumerate(a)][1:]
+
+
+def _int_add(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _int_pair(u: Polynomial, v: Polynomial):
+    """Int lists (n, d), multiples of u and v with n / d = u / v: each
+    one's numerators over its lcm (_int_coeffs), times the other's lcm.
+    TypeError when a coefficient lies outside Q."""
+    fu, fv = _int_coeffs(u.coeffs), _int_coeffs(v.coeffs)
+    if fu is None or fv is None:
+        raise TypeError("coefficients outside Q in %s, %s" % (u, v))
+    (n, a), (d, b) = fu, fv
+    return [x * b for x in n], [x * a for x in d]
+
+
+def _primitive(a):
+    c = gcd(*a)
+    return a if c == 1 else [x // c for x in a]
+
+
+def _int_gcd(a, b):
+    """A primitive gcd of trimmed int lists, up to sign (empty for two
+    empty lists), by the primitive PRS (Collins 1967; Brown 1971): each
+    pseudo-remainder of a by b, from _int_divmod, divided by its content."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_int_divmod(a, b)[2])
+    return a
+
+
+def _normal_form(n, d):
+    """(num, den) for n / d, n and d int lists: den monic and gcd(num, den)
+    = 1.  One _int_gcd g, exact divisions of n and d by it (g is primitive,
+    so the quotients are integral by Gauss's lemma), then one Fraction per
+    coefficient."""
+    n = _poly_trim(n)
+    if not d:
+        raise ZeroDivisionError("zero denominator")
+    g = _int_gcd(n, d)
+    if len(g) > 1:
+        n, d = _int_divmod(n, g)[0], _int_divmod(d, g)[0]  # exact: no scaling
+    return tuple(Polynomial([Fraction(x, d[-1]) for x in p]) for p in (n, d))
 
 
 def split_power(cs, pi):
@@ -225,24 +288,23 @@ def coprime_basis(polys):
 
 
 class RationalFunction(_Ring):
-    """Quotient of polynomials, normalized with a monic denominator."""
+    """Quotient of polynomials over Q, normalized by _normal_form: monic
+    denominator, gcd(num, den) = 1.  TypeError for coefficients outside Q."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial = Polynomial([1])):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading()
-        if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
+        self.num, self.den = _normal_form(*_int_pair(num, den))
+
+    @classmethod
+    def _of(cls, n, d) -> "RationalFunction":
+        """n / d for int lists n and d."""
+        out = cls.__new__(cls)
+        out.num, out.den = _normal_form(n, d)
+        return out
+
+    def _parts(self):
+        return _int_pair(self.num, self.den)
 
     @classmethod
     def from_const(cls, c) -> "RationalFunction":
@@ -276,9 +338,8 @@ class RationalFunction(_Ring):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        (n1, d1), (n2, d2) = self._parts(), other._parts()
+        return RationalFunction._of(_int_add(_int_mul(n1, d2), _int_mul(n2, d1)), _int_mul(d1, d2))
 
     __radd__ = __add__
 
@@ -289,7 +350,8 @@ class RationalFunction(_Ring):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        (n1, d1), (n2, d2) = self._parts(), other._parts()
+        return RationalFunction._of(_int_mul(n1, n2), _int_mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -299,7 +361,8 @@ class RationalFunction(_Ring):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        (n1, d1), (n2, d2) = self._parts(), other._parts()
+        return RationalFunction._of(_int_mul(n1, d2), _int_mul(d1, n2))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -309,10 +372,10 @@ class RationalFunction(_Ring):
         return _power(1 / self if n < 0 else self, abs(n), RationalFunction.from_const(1))
 
     def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        n, d = self._parts()
+        return RationalFunction._of(_int_add(_int_mul(_derivative(n), d),
+                                             _int_mul([-x for x in n], _derivative(d))),
+                                    _int_mul(d, d))
 
     def shift(self, a) -> "RationalFunction":
         """Substitute t -> t + a."""

@@ -10,8 +10,11 @@ scalar.  The arithmetic core lives here.  _int_coeffs, the all-Fraction
 test and the lcm scaling, is the one Fraction -> integer boundary of every
 integer kernel.  _add_product is the one termwise product of coefficient
 lists, truncated to its accumulator; _poly_mul runs it on ints for
-all-Fraction lists, on the stored scalars otherwise.  _Ring gives the other
-exact value types one subtraction, and _power all of them one power.
+all-Fraction lists, on the stored scalars otherwise.  _int_divmod is the
+one division of integer coefficient lists, exact or pseudo; _poly_divmod
+runs it for all-Fraction lists, and the same loop on the stored scalars
+otherwise.  _Ring gives the other exact value types one subtraction, and
+_power all of them one power.
 
 Linear algebra over Q in Q[x]/(p) reads one form, an element's integer
 multiplication matrix (NumberFieldElement._int_matrix), built by the same
@@ -145,20 +148,57 @@ def _poly_mul(a, b, n=None):
     return _poly_trim([Fraction(c, den) for c in _add_product([0] * n, a, b)])
 
 
-def _poly_divmod(a, b):
-    """(quotient, remainder) of coefficient lists; each step subtracts
-    only the nonzero terms of b, so a sparse divisor costs its support."""
+def _int_divmod(a, b):
+    """(q, s, r, p) for int lists a and b, lc(b) nonzero: a = sum_i
+    (q[i] / s[i]) t^i b + r / p, each s[i] and p a power of lc(b).  The
+    entries in play are scaled by lc(b) only at a step whose leading entry
+    lc(b) does not divide, and a lower entry takes the scale p when the
+    steps reach it.  So an exact division runs on a itself (every s[i] = p
+    = 1), and r is a pseudo-remainder with no more powers of lc(b) than the
+    steps need.  Each step subtracts only the nonzero terms of b, so a
+    sparse divisor costs its support."""
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    terms = [(j, y) for j, y in enumerate(b) if y != 0]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if c != 0:
-            q[i] = c = c * inv
+    n, lead = len(b) - 1, b[-1]
+    terms = [(j, y) for j, y in enumerate(b[:n]) if y]
+    q, s = [0] * max(0, len(a) - n), [1] * max(0, len(a) - n)
+    p = 1
+    for i in range(len(a) - 1 - n, -1, -1):
+        a[i] *= p
+        c = a[i + n]
+        if c % lead:
+            for m in range(i, i + n):
+                a[m] *= lead
+            c, p = c * lead, p * lead
+        if c:
+            q[i] = c = c // lead
+            s[i] = p
             for j, y in terms:
                 a[i + j] -= c * y
-    return q, _poly_trim(a)
+    return q, s, _poly_trim(a[:n]), p
+
+
+def _poly_divmod(a, b):
+    """(quotient, remainder) of coefficient lists.  When every coefficient
+    is a Fraction, one _int_divmod of the numerators a = A / da, b = B / db
+    over their lcms, and one Fraction per result coefficient: quotient
+    digit q[i] db / (s[i] da), remainder r / (p da).  Otherwise the same
+    loop runs on the stored scalars."""
+    fa, fb = _int_coeffs(a), _int_coeffs(b)
+    if fa is None or fb is None:
+        a = list(a)
+        q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+        inv = 1 / b[-1]
+        terms = [(j, y) for j, y in enumerate(b) if y != 0]
+        for i in range(len(a) - len(b), -1, -1):
+            c = a[i + len(b) - 1]
+            if c != 0:
+                q[i] = c = c * inv
+                for j, y in terms:
+                    a[i + j] -= c * y
+        return q, _poly_trim(a)
+    (a, da), (b, db) = fa, fb
+    q, s, r, p = _int_divmod(a, b)
+    return [Fraction(x * db, y * da) for x, y in zip(q, s)], [Fraction(x, p * da) for x in r]
 
 
 class NumberField:

@@ -25,13 +25,19 @@ action of an operator and of a composition from the stored finite entries
 and the tail's image_of, without the tail.on and block views, and the
 number-field product as a Fraction product of coefficient lists reduced
 by polynomial division, as finpot formed it before it ran on integer
-numerators, and the finite-potency certificate checked by brute force on
-a span of basis vectors, which finpot once exported.
+numerators, the finite-potency certificate checked by brute force on
+a span of basis vectors, which finpot once exported, and Q[t] division,
+gcd and rational-function normalisation as the Fraction loops finpot ran
+before it moved them onto primitive integer lists.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
+from unittest import mock
+
+from finpot import polynomials
 
 from finpot.errors import SeriesDomainError
 from finpot.matrices import int_det
@@ -729,6 +735,59 @@ def poly_mul_generic(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return _poly_trim(out)
+
+
+# -- Q[t] on Fractions -----------------------------------------------------------
+#
+# Division, gcd and normalisation as finpot ran them before its integer
+# pseudo-division and primitive PRS: one Fraction per operation.
+
+
+def poly_divmod_fraction(a, b):
+    """(quotient, remainder) of coefficient lists by the schoolbook loop on
+    the stored scalars, each step a product by 1 / lc(b) and a subtraction
+    over the nonzero terms of b."""
+    from finpot.scalars import _poly_trim
+
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv = 1 / b[-1]
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        if c != 0:
+            q[i] = c = c * inv
+            for j, y in enumerate(b):
+                if y != 0:
+                    a[i + j] -= c * y
+    return q, _poly_trim(a)
+
+
+def poly_gcd_euclid(a, b):
+    """The monic gcd of two Polynomials by Euclid's algorithm on Fractions
+    (zero for two zeros)."""
+    while not b.is_zero():
+        a, b = b, Polynomial(poly_divmod_fraction(a.coeffs, b.coeffs)[1])
+    return a.monic()
+
+
+def rational_normal_fraction(num, den):
+    """(num, den) of the quotient of two Polynomials, divided by their
+    Euclid gcd and scaled so that den is monic, all on Fractions."""
+    g = poly_gcd_euclid(num, den)
+    if g.degree > 0:
+        num, den = (Polynomial(poly_divmod_fraction(p.coeffs, g.coeffs)[0]) for p in (num, den))
+    inv = 1 / den.leading()
+    return Polynomial([c * inv for c in num.coeffs]), Polynomial([c * inv for c in den.coeffs])
+
+
+@contextmanager
+def fraction_euclid():
+    """finpot.polynomials with Polynomial.gcd and the division it imports
+    replaced by the Fraction loops above, so squarefree_parts and
+    split_power run as they did on Fractions."""
+    with mock.patch.object(polynomials, "_poly_divmod", poly_divmod_fraction), \
+            mock.patch.object(polynomials.Polynomial, "gcd", poly_gcd_euclid):
+        yield
 
 
 # -- local expansions by Newton lifting ----------------------------------------

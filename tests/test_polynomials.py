@@ -14,9 +14,10 @@ from finpot.polynomials import (
     split_power,
     squarefree_parts,
 )
-from finpot.scalars import NumberField, _add_product, _poly_mul
+from finpot.scalars import NumberField, _add_product, _poly_divmod, _poly_mul
 
-from oracles import poly_mul_generic, sympy_factors
+from oracles import (fraction_euclid, poly_divmod_fraction, poly_gcd_euclid, poly_mul_generic,
+                     rational_normal_fraction, sympy_factors)
 
 
 def rand_poly(rng, deg=3):
@@ -319,3 +320,86 @@ def test_add_product_matches_generic_loop_cut_to_length(kind, data):
     got = _add_product(list(acc), a, b)
     assert got == want
     assert [type(x) for x in got] == [type(x) for x in want]
+
+
+# -- integer division, gcd and normalisation against the Fraction loops ---------
+
+_P = st.lists(_Q, max_size=6).map(Polynomial)  # the zero polynomial and constants included
+_NONZERO = _P.filter(lambda p: not p.is_zero())
+_SPARSE = st.builds(lambda k, c, lead: Polynomial([c] + [0] * (k - 1) + [lead]),
+                    st.integers(1, 6), _Q, _Q.filter(bool))
+_MONIC = st.lists(_Q, min_size=1, max_size=3).map(lambda cs: Polynomial(cs + [1]))  # t + 1/3, ...
+_DIVISOR = st.one_of(_NONZERO, _SPARSE, _MONIC)
+_PAIR = st.one_of(
+    st.tuples(_P, _P),
+    st.tuples(_P, _DIVISOR),
+    st.builds(lambda a, b, c: (a * c, b * c), _P, _NONZERO, _DIVISOR),  # a common factor
+)
+
+
+def _fractions(*polys):
+    return all(type(c) is Fraction for p in polys for c in p.coeffs)
+
+
+@settings(max_examples=300)
+@given(_PAIR, st.booleans())
+def test_division_and_gcd_match_the_fraction_euclid(pair, field):
+    """_poly_divmod (the integer pseudo-division, or with a number-field
+    coefficient the stored-scalar loop), Polynomial.gcd (the primitive PRS),
+    split_power and squarefree_parts return the Fraction loops' values, and
+    Fractions on rational input."""
+    a, b = pair
+    assert a.gcd(b) == poly_gcd_euclid(a, b) and _fractions(a.gcd(b))
+    if b.is_zero():
+        return
+    cs = list(a.coeffs)
+    if field and cs:
+        cs[-1] = NumberField([1, 0, 1]).element([cs[-1], 1])
+    got, want = _poly_divmod(cs, b.coeffs), poly_divmod_fraction(cs, b.coeffs)
+    assert got == want
+    assert [type(x) for x in got[0] + got[1]] == [type(x) for x in want[0] + want[1]]
+    if not field:
+        assert all(type(x) is Fraction for x in got[0] + got[1])
+    if a.is_zero():
+        return
+    with fraction_euclid():
+        want = (squarefree_parts(a), b.degree > 0 and split_power(a.coeffs, b.coeffs))
+    got = (squarefree_parts(a), b.degree > 0 and split_power(a.coeffs, b.coeffs))
+    assert got == want
+    assert all(_fractions(q) for q, _ in got[0])
+    assert not got[1] or all(type(x) is Fraction for x in got[1][1])
+
+
+@settings(max_examples=200)
+@given(_PAIR, _PAIR)
+def test_rational_functions_match_the_fraction_normalisation(p, q):
+    """Construction, *, +, /, and derivative of RationalFunction give the
+    Fraction normal form of the unreduced result: same num and den, and
+    Fractions throughout."""
+    (a, b), (c, d) = p, q
+    if b.is_zero() or d.is_zero():
+        return
+    f, g = RationalFunction(a, b), RationalFunction(c, d)
+    want = {
+        "f": rational_normal_fraction(a, b),
+        "f*g": rational_normal_fraction(f.num * g.num, f.den * g.den),
+        "f+g": rational_normal_fraction(f.num * g.den + g.num * f.den, f.den * g.den),
+        "f'": rational_normal_fraction(f.num.derivative() * f.den - f.num * f.den.derivative(),
+                                       f.den * f.den),
+    }
+    got = {"f": f, "f*g": f * g, "f+g": f + g, "f'": f.derivative()}
+    if not g.is_zero():
+        want["f/g"] = rational_normal_fraction(f.num * g.den, f.den * g.num)
+        got["f/g"] = f / g
+    assert {k: (h.num, h.den) for k, h in got.items()} == want
+    assert all(_fractions(h.num, h.den) for h in got.values())
+
+
+def test_gcd_and_rational_functions_refuse_field_coefficients():
+    """Q[t] gcd and Q(t) are over Q: a number-field coefficient is a
+    TypeError, in either argument."""
+    p, one = Polynomial([NumberField([1, 0, 1]).generator(), 1]), Polynomial([1, 1])
+    for call in (lambda: p.gcd(one), lambda: one.gcd(p),
+                 lambda: RationalFunction(p), lambda: RationalFunction(one, p)):
+        with pytest.raises(TypeError):
+            call()
