@@ -61,12 +61,21 @@ and, drawn after all of those, of Polynomial.gcd at degrees 20, 40 and 80
 "common_<n>" two products A C and B C of dense monic polynomials with C
 of degree n/2), of f * g.derivative() on the Laurent shapes of the
 cocycle_via_operators row (rf_differential, the f g' of every residue),
-and of cli_cold "reciprocity dense 80", the dense-60 row at degree 80.
+and of cli_cold "reciprocity dense 80", the dense-60 row at degree 80,
+and, drawn after all of those, of squarefree_parts and coprime_basis:
+"reciprocity" runs them on one pair of each symbols-reciprocity kind
+(rational: f with a linear and a quadratic pole, g linear; Laurent: f and
+g in span(1/t, t); operator: f in span(1/t^2, t), g in span(1/t, t)),
+squarefree_parts on the denominator of every f g' and coprime_basis on
+every nonconstant numerator and denominator, as the residues and
+relevant_places take them; "dense_<n>" at degrees 20, 40 and 80 runs
+squarefree_parts on A^2 B and coprime_basis on [A C, B C], all dense
+monic as above (deg A = n/4, deg B = n/2 in A^2 B; deg C = n/2).
 With --out it also writes the numbers, the git commit of the finpot tree
 it imported, the line count of its modules (src_lines) and the machine to
 a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_27.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_28.json
 
 Run it on two checkouts on the same host to compare them, each with its own
 copy of this script: the pairing rows read segal_wilson._corner and
@@ -94,7 +103,7 @@ from finpot.matrices import charpoly, det, int_det, kernel_basis, mat_inverse, m
 from finpot.operators import op_compose
 from finpot.parsing import parse_place
 from finpot.places import local_expand
-from finpot.polynomials import Polynomial, RationalFunction
+from finpot.polynomials import Polynomial, RationalFunction, coprime_basis, squarefree_parts
 from finpot.residues import residue_tate
 from finpot.scalars import NumberField
 from finpot.segal_wilson import LoopExponent, sw_pairing_truncated
@@ -156,6 +165,17 @@ def dense_monic(rng, n):
     """t^n plus a random integer in [1, 9] at every lower degree, the shape
     of the dense poles of the cli_cold rows."""
     return Polynomial([rng.randint(1, 9) for _ in range(n)] + [1])
+
+
+def reciprocity_pairs(rng):
+    """One (f, g) of each symbols-reciprocity kind: rational, Laurent and
+    operator (see the module docstring)."""
+    t = Polynomial([0, 1])
+    a, b, c = rng.sample(range(-3, 4), 3)
+    q = rng.choice((t * t + 1, t * t - 2, t * t + t + 1, t * t + 3))
+    scale = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+    pairs = [(RationalFunction((t - a) * scale, (t - b) * q), RationalFunction(t - c))]
+    return pairs + [(laurent(rng, low), laurent(rng, (-1, 1))) for low in ((-1, 1), (-2, 1))]
 
 
 def pairing_corner(rng, T, support):
@@ -338,6 +358,18 @@ def measure():
     pole = "+".join("%d*t^%d" % (rng.randint(1, 9), k) for k in range(80))
     verbs["reciprocity dense 80"] = ["-m", "finpot", "reciprocity", "--f", "1/(t^80+%s)" % pole,
                                      "--g", "t"]
+    # drawn after every input above, which stay as in earlier versions
+    pairs = reciprocity_pairs(rng)
+    dens = [(f * g.derivative()).den for f, g in pairs]
+    polys = [p for pair in pairs for h in pair for p in (h.num, h.den) if p.degree > 0]
+    out["squarefree_parts"] = {"reciprocity": best_of(lambda: [squarefree_parts(d) for d in dens])}
+    out["coprime_basis"] = {"reciprocity": best_of(coprime_basis, polys)}
+    for n in (20, 40, 80):
+        a, b = dense_monic(rng, n // 4), dense_monic(rng, n // 2)
+        out["squarefree_parts"]["dense_%d" % n] = best_of(squarefree_parts, a * a * b)
+        c = dense_monic(rng, n // 2)
+        a, b = (dense_monic(rng, n - n // 2) * c for _ in range(2))
+        out["coprime_basis"]["dense_%d" % n] = best_of(coprime_basis, [a, b])
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in verbs.items()}
     return out
 

@@ -45,6 +45,7 @@ from .scalars import (
     NumberFieldElement,
     _int_coeffs,
     _poly_mul,
+    _poly_trim,
     format_rational,
     parse_integer,
     parse_rational,
@@ -200,37 +201,30 @@ class SparseOperator:
 @dataclass(frozen=True)
 class TailDescriptor:
     """Block tail: e_i -> sum_k coeffs[k-1] e_{i+k} inside blocks of
-    block_size indices starting at start_index (crossing terms drop)."""
+    block_size indices starting at start_index (crossing terms drop).  No
+    coeffs is no tail."""
 
-    kind: str = "none"
     block_size: int = 0
     start_index: int = 0
     coeffs: tuple = ()
 
     @classmethod
     def none(cls) -> "TailDescriptor":
-        return cls("none", 0, 0, ())
+        return cls(0, 0, ())
 
     @classmethod
     def jordan(cls, block_size: int, start_index: int, coeffs=(1,)) -> "TailDescriptor":
         if block_size < 1:
             raise ValueError("block_size must be positive")
         cs = [c if isinstance(c, NumberFieldElement) else Fraction(c) for c in coeffs]
-        cs = cs[: max(0, block_size - 1)]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs or all(c == 0 for c in cs):
-            return cls.none()
-        return cls("jordan_blocks", block_size, start_index, tuple(cs))
+        cs = _poly_trim(cs[: block_size - 1])
+        return cls(block_size, start_index, tuple(cs)) if cs else cls.none()
 
     def is_none(self) -> bool:
-        return self.kind == "none"
+        return not self.coeffs
 
     def same_geometry(self, other: "TailDescriptor") -> bool:
-        return (
-            self.block_size == other.block_size
-            and self.start_index == other.start_index
-        )
+        return (self.block_size, self.start_index) == (other.block_size, other.start_index)
 
     def nilpotency_degree(self) -> int:
         """ceil(block_size / v), v the valuation of the shift polynomial."""
@@ -416,6 +410,16 @@ def op_entry(phi: FinitePotentOperator, i: int, j: int):
     return phi.finite_part.get(i, j) + phi.tail.on([j]).get(i, j)
 
 
+def _below_tail(finite: SparseOperator, tail: TailDescriptor, what: str) -> FinitePotentOperator:
+    """finite + tail, or IncompatibleTailsError naming the `what` whose
+    finite support reaches the tail region."""
+    try:
+        return FinitePotentOperator(finite, tail)
+    except ValueError:  # the one check of FinitePotentOperator.__init__
+        raise IncompatibleTailsError("%s has finite support overlapping the tail region"
+                                     % what) from None
+
+
 def op_add(phi: FinitePotentOperator, *psis: FinitePotentOperator) -> FinitePotentOperator:
     """Sum phi + psi + ..., defined when the structural finite-rank-commutator
     check holds (at most one tail geometry; the tails fold left to right)
@@ -425,13 +429,7 @@ def op_add(phi: FinitePotentOperator, *psis: FinitePotentOperator) -> FinitePote
     for psi in psis:
         tail = tail.add(psi.tail)  # raises on incompatible geometry
     finite = phi.finite_part.add(*(psi.finite_part for psi in psis))
-    if not tail.is_none():
-        sup = finite.support()
-        if sup and max(sup) >= tail.start_index:
-            raise IncompatibleTailsError(
-                "sum has finite support overlapping the tail region"
-            )
-    return FinitePotentOperator(finite, tail)
+    return _below_tail(finite, tail, "sum")
 
 
 def op_sub(phi: FinitePotentOperator, psi: FinitePotentOperator) -> FinitePotentOperator:
@@ -453,14 +451,7 @@ def op_compose(
         parts.append(a.compose(psi.tail.on(cols)))
     if phi.has_tail():
         parts.append(phi.tail.on(b.rows()).compose(b))
-    finite = a.compose(b).add(*parts)
-    if not tail.is_none():
-        sup = finite.support()
-        if sup and max(sup) >= tail.start_index:
-            raise IncompatibleTailsError(
-                "composition has finite support overlapping the tail region"
-            )
-    return FinitePotentOperator(finite, tail)
+    return _below_tail(a.compose(b).add(*parts), tail, "composition")
 
 
 def op_commutator(

@@ -7,15 +7,14 @@ field), by scalars.canonical.
 Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
 
 Q[t] arithmetic runs on Python ints, each list its numerators over their
-lcm (scalars._int_coeffs), with one Fraction per output coefficient:
-division is scalars._poly_divmod; gcd the primitive PRS _int_gcd, made
-monic at the end; and the construction, +, *, / and derivative of a
-rational function form n / d on integer lists and normalize it in
-_normal_form, one _int_gcd and two exact divisions.  gcd and rational
-functions are over Q: a NumberFieldElement coefficient is a TypeError.
-Nothing here factors over Q: the squarefree decomposition (squarefree_parts)
-and the coprime squarefree basis of several polynomials (coprime_basis)
-need only gcds and exact divisions.
+lcm (scalars._rational_ints), with one Fraction per output coefficient:
+division is scalars._poly_divmod; gcd the primitive PRS _int_gcd; the
+construction, +, *, / and derivative of a rational function form n / d
+on integer lists and normalize it in _normal_form.  Nothing here factors:
+split_power, the squarefree decomposition (squarefree_parts) and the
+coprime basis (coprime_basis) run end to end on the same lists, with gcds
+and exact divisions by primitive divisors only.  All of it is over Q: a
+NumberFieldElement coefficient is a TypeError.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
-from .scalars import (_add_product, _int_coeffs, _int_divmod, _poly_divmod, _poly_mul, _poly_trim,
-                      _power, _Ring, canonical, format_rational)
+from .scalars import (_add_product, _int_divmod, _poly_divmod, _poly_mul, _poly_trim, _power,
+                      _rational_ints, _Ring, canonical, format_rational)
 
 
 class Polynomial(_Ring):
@@ -130,8 +129,7 @@ class Polynomial(_Ring):
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """The monic gcd over Q (zero for two zeros), from _int_gcd on the
         numerators; TypeError for coefficients outside Q."""
-        g = _int_gcd(*_int_pair(self, other))
-        return Polynomial([Fraction(x, g[-1]) for x in g])
+        return _monic(_int_gcd(*_int_pair(self, other)))
 
     def evaluate(self, x):
         """Horner evaluation; x may be a Fraction, NumberFieldElement, etc."""
@@ -188,18 +186,19 @@ def _int_add(a, b):
 
 def _int_pair(u: Polynomial, v: Polynomial):
     """Int lists (n, d), multiples of u and v with n / d = u / v: each
-    one's numerators over its lcm (_int_coeffs), times the other's lcm.
-    TypeError when a coefficient lies outside Q."""
-    fu, fv = _int_coeffs(u.coeffs), _int_coeffs(v.coeffs)
-    if fu is None or fv is None:
-        raise TypeError("coefficients outside Q in %s, %s" % (u, v))
-    (n, a), (d, b) = fu, fv
+    one's numerators over its lcm, times the other's lcm."""
+    (n, a), (d, b) = _rational_ints(u.coeffs), _rational_ints(v.coeffs)
     return [x * b for x in n], [x * a for x in d]
 
 
 def _primitive(a):
     c = gcd(*a)
     return a if c == 1 else [x // c for x in a]
+
+
+def _monic(a):
+    """The monic Polynomial of an int list, one Fraction per coefficient."""
+    return Polynomial([Fraction(x, a[-1]) for x in a])
 
 
 def _int_gcd(a, b):
@@ -227,64 +226,75 @@ def _normal_form(n, d):
 
 
 def split_power(cs, pi):
-    """(m, cs / pi^m) for nonzero coefficient lists cs and pi, with m the
-    multiplicity of pi in cs, by exact division on the lists.  Raises
-    ValueError when pi is constant: it divides every cs without end."""
+    """(m, cs / pi^m) for nonzero lists of Fractions cs and pi, with m the
+    multiplicity of pi in cs: exact divisions of cs's numerators by pi's
+    primitive part p, which never scale (Gauss's lemma), and for m > 0 one
+    Fraction per output coefficient.  Raises ValueError when pi is
+    constant: it divides every cs without end."""
     if len(pi) < 2:
         raise ValueError("split_power needs pi of degree >= 1")
+    (a, da), p = _rational_ints(cs), _primitive(_rational_ints(pi)[0])
     m = 0
-    while len(cs) >= len(pi):
-        q, r = _poly_divmod(cs, pi)
+    while len(a) >= len(p):
+        q, _, r, _ = _int_divmod(a, p)
         if r:
             break
-        m, cs = m + 1, q
-    return m, list(cs)
+        m, a = m + 1, q
+    scale = (p[-1] / pi[-1]) ** m / da  # pi = (pi[-1] / p[-1]) p
+    return m, [x * scale for x in a] if m else list(cs)
+
+
+def _yun(p):
+    """Yun's loop on a nonzero int list p: [(a, m)] with p a constant times
+    prod a^m, each a primitive, squarefree and nonconstant, the a pairwise
+    coprime and the m distinct.  b and c share one scale, so d = c - b' is
+    Yun's d up to it, and each quotient, by a primitive gcd, is integral."""
+    dp = _derivative(p)
+    a = _int_gcd(p, dp)
+    b, c = _int_divmod(p, a)[0], _int_divmod(dp, a)[0]
+    out, m = [], 1
+    while len(b) > 1:
+        d = _poly_trim(_int_add(c, [-x for x in _derivative(b)]))
+        a = _int_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, m))
+        b, c = _int_divmod(b, a)[0], _int_divmod(d, a)[0]
+        m += 1
+    return out
 
 
 def squarefree_parts(p: Polynomial):
     """Yun's squarefree decomposition of a nonzero p: the list of (q, m)
     with p = lc(p) * prod q^m, each q monic, squarefree and nonconstant,
     the q pairwise coprime and the m distinct.  Only gcds and exact
-    divisions over Q, no factoring (Yun 1976)."""
+    divisions, on p's numerators, no factoring (Yun 1976)."""
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    dp = p.derivative()
-    a = p.gcd(dp)
-    b, c = p // a, dp // a
-    out = []
-    m = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        a = b.gcd(d)
-        if a.degree > 0:
-            out.append((a, m))
-        b, c = b // a, d // a
-        m += 1
-    return out
+    return [(_monic(a), m) for a, m in _yun(_rational_ints(p.coeffs)[0])]
 
 
 def coprime_basis(polys):
     """A coprime squarefree basis of the nonzero polys: monic, squarefree,
     pairwise coprime nonconstant polynomials such that each input is a
     constant times a product of their powers.  Factor refinement by gcds
-    only (Bach, Driscoll & Shallit 1993): each Yun part a meets the basis
-    once, since for squarefree a and b with g = gcd(a, b) the parts g, b/g
-    and a/g are squarefree and pairwise coprime."""
+    only (Bach, Driscoll & Shallit 1993), on primitive int lists: each Yun
+    part a meets the basis once, since for squarefree a and b with g =
+    gcd(a, b) the parts g, b/g and a/g are squarefree and pairwise coprime."""
     basis = []
     for p in polys:
-        for a, _ in squarefree_parts(p):
+        for a, _ in _yun(_rational_ints(p.coeffs)[0]):
             refined = []
             for b in basis:
-                g = a.gcd(b)
-                if g.degree > 0:  # g leaves both; no division by a unit gcd
+                g = _int_gcd(a, b)
+                if len(g) > 1:  # g leaves both; no division by a unit gcd
                     refined.append(g)
-                    a, b = a // g, b // g
-                if b.degree > 0:
+                    a, b = _int_divmod(a, g)[0], _int_divmod(b, g)[0]
+                if len(b) > 1:
                     refined.append(b)
-            if a.degree > 0:
+            if len(a) > 1:
                 refined.append(a)
             basis = refined
-    return basis
+    return [_monic(b) for b in basis]
 
 
 class RationalFunction(_Ring):
@@ -344,7 +354,9 @@ class RationalFunction(_Ring):
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        out = RationalFunction.__new__(RationalFunction)
+        out.num, out.den = -self.num, self.den  # already normal: no gcd
+        return out
 
     def __mul__(self, other):
         other = self._coerce(other)

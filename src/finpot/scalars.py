@@ -12,9 +12,9 @@ integer kernel.  _add_product is the one termwise product of coefficient
 lists, truncated to its accumulator; _poly_mul runs it on ints for
 all-Fraction lists, on the stored scalars otherwise.  _int_divmod is the
 one division of integer coefficient lists, exact or pseudo; _poly_divmod
-runs it for all-Fraction lists, and the same loop on the stored scalars
-otherwise.  _Ring gives the other exact value types one subtraction, and
-_power all of them one power.
+runs it for lists of Fractions and refuses any other coefficient.  _Ring
+gives the other exact value types one subtraction, and _power all of them
+one power.
 
 Linear algebra over Q in Q[x]/(p) reads one form, an element's integer
 multiplication matrix (NumberFieldElement._int_matrix), built by the same
@@ -83,6 +83,15 @@ def _int_coeffs(cs):
         return None
     d = lcm(*(x.denominator for x in cs))
     return [x.numerator * (d // x.denominator) for x in cs], d
+
+
+def _rational_ints(cs):
+    """_int_coeffs(cs) for a list of Fractions; TypeError when a
+    coefficient lies outside Q."""
+    f = _int_coeffs(cs)
+    if f is None:
+        raise TypeError("coefficients outside Q in %s" % (list(cs),))
+    return f
 
 
 def _power(x, n: int, one):
@@ -178,25 +187,11 @@ def _int_divmod(a, b):
 
 
 def _poly_divmod(a, b):
-    """(quotient, remainder) of coefficient lists.  When every coefficient
-    is a Fraction, one _int_divmod of the numerators a = A / da, b = B / db
-    over their lcms, and one Fraction per result coefficient: quotient
-    digit q[i] db / (s[i] da), remainder r / (p da).  Otherwise the same
-    loop runs on the stored scalars."""
-    fa, fb = _int_coeffs(a), _int_coeffs(b)
-    if fa is None or fb is None:
-        a = list(a)
-        q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-        inv = 1 / b[-1]
-        terms = [(j, y) for j, y in enumerate(b) if y != 0]
-        for i in range(len(a) - len(b), -1, -1):
-            c = a[i + len(b) - 1]
-            if c != 0:
-                q[i] = c = c * inv
-                for j, y in terms:
-                    a[i + j] -= c * y
-        return q, _poly_trim(a)
-    (a, da), (b, db) = fa, fb
+    """(quotient, remainder) of lists of Fractions: one _int_divmod of the
+    numerators a = A / da, b = B / db over their lcms, and one Fraction per
+    result coefficient: quotient digit q[i] db / (s[i] da), remainder
+    r / (p da).  TypeError for any other coefficient (_rational_ints)."""
+    (a, da), (b, db) = _rational_ints(a), _rational_ints(b)
     q, s, r, p = _int_divmod(a, b)
     return [Fraction(x * db, y * da) for x, y in zip(q, s)], [Fraction(x, p * da) for x in r]
 

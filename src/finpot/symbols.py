@@ -165,6 +165,13 @@ def _det_of_exponential_product(
     return det_series(OperatorSeries("z", prec_z, contents))
 
 
+def _at_origin(f: RationalFunction, g: RationalFunction, place: Place = None):
+    """reduce_to_origin of f and of g at the place, by default t = 0."""
+    if place is None:
+        place = Place.at_zero()
+    return reduce_to_origin(f, place), reduce_to_origin(g, place)
+
+
 def cocycle_via_operators(
     f: RationalFunction,
     g: RationalFunction,
@@ -175,10 +182,7 @@ def cocycle_via_operators(
     """Determinant route for degree-1 places: the determinant of
     exp(z f1) exp(z g1) exp(-z (f1+g1)) on the windowed half-space model
     with the given cut.  Must agree with the residue route."""
-    if place is None:
-        place = Place.at_zero()
-    fc = reduce_to_origin(f, place)
-    gc = reduce_to_origin(g, place)
+    fc, gc = _at_origin(f, g, place)
     sum_c = dict(fc)
     for k, v in gc.items():
         sum_c[k] = sum_c.get(k, Fraction(0)) + v
@@ -197,10 +201,7 @@ def pairing_via_operators(
     det(exp(z f1) exp(z g1) exp(-z f1) exp(-z g1)): equal to the pairing
     exp(z^2 res(f dg)), the series analogue of the trace-commutator formula
     for determinants of exponential group commutators."""
-    if place is None:
-        place = Place.at_zero()
-    fc = reduce_to_origin(f, place)
-    gc = reduce_to_origin(g, place)
+    fc, gc = _at_origin(f, g, place)
     value = _det_of_exponential_product([fc, gc, fc, gc], [1, 1, -1, -1], cut, prec_z)
     return SymbolValue(value)
 

@@ -27,17 +27,14 @@ number-field product as a Fraction product of coefficient lists reduced
 by polynomial division, as finpot formed it before it ran on integer
 numerators, the finite-potency certificate checked by brute force on
 a span of basis vectors, which finpot once exported, and Q[t] division,
-gcd and rational-function normalisation as the Fraction loops finpot ran
+gcd, rational-function normalisation, split_power, Yun's squarefree
+decomposition and the coprime basis as the Fraction loops finpot ran
 before it moved them onto primitive integer lists.
 """
 
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
-from unittest import mock
-
-from finpot import polynomials
 
 from finpot.errors import SeriesDomainError
 from finpot.matrices import int_det
@@ -739,8 +736,9 @@ def poly_mul_generic(a, b):
 
 # -- Q[t] on Fractions -----------------------------------------------------------
 #
-# Division, gcd and normalisation as finpot ran them before its integer
-# pseudo-division and primitive PRS: one Fraction per operation.
+# Division, gcd, normalisation, split_power, Yun's loop and the coprime
+# basis as finpot ran them before its integer pseudo-division and primitive
+# PRS: one Fraction per operation.
 
 
 def poly_divmod_fraction(a, b):
@@ -780,14 +778,58 @@ def rational_normal_fraction(num, den):
     return Polynomial([c * inv for c in num.coeffs]), Polynomial([c * inv for c in den.coeffs])
 
 
-@contextmanager
-def fraction_euclid():
-    """finpot.polynomials with Polynomial.gcd and the division it imports
-    replaced by the Fraction loops above, so squarefree_parts and
-    split_power run as they did on Fractions."""
-    with mock.patch.object(polynomials, "_poly_divmod", poly_divmod_fraction), \
-            mock.patch.object(polynomials.Polynomial, "gcd", poly_gcd_euclid):
-        yield
+def _quotient_fraction(a, b):
+    return Polynomial(poly_divmod_fraction(a.coeffs, b.coeffs)[0])
+
+
+def split_power_fraction(cs, pi):
+    """(m, cs / pi^m), m the multiplicity of pi in cs, by repeated
+    Fraction division."""
+    m = 0
+    while len(cs) >= len(pi):
+        q, r = poly_divmod_fraction(cs, pi)
+        if r:
+            break
+        m, cs = m + 1, q
+    return m, list(cs)
+
+
+def squarefree_parts_fraction(p):
+    """Yun's squarefree decomposition of a nonzero Polynomial, each gcd by
+    Euclid and each division by the schoolbook loop, on Fractions."""
+    dp = p.derivative()
+    a = poly_gcd_euclid(p, dp)
+    b, c = _quotient_fraction(p, a), _quotient_fraction(dp, a)
+    out = []
+    m = 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        a = poly_gcd_euclid(b, d)
+        if a.degree > 0:
+            out.append((a, m))
+        b, c = _quotient_fraction(b, a), _quotient_fraction(d, a)
+        m += 1
+    return out
+
+
+def coprime_basis_fraction(polys):
+    """Factor refinement of the squarefree_parts_fraction parts of polys by
+    Euclid gcds and Fraction divisions, in the library's order."""
+    basis = []
+    for p in polys:
+        for a, _ in squarefree_parts_fraction(p):
+            refined = []
+            for b in basis:
+                g = poly_gcd_euclid(a, b)
+                if g.degree > 0:
+                    refined.append(g)
+                    a, b = _quotient_fraction(a, g), _quotient_fraction(b, g)
+                if b.degree > 0:
+                    refined.append(b)
+            if a.degree > 0:
+                refined.append(a)
+            basis = refined
+    return basis
 
 
 # -- local expansions by Newton lifting ----------------------------------------

@@ -238,6 +238,20 @@ def test_json_round_trip_over_q(phi):
     assert back == phi and back.to_json() == text
 
 
+def test_tail_state_is_read_from_coeffs():
+    """A descriptor with no coeffs is no tail, whatever its geometry, and
+    the wire form of a tail is unchanged."""
+    empty = TailDescriptor(3, 0, ())
+    assert empty.is_none() and empty.nilpotency_degree() == 1 and empty.image_of(5) == []
+    assert TailDescriptor.jordan(3, 0, [0, 0]) == TailDescriptor.none() == TailDescriptor()
+    phi = FPO.from_entries([(0, 1, Fraction(1, 2))],
+                           TailDescriptor.jordan(3, 4, [1, Fraction(-2, 3)]))
+    assert phi.to_json() == ('{"entries": [[0, 1, "1/2"]], "tail": {"block_size": 3, '
+                             '"coeffs": ["1", "-2/3"], "kind": "jordan_blocks", "start": 4}}')
+    with pytest.raises(IncompatibleTailsError, match="^sum has finite support overlapping"):
+        op_add(phi, FPO.from_entries([(4, 4, 1)]))
+
+
 def test_invariant_rejects_overlap():
     with pytest.raises(ValueError):
         FPO.from_entries([(6, 6, 1)], TailDescriptor.jordan(2, 5))

@@ -3,10 +3,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finpot import polynomials
 from finpot.polynomials import (
     Polynomial,
     RationalFunction,
@@ -16,8 +18,9 @@ from finpot.polynomials import (
 )
 from finpot.scalars import NumberField, _add_product, _poly_divmod, _poly_mul
 
-from oracles import (fraction_euclid, poly_divmod_fraction, poly_gcd_euclid, poly_mul_generic,
-                     rational_normal_fraction, sympy_factors)
+from oracles import (coprime_basis_fraction, poly_divmod_fraction, poly_gcd_euclid,
+                     poly_mul_generic, rational_normal_fraction, split_power_fraction,
+                     squarefree_parts_fraction, sympy_factors)
 
 
 def rand_poly(rng, deg=3):
@@ -344,37 +347,37 @@ def _fractions(*polys):
 @settings(max_examples=300)
 @given(_PAIR, st.booleans())
 def test_division_and_gcd_match_the_fraction_euclid(pair, field):
-    """_poly_divmod (the integer pseudo-division, or with a number-field
-    coefficient the stored-scalar loop), Polynomial.gcd (the primitive PRS),
-    split_power and squarefree_parts return the Fraction loops' values, and
-    Fractions on rational input."""
+    """_poly_divmod (the integer pseudo-division), Polynomial.gcd (the
+    primitive PRS), split_power, squarefree_parts and coprime_basis return
+    the Fraction loops' values, all Fractions; with a number-field
+    coefficient the division is a TypeError."""
     a, b = pair
     assert a.gcd(b) == poly_gcd_euclid(a, b) and _fractions(a.gcd(b))
     if b.is_zero():
         return
-    cs = list(a.coeffs)
-    if field and cs:
-        cs[-1] = NumberField([1, 0, 1]).element([cs[-1], 1])
-    got, want = _poly_divmod(cs, b.coeffs), poly_divmod_fraction(cs, b.coeffs)
+    if field and a.coeffs:
+        cs = list(a.coeffs[:-1]) + [NumberField([1, 0, 1]).element([a.coeffs[-1], 1])]
+        with pytest.raises(TypeError):
+            _poly_divmod(cs, b.coeffs)
+    got, want = _poly_divmod(a.coeffs, b.coeffs), poly_divmod_fraction(a.coeffs, b.coeffs)
     assert got == want
-    assert [type(x) for x in got[0] + got[1]] == [type(x) for x in want[0] + want[1]]
-    if not field:
-        assert all(type(x) is Fraction for x in got[0] + got[1])
+    assert all(type(x) is Fraction for x in got[0] + got[1])
     if a.is_zero():
         return
-    with fraction_euclid():
-        want = (squarefree_parts(a), b.degree > 0 and split_power(a.coeffs, b.coeffs))
-    got = (squarefree_parts(a), b.degree > 0 and split_power(a.coeffs, b.coeffs))
+    split = b.degree > 0
+    want = (squarefree_parts_fraction(a), split and split_power_fraction(a.coeffs, b.coeffs),
+            coprime_basis_fraction([a, b]))
+    got = (squarefree_parts(a), split and split_power(a.coeffs, b.coeffs), coprime_basis([a, b]))
     assert got == want
-    assert all(_fractions(q) for q, _ in got[0])
-    assert not got[1] or all(type(x) is Fraction for x in got[1][1])
+    assert all(_fractions(q) for q, _ in got[0]) and _fractions(*got[2])
+    assert not split or all(type(x) is Fraction for x in got[1][1])
 
 
 @settings(max_examples=200)
 @given(_PAIR, _PAIR)
 def test_rational_functions_match_the_fraction_normalisation(p, q):
-    """Construction, *, +, /, and derivative of RationalFunction give the
-    Fraction normal form of the unreduced result: same num and den, and
+    """Construction, -, *, +, /, and derivative of RationalFunction give
+    the Fraction normal form of the unreduced result: same num and den, and
     Fractions throughout."""
     (a, b), (c, d) = p, q
     if b.is_zero() or d.is_zero():
@@ -383,11 +386,13 @@ def test_rational_functions_match_the_fraction_normalisation(p, q):
     want = {
         "f": rational_normal_fraction(a, b),
         "f*g": rational_normal_fraction(f.num * g.num, f.den * g.den),
+        "-f": rational_normal_fraction(-f.num, f.den),
         "f+g": rational_normal_fraction(f.num * g.den + g.num * f.den, f.den * g.den),
+        "f-g": rational_normal_fraction(f.num * g.den - g.num * f.den, f.den * g.den),
         "f'": rational_normal_fraction(f.num.derivative() * f.den - f.num * f.den.derivative(),
                                        f.den * f.den),
     }
-    got = {"f": f, "f*g": f * g, "f+g": f + g, "f'": f.derivative()}
+    got = {"f": f, "f*g": f * g, "-f": -f, "f+g": f + g, "f-g": f - g, "f'": f.derivative()}
     if not g.is_zero():
         want["f/g"] = rational_normal_fraction(f.num * g.den, f.den * g.num)
         got["f/g"] = f / g
@@ -395,11 +400,24 @@ def test_rational_functions_match_the_fraction_normalisation(p, q):
     assert all(_fractions(h.num, h.den) for h in got.values())
 
 
+def test_negation_runs_no_gcd():
+    """-f of a normal f is normal already: no _int_gcd call."""
+    t = Polynomial.variable()
+    f = RationalFunction(t * t + 1, (t - 1) * (t + 2))
+    with mock.patch.object(polynomials, "_int_gcd", side_effect=AssertionError("gcd")):
+        g = -f
+    assert (g.num, g.den) == (-(t * t + 1), (t - 1) * (t + 2))
+
+
 def test_gcd_and_rational_functions_refuse_field_coefficients():
-    """Q[t] gcd and Q(t) are over Q: a number-field coefficient is a
-    TypeError, in either argument."""
+    """Q[t] gcd, division, Yun's decomposition, the coprime basis and Q(t)
+    are over Q: a number-field coefficient is a TypeError, in either
+    argument."""
     p, one = Polynomial([NumberField([1, 0, 1]).generator(), 1]), Polynomial([1, 1])
-    for call in (lambda: p.gcd(one), lambda: one.gcd(p),
+    for call in (lambda: p.gcd(one), lambda: one.gcd(p), lambda: p.divmod(one),
+                 lambda: one.divmod(p), lambda: squarefree_parts(p), lambda: coprime_basis([p]),
+                 lambda: split_power(p.coeffs, one.coeffs),
+                 lambda: split_power(one.coeffs, p.coeffs),
                  lambda: RationalFunction(p), lambda: RationalFunction(one, p)):
         with pytest.raises(TypeError):
             call()
