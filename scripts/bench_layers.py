@@ -70,12 +70,19 @@ squarefree_parts on the denominator of every f g' and coprime_basis on
 every nonconstant numerator and denominator, as the residues and
 relevant_places take them; "dense_<n>" at degrees 20, 40 and 80 runs
 squarefree_parts on A^2 B and coprime_basis on [A C, B C], all dense
-monic as above (deg A = n/4, deg B = n/2 in A^2 B; deg C = n/2).
+monic as above (deg A = n/4, deg B = n/2 in A^2 B; deg C = n/2),
+and, drawn after all of those, of field_trace at degrees 2, 12 and 40 on a
+random monic modulus and element as in nf_inverse ("new_<n>" takes the
+trace of an element of a field built afresh, untimed, for each call, with
+its reduction table built as the inverse on the residue route builds it;
+"reused_<n>" takes the trace of one element of one field), and of
+series_exp on exp(z^2 r) at precision 8 for a random p/q r, the shape of a
+symbol value (series_exp "symbol_8").
 With --out it also writes the numbers, the git commit of the finpot tree
 it imported, the line count of its modules (src_lines) and the machine to
 a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_28.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_29.json
 
 Run it on two checkouts on the same host to compare them, each with its own
 copy of this script: the pairing rows read segal_wilson._corner and
@@ -105,7 +112,7 @@ from finpot.parsing import parse_place
 from finpot.places import local_expand
 from finpot.polynomials import Polynomial, RationalFunction, coprime_basis, squarefree_parts
 from finpot.residues import residue_tate
-from finpot.scalars import NumberField
+from finpot.scalars import NumberField, field_trace
 from finpot.segal_wilson import LoopExponent, sw_pairing_truncated
 from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
 from finpot.symbols import cocycle_via_operators, pairing_via_operators, reciprocity_check
@@ -233,6 +240,25 @@ def best_of(fn, *args):
         t = time.perf_counter() - t0
         best = t if best is None else min(best, t)
     return best
+
+
+def best_of_fresh(make, fn, *args):
+    """Best of REPEATS timings of fn(make(*args)), make untimed."""
+    best = None
+    for _ in range(REPEATS):
+        x = make(*args)
+        t0 = time.perf_counter()
+        fn(x)
+        t = time.perf_counter() - t0
+        best = t if best is None else min(best, t)
+    return best
+
+
+def fresh_element(modulus, coeffs):
+    """An element of a new NumberField whose reduction table is built."""
+    element = NumberField(modulus).element(coeffs)
+    element.field._reduction()
+    return element
 
 
 def measure():
@@ -370,6 +396,16 @@ def measure():
         c = dense_monic(rng, n // 2)
         a, b = (dense_monic(rng, n - n // 2) * c for _ in range(2))
         out["coprime_basis"]["dense_%d" % n] = best_of(coprime_basis, [a, b])
+    # drawn after every input above, which stay as in earlier versions
+    out["field_trace"] = {}
+    for n in (2, 12, 40):
+        modulus, coeffs = [rational(rng) for _ in range(n)] + [1], [rational(rng) for _ in range(n)]
+        out["field_trace"]["new_%d" % n] = best_of_fresh(fresh_element, field_trace,
+                                                         modulus, coeffs)
+        out["field_trace"]["reused_%d" % n] = best_of(field_trace,
+                                                      NumberField(modulus).element(coeffs))
+    symbol = TruncatedLaurentSeries.from_terms("z", {2: rational(rng)}, 8)
+    out["series_exp"]["symbol_8"] = best_of(series_exp, symbol)
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in verbs.items()}
     return out
 

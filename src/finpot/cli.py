@@ -3,12 +3,11 @@
 Every computation is exposed as a subcommand with JSON output (sorted keys,
 byte-stable for identical inputs).  Exit codes: 0 success, 1 domain error
 (structured {"error": code, "detail": ...} object on stdout), 2 parse error
-(malformed expression, operator JSON or FINPOT_PREC, or an input over a
-work cap; message on stderr).  FINPOT_PREC overrides the default series
-precision.
+(malformed expression or operator JSON, or an input over a work cap;
+message on stderr).
 
-Work caps, checked before any computation: a series precision (--prec or
-FINPOT_PREC) above MAX_PREC = 1024, a ps-series --order above MAX_ORDER = 64
+Work caps, checked before any computation: a series precision --prec above
+MAX_PREC = 1024, a ps-series --order above MAX_ORDER = 64
 (one m x m determinant for every m up to the order), a tail block_size above
 MAX_BLOCK_SIZE = 256 (invert sums one term per block row: cold, tail
 coefficients [1/2, 1/3] take 0.6 s at 256 and 11 s at 1024), an sw-pairing --T above
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -85,15 +83,8 @@ MAX_BLOCK_SIZE = 256
 MAX_EXP_WORK = 3 * 10**11
 
 
-def _default_prec(fallback: int) -> int:
-    value = os.environ.get("FINPOT_PREC")
-    if value is None:
-        prec = fallback
-    else:
-        try:
-            prec = int(value)
-        except ValueError:
-            raise ParseError("FINPOT_PREC must be an integer, got %r" % value)
+def _checked_prec(prec: int) -> int:
+    """--prec, or a parse error above MAX_PREC."""
     if prec > MAX_PREC:
         raise ParseError("precision %d exceeds the limit %d" % (prec, MAX_PREC))
     return prec
@@ -191,21 +182,21 @@ def _check_exp_work(op: FinitePotentOperator, prec: int, terms: int) -> None:
 
 
 def _run_logdet(args):
-    prec = _default_prec(args.prec)
+    prec = _checked_prec(args.prec)
     op = _load_operator(args.op)
     _check_exp_work(op, prec, prec)
     return log_det_series(op, prec).to_json_dict()
 
 
 def _run_regdet(args):
-    prec = _default_prec(args.prec)
+    prec = _checked_prec(args.prec)
     op = _load_operator(args.op)
     _check_exp_work(op, prec, args.m)
     return regularized_det_series(op, args.m, prec).to_json_dict()
 
 
 def _run_exp(args):
-    prec = _default_prec(args.prec)
+    prec = _checked_prec(args.prec)
     s = exp_op(_load_operator(args.op), args.weight, prec)
     return {
         "prec": s.precision,
@@ -233,7 +224,7 @@ def _run_infprod(args):
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ParseError("bad family payload: %s" % exc)
     family = [(w, _operator_from_json(op)) for w, op in family]
-    prec = _default_prec(args.prec)
+    prec = _checked_prec(args.prec)
     return infinite_product_det(family, args.m, prec=prec).to_json_dict()
 
 
@@ -250,21 +241,21 @@ def _run_residue(args):
 def _run_cocycle(args):
     f = parse_rational_function(args.f)
     g = parse_rational_function(args.g)
-    prec = _default_prec(args.prec)
+    prec = _checked_prec(args.prec)
     return cocycle(f, g, parse_place(args.place), prec).series.to_json_dict()
 
 
 def _run_pairing(args):
     f = parse_rational_function(args.f)
     g = parse_rational_function(args.g)
-    prec = _default_prec(args.prec)
+    prec = _checked_prec(args.prec)
     return pairing(f, g, parse_place(args.place), prec).series.to_json_dict()
 
 
 def _run_reciprocity(args):
     f = parse_rational_function(args.f)
     g = parse_rational_function(args.g)
-    prec = _default_prec(args.prec)
+    prec = _checked_prec(args.prec)
     total, prod = reciprocity_check(f, g, prec)
     return {"product": format_series(prod.series), "sum": format_rational(total)}
 

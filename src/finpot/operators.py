@@ -410,16 +410,6 @@ def op_entry(phi: FinitePotentOperator, i: int, j: int):
     return phi.finite_part.get(i, j) + phi.tail.on([j]).get(i, j)
 
 
-def _below_tail(finite: SparseOperator, tail: TailDescriptor, what: str) -> FinitePotentOperator:
-    """finite + tail, or IncompatibleTailsError naming the `what` whose
-    finite support reaches the tail region."""
-    try:
-        return FinitePotentOperator(finite, tail)
-    except ValueError:  # the one check of FinitePotentOperator.__init__
-        raise IncompatibleTailsError("%s has finite support overlapping the tail region"
-                                     % what) from None
-
-
 def op_add(phi: FinitePotentOperator, *psis: FinitePotentOperator) -> FinitePotentOperator:
     """Sum phi + psi + ..., defined when the structural finite-rank-commutator
     check holds (at most one tail geometry; the tails fold left to right)
@@ -429,7 +419,10 @@ def op_add(phi: FinitePotentOperator, *psis: FinitePotentOperator) -> FinitePote
     for psi in psis:
         tail = tail.add(psi.tail)  # raises on incompatible geometry
     finite = phi.finite_part.add(*(psi.finite_part for psi in psis))
-    return _below_tail(finite, tail, "sum")
+    try:
+        return FinitePotentOperator(finite, tail)
+    except ValueError:  # the one check of FinitePotentOperator.__init__
+        raise IncompatibleTailsError("sum has finite support overlapping the tail region") from None
 
 
 def op_sub(phi: FinitePotentOperator, psi: FinitePotentOperator) -> FinitePotentOperator:
@@ -441,7 +434,14 @@ def op_compose(
 ) -> FinitePotentOperator:
     """Composition phi . psi (apply psi first).  psi's tail reaches a column
     k of phi's finite part only from the columns k - len(coeffs) .. k - 1 at
-    or above its start, and phi's tail acts only on the rows of psi's."""
+    or above its start, and phi's tail acts only on the rows of psi's.
+
+    The result never overlaps its tail, so it needs no check: it has a tail
+    only when both operands have one, of one geometry with start s.  Then
+    both finite parts a and b lie below s, so psi's tail, which maps
+    columns at or above s to rows at or above s, reaches no column of a,
+    phi's tail acts on no row of b, both tail terms are empty, and a b
+    lies below s."""
     tail = phi.tail.compose(psi.tail)  # raises on incompatible geometry
     a, b = phi.finite_part, psi.finite_part
     parts = []
@@ -451,7 +451,7 @@ def op_compose(
         parts.append(a.compose(psi.tail.on(cols)))
     if phi.has_tail():
         parts.append(phi.tail.on(b.rows()).compose(b))
-    return _below_tail(a.compose(b).add(*parts), tail, "composition")
+    return FinitePotentOperator(a.compose(b).add(*parts), tail)
 
 
 def op_commutator(

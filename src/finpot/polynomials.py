@@ -8,9 +8,9 @@ Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
 
 Q[t] arithmetic runs on Python ints, each list its numerators over their
 lcm (scalars._rational_ints), with one Fraction per output coefficient:
-division is scalars._poly_divmod; gcd the primitive PRS _int_gcd; the
-construction, +, *, / and derivative of a rational function form n / d
-on integer lists and normalize it in _normal_form.  Nothing here factors:
+division is scalars._poly_divmod; gcd the primitive PRS _int_gcd; a
+rational function keeps _normal_form's integer lists (n, d), and its +,
+*, / and derivative form the next n / d from them.  Nothing here factors:
 split_power, the squarefree decomposition (squarefree_parts) and the
 coprime basis (coprime_basis) run end to end on the same lists, with gcds
 and exact divisions by primitive divisors only.  All of it is over Q: a
@@ -212,17 +212,18 @@ def _int_gcd(a, b):
 
 
 def _normal_form(n, d):
-    """(num, den) for n / d, n and d int lists: den monic and gcd(num, den)
-    = 1.  One _int_gcd g, exact divisions of n and d by it (g is primitive,
-    so the quotients are integral by Gauss's lemma), then one Fraction per
-    coefficient."""
+    """Int lists (n, d) for n / d in lowest terms: gcd(n, d) = 1 in Q[t] and
+    no common integer content.  One _int_gcd g, exact divisions of n and d
+    by it (g is primitive, so the quotients are integral by Gauss's lemma),
+    then one division by the content of both lists."""
     n = _poly_trim(n)
     if not d:
         raise ZeroDivisionError("zero denominator")
     g = _int_gcd(n, d)
     if len(g) > 1:
         n, d = _int_divmod(n, g)[0], _int_divmod(d, g)[0]  # exact: no scaling
-    return tuple(Polynomial([Fraction(x, d[-1]) for x in p]) for p in (n, d))
+    c = gcd(*n, *d)
+    return (n, d) if c == 1 else ([x // c for x in n], [x // c for x in d])
 
 
 def split_power(cs, pi):
@@ -299,26 +300,31 @@ def coprime_basis(polys):
 
 class RationalFunction(_Ring):
     """Quotient of polynomials over Q, normalized by _normal_form: monic
-    denominator, gcd(num, den) = 1.  TypeError for coefficients outside Q."""
+    denominator, gcd(num, den) = 1.  The normal form's int lists (n, d),
+    with num = n / lc(d) and den = d / lc(d), stay in `_ints`, which +, *, /,
+    - and derivative read.  TypeError for coefficients outside Q."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_ints")
 
     def __init__(self, num: Polynomial, den: Polynomial = Polynomial([1])):
-        self.num, self.den = _normal_form(*_int_pair(num, den))
+        self._set(*_normal_form(*_int_pair(num, den)))
+
+    def _set(self, n, d) -> "RationalFunction":
+        """Store the normal int lists (n, d), and num and den with one
+        Fraction per coefficient."""
+        self._ints = n, d
+        self.num, self.den = (Polynomial([Fraction(x, d[-1]) for x in p]) for p in (n, d))
+        return self
 
     @classmethod
     def _of(cls, n, d) -> "RationalFunction":
         """n / d for int lists n and d."""
-        out = cls.__new__(cls)
-        out.num, out.den = _normal_form(n, d)
-        return out
-
-    def _parts(self):
-        return _int_pair(self.num, self.den)
+        return cls.__new__(cls)._set(*_normal_form(n, d))
 
     @classmethod
     def from_const(cls, c) -> "RationalFunction":
-        return cls(Polynomial([c]))
+        c = Fraction(canonical(c))
+        return cls._of([c.numerator], [c.denominator])
 
     @classmethod
     def variable(cls) -> "RationalFunction":
@@ -348,21 +354,20 @@ class RationalFunction(_Ring):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        (n1, d1), (n2, d2) = self._parts(), other._parts()
+        (n1, d1), (n2, d2) = self._ints, other._ints
         return RationalFunction._of(_int_add(_int_mul(n1, d2), _int_mul(n2, d1)), _int_mul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num, out.den = -self.num, self.den  # already normal: no gcd
-        return out
+        n, d = self._ints  # already normal: no gcd
+        return RationalFunction.__new__(RationalFunction)._set([-x for x in n], d)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        (n1, d1), (n2, d2) = self._parts(), other._parts()
+        (n1, d1), (n2, d2) = self._ints, other._ints
         return RationalFunction._of(_int_mul(n1, n2), _int_mul(d1, d2))
 
     __rmul__ = __mul__
@@ -373,7 +378,7 @@ class RationalFunction(_Ring):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        (n1, d1), (n2, d2) = self._parts(), other._parts()
+        (n1, d1), (n2, d2) = self._ints, other._ints
         return RationalFunction._of(_int_mul(n1, d2), _int_mul(d1, n2))
 
     def __rtruediv__(self, other):
@@ -384,7 +389,7 @@ class RationalFunction(_Ring):
         return _power(1 / self if n < 0 else self, abs(n), RationalFunction.from_const(1))
 
     def derivative(self) -> "RationalFunction":
-        n, d = self._parts()
+        n, d = self._ints
         return RationalFunction._of(_int_add(_int_mul(_derivative(n), d),
                                              _int_mul([-x for x in n], _derivative(d))),
                                     _int_mul(d, d))

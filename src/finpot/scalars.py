@@ -20,7 +20,8 @@ Linear algebra over Q in Q[x]/(p) reads one form, an element's integer
 multiplication matrix (NumberFieldElement._int_matrix), built by the same
 integer reduction (NumberField._reduce) as the product: regular_matrix is
 that matrix over its denominator, inverse one reduced matrices._bareiss on
-its integer rows, and field_norm matrices.int_det of it.
+its integer rows, field_norm matrices.int_det of it and field_trace its
+diagonal sum.
 
 One scalar rule holds where values leave the library: a rational value is
 a Fraction, whichever kernel computed it.  canonical is that rule; the
@@ -36,7 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, sub
 
 
 def parse_rational(text: str) -> Fraction:
@@ -216,7 +217,6 @@ class NumberField:
             raise ValueError("modulus must be monic")
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
-        self._power_sums = None
         self._table = None
 
     def _reduction(self):
@@ -246,26 +246,6 @@ class NumberField:
                 for i, t in row:
                     out[i] += c * t
         return out
-
-    def power_sums(self):
-        """(s_0, ..., s_{d-1}): s_k is the sum of the k-th powers of the
-        modulus's roots, the trace of x^k.  Newton's identities give them
-        from the modulus coefficients c_i, s_k = -(k c_{d-k} +
-        sum_{0<i<k} c_{d-i} s_{k-i}), over the nonzero c_i only; computed
-        once per field."""
-        if self._power_sums is None:
-            c, d = self.modulus, self.degree
-            nonzero = [(i, c[d - i]) for i in range(1, d) if c[d - i] != 0]
-            s = [Fraction(d)]
-            for k in range(1, d):
-                acc = k * c[d - k]
-                for i, ci in nonzero:
-                    if i >= k:
-                        break
-                    acc += ci * s[k - i]
-                s.append(-acc)
-            self._power_sums = tuple(s)
-        return self._power_sums
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -416,6 +396,9 @@ class NumberFieldElement:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
+    def __bool__(self):
+        return any(self.nums)
+
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
@@ -449,9 +432,10 @@ def field_norm(e: NumberFieldElement) -> Fraction:
 
 
 def field_trace(e: NumberFieldElement) -> Fraction:
-    """Trace down to Q of the multiplication-by-e map: sum a_k s_k for
-    e = sum a_k x^k, with s_k the field's power sums."""
-    return sum(map(mul, e.coeffs, e.field.power_sums()), Fraction(0))
+    """Trace down to Q of the multiplication-by-e map: the diagonal sum of
+    e's _int_matrix M over s."""
+    m, s = e._int_matrix()
+    return Fraction(sum(row[i] for i, row in enumerate(m)), s)
 
 
 def scalar_is_zero(x) -> bool:

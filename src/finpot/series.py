@@ -10,11 +10,13 @@ NumberFieldElements only for values outside Q.
 
 This is the package's one series layer: series_mul runs on coefficient
 lists, and series_exp, series_log and series_inv run exact coefficient
-recurrences (Brent & Kung 1978) in one pass of _dot steps, which the series
-determinant also divides by; every exp, log or quotient elsewhere calls them.
-For all-Fraction input the exp recurrence runs on integers instead: with D
-the lcm of the denominators, h_k = H_k / (k! D^k) and the H_k are integers
-(_exp_numerators), which the loop pairing also rounds directly.
+recurrences (Brent & Kung 1978); every exp, log or quotient elsewhere calls
+them.  series_log and series_inv run one pass of _dot steps, which the
+series determinant also divides by.  series_exp runs one recurrence,
+_exp_numerators, for every input: h_k = H_k / (k! D^k), with the H_k
+integers over the lcm D of the denominators for all-Fraction input (the
+loop pairing rounds them directly) and the stored scalars with D = 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -269,13 +271,13 @@ def series_mul(
 
 def _dot(pairs, h, k):
     """sum of c * h[k - j] over the (j, c) in pairs (sorted by j), j <= k,
-    and the nonzero h[k - j] (scalar_is_zero inlined in this inner loop)."""
+    and the nonzero h[k - j]."""
     s = 0
     for j, c in pairs:
         if j > k:
             break
         x = h[k - j]
-        if not (x.is_zero() if type(x) is NumberFieldElement else x == 0):
+        if x:
             s = s + c * x
     return s
 
@@ -301,15 +303,14 @@ def series_inv(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
 
 def _exp_numerators(coeffs, n):
     """(H, D) with exp(a)_k = H_k / (k! D^k) for 0 <= k < n (H_0 = 1), where
-    a = sum_j a_j z^j is given by coeffs {j: a_j}, j >= 1, and D is the lcm
-    of their denominators; None unless every a_j is a Fraction.  With
-    a_j = A_j / D the recurrence k h_k = sum_j j a_j h_{k-j} becomes the
-    integer recurrence H_k = sum_j j A_j D^(j-1) (k-1)!/(k-j)! H_{k-j}, the
-    falling factorial (k-1)!/(k-j)! built up along j."""
+    a = sum_j a_j z^j is given by coeffs {j: a_j}, j >= 1, a_j = A_j / D.
+    When every a_j is a Fraction, D is the lcm of their denominators and
+    the A_j and H_k are integers; otherwise D = 1 and the A_j are the
+    stored scalars.  The recurrence k h_k = sum_j j a_j h_{k-j} becomes
+    H_k = sum_j j A_j D^(j-1) (k-1)!/(k-j)! H_{k-j}, the falling factorial
+    (k-1)!/(k-j)! built up along j, over the nonzero H_{k-j} only."""
     form = _int_coeffs(coeffs.values())
-    if form is None:
-        return None
-    nums, D = form
+    nums, D = (list(coeffs.values()), 1) if form is None else form
     weighted = sorted((j, j * A * D ** (j - 1)) for j, A in zip(coeffs, nums))
     H = [1]
     for k in range(1, n):
@@ -328,27 +329,21 @@ def _exp_numerators(coeffs, n):
 
 
 def series_exp(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
-    """exp of a series with no constant and no polar part, by the recurrence
-    k h_k = sum_{j<=k} j a_j h_{k-j} (h_0 = 1).  For all-Fraction input it
-    runs on integers, h_k = H_k / (k! D^k) with D the lcm of the
-    denominators (_exp_numerators), and divides once per coefficient."""
+    """exp of a series with no constant and no polar part, h_k = H_k /
+    (k! D^k) from the one recurrence _exp_numerators, one division per
+    coefficient: a Fraction of an integer H_k, otherwise a product by
+    1 / (k! D^k)."""
     if any(d <= 0 for d in a.coeffs):
         raise SeriesDomainError(
             "series_exp needs valuation >= 1, got terms at degrees %s"
             % sorted(d for d in a.coeffs if d <= 0)
         )
-    form = _exp_numerators(a.coeffs, a.precision)
-    if form is not None:
-        H, D = form
-        h, den = [Fraction(1)], 1
-        for k in range(1, len(H)):
-            den *= k * D
-            h.append(Fraction(H[k], den))
-    else:
-        weighted = sorted((j, j * c) for j, c in a.coeffs.items())
-        h = [Fraction(1)]
-        for k in range(1, a.precision):
-            h.append(_dot(weighted, h, k) * Fraction(1, k))
+    H, D = _exp_numerators(a.coeffs, a.precision)
+    h, den = [Fraction(1)], 1
+    for k in range(1, len(H)):
+        den *= k * D
+        x = H[k]
+        h.append(Fraction(x, den) if type(x) is int else x * Fraction(1, den))
     return TruncatedLaurentSeries(a.variable, dict(enumerate(h)), 0, a.precision)
 
 

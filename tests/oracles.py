@@ -9,7 +9,9 @@ Gaussian elimination with unit pivots (_eliminate), the generic product,
 power-trace, convolution and series-determinant loops finpot once ran
 beside its integer kernels, the series product as a double loop over
 stored terms, local expansions by Newton lifting and series division, the
-field trace as the trace of the regular matrix, the irreducible places
+field trace from Newton's power sums of the modulus's roots, as finpot
+took it before it read the trace off the multiplication matrix, the
+irreducible places
 by sympy's factoring, which finpot ran before it took places as
 squarefree divisors, reciprocity as the loop over those places that
 finpot ran before it summed residues over squarefree parts, products of
@@ -147,7 +149,7 @@ def residue_generic_root(f, g, place):
         field = place.field
         theta = field.generator()
         to_k = lambda c: field.element([c])
-        trace = field_trace_regular
+        trace = field_trace_newton
     num = [to_k(c) for c in omega.num.coeffs]
     den = [to_k(c) for c in omega.den.coeffs]
     m = 0
@@ -950,17 +952,24 @@ def _expand_at_infinity(f, prec):
 
 # -- traces and reciprocity, place by place ------------------------------------
 #
-# The trace of the regular matrix, which field_trace replaced with the power
-# sums of the modulus's roots, and the reciprocity loop finpot ran before it
-# summed residues over the squarefree parts of the poles: factor every
-# numerator and denominator with sympy, then take the residue and the
-# cocycle at each irreducible place.  sympy is a test-only dependency.
+# The field trace from Newton's power sums, which field_trace ran before it
+# took the diagonal of the multiplication matrix, and the reciprocity loop
+# finpot ran before it summed residues over the squarefree parts of the
+# poles: factor every numerator and denominator with sympy, then take the
+# residue and the cocycle at each irreducible place.  sympy is a test-only
+# dependency.
 
 
-def field_trace_regular(e):
-    """Trace down to Q as the diagonal sum of e's regular matrix."""
-    m = e.regular_matrix()
-    return sum((m[i][i] for i in range(len(m))), Fraction(0))
+def field_trace_newton(e):
+    """Trace down to Q of e = sum a_k x^k as sum a_k s_k, s_k the sum of
+    the k-th powers of the modulus's roots, by Newton's identities from the
+    modulus coefficients c_i: s_0 = d, s_k = -(k c_{d-k} + sum_{0<i<k}
+    c_{d-i} s_{k-i})."""
+    c, d = e.field.modulus, e.field.degree
+    s = [Fraction(d)]
+    for k in range(1, d):
+        s.append(-(k * c[d - k] + sum((c[d - i] * s[k - i] for i in range(1, k)), Fraction(0))))
+    return sum((a * x for a, x in zip(e.coeffs, s)), Fraction(0))
 
 
 def sympy_factors(p):

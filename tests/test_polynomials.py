@@ -409,6 +409,22 @@ def test_negation_runs_no_gcd():
     assert (g.num, g.den) == (-(t * t + 1), (t - 1) * (t + 2))
 
 
+def test_arithmetic_reads_the_stored_integer_form():
+    """+, *, /, - and derivative of rational functions read the normal
+    form's integer lists: no _int_pair call, which only construction from
+    Polynomials makes.  The values are those of the Fraction form."""
+    t = Polynomial.variable()
+    f = RationalFunction(t * t * Fraction(1, 3) + 1, (t - Fraction(1, 2)) * (t + 2))
+    g = RationalFunction(Polynomial([Fraction(2, 5), 7]), t * t + Fraction(3, 4))
+    want = [rational_normal_fraction(*p) for p in (
+        (f.num * g.den + g.num * f.den, f.den * g.den), (f.num * g.num, f.den * g.den),
+        (f.num * g.den, f.den * g.num), (-f.num, f.den),
+        (f.num.derivative() * f.den - f.num * f.den.derivative(), f.den * f.den))]
+    with mock.patch.object(polynomials, "_int_pair", side_effect=AssertionError("_int_pair")):
+        got = [f + g, f * g, f / g, -f, f.derivative()]
+    assert [(h.num, h.den) for h in got] == want
+
+
 def test_gcd_and_rational_functions_refuse_field_coefficients():
     """Q[t] gcd, division, Yun's decomposition, the coprime basis and Q(t)
     are over Q: a number-field coefficient is a TypeError, in either
