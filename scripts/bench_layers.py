@@ -77,12 +77,16 @@ trace of an element of a field built afresh, untimed, for each call, with
 its reduction table built as the inverse on the residue route builds it;
 "reused_<n>" takes the trace of one element of one field), and of
 series_exp on exp(z^2 r) at precision 8 for a random p/q r, the shape of a
-symbol value (series_exp "symbol_8").
+symbol value (series_exp "symbol_8"), and, drawn after all of those, of
+SparseOperator.compose on two banded 64 x 64 operators over Q(i), every
+entry a + b i with a, b random p/q as above (sparse_compose "gauss_64"),
+and of a banded 64 x 64 operator over Q composed with the first of those
+(sparse_compose "mixed_64").
 With --out it also writes the numbers, the git commit of the finpot tree
 it imported, the line count of its modules (src_lines) and the machine to
 a JSON file.
 
-    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_29.json
+    PYTHONPATH=src python scripts/bench_layers.py --out BENCH_30.json
 
 Run it on two checkouts on the same host to compare them, each with its own
 copy of this script: the pairing rows read segal_wilson._corner and
@@ -223,6 +227,13 @@ def dense_operator(rng, n):
                            for i in range(n) for j in range(n)})
 
 
+def banded(rng, scalar, n=64):
+    """A SparseOperator with scalar(rng) at every entry of an n x n block
+    on indices 0..n-1 within 3 of the diagonal (bandwidth 7)."""
+    return SparseOperator({(i, j): scalar(rng) for i in range(n)
+                           for j in range(max(0, i - 3), min(n, i + 4))})
+
+
 def mixed_rows(rng, n):
     """n x n over Q, row i over q^(i mod 3) for a random prime q <= 23."""
     rows = []
@@ -308,8 +319,7 @@ def measure():
     g = RationalFunction(Polynomial([rational(rng) for _ in range(2)] + [1]), (t * t + 1) * (t + 3))
     out["reciprocity_check"] = {str(p): best_of(reciprocity_check, f, g, p) for p in (8, 32)}
     # drawn after every input above, which stay as in earlier versions
-    a, b = (SparseOperator({(i, j): rational(rng) for i in range(64)
-                            for j in range(max(0, i - 3), min(64, i + 4))}) for _ in range(2))
+    a, b = banded(rng, rational), banded(rng, rational)
     out["sparse_compose"] = {"64": best_of(SparseOperator.compose, a, b)}
     f, g = (laurent(rng, degrees) for degrees in ((-2, 1), (-1, 1)))
     out["cocycle_via_operators"] = {"8": best_of(cocycle_via_operators, f, g, None, 0, 8)}
@@ -406,6 +416,10 @@ def measure():
                                                       NumberField(modulus).element(coeffs))
     symbol = TruncatedLaurentSeries.from_terms("z", {2: rational(rng)}, 8)
     out["series_exp"]["symbol_8"] = best_of(series_exp, symbol)
+    # drawn after every input above, which stay as in earlier versions
+    a, b = (banded(rng, lambda r: gauss.element([rational(r), rational(r)])) for _ in range(2))
+    out["sparse_compose"]["gauss_64"] = best_of(SparseOperator.compose, a, b)
+    out["sparse_compose"]["mixed_64"] = best_of(SparseOperator.compose, banded(rng, rational), a)
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in verbs.items()}
     return out
 

@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .determinants import tate_trace
-from .errors import CompatibilityError, IncompatibleTailsError, PrecisionError
+from .errors import (CompatibilityError, IncompatibleTailsError, PrecisionError,
+                     VariableMismatchError)
 from .matrices import det_series_matrix
 from .operators import (
     FinitePotentOperator,
@@ -70,7 +71,7 @@ class OperatorSeries:
         if not isinstance(other, OperatorSeries):
             return NotImplemented
         if self.variable != other.variable:
-            raise ValueError("operator series variables differ")
+            raise VariableMismatchError("operator series variables differ")
         prec = min(self.precision, other.precision)
         parts: dict = {}  # degree -> the operators summing to its term
         for d, t in [*self.terms.items(), *other.terms.items()]:

@@ -18,23 +18,23 @@ on ints, a product with the inverse of the previous pivot otherwise.  The
 Gauss-Jordan form leaves d times the reduced echelon form, d the last pivot
 (Nakos, Turner & Williams 1997), which reduced_echelon divides out once.
 
-On all-Fraction input the loops run on Python ints, from
-scalars._int_coeffs: each row is scaled to integers over the lcm of its
-own denominators (_rows), which changes neither the pivots, nor the
-kernel, nor the reduced echelon form, and the rational answer is built
+Every kernel reads its input through scalars._int_coeffs and returns
+through scalars._over.  An elimination takes each row over its own lcm
+(_rows), integers for an all-Fraction row and the row itself over 1
+otherwise, which changes neither the pivots, nor the kernel, nor the
+reduced echelon form; the answer is divided by the product of the row lcms
 once at the end (Fraction normalisation is canonical, so the values are
 the same Fractions).  The products scale the whole matrix by one lcm
 (_scaled) instead; an elimination on that scaling is much slower on rows
 with unlike denominators.  The other kernels follow the same rule:
 
-  mat_mul, charpoly,    one product loop (_mul); over Q on B = D*M
-  power_traces          (_scaled), with results over D^k;
-                        Faddeev-LeVerrier on B (every tr(N_k)/k is an
-                        exact integer division)
-  det_series_matrix     Bareiss over K[z]/(z^p) on coefficient lists
-                        (_series_bareiss_det), p the least precision of the
-                        entries; over Q on integer lists, by
-                        scalars._add_product and series._dot
+  mat_mul, charpoly,    one product loop (_mul) on B = D*M (_scaled),
+  power_traces          with results over D^k; Faddeev-LeVerrier on B (on
+                        an integer B every tr(N_k)/k is an exact '//')
+  det_series_matrix     Bareiss over K[z]/(z^p) on the coefficient lists
+                        of _rows (_series_bareiss_det), p the least
+                        precision of the entries, by scalars._add_product
+                        and series._dot
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from math import prod
 from operator import mul
 
 from .errors import NotInvertibleError, VariableMismatchError
-from .scalars import _add_product, _int_coeffs, scalar_is_zero
+from .scalars import _add_product, _int_coeffs, _over, scalar_is_zero
 from .series import TruncatedLaurentSeries, _dot, _inv_scalar
 
 
@@ -55,14 +55,13 @@ def identity(n):
 
 
 def _scaled(a):
-    """(B, D) with a = B / D for the least integer D when every entry of a
-    is a Fraction (scalars._int_coeffs over the whole matrix); otherwise
-    (a, None).  The products scale this way, one D for all of a."""
-    form = _int_coeffs([x for row in a for x in row])
-    if form is None:
-        return a, None
-    nums = iter(form[0])
-    return [list(islice(nums, len(row))) for row in a], form[1]
+    """(B, D) with a = B / D, scalars._int_coeffs over the whole matrix:
+    B of ints over the least D when every entry of a is a Fraction, a copy
+    of a over D = 1 otherwise.  The products scale this way, one D for all
+    of a."""
+    nums, d = _int_coeffs([x for row in a for x in row])
+    nums = iter(nums)
+    return [list(islice(nums, len(row))) for row in a], d
 
 
 def _mul(a, b):
@@ -74,14 +73,10 @@ def _mul(a, b):
 
 
 def mat_mul(a, b):
-    """a * b; over Q on the integer matrices B = D*a and B' = D'*b, with
-    the product over D*D'."""
-    ia, da = _scaled(a)
-    ib, db = _scaled(b) if da else (b, None)
-    if not db:
-        return _mul(a, b)
+    """a * b, the product of B = D*a and B' = D'*b (_scaled) over D*D'."""
+    (ia, da), (ib, db) = _scaled(a), _scaled(b)
     den = da * db
-    return [[Fraction(x, den) for x in row] for row in _mul(ia, ib)]
+    return [[_over(x, den) for x in row] for row in _mul(ia, ib)]
 
 
 def mat_trace(a):
@@ -146,15 +141,14 @@ def _bareiss(m, ncols: int, reduce: bool = False):
 
 
 def _rows(a):
-    """(rows, den) to run _bareiss on: on all-Fraction input, integer rows,
-    each row of a over the lcm of its own denominators (scalars._int_coeffs
-    row by row), and den the product of those lcms; otherwise a copy of a
-    and den None.  Row scaling changes neither the pivots, nor the kernel,
-    nor the reduced echelon form, and keeps the integers of rows with
-    unlike denominators smaller than one D for the whole matrix would."""
+    """(rows, den) to run _bareiss on: each row of a as scalars._int_coeffs
+    gives it, integers over the lcm of its own denominators for an
+    all-Fraction row and the row itself over 1 otherwise, and den the
+    product of those lcms.  Row scaling changes neither the pivots, nor the
+    kernel, nor the reduced echelon form, and keeps the integers of rows
+    with unlike denominators smaller than one D for the whole matrix
+    would."""
     forms = [_int_coeffs(row) for row in a]
-    if None in forms:
-        return [list(row) for row in a], None
     return [row for row, _ in forms], prod(d for _, d in forms)
 
 
@@ -170,13 +164,11 @@ def _bareiss_det(m):
 
 
 def det(a):
-    """Determinant by _bareiss; over Q on integer rows, divided at the end
-    by the product of the row denominators."""
+    """Determinant by _bareiss on the rows of _rows, over the product of
+    their denominators at the end."""
     m, den = _rows(a)
     out = _bareiss_det(m)
-    if out is None:
-        return Fraction(0)
-    return out if den is None else Fraction(out, den)
+    return Fraction(0) if out is None else _over(out, den)
 
 
 def int_det(m) -> int:
@@ -237,9 +229,9 @@ def charpoly(a):
     recurrence; returns coefficients lowest degree first (exact).
 
     Only divisions by the integers 2..n occur, so the result is exact over
-    Q and over number fields alike.  Over Q the recurrence runs on the
-    integer matrix B = D*a, whose coefficients c_k are integers, and
-    c_k(a) = c_k(B) / D^k.
+    Q and over number fields alike.  The recurrence runs on B = D*a
+    (_scaled), and c_k(a) = c_k(B) / D^k.  On an integer B the c_k are
+    integers, so every tr(M_k) / k is an exact '//'.
     """
     n = len(a)
     if n == 0:
@@ -250,28 +242,25 @@ def charpoly(a):
     cs = [Fraction(1)]
     mk = [row[:] for row in m]
     for k in range(1, n + 1):
-        ck = mat_trace(mk) // k if den else mat_trace(mk) * Fraction(1, k)
+        tr = mat_trace(mk)
+        ck = tr // k if type(tr) is int else tr * Fraction(1, k)
         cs.append(ck)
         if k < n:
             for i in range(n):
                 mk[i][i] = mk[i][i] - ck
             mk = _mul(m, mk)
-    out = [Fraction(0)] * (n + 1)
-    out[n] = Fraction(1)
-    for k in range(1, n + 1):
-        out[n - k] = Fraction(-cs[k], den**k) if den else -cs[k]
-    return out
+    return [_over(-cs[n - i], den ** (n - i)) for i in range(n)] + [Fraction(1)]
 
 
 def power_traces(a, upto: int):
-    """[tr a, tr a^2, ..., tr a^upto], from one chain of matrix products; over
-    Q on the integer matrix B = D*a, with tr a^k = tr B^k / D^k."""
+    """[tr a, tr a^2, ..., tr a^upto], from one chain of matrix products on
+    B = D*a (_scaled), with tr a^k = tr B^k / D^k."""
     m, den = _scaled(a)
     out, power = [], m
     for k in range(1, upto + 1):
         if k > 1:
             power = _mul(power, m)
-        out.append(Fraction(mat_trace(power), den**k) if den else mat_trace(power))
+        out.append(_over(mat_trace(power), den**k))
     return out
 
 
@@ -286,9 +275,9 @@ def elementary_symmetric(a):
 def _series_rows(m):
     """(rows of coefficient lists, den, p) with entry (i, j) = sum_k
     rows[i][j][k] z^k / den below p, the least precision of the entries of
-    the nonempty square matrix m.  With all-Fraction coefficients the lists
-    hold integers, each row over the lcm of its own coefficient
-    denominators; otherwise they hold the stored scalars and den is None."""
+    the nonempty square matrix m.  Each row of m is one row of _rows: a row
+    of all-Fraction coefficients holds integers over the lcm of its own
+    denominators, any other row the stored scalars over 1."""
     var = m[0][0].variable
     p = min(x.precision for row in m for x in row)
     if any(x.variable != var for row in m for x in row):
@@ -302,15 +291,17 @@ def _series_rows(m):
     return [[r[k : k + p] for k in range(0, len(r), p)] for r in flat], den, p
 
 
-def _series_bareiss_det(m, p: int, ints: bool):
+def _series_bareiss_det(m, p: int):
     """Determinant of the square matrix m of coefficient lists over
     K[z]/(z^p), by Bareiss elimination: the pivot is the first entry at or
     below the diagonal with a nonzero constant term.  Each new entry is two
     _add_product calls into one list, and its division by the previous pivot
     is exact (Sylvester's identity): a series division by the recurrence step
-    _dot, since that pivot's constant term d0 is nonzero, then '//' d0 on
-    ints, otherwise a product with 1/d0.  m is consumed."""
+    _dot, since that pivot's constant term d0 is nonzero, then '//' d0 when
+    every coefficient of m is an int, otherwise a product with 1/d0.  m is
+    consumed."""
     n = len(m)
+    ints = all(type(x) is int for row in m for e in row for x in e)
     sign, prev = 1, None
     for c in range(n):
         piv = next((i for i in range(c, n) if m[i][c][0] != 0), None)
@@ -344,14 +335,13 @@ def det_series_matrix(m, one_series):
 
     The entries are cut to the least precision p among them, and a term of
     negative degree raises ValueError.  The determinant is taken by Bareiss
-    elimination over K[z]/(z^p) on coefficient lists (_series_bareiss_det):
-    over Q on integer lists, otherwise on the field's own scalars.  Pivots
-    must be units (constant term nonzero).  The result is one_series times
-    that determinant.
+    elimination over K[z]/(z^p) on the coefficient lists of _series_rows
+    (_series_bareiss_det), over their denominator at the end.  Pivots must
+    be units (constant term nonzero).  The result is one_series times that
+    determinant.
     """
     if not m:
         return one_series
     rows, den, p = _series_rows(m)
-    cs = _series_bareiss_det(rows, p, den is not None)
-    value = {k: x if den is None else Fraction(x, den) for k, x in enumerate(cs)}
+    value = {k: _over(x, den) for k, x in enumerate(_series_bareiss_det(rows, p))}
     return one_series * TruncatedLaurentSeries(m[0][0].variable, value, 0, p)

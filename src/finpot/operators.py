@@ -13,15 +13,15 @@ in this class; it is closed under the constructions used here (sums,
 compositions and commutators subject to the structural tail checks,
 inversion of 1 + phi) and admits a decidable finite-potency certificate.
 
-SparseOperator.add, compose and scale run on an integer kernel when every
-entry of every operand is a Fraction (and a scale factor is an int or a
-Fraction): such an operator is held as integer numerators over the lcm of
-its denominators (scalars._int_coeffs), the three work on those, and one
-gcd per result brings the denominator back down to the lcm, so no Fraction
-is built between products; the reduced Fractions of `entries` are built
-when first read.  Operands with NumberFieldElement entries, alone or mixed
-with Fractions, take the same loops over the stored scalars.  Both give
-the same values and types.
+SparseOperator.add, compose and scale are one loop each, on the
+numerators of their operands (SparseOperator._ints, scalars._int_coeffs of
+the entries): integers over the lcm of the denominators when every entry
+is a Fraction, the stored scalars over 1 otherwise.  One _from_ints builds
+each result.  On integer numerators one gcd brings the denominator back
+down to the lcm, so no Fraction is built between products, and the reduced
+Fractions of `entries` are built (scalars._over) when first read.  Any
+other numerators take the denominator into the stored scalars, so an entry
+given as a field element stays a field element.
 
 Two views turn an operator into a finite matrix.  TailDescriptor.on(cols),
 the tail's entries in those columns as a SparseOperator, is the only reader
@@ -44,6 +44,7 @@ from .errors import IncompatibleTailsError, StraddlingTailError
 from .scalars import (
     NumberFieldElement,
     _int_coeffs,
+    _over,
     _poly_mul,
     _poly_trim,
     format_rational,
@@ -69,23 +70,28 @@ class SparseOperator:
 
     @classmethod
     def _from_ints(cls, nums: dict, den: int) -> "SparseOperator":
-        """Entries n/den for the nonzero integers n, with one gcd bringing
-        den down to the lcm of the reduced denominators."""
+        """Entries n/den for the nonzero numerators n.  When every n is an
+        int, one gcd brings den down to the lcm of the reduced denominators;
+        otherwise (gcd refuses the numerator) den is folded into the stored
+        scalars (scalars._over), so field elements stay field elements."""
         nums = {k: n for k, n in nums.items() if n}
-        g = gcd(den, *nums.values())
+        op = object.__new__(cls)
+        try:
+            g = gcd(den, *nums.values())
+        except TypeError:
+            op._entries, op._nums, op._den = {k: _over(n, den) for k, n in nums.items()}, None, 1
+            return op
         if g > 1:
             nums, den = {k: n // g for k, n in nums.items()}, den // g
-        op = object.__new__(cls)
         op._entries, op._nums, op._den = None, nums, den
         return op
 
     def _ints(self):
-        """(numerators, denominator) when every entry is a Fraction, else None."""
+        """(numerators, denominator), scalars._int_coeffs of the entries:
+        integers over their lcm when every entry is a Fraction, the entries
+        over 1 otherwise."""
         if self._nums is None:
-            form = _int_coeffs(self._entries.values())
-            if form is None:
-                return None
-            nums, self._den = form
+            nums, self._den = _int_coeffs(self._entries.values())
             self._nums = dict(zip(self._entries, nums))
         return self._nums, self._den
 
@@ -93,7 +99,7 @@ class SparseOperator:
     def entries(self) -> dict:
         if self._entries is None:
             den = self._den
-            self._entries = {k: Fraction(n, den) for k, n in self._nums.items()}
+            self._entries = {k: _over(n, den) for k, n in self._nums.items()}
         return self._entries
 
     def __eq__(self, other):
@@ -129,42 +135,34 @@ class SparseOperator:
         return self.entries.get((i, j), Fraction(0))
 
     def add(self, *others: "SparseOperator") -> "SparseOperator":
-        """self + other + ...; all-Fraction operands sum their numerators
-        over the lcm of their denominators, with one reduction."""
+        """self + other + ...: the numerators of the operands (_ints) summed
+        over the lcm of their denominators (an operand already over it read
+        as it is, not rebuilt times 1), with one _from_ints."""
         others = [op for op in others if not op.is_zero()]
         if not others:
             return self
         forms = [op._ints() for op in (self, *others)]
-        ints = None not in forms
-        if ints:
-            den = lcm(*(d for _, d in forms))
-            parts = ({k: n * (den // d) for k, n in nums.items()} for nums, d in forms)
-        else:
-            parts = (op.entries for op in (self, *others))
-        out, zero = dict(next(parts)), 0 if ints else Fraction(0)
+        den = lcm(*(d for _, d in forms))
+        parts = (nums if d == den else {k: n * (den // d) for k, n in nums.items()}
+                 for nums, d in forms)
+        out = dict(next(parts))
         for part in parts:
             for k, c in part.items():
-                out[k] = out.get(k, zero) + c
-        return SparseOperator._from_ints(out, den) if ints else SparseOperator(out)
+                out[k] = out.get(k, 0) + c
+        return SparseOperator._from_ints(out, den)
 
     def scale(self, c) -> "SparseOperator":
-        form = self._ints() if isinstance(c, (int, Fraction)) else None
-        if form is not None:
-            (nums, den), (p, q) = form, Fraction(c).as_integer_ratio()
-            return SparseOperator._from_ints({k: p * n for k, n in nums.items()}, q * den)
-        return SparseOperator({k: c * v for k, v in self.entries.items()})
+        """c * self: the numerators (_ints) times c's, over the product of
+        the denominators, with one _from_ints."""
+        (nums, den), ((p,), q) = self._ints(), _int_coeffs([c])
+        return SparseOperator._from_ints({k: p * n for k, n in nums.items()}, q * den)
 
     def compose(self, other: "SparseOperator") -> "SparseOperator":
-        """Matrix product self . other; on all-Fraction operands, of the
-        numerators over the product of the denominators."""
+        """Matrix product self . other: of the numerators of both (_ints),
+        over the product of their denominators, with one _from_ints."""
         if self.is_zero() or other.is_zero():
             return SparseOperator()
-        a, b = self._ints(), other._ints()
-        ints = a is not None and b is not None
-        if ints:
-            (left, ld), (right, rd), zero = a, b, 0
-        else:
-            left, right, zero = self.entries, other.entries, Fraction(0)
+        (left, ld), (right, rd) = self._ints(), other._ints()
         by_row = {}
         for (k, j), c in right.items():
             by_row.setdefault(k, []).append((j, c))
@@ -172,8 +170,8 @@ class SparseOperator:
         for (i, k), x in left.items():
             for j, y in by_row.get(k, ()):
                 key = (i, j)
-                out[key] = out.get(key, zero) + x * y
-        return SparseOperator._from_ints(out, ld * rd) if ints else SparseOperator(out)
+                out[key] = out.get(key, 0) + x * y
+        return SparseOperator._from_ints(out, ld * rd)
 
     def block(self, indices) -> list:
         """Dense matrix of the entries whose row and column both lie in

@@ -6,13 +6,14 @@ irreducible, an etale algebra (a product of fields) when p is squarefree.
 Their elements are integer numerators over one denominator, and
 interoperate with ``int`` and ``Fraction`` through coercion, so each
 linear-algebra kernel in this package runs one loop over either kind of
-scalar.  The arithmetic core lives here.  _int_coeffs, the all-Fraction
-test and the lcm scaling, is the one Fraction -> integer boundary of every
-integer kernel.  _add_product is the one termwise product of coefficient
-lists, truncated to its accumulator; _poly_mul runs it on ints for
-all-Fraction lists, on the stored scalars otherwise.  _int_divmod is the
-one division of integer coefficient lists, exact or pseudo; _poly_divmod
-runs it for lists of Fractions and refuses any other coefficient.  _Ring
+scalar.  The arithmetic core lives here.  _int_coeffs, integers over
+their lcm D for an all-Fraction list and the entries over D = 1 otherwise,
+is the one way into every exact kernel, and _over the one way back.
+_add_product is the one termwise product of coefficient lists, truncated
+to its accumulator; _poly_mul runs it on the numerators of _int_coeffs.
+_int_divmod is the one division of integer coefficient lists, exact or
+pseudo; _poly_divmod runs it for lists of Fractions and refuses any other
+coefficient (_rational_ints, the Q-only gate).  _Ring
 gives the other exact value types one subtraction, and _power all of them
 one power.
 
@@ -77,22 +78,29 @@ def canonical(x):
 
 
 def _int_coeffs(cs):
-    """(numerators, D) with cs[i] = numerators[i] / D, D the lcm of the
-    denominators, if every entry of cs (iterated twice) is a Fraction;
-    None if any entry is an int or a field element."""
+    """(numerators, D) with cs[i] = numerators[i] / D: integers over D the
+    lcm of the denominators if every entry of cs (iterated twice) is a
+    Fraction, otherwise the entries themselves over D = 1."""
     if not all(type(x) is Fraction for x in cs):
-        return None
+        return list(cs), 1
     d = lcm(*(x.denominator for x in cs))
     return [x.numerator * (d // x.denominator) for x in cs], d
+
+
+def _over(x, D: int):
+    """The value x / D of a numerator x over D: a Fraction for an int x,
+    x itself for D = 1, otherwise x * Fraction(1, D)."""
+    if type(x) is int:
+        return Fraction(x, D)
+    return x if D == 1 else x * Fraction(1, D)
 
 
 def _rational_ints(cs):
     """_int_coeffs(cs) for a list of Fractions; TypeError when a
     coefficient lies outside Q."""
-    f = _int_coeffs(cs)
-    if f is None:
+    if not all(type(x) is Fraction for x in cs):
         raise TypeError("coefficients outside Q in %s" % (list(cs),))
-    return f
+    return _int_coeffs(cs)
 
 
 def _power(x, n: int, one):
@@ -143,19 +151,15 @@ def _add_product(acc, a, b):
 
 def _poly_mul(a, b, n=None):
     """Product of coefficient lists by _add_product, cut to its first n
-    coefficients when n is given.  When every coefficient is a Fraction,
-    each list becomes integers over the lcm of its denominators and the
-    loop runs on ints, with one Fraction per result coefficient; otherwise
-    it runs on the stored scalars."""
+    coefficients when n is given: one loop on the numerators of
+    _int_coeffs, ints for an all-Fraction list and the stored scalars
+    otherwise, and one _over per result coefficient."""
     if not a or not b:
         return []
-    fa, fb = _int_coeffs(a), _int_coeffs(b)
+    (a, da), (b, db) = _int_coeffs(a), _int_coeffs(b)
     n = len(a) + len(b) - 1 if n is None else n
-    if fa is None or fb is None:
-        return _poly_trim(_add_product([Fraction(0)] * n, a, b))
-    (a, da), (b, db) = fa, fb
     den = da * db
-    return _poly_trim([Fraction(c, den) for c in _add_product([0] * n, a, b)])
+    return _poly_trim([_over(c, den) for c in _add_product([0] * n, a, b)])
 
 
 def _int_divmod(a, b):

@@ -133,10 +133,12 @@ class LoopExponent:
 
 
 def exp_symbol(e: LoopExponent, length: int):
-    """Power-series coefficients h_0..h_{length-1} of exp(f) in |degree|."""
+    """Power-series coefficients h_0..h_{length-1} of exp(f) in |degree|;
+    terms of f at degree length and up do not reach them."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    mono = TruncatedLaurentSeries.from_terms("z", e.coeffs, length, 0)
+    terms = {n: c for n, c in e.coeffs.items() if n < length}
+    mono = TruncatedLaurentSeries.from_terms("z", terms, length, 0)
     h = series_exp(mono)
     return [h.coefficient(k) for k in range(length)]
 

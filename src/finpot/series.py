@@ -13,10 +13,11 @@ lists, and series_exp, series_log and series_inv run exact coefficient
 recurrences (Brent & Kung 1978); every exp, log or quotient elsewhere calls
 them.  series_log and series_inv run one pass of _dot steps, which the
 series determinant also divides by.  series_exp runs one recurrence,
-_exp_numerators, for every input: h_k = H_k / (k! D^k), with the H_k
-integers over the lcm D of the denominators for all-Fraction input (the
-loop pairing rounds them directly) and the stored scalars with D = 1
-otherwise.
+_exp_numerators, for every input: h_k = H_k / (k! D^k), from the
+numerators of scalars._int_coeffs, so the H_k are integers over the lcm D
+of the denominators for all-Fraction input (the loop pairing rounds them
+directly) and the stored scalars with D = 1 otherwise; each h_k leaves
+through scalars._over.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 from fractions import Fraction
 
 from .errors import PrecisionError, SeriesDomainError, VariableMismatchError
-from .scalars import (NumberFieldElement, _int_coeffs, _poly_mul, _Ring, canonical,
+from .scalars import (NumberFieldElement, _int_coeffs, _over, _poly_mul, _Ring, canonical,
                       format_rational, parse_integer, parse_rational, scalar_is_zero)
 
 
@@ -303,14 +304,14 @@ def series_inv(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
 
 def _exp_numerators(coeffs, n):
     """(H, D) with exp(a)_k = H_k / (k! D^k) for 0 <= k < n (H_0 = 1), where
-    a = sum_j a_j z^j is given by coeffs {j: a_j}, j >= 1, a_j = A_j / D.
-    When every a_j is a Fraction, D is the lcm of their denominators and
-    the A_j and H_k are integers; otherwise D = 1 and the A_j are the
-    stored scalars.  The recurrence k h_k = sum_j j a_j h_{k-j} becomes
-    H_k = sum_j j A_j D^(j-1) (k-1)!/(k-j)! H_{k-j}, the falling factorial
-    (k-1)!/(k-j)! built up along j, over the nonzero H_{k-j} only."""
-    form = _int_coeffs(coeffs.values())
-    nums, D = (list(coeffs.values()), 1) if form is None else form
+    a = sum_j a_j z^j is given by coeffs {j: a_j}, j >= 1, and (A, D) =
+    scalars._int_coeffs of the a_j: when every a_j is a Fraction, D is the
+    lcm of their denominators and the A_j and H_k are integers; otherwise
+    D = 1 and the A_j are the stored scalars.  The recurrence k h_k =
+    sum_j j a_j h_{k-j} becomes H_k = sum_j j A_j D^(j-1) (k-1)!/(k-j)!
+    H_{k-j}, the falling factorial (k-1)!/(k-j)! built up along j, over the
+    nonzero H_{k-j} only."""
+    nums, D = _int_coeffs(coeffs.values())
     weighted = sorted((j, j * A * D ** (j - 1)) for j, A in zip(coeffs, nums))
     H = [1]
     for k in range(1, n):
@@ -330,9 +331,8 @@ def _exp_numerators(coeffs, n):
 
 def series_exp(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
     """exp of a series with no constant and no polar part, h_k = H_k /
-    (k! D^k) from the one recurrence _exp_numerators, one division per
-    coefficient: a Fraction of an integer H_k, otherwise a product by
-    1 / (k! D^k)."""
+    (k! D^k) from the one recurrence _exp_numerators, one scalars._over
+    per coefficient."""
     if any(d <= 0 for d in a.coeffs):
         raise SeriesDomainError(
             "series_exp needs valuation >= 1, got terms at degrees %s"
@@ -342,8 +342,7 @@ def series_exp(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
     h, den = [Fraction(1)], 1
     for k in range(1, len(H)):
         den *= k * D
-        x = H[k]
-        h.append(Fraction(x, den) if type(x) is int else x * Fraction(1, den))
+        h.append(_over(H[k], den))
     return TruncatedLaurentSeries(a.variable, dict(enumerate(h)), 0, a.precision)
 
 

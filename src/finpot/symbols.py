@@ -71,6 +71,7 @@ class SymbolValue:
         return out
 
     def __mul__(self, other: "SymbolValue") -> "SymbolValue":
+        self.series._check_var(other.series)
         return SymbolValue.from_exponent(
             self.exponent + other.exponent,
             min(self.series.precision, other.series.precision),

@@ -300,9 +300,9 @@ def fitting_at_dimension(matrix):
 
 # -- sparse operator arithmetic over the stored scalars ------------------------
 #
-# The generic SparseOperator add/scale/compose loops that finpot.operators
-# runs on integer numerators when every entry is a Fraction: each step is
-# one scalar operation, and SparseOperator() re-coerces and drops zeros.
+# SparseOperator add/scale/compose on the stored entries, with no integer
+# numerators: each step is one scalar operation, and SparseOperator()
+# re-coerces and drops zeros.
 
 
 def sparse_add(a, b):
@@ -656,7 +656,7 @@ def det_series_matrix_generic(m, one_series):
 
 def power_traces_generic(a, upto):
     """[tr a, ..., tr a^upto] from the identity-seeded chain of generic
-    products, as finpot.matrices ran it on non-Fraction input."""
+    products."""
     from finpot.matrices import identity, mat_trace
 
     out, power = [], identity(len(a))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from finpot.determinants import tate_trace
-from finpot.errors import CompatibilityError, IncompatibleTailsError
+from finpot.errors import CompatibilityError, IncompatibleTailsError, VariableMismatchError
 from finpot.exponentials import (
     OperatorSeries,
     det_series,
@@ -247,6 +247,13 @@ def test_det_series_on_rows_in_a_tail_region():
         core = core_closure((0, 4), [*a.terms.values(), *b.terms.values()])
         assert core == (0, 4, 5)
         assert det_series(a * b) == det_series_on_core(a * b, core) == want
+
+
+def test_operator_series_in_different_variables_do_not_multiply():
+    """OperatorSeries.__mul__ raises the VariableMismatchError of series_mul
+    and det_series_matrix, not a bare ValueError."""
+    with pytest.raises(VariableMismatchError):
+        exp_op(PROJ, prec=4, variable="z") * exp_op(PROJ, prec=4, variable="w")
 
 
 def test_det_series_rejects_tails_without_a_finite_core():

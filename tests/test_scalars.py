@@ -4,10 +4,14 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finpot.matrices import charpoly, det, mat_mul, power_traces
+from finpot.operators import SparseOperator
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.scalars import (
     NumberField,
+    NumberFieldElement,
     _int_coeffs,
+    _poly_mul,
     canonical,
     field_norm,
     field_trace,
@@ -16,7 +20,9 @@ from finpot.scalars import (
 )
 from finpot.series import TruncatedLaurentSeries
 
-from oracles import field_mul_fraction, field_trace_newton
+from oracles import (charpoly_generic, det_generic, field_mul_fraction, field_trace_newton,
+                     mat_mul_generic, poly_mul_generic, power_traces_generic, sparse_add,
+                     sparse_compose, sparse_scale)
 
 
 def test_rational_round_trip():
@@ -275,12 +281,78 @@ def test_negative_power_of_a_polynomial_raises():
 @given(st.lists(_Q3, max_size=6), st.data())
 def test_int_coeffs_takes_only_all_fraction_lists(cs, data):
     """On Fractions, integers over their least common denominator that give
-    back the same Fractions; None once any entry is an int or a field
-    element."""
+    back the same Fractions; once any entry is an int or a field element,
+    the entries themselves over 1."""
     nums, d = _int_coeffs(cs)
     assert all(type(n) is int for n in nums)
     assert [Fraction(n, d) for n in nums] == cs
     assert d == lcm(*(x.denominator for x in cs))
     other = data.draw(st.one_of(st.integers(-3, 3), st.builds(GAUSS.element, st.lists(_Q3, max_size=2)),
                                 st.builds(ROOT2.element, st.lists(_Q3, max_size=2))))
-    assert _int_coeffs(cs[:1] + [other] + cs[1:]) is None
+    mixed = cs[:1] + [other] + cs[1:]
+    stored, one = _int_coeffs(tuple(mixed))
+    assert one == 1 and type(stored) is list
+    assert len(stored) == len(mixed) and all(x is y for x, y in zip(stored, mixed))
+
+
+_GI3 = st.builds(lambda a, b: GAUSS.element([a, b]), _Q3, _Q3)
+_MIXES = {"Q": _Q3, "Q(i)": _GI3, "mixed": st.one_of(_Q3, _GI3)}
+
+
+def _typed(got, *inputs):
+    """got holds only Fractions and Q(i) elements, and only Fractions when
+    every input scalar is a Fraction."""
+    rational = all(type(x) is Fraction for x in inputs)
+    return all(type(x) is Fraction or not rational and type(x) is NumberFieldElement
+               and x.field == GAUSS for x in got)
+
+
+@st.composite
+def _gauss_operator(draw, kind):
+    """Up to six entries on indices 0..3 of the given scalar mix; a Q
+    operator always holds 1/6, so its denominator is at least 6."""
+    cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    entries = draw(st.dictionaries(cells, _MIXES[kind], min_size=1, max_size=6))
+    if kind == "Q":
+        entries[draw(cells)] = Fraction(1, 6)
+    elif kind == "Q(i)":
+        entries = {k: GAUSS.element([c.numerator, 1]) * Fraction(1, c.denominator)
+                   for k, c in draw(st.dictionaries(cells, _Q3, min_size=1, max_size=6)).items()}
+    return SparseOperator(entries)
+
+
+_MIX = st.sampled_from(sorted(_MIXES))
+
+
+@settings(max_examples=60)
+@given(_MIX, _MIX, st.integers(0, 4), st.data())
+def test_merged_kernels_take_every_scalar_mix(left, right, n, data):
+    """_poly_mul, mat_mul, det, charpoly, power_traces and SparseOperator
+    add, compose and scale on Fraction, Q(i) and mixed input, read through
+    _int_coeffs and back through _over: the oracles' values, Fractions on
+    rational input and never an int, and an operator entry given as a field
+    element stays one (a Q operator with denominator 6 plus a Q(i) one
+    folds 6 into the field elements)."""
+    a = data.draw(st.lists(_MIXES[left], max_size=5))
+    b = data.draw(st.lists(_MIXES[right], max_size=5))
+    got = _poly_mul(a, b)
+    assert got == poly_mul_generic(a, b) and _typed(got, *a, *b)
+    x, y = ([data.draw(st.lists(_MIXES[kind], min_size=n, max_size=n)) for _ in range(n)]
+            for kind in (left, right))
+    xs, ys = [c for row in x for c in row], [c for row in y for c in row]
+    got = mat_mul(x, y)
+    assert got == mat_mul_generic(x, y) and _typed([c for row in got for c in row], *xs, *ys)
+    for got, want in [([det(x)], [det_generic(x)]), (charpoly(x), charpoly_generic(x)),
+                      (power_traces(x, n + 1), power_traces_generic(x, n + 1))]:
+        assert got == want and _typed(got, *xs)
+    p, q = data.draw(_gauss_operator(left)), data.draw(_gauss_operator(right))
+    c = data.draw(_MIXES[right])
+    for new, old in [(p.add(q), sparse_add(p, q)), (q.add(p), sparse_add(q, p)),
+                     (p.compose(q), sparse_compose(p, q)), (p.scale(c), sparse_scale(p, c))]:
+        assert new.entries == old.entries
+        assert {k: type(v) for k, v in new.entries.items()} == {
+            k: type(v) for k, v in old.entries.items()}
+        assert _typed(new.entries.values(), *p.entries.values(), *q.entries.values(), c)
+    fields = {k for op in (p, q) for k, v in op.entries.items() if type(v) is NumberFieldElement}
+    total = p.add(q).entries
+    assert all(type(total[k]) is NumberFieldElement for k in fields if k in total)

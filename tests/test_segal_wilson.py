@@ -82,15 +82,16 @@ def test_closed_formula_examples():
     assert sw_pairing_closed(f2, ft2) == 3
 
 
-def test_vs_residue_route(rng):
-    for _ in range(25):
-        f = LoopExponent(
-            "plus", {n: Fraction(rng.randint(-2, 2)) for n in range(1, 5)}
-        )
-        ft = LoopExponent(
-            "minus", {n: Fraction(rng.randint(-2, 2)) for n in range(1, 5)}
-        )
-        assert sw_vs_tate_check(f, ft)
+# a loop exponent's terms: up to four degrees in 1..4, p/q coefficients in [-2, 2]
+_TERMS = st.dictionaries(st.integers(1, 4), st.fractions(-2, 2, max_denominator=3), max_size=4)
+
+
+@settings(max_examples=150)
+@given(_TERMS, _TERMS)
+def test_vs_residue_route(a, b):
+    """The closed pairing exponent equals res_{t=0}(f~ df), zero exponents
+    included."""
+    assert sw_vs_tate_check(LoopExponent("plus", a), LoopExponent("minus", b))
 
 
 def test_antisymmetry_through_residue(rng):
@@ -108,12 +109,15 @@ def test_antisymmetry_through_residue(rng):
         assert residue_classical(frf, ftrf, Place.at_zero()) == -r
 
 
-def test_group_cocycle():
-    g1 = LoopExponent("plus", {1: 1, 2: Fraction(1, 2)})
-    g2 = LoopExponent("plus", {1: -1, 3: 1})
-    assert sw_group_cocycle_check(g1, g2, 10)
-    ident = LoopExponent("plus", {})
-    assert sw_group_cocycle_check(g1, ident, 8)
+@settings(max_examples=60)
+@given(_TERMS, _TERMS, st.integers(1, 9))
+@example({1: 1, 2: Fraction(1, 2)}, {1: -1, 3: 1}, 10)
+@example({1: 1, 2: Fraction(1, 2)}, {}, 8)
+@example({}, {1: 1}, 1)  # T at the support: exp_symbol drops the terms it cannot reach
+def test_group_cocycle(a, b, T):
+    """Plus-side blocks multiply exactly, det(a1 a2 a3^-1) = 1, at every T,
+    below and above the supports."""
+    assert sw_group_cocycle_check(LoopExponent("plus", a), LoopExponent("plus", b), T)
 
 
 def test_preconditions():

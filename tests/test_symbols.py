@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from finpot.errors import PrecisionError, VariableMismatchError
 from finpot.operators import HalfSpaceSpec
@@ -72,6 +72,13 @@ def test_equal_symbol_values_hash_alike():
         a == SymbolValue.from_exponent(Fraction(1), 8, "w")
 
 
+def test_symbol_values_in_different_variables_do_not_multiply():
+    """A product of symbol values in z and in w is refused as __eq__ on the
+    same pair is, instead of returning a z-series."""
+    with pytest.raises(VariableMismatchError):
+        SymbolValue.from_exponent(1, 8, "z") * SymbolValue.from_exponent(2, 8, "w")
+
+
 def test_cocycle_examples():
     c = cocycle(P("1/t"), P("t"), PLACE_T)
     assert c == sym(Fraction(1, 2))
@@ -106,19 +113,32 @@ def test_cocycle_identity_examples():
     assert cocycle_identity_check(P("t^2"), P("1/t"), P("t"), PLACE_T)
 
 
-def test_cocycle_identity_random(rng):
-    # 50 triples per place, permuted inputs included
-    places = [PLACE_T, parse_place("t-1"), parse_place("t^2+1")]
-    for p in places:
-        done = 0
-        while done < 50:
-            f, g, h = (random_rational_function(rng) for _ in range(3))
-            if any(x.is_zero() for x in (f, g, h, f + g, g + h)):
-                continue
-            assert cocycle_identity_check(f, g, h, p)
-            done += 1
-            if done % 10 == 0 and not (h + g).is_zero() and not (g + f).is_zero():
-                assert cocycle_identity_check(h, g, f, p)
+_POLES = (Polynomial([0, 1]), Polynomial([-1, 1]), Polynomial([1, 0, 1]))  # t, t-1, t^2+1
+
+
+@st.composite
+def _small_rational(draw):
+    """A nonzero element of Q(t): a numerator of degree <= 3 with p/q
+    coefficients in [-2, 2] over a product of up to three of t, t - 1 and
+    t^2 + 1, so every place of the test can hold a pole."""
+    num = draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=1, max_size=4))
+    assume(any(num))
+    den = Polynomial([1])
+    for q in draw(st.lists(st.sampled_from(_POLES), max_size=3)):
+        den = den * q
+    return RationalFunction(Polynomial(num), den)
+
+
+@settings(max_examples=150)
+@given(_small_rational(), _small_rational(), _small_rational(),
+       st.sampled_from(("t", "t-1", "t^2+1")))
+def test_cocycle_identity_random(f, g, h, place):
+    """c(f,g) c(f+g,h) = c(g,h) c(f,g+h) at t, t - 1 and t^2 + 1, and on
+    the permuted triple (h, g, f)."""
+    p = parse_place(place)
+    assume(not (f + g).is_zero() and not (g + h).is_zero())
+    assert cocycle_identity_check(f, g, h, p)
+    assert cocycle_identity_check(h, g, f, p)
 
 
 def test_operator_route_agrees(rng):
