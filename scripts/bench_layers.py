@@ -81,7 +81,10 @@ symbol value (series_exp "symbol_8"), and, drawn after all of those, of
 SparseOperator.compose on two banded 64 x 64 operators over Q(i), every
 entry a + b i with a, b random p/q as above (sparse_compose "gauss_64"),
 and of a banded 64 x 64 operator over Q composed with the first of those
-(sparse_compose "mixed_64").
+(sparse_compose "mixed_64"), and, drawn after all of those, of
+NumberFieldElement.inverse (nf_inverse) and field_norm at degrees 5, 20
+and 60 on a random p/q element of Q[t]/(P): "dense_<n>" for a dense monic P
+as in the cli_cold rows, "sparse_<n>" for P = t^n + t + 1.
 With --out it also writes the numbers, the git commit of the finpot tree
 it imported, the line count of its modules (src_lines) and the machine to
 a JSON file.
@@ -116,7 +119,7 @@ from finpot.parsing import parse_place
 from finpot.places import local_expand
 from finpot.polynomials import Polynomial, RationalFunction, coprime_basis, squarefree_parts
 from finpot.residues import residue_tate
-from finpot.scalars import NumberField, field_trace
+from finpot.scalars import NumberField, field_norm, field_trace
 from finpot.segal_wilson import LoopExponent, sw_pairing_truncated
 from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
 from finpot.symbols import cocycle_via_operators, pairing_via_operators, reciprocity_check
@@ -420,6 +423,14 @@ def measure():
     a, b = (banded(rng, lambda r: gauss.element([rational(r), rational(r)])) for _ in range(2))
     out["sparse_compose"]["gauss_64"] = best_of(SparseOperator.compose, a, b)
     out["sparse_compose"]["mixed_64"] = best_of(SparseOperator.compose, banded(rng, rational), a)
+    # drawn after every input above, which stay as in earlier versions
+    out["field_norm"] = {}
+    for n in (5, 20, 60):
+        for kind, modulus in (("dense", list(dense_monic(rng, n).coeffs)),
+                              ("sparse", [1, 1] + [0] * (n - 2) + [1])):
+            element = NumberField(modulus).element([rational(rng) for _ in range(n)])
+            out["nf_inverse"]["%s_%d" % (kind, n)] = best_of(element.inverse)
+            out["field_norm"]["%s_%d" % (kind, n)] = best_of(field_norm, element)
     out["cli_cold"] = {verb: cli_best_of(argv) for verb, argv in verbs.items()}
     return out
 

@@ -44,17 +44,14 @@ from .operators import (
     Certificate,
     FinitePotentOperator,
     HalfSpaceSpec,
-    OperatorClass,
     SparseOperator,
     TailDescriptor,
     certify_finite_potent,
-    classify,
     op_add,
     op_apply,
     op_commutator,
     op_compose,
     op_entry,
-    op_power,
     op_scale,
     op_sub,
 )

@@ -24,12 +24,11 @@ from math import factorial, lcm
 
 from .determinants import tate_trace
 from .errors import (CompatibilityError, IncompatibleTailsError, PrecisionError,
-                     VariableMismatchError)
+                     StraddlingTailError, VariableMismatchError)
 from .matrices import det_series_matrix
 from .operators import (
     FinitePotentOperator,
     HalfSpaceSpec,
-    classify,
     op_add,
     op_commutator,
     op_compose,
@@ -243,15 +242,21 @@ def infinite_product_det(
     (checked), the value is the product over positions below compat_m, and
     stationarity is re-verified by extending the product to compat_m + 2.
 
-    `family` is a list of (weight, operator); positions are 1-based.
+    `family` is a list of (weight, operator); positions are 1-based.  Every
+    factor must lie in E0 for V+ = span{e_i : i >= half.cut}, that is carry
+    no tail (a finite support moves finitely many dimensions): a tail
+    starting below the cut acts on both sides of it (StraddlingTailError),
+    any other tail is a CompatibilityError.
     """
     if compat_m < 1:
         raise CompatibilityError("compat_m must be >= 1")
     for pos, (weight, phi) in enumerate(family, start=1):
         if weight < 1:
             raise ValueError("weights must be >= 1")
-        cls = classify(phi, half)
-        if not cls.in_E0:
+        if phi.has_tail():
+            if phi.tail.start_index < half.cut:
+                raise StraddlingTailError("tail starting at %d straddles the cut %d"
+                                          % (phi.tail.start_index, half.cut))
             raise CompatibilityError(
                 "factor at position %d is not in E0 for the given half-space" % pos
             )

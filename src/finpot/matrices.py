@@ -7,10 +7,10 @@ NumberFieldElement entries.  Each kernel is one loop: it runs on Python
 ints for all-Fraction input and on the field's own scalars otherwise.
 
 Every elimination runs on the fraction-free loop _bareiss (Bareiss 1968):
-det, and reduced_echelon, which kernel_basis and mat_inverse (the right
-half of the reduced echelon form of [a | I]) read, and in scalars the
-number-field inverse (one reduced _bareiss on the integer rows of the
-element's multiplication matrix) and field_norm (int_det of that matrix).
+det, int_det (the loop pairing's integer corner), and reduced_echelon,
+which kernel_basis and mat_inverse (the right half of the reduced echelon
+form of [a | I]) read.  Number-field scalars reach it only as entries: their
+inverse at a pivot and their norm come from scalars' subresultant PRS.
 The pivot is the first nonzero entry at or below the current row, and
 every other row becomes
 (pivot * row - entry * pivot row) / previous pivot, an exact division: '//'

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .errors import IncompatibleTailsError, StraddlingTailError
+from .errors import IncompatibleTailsError
 from .scalars import (
     NumberFieldElement,
     _int_coeffs,
@@ -377,14 +377,6 @@ class HalfSpaceSpec:
 
 
 @dataclass(frozen=True)
-class OperatorClass:
-    in_E: bool
-    in_E1: bool
-    in_E2: bool
-    in_E0: bool
-
-
-@dataclass(frozen=True)
 class Certificate:
     """(n, W, M): phi(W) <= span(W) and phi^n(e_i) in span(W) for every i;
     M is the matrix of phi restricted to W (rows/cols in the order of W)."""
@@ -460,15 +452,6 @@ def op_commutator(
     return op_sub(op_compose(phi, psi), op_compose(psi, phi))
 
 
-def op_power(phi: FinitePotentOperator, k: int) -> FinitePotentOperator:
-    if k < 1:
-        raise ValueError("op_power needs k >= 1")
-    out = phi
-    for _ in range(k - 1):
-        out = op_compose(out, phi)
-    return out
-
-
 def certify_finite_potent(phi: FinitePotentOperator) -> Certificate:
     """Structural certificate (n, W, M).
 
@@ -481,22 +464,4 @@ def certify_finite_potent(phi: FinitePotentOperator) -> Certificate:
     matrix = phi.finite_part.block(indices)
     n = max(1, phi.tail.nilpotency_degree()) if phi.has_tail() else 1
     return Certificate(n, indices, tuple(tuple(r) for r in matrix))
-
-
-def classify(phi: FinitePotentOperator, h: HalfSpaceSpec) -> OperatorClass:
-    """Decide the mapping classes of phi relative to V+ = span{e_i: i >= cut}.
-
-    A finite-support part never moves more than finitely many dimensions, so
-    it is invisible to every commensurability condition; only the tail
-    matters.  A tail shifts upward, hence it can sit inside V+ (start at or
-    above the cut) but never wholly below it; a tail starting below the cut
-    acts on both sides and is rejected as undecidable placement.
-    """
-    if phi.has_tail() and phi.tail.start_index < h.cut:
-        raise StraddlingTailError(
-            "tail starting at %d straddles the cut %d"
-            % (phi.tail.start_index, h.cut)
-        )
-    in_e2 = not phi.has_tail()
-    return OperatorClass(in_E=True, in_E1=True, in_E2=in_e2, in_E0=in_e2)
 

@@ -14,13 +14,12 @@ Limits, each a ParseError raised before the work it bounds:
     "t^-1000" and "(t+1)^1000" are accepted.
 Together they bound the work of any one expression.  A place given by
 parse_place may not have degree above MAX_PLACE_DEGREE = 60: the squarefree
-check gcd(q, q') is one integer primitive PRS, and the inverse mod q of a
-residue one Bareiss elimination of an integer matrix of size deg q.  Cold,
-on a 2-core Xeon with CPython 3.11, `residue --f 1/q --g t^2 --place q` took
-0.24 s at degree 60 for q = t^60 + t + 1, and for dense q with integer
-coefficients in [-9, 9] 0.17 s at degree 20, 0.2-0.3 s at 40 and 0.5-0.6 s
-at 60 (1.7-2.0 s with the Fraction Euclid gcd it replaced), about half of
-it in the inverse and half in parsing the two degree-60 inputs.
+check gcd(q, q') and the inverse mod q of a residue are one integer
+subresultant PRS each (scalars._subres).  Cold, on a 2-core Xeon with
+CPython 3.11, `residue --f 1/q --g t^2 --place q` took 0.11-0.22 s at
+degree 60 for q = t^60 + t + 1, and for dense q with integer coefficients
+in [-9, 9] 0.14-0.21 s at degree 20, 0.17-0.25 s at 40 and 0.17-0.31 s at
+60 (0.29-0.51 s with the Bareiss inverse it replaced).
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ Rational functions are kept normalized: monic denominator, gcd(num, den) = 1.
 
 Q[t] arithmetic runs on Python ints, each list its numerators over their
 lcm (scalars._rational_ints), with one Fraction per output coefficient:
-division is scalars._poly_divmod; gcd the primitive PRS _int_gcd; a
-rational function keeps _normal_form's integer lists (n, d), and its +,
-*, / and derivative form the next n / d from them.  Nothing here factors:
+division is scalars._poly_divmod; gcd (_int_gcd) the primitive part of
+the last remainder of scalars._subres, the subresultant PRS; a rational
+function keeps _normal_form's integer lists (n, d), and its +, *, / and
+derivative form the next n / d from them.  Nothing here factors:
 split_power, the squarefree decomposition (squarefree_parts) and the
 coprime basis (coprime_basis) run end to end on the same lists, with gcds
 and exact divisions by primitive divisors only.  All of it is over Q: a
@@ -24,7 +25,7 @@ from itertools import zip_longest
 from math import gcd
 
 from .scalars import (_add_product, _int_divmod, _poly_divmod, _poly_mul, _poly_trim, _power,
-                      _rational_ints, _Ring, canonical, format_rational)
+                      _rational_ints, _Ring, _subres, canonical, format_rational)
 
 
 class Polynomial(_Ring):
@@ -203,12 +204,11 @@ def _monic(a):
 
 def _int_gcd(a, b):
     """A primitive gcd of trimmed int lists, up to sign (empty for two
-    empty lists), by the primitive PRS (Collins 1967; Brown 1971): each
-    pseudo-remainder of a by b, from _int_divmod, divided by its content."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_int_divmod(a, b)[2])
-    return a
+    empty lists): the primitive part of the last nonzero member of their
+    subresultant PRS (scalars._subres)."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _primitive(_subres(a, b)[0] if b else a)
 
 
 def _normal_form(n, d):

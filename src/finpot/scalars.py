@@ -13,16 +13,17 @@ _add_product is the one termwise product of coefficient lists, truncated
 to its accumulator; _poly_mul runs it on the numerators of _int_coeffs.
 _int_divmod is the one division of integer coefficient lists, exact or
 pseudo; _poly_divmod runs it for lists of Fractions and refuses any other
-coefficient (_rational_ints, the Q-only gate).  _Ring
-gives the other exact value types one subtraction, and _power all of them
-one power.
+coefficient (_rational_ints, the Q-only gate).  _subres, the subresultant
+PRS on _int_divmod's pseudo-remainders, is the one remainder sequence: it
+gives the Q[t] gcd (polynomials._int_gcd), and in Q[x]/(p) the inverse
+(from a cofactor) and field_norm (a resultant).  _Ring gives the other
+exact value types one subtraction, and _power all of them one power.
 
-Linear algebra over Q in Q[x]/(p) reads one form, an element's integer
-multiplication matrix (NumberFieldElement._int_matrix), built by the same
-integer reduction (NumberField._reduce) as the product: regular_matrix is
-that matrix over its denominator, inverse one reduced matrices._bareiss on
-its integer rows, field_norm matrices.int_det of it and field_trace its
-diagonal sum.
+In Q[x]/(p) the product, regular_matrix and field_trace read the field's
+integer table of x^k mod p (NumberField._reduction); inverse and
+field_norm read only the integer modulus E p, so the norm checks the
+restriction of scalars, which reads regular_matrix, along a second route.
+Nothing here runs a matrix elimination.
 
 One scalar rule holds where values leave the library: a rational value is
 a Fraction, whichever kernel computed it.  canonical is that rule; the
@@ -201,6 +202,39 @@ def _poly_divmod(a, b):
     return [Fraction(x * db, y * da) for x, y in zip(q, s)], [Fraction(x, p * da) for x in r]
 
 
+def _subres(a, b, cofactor=False):
+    """(r, res, t) for trimmed int lists a and b, len(a) >= len(b) >= 1, by
+    the subresultant PRS (Collins 1967; Brown & Traub 1971; Cohen's Algorithm
+    3.3.7): r the last nonzero member, a gcd up to a constant; res = Res(a, b);
+    t, with cofactor=True, b's cofactor, t b = r mod a (else None).  Each step
+    divides _int_divmod's pseudo-remainder, scaled to lc(b)^(delta + 1),
+    exactly by g h^delta, and the cofactors follow the same recurrence.  res
+    is 0 unless the sequence ends at a nonzero constant."""
+    g = h = s = 1
+    ta, tb = ([], [1]) if cofactor else (None, None)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == len(b) % 2 == 0:  # both degrees odd
+            s = -s
+        q, qs, r, p = _int_divmod(a, b)
+        lead, div = b[-1] ** (delta + 1), g * h**delta
+        if lead != p:  # _int_divmod scaled by less than lead
+            r = [x * (lead // p) for x in r]
+        r = [x // div for x in r]
+        if cofactor:
+            acc = [lead * x for x in ta]
+            acc += [0] * (len(q) + len(tb) - 1 - len(acc))
+            _add_product(acc, [-x * (lead // y) for x, y in zip(q, qs)], tb)
+            ta, tb = tb, [x // div for x in _poly_trim(acc)]
+        a, b, g = b, r, b[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    if not b:
+        return a, 0, ta
+    n = len(a) - 1
+    return b, s * h * b[0] ** n // h**n, tb
+
+
 class NumberField:
     """Q[x]/(modulus) for a monic modulus over Q.
 
@@ -221,6 +255,7 @@ class NumberField:
             raise ValueError("modulus must be monic")
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
+        self._int_modulus = _int_coeffs(modulus)[0]  # E * modulus, primitive
         self._table = None
 
     def _reduction(self):
@@ -347,34 +382,21 @@ class NumberFieldElement:
 
     __rmul__ = __mul__
 
-    def _int_matrix(self):
-        """(M, s): M an integer matrix (a list of rows) and M / s the
-        regular matrix.  Column j holds the numerators of s * self * x^j,
-        the shifted nums reduced by NumberField._reduce, with s = den * E."""
-        field = self.field
-        d = field.degree
-        cols = [field._reduce([0] * j + list(self.nums) + [0] * (d - 1 - j)) for j in range(d)]
-        return [list(row) for row in zip(*cols)], self.den * field._reduction()[1]
-
     def inverse(self) -> "NumberFieldElement":
-        """Multiplicative inverse, the solution v of M v = s e_0 for
-        (M, s) = _int_matrix(): one reduced matrices._bareiss on the integer
-        rows [M | s e_0] leaves D v in the last column, D the last pivot.
-        It exists exactly when the element is coprime to the modulus, that
-        is when M has full rank."""
-        from .matrices import _bareiss  # matrices imports this module
-
-        if self.is_zero():
+        """Multiplicative inverse den t / r, from the cofactor t in
+        t U = r mod Q of the numerators U and the field's integer modulus Q
+        (_subres).  It exists exactly when the element is coprime to the
+        modulus, that is when r is a constant."""
+        u = _poly_trim(self.nums)
+        if not u:
             raise ZeroDivisionError("inverse of zero field element")
-        m, s = self._int_matrix()
-        d = self.field.degree
-        m = [row + [0] for row in m]
-        m[0][d] = s
-        if _bareiss(m, d, reduce=True)[0] != list(range(d)):
+        field = self.field
+        r, _, t = _subres(field._int_modulus, u, cofactor=True)
+        if len(r) > 1:
             raise ZeroDivisionError("element not invertible: not coprime to the modulus")
-        den = m[-1][d - 1]
-        sign = -1 if den < 0 else 1
-        return NumberFieldElement(self.field, [sign * row[d] for row in m], sign * den)
+        c = self.den if r[0] > 0 else -self.den
+        return NumberFieldElement(field, [c * x for x in t] + [0] * (field.degree - len(t)),
+                                  abs(r[0]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -409,9 +431,13 @@ class NumberFieldElement:
     def regular_matrix(self):
         """Matrix of multiplication by self on the basis 1, x, ..., x^(d-1),
         as a list of rows of Fractions; column j holds the coordinates of
-        self * x^j.  It is _int_matrix's M over s."""
-        m, s = self._int_matrix()
-        return [[Fraction(x, s) for x in row] for row in m]
+        self * x^j, the shifted numerators reduced by NumberField._reduce,
+        over s = den * E."""
+        field = self.field
+        d = field.degree
+        cols = [field._reduce([0] * j + list(self.nums) + [0] * (d - 1 - j)) for j in range(d)]
+        s = self.den * field._reduction()[1]
+        return [[Fraction(x, s) for x in row] for row in zip(*cols)]
 
     def __repr__(self):
         terms = []
@@ -427,19 +453,25 @@ class NumberFieldElement:
 
 
 def field_norm(e: NumberFieldElement) -> Fraction:
-    """Norm down to Q: determinant of the multiplication-by-e map, the
-    integer determinant of e's _int_matrix M over s^d."""
-    from .matrices import int_det  # matrices imports this module
-
-    m, s = e._int_matrix()
-    return Fraction(int_det(m), s ** len(m))
+    """Norm down to Q, read from the modulus and not from the reduction
+    table: Res(Q, U) / (E^deg U den^d) for the numerators U, Q = E q the
+    field's integer modulus and Res from _subres."""
+    u = _poly_trim(e.nums)
+    if not u:
+        return Fraction(0)
+    q = e.field._int_modulus
+    return Fraction(_subres(q, u)[1], q[-1] ** (len(u) - 1) * e.den**e.field.degree)
 
 
 def field_trace(e: NumberFieldElement) -> Fraction:
-    """Trace down to Q of the multiplication-by-e map: the diagonal sum of
-    e's _int_matrix M over s."""
-    m, s = e._int_matrix()
-    return Fraction(sum(row[i] for i, row in enumerate(m)), s)
+    """Trace down to Q of the multiplication-by-e map, the diagonal of the
+    regular matrix read off the reduction table in O(d^2): entry j of
+    column j is E nums[0] plus nums[d + k - j] row_k[j] for each table row
+    k < j, all over den E."""
+    rows, lcd = e.field._reduction()
+    d, n = e.field.degree, e.nums
+    diag = sum(n[d + k - j] * c for k, row in enumerate(rows) for j, c in row if j > k)
+    return Fraction(d * lcd * n[0] + diag, e.den * lcd)
 
 
 def scalar_is_zero(x) -> bool:

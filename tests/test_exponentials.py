@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from finpot.determinants import tate_trace
-from finpot.errors import CompatibilityError, IncompatibleTailsError, VariableMismatchError
+from finpot.errors import (CompatibilityError, IncompatibleTailsError, StraddlingTailError,
+                           VariableMismatchError)
 from finpot.exponentials import (
     OperatorSeries,
     det_series,
@@ -16,6 +17,7 @@ from finpot.exponentials import (
 )
 from finpot.operators import (
     FinitePotentOperator as FPO,
+    HalfSpaceSpec,
     SparseOperator,
     TailDescriptor,
     certify_finite_potent,
@@ -139,6 +141,40 @@ def test_infinite_product_rejects_tailed_factor():
     tailed = FPO(SparseOperator(), TailDescriptor.jordan(2, 5))
     with pytest.raises(CompatibilityError):
         infinite_product_det([(2, tailed)], 3)  # not in E0
+
+
+def test_infinite_product_admits_finite_support():
+    """A finite support, on either side of the cut or across it, is in E0:
+    one factor below compat_m = 2 gives exp(z tr phi)."""
+    cut = 3
+    proj = FPO.from_entries([(c, c, 1) for c in range(cut, cut + 6)])
+    below = FPO.from_entries([(0, 5, 1), (1, 7, 2)])  # rows < cut, cols >= cut
+    mixed = FPO.from_entries([(4, 0, 1), (5, 5, 1)])
+    for phi in (proj, below, mixed):
+        assert not phi.has_tail()
+        out = infinite_product_det([(1, phi)], 2, HalfSpaceSpec(cut))
+        assert out == exp_of_scalar(tate_trace(phi), 10)
+
+
+def test_infinite_product_rejects_straddling_tail():
+    """A tail is never in E0: one starting at or above the cut is a
+    CompatibilityError, one starting below it straddles the cut."""
+    tailed = FPO(SparseOperator(), TailDescriptor.jordan(2, 4))
+    for cut in (0, 4):
+        with pytest.raises(CompatibilityError):
+            infinite_product_det([(1, tailed)], 2, HalfSpaceSpec(cut))
+    with pytest.raises(StraddlingTailError):
+        infinite_product_det([(1, tailed)], 2, HalfSpaceSpec(5))
+
+
+def test_infinite_product_admits_exactly_the_tail_free(rng):
+    for _ in range(40):
+        phi = random_operator(rng, tail_prob=0.5)
+        if phi.has_tail():
+            with pytest.raises(CompatibilityError):
+                infinite_product_det([(1, phi)], 2)
+        else:
+            assert infinite_product_det([(1, phi)], 2) == exp_of_scalar(tate_trace(phi), 10)
 
 
 def test_infinite_product_random_traceless(rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finpot.matrices as matrices
+import finpot.scalars as scalars
 from finpot.errors import NotInvertibleError, VariableMismatchError
 from finpot.matrices import (
     charpoly,
@@ -350,10 +351,10 @@ def test_series_det_matches_generic_loops(m):
 
 def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
     """Q input reaches _bareiss as integer rows and Q(i) input with its own
-    scalars; _bareiss never receives a series.  Only outermost calls are
-    counted: a Q(i) inverse, at a pivot or outside the loop, runs a nested
-    _bareiss of its own, on the integer rows of its multiplication matrix,
-    and only on ints."""
+    scalars; _bareiss never receives a series.  A Q(i) inverse, at a pivot
+    or outside the loop, runs no nested _bareiss: it is scalars._subres on
+    the integer modulus and the element's numerators, which receives only
+    int lists."""
     q, g = rand_matrix(rng, 4), rand_gauss_matrix(rng, 4, 4)
     q[0][1], q[2][3] = Fraction(1, 3), Fraction(-5, 2)
     for i in range(4):  # diagonally dominant, so both are invertible
@@ -361,7 +362,7 @@ def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
         g[i][i] = g[i][i] + 20
     one, z = TLS.one("z", 4), TLS.from_terms("z", {1: GAUSS.generator()}, 4)
     series = [[one + z, z], [z * z, one]]
-    seen, nested, depth = [], [], [0]
+    seen, nested, depth, subres = [], [], [0], []
 
     def nesting(fn):
         def inside(*args, **kwargs):
@@ -376,7 +377,12 @@ def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
         (nested if depth[0] else seen).append({type(x) for row in m for x in row})
         return _fn(m, *args, **kwargs)
 
+    def recording(a, b, *args, _fn=scalars._subres, **kwargs):
+        subres.append({type(x) for x in a + b} | {type(a), type(b)})
+        return _fn(a, b, *args, **kwargs)
+
     monkeypatch.setattr(matrices, "_bareiss", counting)
+    monkeypatch.setattr(scalars, "_subres", recording)
     nfe = type(GAUSS.generator())
     monkeypatch.setattr(nfe, "inverse", nesting(nfe.inverse))
     for a, reaches in ((q, lambda types: types == {int}),
@@ -388,7 +394,8 @@ def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
         assert kernel_basis(a) == kernel_basis_generic(a) == []
         assert mat_inverse(a) == mat_inverse_generic(a)
         assert len(seen) == 5 and all(map(reaches, seen))
-    assert nested and all(types == {int} for types in nested)
+    assert not nested
+    assert subres and all(types == {int, list} for types in subres)
     seen.clear()
     assert det_series_matrix(series, one) == det_series_matrix_generic(series, one)
     assert not any(TLS in types for types in seen)

@@ -4,20 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finpot.determinants import tate_trace
-from finpot.errors import IncompatibleTailsError, StraddlingTailError
+from finpot.errors import IncompatibleTailsError
 from finpot.operators import (
     FinitePotentOperator as FPO,
-    HalfSpaceSpec,
     SparseOperator,
     TailDescriptor,
     certify_finite_potent,
-    classify,
     op_add,
     op_apply,
     op_commutator,
     op_compose,
     op_entry,
-    op_power,
     op_scale,
 )
 from finpot.scalars import NumberField, scalar_is_zero
@@ -140,41 +137,14 @@ def test_certificate_brute_force(rng):
         assert verify_certificate(phi, cert, span=50)
 
 
-def test_classify_examples():
-    cut = 3
-    h = HalfSpaceSpec(cut)
-    proj = FPO.from_entries([(c, c, 1) for c in range(cut, cut + 6)])
-    cls = classify(proj, h)
-    assert cls.in_E and cls.in_E1
-    below = FPO.from_entries([(0, 5, 1), (1, 7, 2)])  # rows < cut, cols >= cut
-    assert classify(below, h).in_E2
-    mixed = FPO.from_entries([(4, 0, 1), (5, 5, 1)])
-    cls = classify(mixed, h)
-    assert cls.in_E0 == (cls.in_E1 and cls.in_E2)
-    assert cls.in_E0
-
-
-def test_classify_tail_placement():
-    h = HalfSpaceSpec(0)
-    tailed = FPO(SparseOperator(), TailDescriptor.jordan(2, 4))
-    cls = classify(tailed, h)
-    assert cls.in_E and cls.in_E1 and not cls.in_E2 and not cls.in_E0
-    with pytest.raises(StraddlingTailError):
-        classify(tailed, HalfSpaceSpec(5))
-
-
 def test_closure_under_composition(rng):
-    # products with an E element stay in the ideal: finite-rank x anything
-    # is finite rank, and classification flags reflect it
-    h = HalfSpaceSpec(0)
+    # products with a finite-support operator stay in the ideal: finite
+    # rank x anything is finite rank, so the product carries no tail
     for _ in range(20):
         e_elt = random_operator(rng, tail_prob=0.7)
-        if e_elt.has_tail() and e_elt.tail.start_index < h.cut:
-            continue
         finite = random_operator(rng, tail_prob=0.0)
         for prod in (op_compose(e_elt, finite), op_compose(finite, e_elt)):
-            cls = classify(prod, h)
-            assert cls.in_E1 and cls.in_E2 and cls.in_E0
+            assert not prod.has_tail()
 
 
 def test_commutator_zero_trace(rng):
@@ -213,9 +183,9 @@ def test_op_entry_reads_tail():
 
 def test_power():
     f = FPO.from_entries([(0, 1, 1), (1, 2, 1)])
-    sq = op_power(f, 2)
+    sq = op_compose(f, f)
     assert sq == FPO.from_entries([(0, 2, 1)])
-    assert op_power(f, 3).is_zero()
+    assert op_compose(sq, f).is_zero()
 
 
 def test_json_round_trip(rng):
@@ -261,15 +231,6 @@ def test_certificate_of_zero_operator():
     cert = certify_finite_potent(FPO.zero())
     assert cert.n == 1 and cert.indices == ()
     assert verify_certificate(FPO.zero(), cert, span=10)
-
-
-def test_classification_flag_consistency(rng):
-    h = HalfSpaceSpec(0)
-    for _ in range(40):
-        phi = random_operator(rng, tail_prob=0.5)
-        cls = classify(phi, h)
-        assert cls.in_E0 == (cls.in_E1 and cls.in_E2)
-        assert not (cls.in_E1 or cls.in_E2) or cls.in_E
 
 
 # -- integer kernel against the generic scalar loops ---------------------------

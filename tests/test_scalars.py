@@ -4,7 +4,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finpot.matrices import charpoly, det, mat_mul, power_traces
+from finpot.matrices import charpoly, det, mat_mul, mat_trace, power_traces
 from finpot.operators import SparseOperator
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.scalars import (
@@ -193,8 +193,10 @@ def test_element_arithmetic_matches_fractions(data):
     Fraction give the coefficients the Fraction arithmetic gives (products
     by the oracle's Fraction product reduced by polynomial division), each
     in canonical form; inverse round-trips wherever the element is coprime
-    to the modulus, and raises exactly where it is not; == and hash agree
-    with Fraction on rational values."""
+    to the modulus, and raises exactly where it is not; the norm (from the
+    modulus) and the trace (from the reduction table) equal the determinant
+    and the trace of the regular matrix; == and hash agree with Fraction on
+    rational values."""
     for name, field in _FIELDS.items():
         coeffs = st.lists(_COEFF, max_size=field.degree + 2)  # longer lists are reduced first
         a, b = (field.element(data.draw(coeffs)) for _ in range(2))
@@ -219,6 +221,8 @@ def test_element_arithmetic_matches_fractions(data):
             assert Polynomial(ac).gcd(Polynomial(field.modulus)).degree > 0
         else:
             assert a * inv == 1 and _is_canonical(inv)
+        m = a.regular_matrix()
+        assert field_norm(a) == det(m) and field_trace(a) == mat_trace(m)
         # a rational value equals its Fraction both ways and hashes as it
         v = data.draw(_COEFF)
         e = field.element([v])
