@@ -15,7 +15,7 @@ and series_inv on dense Q series (every coefficient a random p/q as above,
 from degree 0, or degree 1 for exp) at precision 32, 64 and 128, of
 reciprocity_check at z-precision 8 and 32 on a random pair with poles at
 t - 2 (double), t^2 + 1 and t^3 + t + 1, of SparseOperator.compose on two
-random banded 64 x 64 operators (bandwidth 7), of the windowed symbol
+random banded 64 x 64 operators (bandwidth 7), of the symbol
 determinant cocycle_via_operators at z-precision 8 with f in
 span(1/t^2, t) and g in span(1/t, t), of the four-exponential
 pairing_via_operators on the same shapes, of the loop pairing's exact int_det

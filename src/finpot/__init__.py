@@ -28,7 +28,6 @@ from .errors import (
     SeriesDomainError,
     StraddlingTailError,
     VariableMismatchError,
-    WindowExhaustedError,
 )
 from .exponentials import (
     OperatorSeries,

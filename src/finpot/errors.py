@@ -34,10 +34,6 @@ class NotInvertibleError(FinpotError):
     code = "not_invertible"
 
 
-class WindowExhaustedError(FinpotError):
-    code = "window_exhausted"
-
-
 class CompatibilityError(FinpotError):
     code = "compatibility"
 

@@ -13,8 +13,8 @@ all stay finite, exact computations.
 OperatorSeries is the one operator-series type and det_series the one block
 determinant.  exp_product builds a product of exponentials from its
 logarithmic derivative (Wilcox 1967), whose terms are nested commutators
-of the generators: the windowed symbol route takes it for its exponential
-products, then det_series on their finite contents.
+of the generators, finite-potent operators or half-space compressions
+(residues.Compression) that sum to zero, as the symbol route takes them.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .operators import (
     op_scale,
     op_sub,
 )
+from .residues import Compression
 from .series import TruncatedLaurentSeries
 
 
@@ -107,9 +108,11 @@ def exp_op(
     return OperatorSeries(variable, prec, {j * k: t for j, t in terms.items()})
 
 
-def _exp_ad(n: FinitePotentOperator, x: dict, top: int) -> dict:
+def _exp_ad(n, x: dict, top: int) -> dict:
     """exp(z ad n) applied to the operator series x (degree -> operator):
-    sum_k z^k ad_n^k(x) / k!, through degree top."""
+    sum_k z^k ad_n^k(x) / k!, through degree top; a lone term, such as a
+    compression at degree 0, is kept as it is."""
+    bracket = n.commutator if isinstance(n, Compression) else lambda t: op_commutator(n, t)
     parts: dict = {}
     for e, term in x.items():
         k = 0
@@ -118,10 +121,10 @@ def _exp_ad(n: FinitePotentOperator, x: dict, top: int) -> dict:
             k += 1
             if e + k > top:
                 break
-            term = op_scale(op_commutator(n, term), Fraction(1, k))
+            term = op_scale(bracket(term), Fraction(1, k))
             if term.is_zero():
                 break
-    return {d: op_add(*ops) for d, ops in parts.items()}
+    return {d: ops[0] if len(ops) == 1 else op_add(*ops) for d, ops in parts.items()}
 
 
 def exp_product(generators, prec: int) -> OperatorSeries:
@@ -134,13 +137,17 @@ def exp_product(generators, prec: int) -> OperatorSeries:
     End(V)[[z]] whose only divisions are by integers: the terms are those
     of the product of the truncated exponentials.  When sum_i M_i = 0,
     L_0 vanishes and every other L_k is a sum of nested commutators, so L
-    and Y stay as localized as those commutators."""
+    and Y stay as localized as those commutators.  Compressions add in L_0,
+    and a nonzero total raises ValueError: no term would be finite."""
     top = prec - 2  # Y_d for d < prec reads L_k for k <= prec - 2
     log_deriv: dict = {}
+    add = Compression.__add__ if any(isinstance(m, Compression) for m in generators) else op_add
     for m in reversed(generators):
         log_deriv = _exp_ad(m, log_deriv, top)
-        log_deriv[0] = op_add(m, log_deriv[0]) if 0 in log_deriv else m
+        log_deriv[0] = add(m, log_deriv[0]) if 0 in log_deriv else m
     log_deriv = {k: t for k, t in log_deriv.items() if not t.is_zero()}
+    if isinstance(log_deriv.get(0), Compression):
+        raise ValueError("compressions with a nonzero sum have no finite exponential product")
     terms: dict = {}
     for d in range(1, prec):
         ops = [log_deriv[d - 1]] if d - 1 in log_deriv else []

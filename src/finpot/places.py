@@ -47,14 +47,23 @@ class Place:
             return
         if kind != "finite":
             raise ValueError("kind must be 'finite' or 'infinity'")
-        if minimal_poly is None or not minimal_poly.is_monic() or minimal_poly.degree < 1:
-            raise ValueError("finite place needs a monic nonconstant polynomial")
+        self._set_finite(minimal_poly)
         if minimal_poly.gcd(minimal_poly.derivative()).degree > 0:
             raise ValueError("place polynomial must be squarefree")
-        self.kind = kind
-        self.minimal_poly = minimal_poly
-        self.degree = minimal_poly.degree
-        self.field = NumberField(minimal_poly.coeffs) if self.degree > 1 else None
+
+    def _set_finite(self, q: Polynomial) -> None:
+        """Every check of a finite place but squarefreeness, then the slots."""
+        if q is None or not q.is_monic() or q.degree < 1:
+            raise ValueError("finite place needs a monic nonconstant polynomial")
+        self.kind, self.minimal_poly, self.degree = "finite", q, q.degree
+        self.field = NumberField(q.coeffs) if q.degree > 1 else None
+
+    @classmethod
+    def _squarefree(cls, q: Polynomial) -> "Place":
+        """Place.finite(q) for a q known to be squarefree, with no gcd."""
+        place = object.__new__(cls)
+        place._set_finite(q)
+        return place
 
     @classmethod
     def finite(cls, minimal_poly: Polynomial) -> "Place":
@@ -62,7 +71,7 @@ class Place:
 
     @classmethod
     def at_zero(cls) -> "Place":
-        return cls("finite", Polynomial([0, 1]))
+        return cls._squarefree(Polynomial([0, 1]))
 
     @classmethod
     def infinity(cls) -> "Place":
@@ -181,8 +190,9 @@ def substitute_inverse(f: RationalFunction) -> RationalFunction:
 def relevant_places(*functions: RationalFunction):
     """The places of a coprime squarefree basis of every numerator and
     denominator, sorted by (degree, coefficients), then infinity: the full
-    pole/zero locus of the inputs.  Nothing is factored."""
+    pole/zero locus of the inputs.  Nothing is factored, and the basis is
+    squarefree, so no gcd checks it again (Place._squarefree)."""
     basis = coprime_basis(p for f in functions for p in (f.num, f.den) if p.degree > 0)
-    places = [Place.finite(q) for q in sorted(basis, key=lambda q: (q.degree, q.coeffs))]
+    places = [Place._squarefree(q) for q in sorted(basis, key=lambda q: (q.degree, q.coeffs))]
     places.append(Place.infinity())
     return places

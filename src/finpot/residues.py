@@ -11,12 +11,11 @@ parts (Yun) of the denominator of f g'; residue_sum adds the place at
 infinity, where the residue is minus the t^-1 coefficient of f g' in
 powers of 1/t, from one polynomial division.  Nothing is factored.
 The operator route realizes multiplication by f and g on the basis
-e_i <-> t^i in a window that starts at the cut, which makes them the
-compressions to the upper half-space V+ = span{e_i : i >= cut} truncated at
-the window's top, and takes the trace of the finite-rank commutator of the
-compressions.  _window_model sizes the window once, from the pole orders
-and degrees, for this commutator and for the symbol route's exponential
-products alike.  The two routes must agree wherever both apply.
+e_i <-> t^i as their compressions f+ = pi+ f pi+ to the upper half-space
+V+ = span{e_i : i >= cut}, exact infinite operators (Compression), and
+takes the trace of [f+, g+], a finite difference of Hankel products (Tate
+1968).  The symbol route takes the same compressions for its exponential
+products.  The two routes must agree wherever both apply.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .determinants import tate_trace
-from .errors import ReductionError, SeriesDomainError, WindowExhaustedError
+from .errors import ReductionError, SeriesDomainError
 from .operators import FinitePotentOperator, SparseOperator
 from .places import Place, expand_digits, substitute_inverse
 from .polynomials import Polynomial, RationalFunction, split_power, squarefree_parts
-from .scalars import NumberField, NumberFieldElement, _poly_mul, field_trace
+from .scalars import NumberField, NumberFieldElement, _int_coeffs, _over, _poly_mul, field_trace
 
 
 def _differential(f: RationalFunction, g: RationalFunction) -> RationalFunction:
@@ -122,73 +121,92 @@ def reduce_to_origin(f: RationalFunction, place: Place) -> dict:
     return laurent_coefficients(f.shift(a) if a != 0 else f)
 
 
-def multiplication_window(coeffs: dict, lo: int, hi: int) -> SparseOperator:
-    """Multiplication by sum c_k t^k on span{e_lo..e_hi}: entries
-    (j + k, j) = c_k inside the window.  With lo the cut this is the
-    half-space compression pi+ f pi+, truncated at hi."""
-    entries = {}
-    for k, c in coeffs.items():
-        for j in range(max(lo, lo - k), hi + 1):
-            i = j + k
-            if lo <= i <= hi:
-                entries[(i, j)] = c
-    return SparseOperator(entries)
+class Compression:
+    """T_f = pi+ f pi+ on V+ = span{e_i : i >= cut}, e_i <-> t^i, for the
+    Laurent polynomial f = sum c_k t^k: the infinite operator e_j -> sum
+    c_k e_{j+k} over j, j + k >= cut, its c_k kept once as the numerators
+    of scalars._int_coeffs over one denominator.  Compressions of one cut
+    add as compressions; their commutators are finite and exact."""
+
+    __slots__ = ("cut", "_nums", "_den")
+
+    def __init__(self, coeffs: dict, cut: int = 0):
+        nums, self._den = _int_coeffs(list(coeffs.values()))
+        self._nums = {k: n for k, n in zip(coeffs, nums) if n}
+        self.cut = cut
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def _check_cut(self, other: "Compression") -> None:
+        if self.cut != other.cut:
+            raise ValueError("compressions at cuts %d and %d" % (self.cut, other.cut))
+
+    def __add__(self, other: "Compression") -> "Compression":
+        """T_f + T_g = T_{f+g}, at one cut."""
+        self._check_cut(other)
+        coeffs = {k: _over(n, self._den) for k, n in self._nums.items()}
+        for k, n in other._nums.items():
+            coeffs[k] = coeffs.get(k, 0) + _over(n, other._den)
+        return Compression(coeffs, self.cut)
+
+    def _columns(self, other: "Compression") -> range:
+        """[cut, cut + max(n_f, n_g)), n_f = max(0, -min deg f): the columns
+        outside which [T_f, T_g] vanishes (commutator)."""
+        poles = max([0] + [-k for k in (*self._nums, *other._nums)])
+        return range(self.cut, self.cut + poles)
+
+    def commutator(self, x) -> FinitePotentOperator:
+        """[T_f, x] for x a tail-free operator or a compression of one cut:
+        one loop on the numerators, over the product of the denominators.
+
+        - x finite, with entries a at (i, j): T_f x has c_k a at (i + k, j)
+          for i, i + k >= cut, and x T_f has a c_k at (i, j - k) for
+          j, j - k >= cut.
+        - x = T_g, g = sum b_k t^k: for j >= cut, T_f T_g e_j is the sum of
+          b_k c_l e_{j+k+l} over j + k >= cut and j + k + l >= cut, and
+          T_{fg} e_j the same sum over j + k + l >= cut alone.  They differ
+          only in terms with j + k < cut, so j < cut + n_g, as k >= -n_g.
+          So T_{fg} - T_f T_g = H(f) H(g~) vanishes on the columns
+          j >= cut + n_g, and T_{fg} - T_g T_f on j >= cut + n_f.  Their
+          difference [T_f, T_g] = H(g) H(f~) - H(f) H(g~) (Boettcher &
+          Silbermann) vanishes on the columns j >= cut + max(n_f, n_g)
+          (_columns).  Below them it is the difference of the two
+          products: c_l b_k ([j + k >= cut] - [j + l >= cut]) at
+          (j + k + l, j) for j + k + l >= cut.
+        """
+        cut, terms, out = self.cut, self._nums.items(), {}
+        if isinstance(x, Compression):
+            self._check_cut(x)
+            den = x._den
+            for j in self._columns(x):
+                for k, b in x._nums.items():
+                    for l, c in terms:
+                        sign = (j + k >= cut) - (j + l >= cut)
+                        if sign and j + k + l >= cut:
+                            key = (j + k + l, j)
+                            out[key] = out.get(key, 0) + sign * c * b
+        else:
+            nums, den = x.finite_part._ints()
+            for (i, j), a in nums.items():
+                for k, c in terms:
+                    if i >= cut and i + k >= cut:
+                        key = (i + k, j)
+                        out[key] = out.get(key, 0) + c * a
+                    if j >= cut and j - k >= cut:
+                        key = (i, j - k)
+                        out[key] = out.get(key, 0) - a * c
+        return FinitePotentOperator(SparseOperator._from_ints(out, den * self._den))
 
 
-def _window_model(coeff_dicts, signs, cut: int, depth: int):
-    """The windowed half-space model for products of at most `depth`
-    compressions: (windows, content_end, exact_end), with windows the
-    multiplication_windows on [cut, hi] scaled by the signs.
-
-    With band the largest pole order or degree (at least 1), the window
-    follows from the input:
-      - [T_f, T_g] = H_g H~_f - H_f H~_g, a difference of Hankel products
-        (Boettcher & Silbermann), lies in [cut, cut + band)^2;
-      - each further factor widens it by at most band, so the content of
-        a product of depth factors lies below content_end = cut +
-        (depth - 1) band;
-      - truncation at hi moves entries only within depth band of hi, so
-        entries below exact_end = hi - depth band are those of the
-        infinite model.
-    hi = content_end + (depth + 1) band + 4 leaves a guard strip
-    [content_end, exact_end) of width band + 4 that must read exactly zero
-    (split_window_content)."""
-    band = max([1] + [max(-min(c), max(c)) for c in coeff_dicts if c])
-    content_end = cut + (depth - 1) * band
-    hi = content_end + (depth + 1) * band + 4
-    windows = [
-        multiplication_window(c, cut, hi).scale(Fraction(sign))
-        for c, sign in zip(coeff_dicts, signs)
-    ]
-    return windows, content_end, hi - depth * band
-
-
-def split_window_content(op: SparseOperator, content_end: int, exact_end: int):
-    """The entries of op whose row and column lie below content_end.
-
-    Entries below exact_end are those of the infinite model, which
-    vanishes from content_end on; so the guard strip [content_end,
-    exact_end) must be exactly zero, and what lies beyond it is
-    truncation junk.  A nonzero entry in the strip raises
-    WindowExhaustedError: the content would not be exact.
-    """
-    content = {}
-    for (i, j), c in op.entries.items():
-        top = max(i, j)
-        if top < content_end:
-            content[(i, j)] = c
-        elif top < exact_end:
-            raise WindowExhaustedError("content reaches the window's guard strip")
-    return SparseOperator(content)
+def _at_origin(f: RationalFunction, g: RationalFunction, place: Place = None):
+    """reduce_to_origin of f and of g at the place, by default t = 0."""
+    place = place or Place.at_zero()
+    return reduce_to_origin(f, place), reduce_to_origin(g, place)
 
 
 def residue_tate(f: RationalFunction, g: RationalFunction, place: Place = None) -> Fraction:
-    """res(f dg) as the trace of [f1, g1], f1 = pi+ f pi+ and g1 = pi+ g pi+
-    on the windowed model of the place (degree 1; defaults to t = 0), with
-    the window of _window_model at cut 0 and depth 2."""
-    if place is None:
-        place = Place.at_zero()
-    coeffs = [reduce_to_origin(f, place), reduce_to_origin(g, place)]
-    (mf, mg), content_end, exact_end = _window_model(coeffs, [1, 1], 0, 2)
-    comm = mf.compose(mg).add(mg.compose(mf).scale(Fraction(-1)))
-    return tate_trace(FinitePotentOperator(split_window_content(comm, content_end, exact_end)))
+    """res(f dg) as the trace of [f+, g+], with f+ and g+ the compressions
+    at cut 0 at the place (degree 1; defaults to t = 0)."""
+    tf, tg = (Compression(c) for c in _at_origin(f, g, place))
+    return tate_trace(tf.commutator(tg))

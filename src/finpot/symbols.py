@@ -12,11 +12,11 @@ For the implemented half-space models every symbol value is the exponential
 of a z^2 monomial, exp(z^2 * r) with r rational; SymbolValue asserts that
 shape at construction.  The cocycle is computed from the residue; for
 degree-1 places it is also computable as a determinant of a product of
-operator exponentials on the windowed model, and the two routes must agree.
-That route takes its window from residues._window_model, sized once from
-the input, builds the product of the factors with exponentials.exp_product
-and calls det_series on the finite contents of its terms: it has no series
-arithmetic of its own.
+operator exponentials of half-space compressions (residues.Compression),
+and the two routes must agree.  That route builds the product with
+exponentials.exp_product, whose terms are finite because the generators
+sum to zero, and hands it to det_series: it has no series arithmetic and
+no truncation of its own.
 """
 
 from __future__ import annotations
@@ -24,17 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .exponentials import OperatorSeries, det_series, exp_product
-from .operators import FinitePotentOperator
+from .exponentials import det_series, exp_product
 from .places import Place, local_expand
 from .polynomials import Polynomial, RationalFunction
-from .residues import (
-    _window_model,
-    reduce_to_origin,
-    residue_classical,
-    residue_sum,
-    split_window_content,
-)
+from .residues import Compression, _at_origin, residue_classical, residue_sum
 from .scalars import NumberFieldElement
 from .series import TruncatedLaurentSeries, series_exp, series_log
 
@@ -145,32 +138,13 @@ def _det_of_exponential_product(
     coeff_dicts, signs, cut: int, prec_z: int
 ) -> TruncatedLaurentSeries:
     """Determinant over the series field of prod_i exp(sign_i z m_i), with
-    m_i the half-space compression of multiplication by the i-th Laurent
-    polynomial, on the windowed model with the given cut.
-
-    Individual factors have no determinant; the product's series terms are
-    finite rank and supported near the cut, so det_series takes the
-    determinant on the rows of their contents, as for any series.
-    exp_product builds the terms from the signed windows through their
-    nested commutators, which live near the cut and the window edge.  A
-    term of degree below prec_z is a product of fewer than prec_z factors,
-    so the window is residues._window_model's at depth prec_z, sized once
-    from the input; a nonzero guard strip raises WindowExhaustedError.
-    """
-    windows, content_end, exact_end = _window_model(coeff_dicts, signs, cut, prec_z)
-    prod = exp_product([FinitePotentOperator(w) for w in windows], prec_z)
-    contents = {
-        d: FinitePotentOperator(split_window_content(t.finite_part, content_end, exact_end))
-        for d, t in prod.terms.items()
-    }
-    return det_series(OperatorSeries("z", prec_z, contents))
-
-
-def _at_origin(f: RationalFunction, g: RationalFunction, place: Place = None):
-    """reduce_to_origin of f and of g at the place, by default t = 0."""
-    if place is None:
-        place = Place.at_zero()
-    return reduce_to_origin(f, place), reduce_to_origin(g, place)
+    m_i the compression of the i-th Laurent polynomial at the cut.  Single
+    factors have no determinant, but the signed compressions sum to zero,
+    so every term of the product is a finite sum of nested commutators
+    near the cut, and det_series takes it as any series."""
+    generators = [Compression({k: sign * c for k, c in coeffs.items()}, cut)
+                  for coeffs, sign in zip(coeff_dicts, signs)]
+    return det_series(exp_product(generators, prec_z))
 
 
 def cocycle_via_operators(
@@ -181,14 +155,11 @@ def cocycle_via_operators(
     prec_z: int = DEFAULT_Z_PREC,
 ) -> SymbolValue:
     """Determinant route for degree-1 places: the determinant of
-    exp(z f1) exp(z g1) exp(-z (f1+g1)) on the windowed half-space model
-    with the given cut.  Must agree with the residue route."""
+    exp(z f1) exp(z g1) exp(-z (f1+g1)), f1 and g1 the half-space
+    compressions with the given cut.  Must agree with the residue route."""
     fc, gc = _at_origin(f, g, place)
-    sum_c = dict(fc)
-    for k, v in gc.items():
-        sum_c[k] = sum_c.get(k, Fraction(0)) + v
-    value = _det_of_exponential_product([fc, gc, sum_c], [1, 1, -1], cut, prec_z)
-    return SymbolValue(value)
+    sum_c = {k: fc.get(k, 0) + gc.get(k, 0) for k in {*fc, *gc}}
+    return SymbolValue(_det_of_exponential_product([fc, gc, sum_c], [1, 1, -1], cut, prec_z))
 
 
 def pairing_via_operators(
@@ -203,8 +174,7 @@ def pairing_via_operators(
     exp(z^2 res(f dg)), the series analogue of the trace-commutator formula
     for determinants of exponential group commutators."""
     fc, gc = _at_origin(f, g, place)
-    value = _det_of_exponential_product([fc, gc, fc, gc], [1, 1, -1, -1], cut, prec_z)
-    return SymbolValue(value)
+    return SymbolValue(_det_of_exponential_product([fc, gc, fc, gc], [1, 1, -1, -1], cut, prec_z))
 
 
 def c4_check(

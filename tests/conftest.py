@@ -147,16 +147,13 @@ def random_laurent_poly(rng, max_pole=3, max_deg=3):
     return RationalFunction(Polynomial(num), Polynomial([0] * k + [1]))
 
 
-def content_in_guard_strip(monkeypatch, module):
-    """Make module's window model declare no content below the guard strip,
-    so every entry below exact_end falls in the strip."""
-    real = module._window_model
-
-    def model(coeff_dicts, signs, cut, depth):
-        windows, _, exact_end = real(coeff_dicts, signs, cut, depth)
-        return windows, cut, exact_end
-
-    monkeypatch.setattr(module, "_window_model", model)
+# Coefficients {degree: c} of a Laurent polynomial with one to three terms
+# in degrees -3..3, each c a nonzero p/q with |c| <= 2 and q <= 3.
+LAURENT = st.dictionaries(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool),
+    min_size=1, max_size=3,
+)
 
 
 @pytest.fixture

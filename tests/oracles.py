@@ -17,7 +17,9 @@ squarefree divisors, reciprocity as the loop over those places that
 finpot ran before it summed residues over squarefree parts, products of
 operator exponentials as a chain of full operator-series products, and
 series determinants on the stored or closed cores and the content box
-finpot used before it read the core off the series terms, the truncated
+finpot used before it read the core off the series terms, the windowed
+half-space model, whose truncated multiplication operators finpot took
+before it took exact compressions, the truncated
 loop pairing on a finite stage, as finpot computed it before it took the
 corner from Widom's identity, the exp recurrence and the pairing's cutoff
 sizing on Fractions, as finpot ran them before it ran both on integers,
@@ -440,23 +442,104 @@ def det_series_on_core(s, core):
     return det_series_matrix(rows, TruncatedLaurentSeries.one(s.variable, s.precision))
 
 
+# -- the windowed half-space model ----------------------------------------------
+#
+# The symbol and residue routes before they took exact compressions
+# (residues.Compression): each compression truncated to a window [cut, hi],
+# which adds a mirror copy of the content at the window's top, and the
+# content read off below a guard strip that must be exactly zero.
+
+
+def multiplication_window(coeffs: dict, lo: int, hi: int):
+    """Multiplication by sum c_k t^k on span{e_lo..e_hi}: entries
+    (j + k, j) = c_k inside the window.  With lo the cut this is the
+    half-space compression pi+ f pi+, truncated at hi."""
+    from finpot.operators import SparseOperator
+
+    entries = {}
+    for k, c in coeffs.items():
+        for j in range(max(lo, lo - k), hi + 1):
+            i = j + k
+            if lo <= i <= hi:
+                entries[(i, j)] = c
+    return SparseOperator(entries)
+
+
+def _window_model(coeff_dicts, signs, cut: int, depth: int):
+    """The windowed model for products of at most `depth` compressions:
+    (windows, content_end, exact_end), with windows the
+    multiplication_windows on [cut, hi] scaled by the signs.
+
+    With band the largest pole order or degree (at least 1):
+      - [T_f, T_g] lies in [cut, cut + band)^2;
+      - each further factor widens it by at most band, so the content of
+        a product of depth factors lies below content_end = cut +
+        (depth - 1) band;
+      - truncation at hi moves entries only within depth band of hi, so
+        entries below exact_end = hi - depth band are those of the
+        infinite model.
+    hi = content_end + (depth + 1) band + 4 leaves a guard strip
+    [content_end, exact_end) of width band + 4 that must read exactly zero
+    (split_window_content)."""
+    band = max([1] + [max(-min(c), max(c)) for c in coeff_dicts if c])
+    content_end = cut + (depth - 1) * band
+    hi = content_end + (depth + 1) * band + 4
+    windows = [
+        multiplication_window(c, cut, hi).scale(Fraction(sign))
+        for c, sign in zip(coeff_dicts, signs)
+    ]
+    return windows, content_end, hi - depth * band
+
+
+def split_window_content(op, content_end: int, exact_end: int):
+    """The entries of op whose row and column lie below content_end; an
+    entry in the guard strip [content_end, exact_end) is an AssertionError,
+    and what lies beyond it is truncation junk."""
+    from finpot.operators import SparseOperator
+
+    content = {}
+    for (i, j), c in op.entries.items():
+        top = max(i, j)
+        if top < content_end:
+            content[(i, j)] = c
+        else:
+            assert top >= exact_end, "content reaches the window's guard strip"
+    return SparseOperator(content)
+
+
+def window_exp_product_contents(coeff_dicts, signs, cut, prec_z):
+    """{degree: content} of the window model's exponential product below
+    degree prec_z, the terms of the exact product of compressions."""
+    from finpot.exponentials import exp_product
+    from finpot.operators import FinitePotentOperator
+
+    windows, content_end, exact_end = _window_model(coeff_dicts, signs, cut, prec_z)
+    prod = exp_product([FinitePotentOperator(w) for w in windows], prec_z)
+    return {
+        d: split_window_content(t.finite_part, content_end, exact_end)
+        for d, t in prod.terms.items()
+    }
+
+
+def window_commutator_content(f_coeffs, g_coeffs, cut):
+    """[T_f, T_g] as the window model's commutator at depth 2."""
+    (mf, mg), content_end, exact_end = _window_model([f_coeffs, g_coeffs], [1, 1], cut, 2)
+    comm = mf.compose(mg).add(mg.compose(mf).scale(Fraction(-1)))
+    return split_window_content(comm, content_end, exact_end)
+
+
 def det_of_exponential_product_on_box(coeff_dicts, signs, cut, prec_z):
     """symbols._det_of_exponential_product on the content box: the
     determinant on the rows and columns of the contents of the window
     product's terms."""
-    from finpot.exponentials import OperatorSeries, exp_product
+    from finpot.exponentials import OperatorSeries
     from finpot.operators import FinitePotentOperator
-    from finpot.residues import _window_model, split_window_content
 
-    windows, content_end, exact_end = _window_model(coeff_dicts, signs, cut, prec_z)
-    prod = exp_product([FinitePotentOperator(w) for w in windows], prec_z)
-    contents = {
-        d: FinitePotentOperator(split_window_content(t.finite_part, content_end, exact_end))
-        for d, t in prod.terms.items()
-    }
+    contents = window_exp_product_contents(coeff_dicts, signs, cut, prec_z)
     box = set()
     for t in contents.values():
-        box |= t.finite_part.support()
+        box |= t.support()
+    contents = {d: FinitePotentOperator(t) for d, t in contents.items()}
     return det_series_on_core(OperatorSeries("z", prec_z, contents), sorted(box))
 
 

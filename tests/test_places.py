@@ -7,6 +7,7 @@ from finpot.errors import SeriesDomainError
 from finpot.places import Place, local_expand, relevant_places
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.parsing import parse_place, parse_rational_function as P
+from conftest import random_rational_function
 from oracles import local_expand_newton, valuation_by_division
 
 
@@ -123,6 +124,21 @@ def test_relevant_places():
     assert polys == ["t", "2 - 2*t^2 - t^3 + t^5", "None"]
     polys = [str(p.minimal_poly) for p in relevant_places(P("1/(t^2-1)"), P("(t-1)^3"))]
     assert polys == ["-1 + t", "1 + t", "None"]
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_relevant_places_are_the_checked_places(rnd):
+    """relevant_places skips the squarefree gcd on its coprime basis; the
+    places are those the checking constructor builds from the same
+    polynomials, field included."""
+    f, g = random_rational_function(rnd), random_rational_function(rnd)
+    places = relevant_places(f, g)
+    finite = [Place.finite(p.minimal_poly) for p in places[:-1]]
+    assert places == finite + [Place.infinity()]
+    for got, want in zip(places, finite):
+        assert got.degree == want.degree
+        assert (got.field and got.field.modulus) == (want.field and want.field.modulus)
 
 
 def test_expand_window_shorter_than_valuation():

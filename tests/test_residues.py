@@ -3,18 +3,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finpot.determinants import tate_trace
 from finpot.errors import ReductionError
 from finpot.parsing import parse_place, parse_rational_function as P
 from finpot.places import Place, local_expand, relevant_places, substitute_inverse
 from finpot.residues import (
+    Compression,
     _residue_at_infinity,
     residue_classical,
     residue_tate,
     squarefree_residues,
 )
+from finpot.operators import FinitePotentOperator, SparseOperator
 from finpot.polynomials import Polynomial, RationalFunction
-from conftest import content_in_guard_strip, random_laurent_poly, random_rational_function
-from oracles import residue_generic_root, sympy_factors
+from conftest import LAURENT, random_laurent_poly, random_rational_function
+from oracles import (multiplication_window, residue_generic_root, sympy_factors,
+                     window_commutator_content)
 
 PLACE_T = Place.at_zero()
 
@@ -127,14 +131,44 @@ def test_zero_inputs_rejected(rng):
         residue_classical(zero, P("t"), PLACE_T)
 
 
-def test_residue_tate_window_exhausted(monkeypatch):
-    """A nonzero guard strip raises; it never yields a value."""
-    from finpot import residues
-    from finpot.errors import WindowExhaustedError
+@settings(max_examples=60)
+@given(LAURENT, LAURENT, st.integers(-2, 2))
+def test_compression_commutator_lies_in_the_stated_columns(fc, gc, cut):
+    """[T_f, T_g] lies in the columns [cut, cut + max(n_f, n_g)), n_f the
+    pole order of f, and equals the window model's commutator; its trace
+    is res(f dg)."""
+    tf, tg = Compression(fc, cut), Compression(gc, cut)
+    comm = tf.commutator(tg)
+    poles = max(0, -min(fc), -min(gc))
+    assert comm.finite_part.cols() <= set(range(cut, cut + poles))
+    assert not comm.has_tail()
+    assert comm.finite_part == window_commutator_content(fc, gc, cut)
+    residue = sum((-k * c * gc[-k] for k, c in fc.items() if -k in gc), Fraction(0))
+    assert tate_trace(comm) == residue
 
-    content_in_guard_strip(monkeypatch, residues)
-    with pytest.raises(WindowExhaustedError):
-        residue_tate(P("1/t^3"), P("t^3"))
+
+def test_compression_sum():
+    """Compressions of one cut add coefficientwise, and only at one cut."""
+    t = Compression({-1: Fraction(1, 2), 2: Fraction(3)}, 1)
+    x = FinitePotentOperator(SparseOperator({(1, 1): 1, (2, 3): Fraction(1, 3)}))
+    half = t + Compression({-1: Fraction(-1, 2)}, 1)
+    assert half.commutator(x) == Compression({2: 3}, 1).commutator(x)
+    assert (t + Compression({-1: Fraction(-1, 2), 2: -3}, 1)).is_zero()
+    with pytest.raises(ValueError):
+        t + Compression({1: 1}, 0)
+
+
+@settings(max_examples=60)
+@given(LAURENT, st.integers(-2, 2), st.dictionaries(
+    st.tuples(st.integers(-4, 6), st.integers(-4, 6)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool), max_size=8))
+def test_compression_commutator_with_a_finite_operator(fc, cut, entries):
+    """[T_f, x] for finite x is T_f x - x T_f with T_f truncated to a
+    window that holds every entry either product reads."""
+    t, x = Compression(fc, cut), SparseOperator(entries)
+    w = multiplication_window(fc, cut, 12)
+    want = w.compose(x).add(x.compose(w).scale(Fraction(-1)))
+    assert t.commutator(FinitePotentOperator(x)).finite_part == want
 
 
 def test_residue_at_infinity_is_the_residue_at_zero_after_inversion(rng):

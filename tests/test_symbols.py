@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from finpot.errors import PrecisionError, VariableMismatchError
+from finpot.exponentials import exp_product
 from finpot.operators import HalfSpaceSpec
 from finpot.parsing import parse_place, parse_rational_function as P
 from finpot.places import Place
 from finpot.polynomials import Polynomial, RationalFunction
-from finpot.residues import residue_classical, residue_tate, squarefree_residues
+from finpot.residues import Compression, residue_classical, residue_tate, squarefree_residues
 from finpot.series import TruncatedLaurentSeries as TLS, series_exp
 from finpot.symbols import (
     SymbolValue,
@@ -25,8 +26,9 @@ from finpot.symbols import (
     pairing_via_operators,
     reciprocity_check,
 )
-from conftest import content_in_guard_strip, random_laurent_poly, random_rational_function
-from oracles import det_of_exponential_product_on_box, irreducible_places, reciprocity_by_places
+from conftest import LAURENT, random_laurent_poly, random_rational_function
+from oracles import (det_of_exponential_product_on_box, irreducible_places, reciprocity_by_places,
+                     window_exp_product_contents)
 
 PLACE_T = Place.at_zero()
 
@@ -148,13 +150,6 @@ def test_operator_route_agrees(rng):
         assert cocycle_via_operators(f, g) == cocycle(f, g, PLACE_T)
 
 
-_LAURENT = st.dictionaries(
-    st.integers(-3, 3),
-    st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool),
-    min_size=1, max_size=3,
-)
-
-
 def _laurent_at(coeffs, place):
     """sum c_k u^k as an element of Q(t), u the local parameter of the
     place: t - a at a finite place, 1/t at infinity."""
@@ -171,8 +166,8 @@ def _laurent_at(coeffs, place):
 
 @settings(max_examples=60)
 @given(
-    _LAURENT,
-    _LAURENT,
+    LAURENT,
+    LAURENT,
     st.sampled_from(["t", "t-1", "inf"]),
     st.integers(-3, 3),
     st.integers(3, 8),
@@ -190,11 +185,11 @@ def test_operator_route_matches_residue_route(fc, gc, name, cut, prec_z):
 
 
 @settings(max_examples=30)
-@given(_LAURENT, _LAURENT, st.booleans(), st.integers(-2, 2), st.integers(2, 8))
+@given(LAURENT, LAURENT, st.booleans(), st.integers(-2, 2), st.integers(2, 8))
 def test_symbol_route_determinant_matches_the_content_box(fc, gc, four, cut, prec_z):
-    """The windowed symbol route's determinant on the rows of its contents
-    equals the one on the content box (their rows and columns), for the
-    cocycle's three and the pairing's four exponentials."""
+    """The symbol route's determinant on the rows of its contents equals
+    the one on the window model's content box (their rows and columns),
+    for the cocycle's three and the pairing's four exponentials."""
     if four:
         dicts, signs = [fc, gc, fc, gc], [1, 1, -1, -1]
     else:
@@ -221,16 +216,37 @@ def test_commensurable_cuts_agree():
     assert base == cocycle(f, g, PLACE_T)
 
 
-def test_operator_route_window_exhausted(monkeypatch):
-    """A nonzero guard strip raises; it never yields a value."""
-    from finpot import symbols
-    from finpot.errors import WindowExhaustedError
+def test_compressions_with_a_nonzero_sum_raise():
+    """exp_product of compressions keeps only finite terms, so generators
+    whose sum is a nonzero compression raise ValueError; both callers'
+    generators sum to zero."""
+    f, g = {-1: Fraction(1)}, {1: Fraction(1)}
+    with pytest.raises(ValueError):
+        exp_product([Compression(f), Compression(g)], 4)
+    with pytest.raises(ValueError):
+        _det_of_exponential_product([f, g, f], [1, 1, 1], 0, 4)
+    with pytest.raises(ValueError):
+        _det_of_exponential_product([{-2: Fraction(1), 1: Fraction(1)}, g], [1, -1], 2, 3)
+    assert _det_of_exponential_product([f, g, f, g], [1, 1, -1, -1], 0, 4) == sym(1, 4).series
 
-    content_in_guard_strip(monkeypatch, symbols)
-    with pytest.raises(WindowExhaustedError):
-        cocycle_via_operators(P("1/t"), P("t"))
-    with pytest.raises(WindowExhaustedError):
-        pairing_via_operators(P("1/t^2 + t"), P("1/t + t^2"), cut=2)
+
+@settings(max_examples=40)
+@given(LAURENT, LAURENT, st.booleans(), st.integers(-2, 2), st.integers(2, 8))
+def test_exact_exp_product_terms_are_the_window_contents(fc, gc, four, cut, prec_z):
+    """Term by term, the exponential product of the exact compressions
+    equals the contents the windowed model reads below its guard strip,
+    for the cocycle's three and the pairing's four exponentials."""
+    if four:
+        dicts, signs = [fc, gc, fc, gc], [1, 1, -1, -1]
+    else:
+        total = {d: fc.get(d, 0) + gc.get(d, 0) for d in {*fc, *gc}}
+        dicts, signs = [fc, gc, total], [1, 1, -1]
+    gens = [Compression({k: s * c for k, c in d.items()}, cut) for d, s in zip(dicts, signs)]
+    terms = exp_product(gens, prec_z).terms
+    assert all(not t.has_tail() for t in terms.values())
+    want = window_exp_product_contents(dicts, signs, cut, prec_z)
+    assert {d: t.finite_part for d, t in terms.items()} == {
+        d: t for d, t in want.items() if not t.is_zero()}
 
 
 def test_c4_examples():
