@@ -10,9 +10,10 @@ kernel_basis input has rank n/2), of det on a dense 8 x 8 matrix over Q(i),
 of det_series on exp_op of a dense 10 x 10 operator at precision 10 (and
 of a dense 4 x 4 operator over Q(i), det_series_gauss), of
 local_expand at precision 8 of a random rational function with a triple
-pole at t - 2, at t^2 + 1 and at infinity, and of series_mul, series_exp
-and series_inv on dense Q series (every coefficient a random p/q as above,
-from degree 0, or degree 1 for exp) at precision 32, 64 and 128, of
+pole at t - 2, at t^2 + 1 and at infinity, and of series_mul and series_exp
+on dense Q series (every coefficient a random p/q as above, from degree 0,
+or degree 1 for exp) at precision 32, 64 and 128 (a third series per
+precision is still drawn where series_inv, no longer exported, was timed), of
 reciprocity_check at z-precision 8 and 32 on a random pair with poles at
 t - 2 (double), t^2 + 1 and t^3 + t + 1, of SparseOperator.compose on two
 random banded 64 x 64 operators (bandwidth 7), of the symbol
@@ -121,7 +122,7 @@ from finpot.polynomials import Polynomial, RationalFunction, coprime_basis, squa
 from finpot.residues import residue_tate
 from finpot.scalars import NumberField, field_norm, field_trace
 from finpot.segal_wilson import LoopExponent, sw_pairing_truncated
-from finpot.series import TruncatedLaurentSeries, series_exp, series_inv, series_mul
+from finpot.series import TruncatedLaurentSeries, series_exp, series_mul
 from finpot.symbols import cocycle_via_operators, pairing_via_operators, reciprocity_check
 
 SIZES = (8, 16, 24)
@@ -310,12 +311,12 @@ def measure():
                for i in range(4) for j in range(4)}
     series = exp_op(FinitePotentOperator(SparseOperator(entries)), 1, 10)
     out["det_series_gauss"] = {"4": best_of(det_series, series)}
-    out["series_mul"], out["series_exp"], out["series_inv"] = {}, {}, {}
+    out["series_mul"], out["series_exp"] = {}, {}
     for p in PRECISIONS:
         a, b = (dense_series(rng, p, 0) for _ in range(2))
         out["series_mul"][str(p)] = best_of(series_mul, a, b)
         out["series_exp"][str(p)] = best_of(series_exp, dense_series(rng, p, 1))
-        out["series_inv"][str(p)] = best_of(series_inv, dense_series(rng, p, 0))
+        dense_series(rng, p, 0)  # the former series_inv input, so later inputs stay the same
     t = Polynomial([0, 1])
     poles = (t - 2) ** 2 * (t * t + 1) * (t**3 + t + 1)
     f = RationalFunction(Polynomial([rational(rng) for _ in range(3)] + [1]), poles)

@@ -50,7 +50,6 @@ from .operators import (
     op_apply,
     op_commutator,
     op_compose,
-    op_entry,
     op_scale,
     op_sub,
 )
@@ -71,7 +70,6 @@ from .segal_wilson import (
 from .series import (
     TruncatedLaurentSeries,
     series_exp,
-    series_inv,
     series_log,
     series_mul,
 )

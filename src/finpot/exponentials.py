@@ -10,11 +10,13 @@ and products of series need no search for one: determinants of products,
 commutator identities and determinants of infinite exponential products
 all stay finite, exact computations.
 
-OperatorSeries is the one operator-series type and det_series the one block
-determinant.  exp_product builds a product of exponentials from its
-logarithmic derivative (Wilcox 1967), whose terms are nested commutators
-of the generators, finite-potent operators or half-space compressions
-(residues.Compression) that sum to zero, as the symbol route takes them.
+OperatorSeries is the one operator-series type, with terms at degrees >= 1,
+and det_series the one block determinant: its block on W is I + O(z), and
+goes as rows of coefficient lists to matrices._series_det.  exp_product
+builds a product of exponentials from its logarithmic derivative (Wilcox
+1967), whose terms are nested commutators of the generators, finite-potent
+operators or half-space compressions (residues.Compression) that sum to
+zero, as the symbol route takes them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import factorial, lcm
 from .determinants import tate_trace
 from .errors import (CompatibilityError, IncompatibleTailsError, PrecisionError,
                      StraddlingTailError, VariableMismatchError)
-from .matrices import det_series_matrix
+from .matrices import _series_det
 from .operators import (
     FinitePotentOperator,
     HalfSpaceSpec,
@@ -41,7 +43,8 @@ from .series import TruncatedLaurentSeries
 
 class OperatorSeries:
     """Unipotent operator series: identity at degree 0 plus terms at
-    degrees 1..precision-1.  Like a TruncatedLaurentSeries, it raises
+    degrees 1..precision-1 (later ones are cut, a nonzero one at a degree
+    <= 0 is a ValueError).  Like a TruncatedLaurentSeries, it raises
     PrecisionError when no degree is known (precision < 1)."""
 
     __slots__ = ("variable", "precision", "terms")
@@ -51,9 +54,9 @@ class OperatorSeries:
             raise PrecisionError("empty precision window [0, %d)" % precision)
         self.variable = variable
         self.precision = precision
-        self.terms = {
-            int(d): t for d, t in terms.items() if 0 < int(d) < precision and not t.is_zero()
-        }
+        self.terms = {int(d): t for d, t in terms.items() if d < precision and not t.is_zero()}
+        if any(d <= 0 for d in self.terms):
+            raise ValueError("operator series terms lie at degrees >= 1")
 
     @classmethod
     def one(cls, variable: str, precision: int) -> "OperatorSeries":
@@ -196,15 +199,14 @@ def det_series(s: OperatorSeries) -> TruncatedLaurentSeries:
             elif nxt >= max(r, top) + period:
                 raise IncompatibleTailsError("the series' tail blocks leave no finite invariant core")
             end = nxt
-    pos = {i: p for p, i in enumerate(sorted(w))}
-    cells = [[{0: Fraction(1)} if p == q else {} for q in pos.values()] for p in pos.values()]
+    pos = {i: q for q, i in enumerate(sorted(w))}
+    p, n, zero, one = s.precision, len(pos), Fraction(0), Fraction(1)
+    rows = [[one if k == q * p else zero for k in range(n * p)] for q in range(n)]
     for d, t in s.terms.items():
         for (i, j), c in [*t.finite_part.entries.items(), *t.tail.on(pos).entries.items()]:
             if j in pos:
-                cells[pos[i]][pos[j]][d] = c
-    one = TruncatedLaurentSeries.one(s.variable, s.precision)
-    rows = [[TruncatedLaurentSeries(s.variable, c, 0, s.precision) for c in row] for row in cells]
-    return det_series_matrix(rows, one)
+                rows[pos[i]][pos[j] * p + d] = c
+    return TruncatedLaurentSeries(s.variable, dict(enumerate(_series_det(rows, p))), 0, p)
 
 
 def zassenhaus_terms(f: FinitePotentOperator, g: FinitePotentOperator):

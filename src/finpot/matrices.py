@@ -1,15 +1,15 @@
-"""Exact dense linear algebra over Q and number fields, and determinants of
-matrices of truncated series.
+"""Exact dense linear algebra over Q and number fields, and the determinant
+of a block I + O(z) over K[z]/(z^p).
 
 Matrices are plain lists of row lists.  Scalars only need +, -, *, equality
 against 0 and exact inversion, so the same routines serve Fraction and
 NumberFieldElement entries.  Each kernel is one loop: it runs on Python
 ints for all-Fraction input and on the field's own scalars otherwise.
 
-Every elimination runs on the fraction-free loop _bareiss (Bareiss 1968):
-det, int_det (the loop pairing's integer corner), and reduced_echelon,
-which kernel_basis and mat_inverse (the right half of the reduced echelon
-form of [a | I]) read.  Number-field scalars reach it only as entries: their
+Every scalar elimination runs on the fraction-free loop _bareiss (Bareiss
+1968): det, int_det (the loop pairing's integer corner), and
+reduced_echelon, which kernel_basis and mat_inverse (the right half of the
+reduced echelon form of [a | I]) read.  Number-field scalars reach it only as entries: their
 inverse at a pivot and their norm come from scalars' subresultant PRS.
 The pivot is the first nonzero entry at or below the current row, and
 every other row becomes
@@ -31,10 +31,11 @@ with unlike denominators.  The other kernels follow the same rule:
   mat_mul, charpoly,    one product loop (_mul) on B = D*M (_scaled),
   power_traces          with results over D^k; Faddeev-LeVerrier on B (on
                         an integer B every tr(N_k)/k is an exact '//')
-  det_series_matrix     Bareiss over K[z]/(z^p) on the coefficient lists
-                        of _rows (_series_bareiss_det), p the least
-                        precision of the entries, by scalars._add_product
-                        and series._dot
+  _series_det           Bareiss over K[z]/(z^p) on the coefficient lists
+                        of _rows, down the diagonal (the block is I + O(z),
+                        so no pivot search), by scalars._add_product and
+                        series._dot; exponentials.det_series lays out its
+                        block for it
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from itertools import islice
 from math import prod
 from operator import mul
 
-from .errors import NotInvertibleError, VariableMismatchError
+from .errors import NotInvertibleError
 from .scalars import _add_product, _int_coeffs, _over, scalar_is_zero
-from .series import TruncatedLaurentSeries, _dot, _inv_scalar
+from .series import _dot, _inv_scalar
 
 
 def identity(n):
@@ -141,10 +142,10 @@ def _bareiss(m, ncols: int, reduce: bool = False):
 
 
 def _rows(a):
-    """(rows, den) to run _bareiss on: each row of a as scalars._int_coeffs
-    gives it, integers over the lcm of its own denominators for an
-    all-Fraction row and the row itself over 1 otherwise, and den the
-    product of those lcms.  Row scaling changes neither the pivots, nor the
+    """(rows, den) to run _bareiss or _series_det on: each row of a as
+    scalars._int_coeffs gives it, integers over the lcm of its own
+    denominators for an all-Fraction row and the row itself over 1
+    otherwise, and den the product of those lcms.  Row scaling changes neither the pivots, nor the
     kernel, nor the reduced echelon form, and keeps the integers of rows
     with unlike denominators smaller than one D for the whole matrix
     would."""
@@ -272,44 +273,25 @@ def elementary_symmetric(a):
     return [cp[n - k] if k % 2 == 0 else -cp[n - k] for k in range(n + 1)]
 
 
-def _series_rows(m):
-    """(rows of coefficient lists, den, p) with entry (i, j) = sum_k
-    rows[i][j][k] z^k / den below p, the least precision of the entries of
-    the nonempty square matrix m.  Each row of m is one row of _rows: a row
-    of all-Fraction coefficients holds integers over the lcm of its own
-    denominators, any other row the stored scalars over 1."""
-    var = m[0][0].variable
-    p = min(x.precision for row in m for x in row)
-    if any(x.variable != var for row in m for x in row):
-        raise VariableMismatchError("series entries in more than one variable")
-    if p < 1 or any(k < 0 for row in m for x in row for k in x.coeffs):
-        raise ValueError("det_series_matrix needs power series known at degree 0")
-    # each row of m as one row of coefficients, scaled by _rows, then cut
-    # back into one list of p coefficients per entry
-    zero = Fraction(0)
-    flat, den = _rows([[x.coeffs.get(k, zero) for x in row for k in range(p)] for row in m])
-    return [[r[k : k + p] for k in range(0, len(r), p)] for r in flat], den, p
+def _series_det(rows, p: int):
+    """The p coefficients of det(I + O(z)) over K[z]/(z^p), entry (i, j) of
+    the block at rows[i][j*p : (j+1)*p].
 
-
-def _series_bareiss_det(m, p: int):
-    """Determinant of the square matrix m of coefficient lists over
-    K[z]/(z^p), by Bareiss elimination: the pivot is the first entry at or
-    below the diagonal with a nonzero constant term.  Each new entry is two
-    _add_product calls into one list, and its division by the previous pivot
-    is exact (Sylvester's identity): a series division by the recurrence step
-    _dot, since that pivot's constant term d0 is nonzero, then '//' d0 when
-    every coefficient of m is an int, otherwise a product with 1/d0.  m is
-    consumed."""
+    Bareiss elimination runs on the rows of _rows, down the diagonal with
+    no pivot search: the constant terms start as diag(row lcms), each step
+    keeps them diagonal, and every pivot's constant term is a product of
+    row lcms, so none is zero.  Each new entry is two _add_product calls
+    into one list, and its division by the previous pivot is exact
+    (Sylvester's identity): a series division by the recurrence step _dot,
+    since that pivot's constant term d0 is nonzero, then '//' d0 when every
+    coefficient is an int, otherwise a product with 1/d0.  The last pivot
+    leaves through _over, over the product of the row lcms."""
+    flat, den = _rows(rows)
+    m = [[r[k : k + p] for k in range(0, len(r), p)] for r in flat]
     n = len(m)
-    ints = all(type(x) is int for row in m for e in row for x in e)
-    sign, prev = 1, None
+    ints = all(type(x) is int for r in flat for x in r)
+    prev = None
     for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c][0] != 0), None)
-        if piv is None:
-            raise NotInvertibleError("series matrix pivot has no unit entry")
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
         top = m[c]
         for i in range(c + 1, n):
             row = m[i]
@@ -326,22 +308,4 @@ def _series_bareiss_det(m, p: int):
         d0 = top[c][0]
         rest = [(k, x) for k, x in enumerate(top[c]) if k and x != 0]
         prev = (d0 if ints else _inv_scalar(d0), rest)
-    out = m[n - 1][n - 1]
-    return [sign * x for x in out]
-
-
-def det_series_matrix(m, one_series):
-    """Determinant of a matrix of truncated series of the form 1 + O(z).
-
-    The entries are cut to the least precision p among them, and a term of
-    negative degree raises ValueError.  The determinant is taken by Bareiss
-    elimination over K[z]/(z^p) on the coefficient lists of _series_rows
-    (_series_bareiss_det), over their denominator at the end.  Pivots must
-    be units (constant term nonzero).  The result is one_series times that
-    determinant.
-    """
-    if not m:
-        return one_series
-    rows, den, p = _series_rows(m)
-    value = {k: _over(x, den) for k, x in enumerate(_series_bareiss_det(rows, p))}
-    return one_series * TruncatedLaurentSeries(m[0][0].variable, value, 0, p)
+    return [_over(x, den) for x in (m[-1][-1] if m else [1] + [0] * (p - 1))]

@@ -25,7 +25,7 @@ given as a field element stays a field element.
 
 Two views turn an operator into a finite matrix.  TailDescriptor.on(cols),
 the tail's entries in those columns as a SparseOperator, is the only reader
-of the tail rule (TailDescriptor.image_of); op_apply, op_entry, op_compose
+of the tail rule (TailDescriptor.image_of); op_apply, op_compose
 (through SparseOperator.compose) and exponentials.det_series take tails
 from it.  SparseOperator.block(indices), the dense matrix on those indices,
 fills the certificate and the blocks of the determinants module.
@@ -393,11 +393,6 @@ def op_apply(phi: FinitePotentOperator, vec: dict) -> dict:
 
 def op_scale(phi: FinitePotentOperator, c) -> FinitePotentOperator:
     return FinitePotentOperator(phi.finite_part.scale(c), phi.tail.scale(c))
-
-
-def op_entry(phi: FinitePotentOperator, i: int, j: int):
-    """Matrix entry (i, j), tail contribution included."""
-    return phi.finite_part.get(i, j) + phi.tail.on([j]).get(i, j)
 
 
 def op_add(phi: FinitePotentOperator, *psis: FinitePotentOperator) -> FinitePotentOperator:

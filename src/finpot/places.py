@@ -26,7 +26,6 @@ from .errors import SeriesDomainError
 from .polynomials import Polynomial, RationalFunction, coprime_basis, split_power
 from .scalars import (
     NumberField,
-    NumberFieldElement,
     _add_product,
     _poly_divmod,
     _poly_trim,
@@ -98,22 +97,6 @@ class Place:
 class LocalExpansion:
     place: Place
     series: TruncatedLaurentSeries
-
-    def resum(self) -> RationalFunction:
-        """Rebuild the rational function carried by the known digits:
-        sum_i lift(c_i) * parameter^i, with the digit lift theta -> t."""
-        if self.place.is_infinity():
-            param = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
-        else:
-            param = RationalFunction(self.place.minimal_poly)
-        out = RationalFunction(Polynomial())
-        for d, c in sorted(self.series.coeffs.items()):
-            if isinstance(c, NumberFieldElement):
-                lift = RationalFunction(Polynomial(list(c.coeffs)))
-            else:
-                lift = RationalFunction(Polynomial([c]))
-            out = out + lift * param**d
-        return out
 
 
 def _residue(cs, pi, algebra):

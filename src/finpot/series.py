@@ -9,10 +9,10 @@ stored under the scalar rule of scalars.canonical: Fractions, and
 NumberFieldElements only for values outside Q.
 
 This is the package's one series layer: series_mul runs on coefficient
-lists, and series_exp, series_log and series_inv run exact coefficient
-recurrences (Brent & Kung 1978); every exp, log or quotient elsewhere calls
-them.  series_log and series_inv run one pass of _dot steps, which the
-series determinant also divides by.  series_exp runs one recurrence,
+lists, and series_exp and series_log run exact coefficient recurrences
+(Brent & Kung 1978); every exp or log elsewhere calls them.  series_log runs
+one pass of _dot steps, the step by which the series determinant
+(matrices._series_det) also divides.  series_exp runs one recurrence,
 _exp_numerators, for every input: h_k = H_k / (k! D^k), from the
 numerators of scalars._int_coeffs, so the H_k are integers over the lcm D
 of the denominators for all-Fraction input (the loop pairing rounds them
@@ -281,25 +281,6 @@ def _dot(pairs, h, k):
         if x:
             s = s + c * x
     return s
-
-
-def series_inv(a: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
-    """Inverse of a series whose lowest known coefficient a_v is nonzero:
-    u^-v sum_k b_k u^k with b_0 = 1/a_v, b_k = -b_0 sum_{j>=1} a_{v+j} b_{k-j}."""
-    v = a.valuation()
-    if v is None:
-        raise SeriesDomainError("cannot invert a series with no known nonzero term")
-    n = a.precision - v
-    b = [_inv_scalar(a.coeffs[v])]
-    rest = sorted((d - v, c) for d, c in a.coeffs.items() if d != v)
-    for k in range(1, n):
-        b.append(-b[0] * _dot(rest, b, k))
-    # min_degree as the former geometric sum reported it: its r-th power of
-    # 1 - u^-v a / a_v (r < n) was stored from r (min_degree - v)
-    low = (n - 1) * (a.min_degree - v) if rest else 0
-    return TruncatedLaurentSeries(
-        a.variable, {k - v: c for k, c in enumerate(b)}, low - v, n - v
-    )
 
 
 def _exp_numerators(coeffs, n):

@@ -8,11 +8,12 @@ as a generic loop over the stored scalars, dense elimination by pivoting
 Gaussian elimination with unit pivots (_eliminate), the generic product,
 power-trace, convolution and series-determinant loops finpot once ran
 beside its integer kernels, the series product as a double loop over
-stored terms, local expansions by Newton lifting and series division, the
-field trace from Newton's power sums of the modulus's roots, as finpot
-took it before it read the trace off the multiplication matrix, the
-irreducible places
-by sympy's factoring, which finpot ran before it took places as
+stored terms, local expansions by Newton lifting and series division and
+their resummation, with the series inverse recurrence that finpot once
+exported beside LocalExpansion.resum, the field trace from Newton's power
+sums of the modulus's roots, as finpot took it before it read the trace
+off the multiplication matrix, the irreducible places by sympy's
+factoring, which finpot ran before it took places as
 squarefree divisors, reciprocity as the loop over those places that
 finpot ran before it summed residues over squarefree parts, products of
 operator exponentials as a chain of full operator-series products, and
@@ -47,7 +48,7 @@ from finpot.polynomials import Polynomial
 from finpot.scalars import (NumberField, NumberFieldElement, _int_coeffs, _poly_divmod, _poly_mul,
                             scalar_is_zero)
 from finpot.segal_wilson import _RADII, exp_symbol
-from finpot.series import TruncatedLaurentSeries, series_inv
+from finpot.series import TruncatedLaurentSeries
 
 
 def det_cofactor(m):
@@ -241,6 +242,28 @@ def series_log_taylor(a):
     return out
 
 
+def series_inv(a):
+    """Inverse of a series whose lowest known coefficient a_v is nonzero, by
+    the recurrence finpot once exported: u^-v sum_k b_k u^k with
+    b_0 = 1/a_v, b_k = -b_0 sum_{j>=1} a_{v+j} b_{k-j}."""
+    from finpot.series import _dot, _inv_scalar
+
+    v = a.valuation()
+    if v is None:
+        raise SeriesDomainError("cannot invert a series with no known nonzero term")
+    n = a.precision - v
+    b = [_inv_scalar(a.coeffs[v])]
+    rest = sorted((d - v, c) for d, c in a.coeffs.items() if d != v)
+    for k in range(1, n):
+        b.append(-b[0] * _dot(rest, b, k))
+    # min_degree as the geometric sum reports it: its r-th power of
+    # 1 - u^-v a / a_v (r < n) is stored from r (min_degree - v)
+    low = (n - 1) * (a.min_degree - v) if rest else 0
+    return TruncatedLaurentSeries(
+        a.variable, {k - v: c for k, c in enumerate(b)}, low - v, n - v
+    )
+
+
 def series_inv_geometric(a):
     """a_v^-1 u^-v sum_r x^r with x = 1 - a / (a_v u^v)."""
     from finpot.series import _inv_scalar
@@ -429,8 +452,6 @@ def det_series_on_core(s, core):
     """det(1 + sum z^d term_d) on the block of an invariant core, its cells
     filled from each term's stored entries and the tail's images of the
     core."""
-    from finpot.matrices import det_series_matrix
-
     pos = {i: p for p, i in enumerate(core)}
     cells = [[{0: Fraction(1)} if p == q else {} for q in pos.values()] for p in pos.values()]
     for d, t in s.terms.items():
@@ -439,7 +460,7 @@ def det_series_on_core(s, core):
             if i in pos and j in pos:
                 cells[pos[i]][pos[j]][d] = c
     rows = [[TruncatedLaurentSeries(s.variable, c, 0, s.precision) for c in row] for row in cells]
-    return det_series_matrix(rows, TruncatedLaurentSeries.one(s.variable, s.precision))
+    return det_series_matrix_generic(rows, TruncatedLaurentSeries.one(s.variable, s.precision))
 
 
 # -- the windowed half-space model ----------------------------------------------
@@ -549,8 +570,9 @@ def det_of_exponential_product_on_box(coeff_dicts, signs, cut, prec_z):
 # and mat_inverse as finpot.matrices ran them on every input before it took
 # integer kernels and fraction-free elimination: one scalar operation per
 # step, elimination by pivoting Gaussian elimination (_eliminate) with a unit
-# pivot on the reduced rows.  finpot has since dropped solve_columns;
-# fitting_at_dimension still solves with it.
+# pivot on the reduced rows.  finpot has since dropped solve_columns, which
+# fitting_at_dimension still solves with, and det_series_matrix: its one
+# series determinant takes only the I + O(z) blocks of det_series.
 
 
 def _is_zero(x) -> bool:
@@ -572,7 +594,7 @@ def _is_unit(x) -> bool:
 
 
 def _inv(x):
-    from finpot.series import TruncatedLaurentSeries, _inv_scalar, series_inv
+    from finpot.series import TruncatedLaurentSeries, _inv_scalar
 
     return series_inv(x) if isinstance(x, TruncatedLaurentSeries) else _inv_scalar(x)
 
@@ -980,6 +1002,27 @@ def _digit_value(place, r):
     if place.degree == 1:
         return r[0]
     return place.field.element(list(r.coeffs))
+
+
+def resum(expansion):
+    """The rational function carried by the known digits of a
+    LocalExpansion: sum_i lift(c_i) * parameter^i, with the digit lift
+    theta -> t (LocalExpansion.resum before finpot dropped it)."""
+    from finpot.polynomials import RationalFunction
+
+    place = expansion.place
+    if place.is_infinity():
+        param = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
+    else:
+        param = RationalFunction(place.minimal_poly)
+    out = RationalFunction(Polynomial())
+    for d, c in sorted(expansion.series.coeffs.items()):
+        if isinstance(c, NumberFieldElement):
+            lift = RationalFunction(Polynomial(list(c.coeffs)))
+        else:
+            lift = RationalFunction(Polynomial([c]))
+        out = out + lift * param**d
+    return out
 
 
 def local_expand_newton(f, p, prec):

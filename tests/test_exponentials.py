@@ -286,10 +286,24 @@ def test_det_series_on_rows_in_a_tail_region():
 
 
 def test_operator_series_in_different_variables_do_not_multiply():
-    """OperatorSeries.__mul__ raises the VariableMismatchError of series_mul
-    and det_series_matrix, not a bare ValueError."""
+    """OperatorSeries.__mul__ raises the VariableMismatchError of
+    series_mul, not a bare ValueError."""
     with pytest.raises(VariableMismatchError):
         exp_op(PROJ, prec=4, variable="z") * exp_op(PROJ, prec=4, variable="w")
+
+
+def test_operator_series_rejects_a_term_at_degree_zero_or_below():
+    """A nonzero term at a degree <= 0 is a ValueError, not a term that is
+    dropped: with X = 5 e_00, 1 + X + zX has determinant 6 + 5z, which a
+    series keeping only zX would read as 1 + 5z.  Zero terms there, and
+    terms at or past the precision, are still cut."""
+    x = FPO.from_entries([(0, 0, 5)])
+    for degree in (0, -1):
+        with pytest.raises(ValueError):
+            OperatorSeries("z", 4, {degree: x, 1: x})
+    s = OperatorSeries("z", 4, {0: FPO.from_entries([]), 1: x, 4: x})
+    assert sorted(s.terms) == [1]
+    assert det_series(s) == TLS.from_terms("z", {0: 1, 1: 5}, 4)
 
 
 def test_det_series_rejects_tails_without_a_finite_core():

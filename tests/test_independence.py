@@ -3,12 +3,19 @@ some cross-check that the library runs between two routes.  Each test
 injects its fault with monkeypatch and asserts that the check it names now
 fails."""
 
-from finpot.determinants import det_one_plus, restrict_scalars
+from fractions import Fraction
+
+import pytest
+
+import finpot.matrices as matrices
+from finpot.determinants import det_one_plus, restrict_scalars, tate_trace
+from finpot.exponentials import det_series, exp_op
 from finpot.operators import FinitePotentOperator as FPO
 from finpot.parsing import parse_rational_function as P
 from finpot.places import Place
 from finpot.residues import Compression, residue_classical, residue_tate
 from finpot.scalars import NumberField, field_norm
+from finpot.series import TruncatedLaurentSeries as TLS, _dot, series_exp
 from finpot.symbols import cocycle, cocycle_via_operators
 
 
@@ -41,3 +48,25 @@ def test_commutator_columns_fault_breaks_the_residue_and_cocycle_checks(monkeypa
     monkeypatch.setattr(Compression, "_columns", lambda self, other: columns(self, other)[:-1])
     assert residue_tate(f, g) == 0
     assert cocycle_via_operators(f, g) != cocycle(f, g, at_zero)
+
+
+def test_series_division_fault_breaks_the_trace_and_cocycle_checks(monkeypatch):
+    """The series kernel's division by the previous pivot, one recurrence
+    step _dot per coefficient, with the pivot's highest nonconstant term
+    dropped.  It shows from the third row on, once a pivot has a
+    nonconstant term.  On the cyclic permutation C of e_0, e_1, e_2, whose
+    block is 3 x 3, det exp(zC) reads 1 + z^3/6 against exp(z tr C) = 1.
+    At f = 1/t^2 + t, g = 1/t + t^2 (a 12 x 12 block) the operator route's
+    determinant is no longer exp(z^2 r) for any r, so the symbol check
+    raises and the route returns no cocycle at all.  A nilpotent chain
+    e_2 -> e_1 -> e_0 would not catch the fault: its block is 2 x 2."""
+    cyc = FPO.from_entries([(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    f, g, at_zero = P("1/t^2 + t"), P("1/t + t^2"), Place.at_zero()
+    want = series_exp(TLS.from_terms("z", {1: tate_trace(cyc)}, 6))
+    assert det_series(exp_op(cyc, 1, 6)) == want
+    assert cocycle_via_operators(f, g) == cocycle(f, g, at_zero)
+    monkeypatch.setattr(matrices, "_dot", lambda pairs, h, k: _dot(pairs[:-1], h, k))
+    faulted = det_series(exp_op(cyc, 1, 6))
+    assert faulted != want and faulted == TLS.from_terms("z", {0: 1, 3: Fraction(1, 6)}, 6)
+    with pytest.raises(ValueError, match="not exp"):
+        cocycle_via_operators(f, g)

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import finpot.matrices as matrices
 import finpot.scalars as scalars
-from finpot.errors import NotInvertibleError, VariableMismatchError
+from finpot.errors import NotInvertibleError
 from finpot.matrices import (
     charpoly,
     det,
-    det_series_matrix,
     elementary_symmetric,
     identity,
     int_det,
@@ -113,12 +112,10 @@ def test_bareiss_is_echelon(rng):
 
 
 def test_series_determinant():
-    one = TLS.one("z", 6)
-    z = TLS.from_terms("z", {1: 1}, 6)
-    m = [[one + z, z], [z, one]]
-    d = det_series_matrix(m, one)
-    # (1+z)*1 - z^2
-    assert d == TLS.from_terms("z", {0: 1, 1: 1, 2: -1}, 6)
+    # det [[1 + z, z], [z, 1]] = 1 + z - z^2, each row as two coefficient lists
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[one, one, zero, zero, one, zero], [zero, one, zero, one, zero, zero]]
+    assert matrices._series_det(rows, 3) == [1, 1, -1]
 
 
 # -- behaviour pinned across every scalar type the elimination serves --------
@@ -211,22 +208,6 @@ def test_rectangular_rank_and_kernel(rng):
             assert len(reduced_echelon([list(col) for col in zip(*kers)])[0]) == len(kers)
 
 
-def test_series_determinant_row_swap_and_no_unit_pivot():
-    one = TLS.one("z", 6)
-    zero = TLS.zero("z", 6)
-    z = TLS.from_terms("z", {1: 1}, 6)
-    # the (0, 0) entry has no unit constant term, so rows 0 and 1 swap:
-    # det [[z, 1 + z], [1, z]] = z^2 - 1 - z
-    m = [[z, one + z], [one, z]]
-    assert det_series_matrix(m, one) == TLS.from_terms("z", {0: -1, 1: -1, 2: 1}, 6)
-    # a swap that brings row 2 up: det of the cyclic permutation matrix is +1
-    cyc = [[zero, one, zero], [zero, zero, one], [one, zero, zero]]
-    assert det_series_matrix(cyc, one) == one
-    # no entry of the first column is a unit
-    with pytest.raises(NotInvertibleError):
-        det_series_matrix([[z, one], [z * z, one]], one)
-
-
 # -- integer kernels against the generic scalar loops ---------------------------
 
 _Q = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 5, 6, 7)))
@@ -305,56 +286,16 @@ def test_empty_and_one_by_one_rational_matrices():
         assert det([[x]]) == x and type(det([[x]])) is Fraction
         assert charpoly([[x]]) == [-x, Fraction(1)]
         assert mat_mul([[x]], [[x]]) == [[x * x]]
-    one = TLS.one("z", 4)
-    assert det_series_matrix([], one) is one
-
-
-@st.composite
-def _series_matrix(draw):
-    """A square matrix of series of one precision p over Q, min_degree 0:
-    unit diagonal plus O(z), a first column whose top constant terms vanish
-    (forcing swaps), or a column with no unit at all."""
-    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    shape = draw(st.sampled_from(("unipotent", "swap", "no_unit")))
-    dead = draw(st.integers(0, n - 1))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cs = {k: draw(_Q) for k in range(p) if draw(st.booleans())}
-            if shape == "unipotent":
-                cs[0] = Fraction(1) if i == j else cs.get(0, Fraction(0))
-            elif shape == "swap" and j == 0 and i < n - 1:
-                cs.pop(0, None)
-            elif shape == "no_unit" and j == dead:
-                cs.pop(0, None)
-            row.append(TLS("z", cs, 0, p))
-        rows.append(row)
-    return rows
-
-
-@settings(max_examples=150)
-@given(_series_matrix())
-def test_series_det_matches_generic_loops(m):
-    one = TLS.one("z", m[0][0].precision)
-    try:
-        want = det_series_matrix_generic(m, one)
-    except NotInvertibleError:
-        with pytest.raises(NotInvertibleError):
-            det_series_matrix(m, one)
-        return
-    got = det_series_matrix(m, one)
-    assert got == want
-    assert (got.precision, got.min_degree) == (want.precision, want.min_degree)
-    assert _all_fractions(got.coeffs.values())
+    out = matrices._series_det([], 4)
+    assert out == [1, 0, 0, 0] and _all_fractions(out)
 
 
 def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
     """Q input reaches _bareiss as integer rows and Q(i) input with its own
-    scalars; _bareiss never receives a series.  A Q(i) inverse, at a pivot
-    or outside the loop, runs no nested _bareiss: it is scalars._subres on
-    the integer modulus and the element's numerators, which receives only
-    int lists."""
+    scalars; the series kernel runs its own loop and no _bareiss.  A Q(i)
+    inverse, at a pivot or outside the loop, runs no nested _bareiss: it is
+    scalars._subres on the integer modulus and the element's numerators,
+    which receives only int lists."""
     q, g = rand_matrix(rng, 4), rand_gauss_matrix(rng, 4, 4)
     q[0][1], q[2][3] = Fraction(1, 3), Fraction(-5, 2)
     for i in range(4):  # diagonally dominant, so both are invertible
@@ -362,6 +303,7 @@ def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
         g[i][i] = g[i][i] + 20
     one, z = TLS.one("z", 4), TLS.from_terms("z", {1: GAUSS.generator()}, 4)
     series = [[one + z, z], [z * z, one]]
+    series_rows = [[x.coefficient(k) for x in row for k in range(4)] for row in series]
     seen, nested, depth, subres = [], [], [0], []
 
     def nesting(fn):
@@ -397,10 +339,12 @@ def test_every_scalar_type_reaches_the_fraction_free_loop(monkeypatch, rng):
     assert not nested
     assert subres and all(types == {int, list} for types in subres)
     seen.clear()
-    assert det_series_matrix(series, one) == det_series_matrix_generic(series, one)
-    assert not any(TLS in types for types in seen)
-    for name in ("_eliminate", "_det", "_is_zero", "bareiss_echelon", "mat_vec",
-                 "solve_columns", "column_space_basis", "_pivot_columns", "rank", "_divide_by"):
+    want = det_series_matrix_generic(series, one)
+    assert matrices._series_det(series_rows, 4) == [want.coefficient(k) for k in range(4)]
+    assert not seen
+    for name in ("det_series_matrix", "_series_rows", "_series_bareiss_det", "_eliminate", "_det",
+                 "_is_zero", "bareiss_echelon", "mat_vec", "solve_columns", "column_space_basis",
+                 "_pivot_columns", "rank", "_divide_by"):
         assert not hasattr(matrices, name)
 
 
@@ -470,44 +414,6 @@ def test_reduced_echelon_routines_match_generic_elimination(field, n, cols, data
     _assert_same(field, _outcome(mat_inverse, square), _outcome(mat_inverse_generic, square))
 
 
-@st.composite
-def _field_series_matrix(draw):
-    """A square matrix of series of one precision p with Q(i) or Q(sqrt2)
-    coefficients (Fractions mixed in), min_degree 0: unit diagonal plus
-    O(z), a first column whose top constant terms vanish (forcing swaps),
-    or a column with no unit at all."""
-    field = draw(st.sampled_from(("Q(i)", "Q(sqrt2)")))
-    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    shape = draw(st.sampled_from(("unipotent", "swap", "no_unit")))
-    dead = draw(st.integers(0, n - 1))
-    coeff = st.one_of(_SCALARS[field], _Q)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cs = {k: draw(coeff) for k in range(p) if draw(st.booleans())}
-            if shape == "unipotent":
-                cs[0] = Fraction(1) if i == j else cs.get(0, Fraction(0))
-            elif shape == "swap" and j == 0 and i < n - 1:
-                cs.pop(0, None)
-            elif shape == "no_unit" and j == dead:
-                cs.pop(0, None)
-            row.append(TLS("z", cs, 0, p))
-        rows.append(row)
-    return rows
-
-
-@settings(max_examples=150)
-@given(_field_series_matrix())
-def test_number_field_series_det_matches_generic_elimination(m):
-    one = TLS.one("z", m[0][0].precision)
-    got = _outcome(det_series_matrix, m, one)
-    want = _outcome(det_series_matrix_generic, m, one)
-    assert got == want
-    if got[0] == "value":
-        assert (got[1].precision, got[1].min_degree) == (want[1].precision, want[1].min_degree)
-
-
 # -- one product chain and one series determinant for every scalar type --------
 
 
@@ -538,79 +444,93 @@ def test_number_field_products_match_generic_loops(field, n, cols, mixed, data):
         assert _all_fractions(got)
 
 
-@st.composite
-def _mixed_precision_series_matrix(draw):
-    """(field, square matrix of series) whose entries have their own
-    precisions 1..6 and lower storage bounds -2..0 (no polar terms), with
-    Q, or Q(i) or Q(sqrt2) coefficients mixed with Fractions: unit diagonal
-    plus O(z), a first column whose top constant terms vanish (forcing
-    swaps), or free constant terms."""
-    field = draw(st.sampled_from(sorted(_SCALARS)))
-    coeff = _Q if field == "Q" else st.one_of(_SCALARS[field], _Q)
-    n = draw(st.integers(1, 4))
-    shape = draw(st.sampled_from(("unipotent", "swap", "free")))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = draw(st.integers(1, 6))
-            cs = {k: draw(coeff) for k in range(p) if draw(st.booleans())}
-            if shape == "unipotent":
-                cs[0] = Fraction(1) if i == j else Fraction(0)
-            elif shape == "swap" and j == 0 and i < n - 1:
-                cs.pop(0, None)
-            row.append(TLS("z", cs, draw(st.integers(-2, 0)), p))
-        rows.append(row)
-    return field, rows
-
-
 _FIELDS = {"Q(i)": GAUSS, "Q(sqrt2)": SQRT2}
 
 
-def _in_field(field, values):
-    if field == "Q":
-        return _all_fractions(values)
-    return all(type(x) is Fraction or (type(x) is NumberFieldElement and x.field == _FIELDS[field])
-               for x in values)
+@st.composite
+def _unipotent_series_rows(draw):
+    """(kinds, p, rows): an n x n block I + O(z) at precision p, each row
+    laid out as n coefficient lists of length p, as det_series lays it out.
+    A row's kind is "Q" (Fractions over its own denominator, so rows have
+    unlike denominators), or "field" (Q(i) or Q(sqrt2) elements, one field
+    for the block) or "mixed" (each coefficient either); absent
+    coefficients are Fraction zeros."""
+    n, p = draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    field = _SCALARS[draw(st.sampled_from(sorted(_FIELDS)))]
+    kinds, rows = [], []
+    for i in range(n):
+        kind = draw(st.sampled_from(("Q", "field", "mixed")))
+        den = draw(st.sampled_from((1, 2, 3, 5, 7, 11)))
+        rational = st.builds(lambda a, e: Fraction(a, den**e),
+                             st.integers(-9, 9), st.integers(0, 2))
+        coeff = {"Q": rational, "field": field, "mixed": st.one_of(rational, field)}[kind]
+        row = [Fraction(0)] * (n * p)
+        row[i * p] = Fraction(1)
+        for j in range(n):
+            for k in range(1, p):
+                if draw(st.booleans()):
+                    row[j * p + k] = draw(coeff)
+        kinds.append(kind)
+        rows.append(row)
+    return kinds, p, rows
 
 
 @settings(max_examples=200)
-@given(_mixed_precision_series_matrix(), st.integers(1, 7))
-def test_series_det_cuts_entries_to_the_least_precision(case, one_precision):
-    """Entries of differing precision are cut to the least one, p: the
-    determinant is that of elimination on the raw series (Gaussian, and
-    fraction-free as det_series_matrix once ran it), known below p, with
-    coefficients in the field of the entries."""
-    field, m = case
-    p = min(x.precision for row in m for x in row)
-    one = TLS.one("z", one_precision)
-    got = _outcome(det_series_matrix, m, one)
+@given(_unipotent_series_rows())
+def test_series_det_matches_generic_loops(case):
+    """The pivot-free series kernel on an I + O(z) block gives, coefficient
+    by coefficient, the determinant of Gaussian elimination and of
+    fraction-free elimination on the entries as series (each with its pivot
+    search); over Q every coefficient is a Fraction, otherwise it lies in
+    the block's field."""
+    kinds, p, rows = case
+    got = matrices._series_det(rows, p)
+    assert len(got) == p
+    m = [[TLS("z", dict(enumerate(row[j * p : (j + 1) * p])), 0, p) for j in range(len(rows))]
+         for row in rows]
+    one = TLS.one("z", p)
     for oracle in (det_series_matrix_generic, det_series_matrix_fraction_free):
-        want = _outcome(oracle, m, one)
-        assert got[0] == want[0]
-        if got[0] == "value":
-            assert got[1] == want[1].truncate(min(p, one_precision))
-    if got[0] == "value":
-        assert got[1].min_degree == 0
-        assert _in_field(field, got[1].coeffs.values())
+        want = oracle(m, one)
+        assert (want.precision, want.min_degree) == (p, 0)
+        assert got == [want.coefficient(k) for k in range(p)]
+    if all(kind == "Q" for kind in kinds):
+        assert _all_fractions(got)
+    else:
+        fields = {x.field for row in rows for x in row if type(x) is NumberFieldElement}
+        assert all(type(x) is Fraction or {x.field} == fields for x in got)
 
 
-@settings(max_examples=100)
-@given(_mixed_precision_series_matrix(), st.integers(-3, -1), st.data())
-def test_series_det_rejects_a_polar_term(case, degree, data):
-    field, m = case
-    n = len(m)
-    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    c = data.draw(_SCALARS[field].filter(lambda x: x != 0))
-    x = m[i][j]
-    m[i][j] = x + TLS("z", {degree: c}, degree, x.precision)
-    with pytest.raises(ValueError):
-        det_series_matrix(m, TLS.one("z", 4))
+@st.composite
+def _field_series_rows(draw):
+    """(field, p, rows): an n x n block I + O(z) at precision p (n >= 1)
+    whose higher coefficients are Q(i) or Q(sqrt2) elements with Fractions
+    mixed in, laid out as _series_det takes it."""
+    field = draw(st.sampled_from(sorted(_FIELDS)))
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    coeff = st.one_of(_SCALARS[field], _Q)
+    rows = []
+    for i in range(n):
+        row = [Fraction(0)] * (n * p)
+        row[i * p] = Fraction(1)
+        for j in range(n):
+            for k in range(1, p):
+                if draw(st.booleans()):
+                    row[j * p + k] = draw(coeff)
+        rows.append(row)
+    return _FIELDS[field], p, rows
 
 
-def test_series_det_rejects_mixed_variables_and_an_empty_window():
-    one = TLS.one("z", 4)
-    with pytest.raises(VariableMismatchError):
-        det_series_matrix([[one, TLS.zero("z", 4)], [TLS.zero("w", 4), one]], one)
-    with pytest.raises(ValueError):
-        det_series_matrix([[TLS("z", {}, -1, 0)]], one)
+@settings(max_examples=150)
+@given(_field_series_rows())
+def test_number_field_series_det_matches_generic_elimination(case):
+    """Over a number field the series kernel gives the determinant of
+    Gaussian elimination on the entries as series, at full precision, with
+    every coefficient a Fraction or an element of the block's field."""
+    field, p, rows = case
+    got = matrices._series_det(rows, p)
+    m = [[TLS("z", dict(enumerate(row[j * p : (j + 1) * p])), 0, p) for j in range(len(rows))]
+         for row in rows]
+    want = det_series_matrix_generic(m, TLS.one("z", p))
+    assert (want.precision, want.min_degree) == (p, 0)
+    assert got == [want.coefficient(k) for k in range(p)]
+    assert all(type(x) is Fraction or x.field == field for x in got)

@@ -14,7 +14,6 @@ from finpot.operators import (
     op_apply,
     op_commutator,
     op_compose,
-    op_entry,
     op_scale,
 )
 from finpot.scalars import NumberField, scalar_is_zero
@@ -166,19 +165,25 @@ def test_commutator_matches_composition_difference(rng):
         assert lhs == rhs
 
 
+def _entry(phi, i, j):
+    """Matrix entry (i, j) of phi, tail included: the finite part plus the
+    tail's entries in column j (what finpot's op_entry once returned)."""
+    return phi.finite_part.add(phi.tail.on([j])).get(i, j)
+
+
 def test_op_entry_reads_tail():
     phi = FPO(
         SparseOperator({(0, 1): Fraction(5)}),
         TailDescriptor.jordan(3, 10, [1, Fraction(2)]),
     )
-    assert op_entry(phi, 0, 1) == 5
-    assert op_entry(phi, 11, 10) == 1
-    assert op_entry(phi, 12, 10) == 2
-    assert op_entry(phi, 12, 11) == 1
-    assert op_entry(phi, 13, 11) == 0  # crosses the block boundary
-    assert op_entry(phi, 13, 12) == 0  # e_12 ends its block
-    assert op_entry(phi, 14, 13) == 1  # next block starts at 13
-    assert op_entry(phi, 15, 13) == 2
+    assert _entry(phi, 0, 1) == 5
+    assert _entry(phi, 11, 10) == 1
+    assert _entry(phi, 12, 10) == 2
+    assert _entry(phi, 12, 11) == 1
+    assert _entry(phi, 13, 11) == 0  # crosses the block boundary
+    assert _entry(phi, 13, 12) == 0  # e_12 ends its block
+    assert _entry(phi, 14, 13) == 1  # next block starts at 13
+    assert _entry(phi, 15, 13) == 2
 
 
 def test_power():
@@ -437,8 +442,8 @@ def test_tail_compose_matches_double_loop(block_size, start, data):
 @settings(max_examples=100)
 @given(st.integers(1, 5), st.integers(0, 3), st.data())
 def test_tail_entries_read_through_image_of(block_size, start, data):
-    """op_entry and wedge_scaling_check read the tail through image_of:
-    op_entry(phi, i, j) is the coefficient of e_i in phi(e_j), and the
+    """Matrix entries and wedge_scaling_check read the tail through image_of:
+    _entry(phi, i, j) is the coefficient of e_i in phi(e_j), and the
     wedge determinant does not depend on how many tail blocks it spans."""
     from finpot.determinants import det_one_plus, wedge_scaling_check
 
@@ -450,7 +455,7 @@ def test_tail_entries_read_through_image_of(block_size, start, data):
     for j in span:
         image = op_apply(phi, {j: Fraction(1)})
         for i in span:
-            assert op_entry(phi, i, j) == image.get(i, 0)
+            assert _entry(phi, i, j) == image.get(i, 0)
     w_dim = len(certify_finite_potent(phi).indices)
     blocks = range(3) if phi.has_tail() else range(1)
     for k in blocks:

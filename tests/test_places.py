@@ -8,7 +8,7 @@ from finpot.places import Place, local_expand, relevant_places
 from finpot.polynomials import Polynomial, RationalFunction
 from finpot.parsing import parse_place, parse_rational_function as P
 from conftest import random_rational_function
-from oracles import local_expand_newton, valuation_by_division
+from oracles import local_expand_newton, resum, valuation_by_division
 
 
 def test_place_validation():
@@ -84,7 +84,7 @@ def test_resum_invariant(rng):
         for p in places:
             prec = 4
             exp = local_expand(f, p, prec)
-            diff = f - exp.resum()
+            diff = f - resum(exp)
             if diff.is_zero():
                 continue
             assert diff.valuation_at(p.minimal_poly) >= prec
@@ -99,7 +99,7 @@ def test_resum_invariant_at_infinity(rng):
     for _ in range(20):
         f = random_rational_function(rng)
         exp = local_expand(f, p, 4)
-        diff = f - exp.resum()
+        diff = f - resum(exp)
         if diff.is_zero():
             continue
         # valuation at infinity = deg(den) - deg(num)

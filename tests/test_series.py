@@ -8,13 +8,13 @@ from finpot.scalars import NumberField
 from finpot.series import (
     TruncatedLaurentSeries as TLS,
     series_exp,
-    series_inv,
     series_log,
     series_mul,
 )
 from oracles import (
     series_exp_by_fractions,
     series_exp_taylor,
+    series_inv,
     series_inv_geometric,
     series_log_taylor,
     series_mul_dict,
